@@ -6,7 +6,7 @@ GO ?= go
 # (baseline was 87.9% when the gate was introduced).
 COVER_FLOOR ?= 85.0
 
-.PHONY: build test race fuzz-smoke bench-smoke vet lint stress cover policy-smoke docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
+.PHONY: build test race fuzz-smoke bench-smoke bench-e2e-smoke vet lint stress cover policy-smoke docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,14 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+
+# End-to-end benchmark smoke: bench/ is its own module, which the root
+# `go test ./...` does not reach. Its short tests run every workload
+# briefly, untraced and traced, with the benchmark's own correctness
+# checks (LIFO values, no false empties, exactly-once handoff, the
+# minimax result) on, against the stats and tracing paths users enable.
+bench-e2e-smoke:
+	cd bench && $(GO) test -short ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -171,4 +179,4 @@ chaos-smoke:
 	grep -q 'recovered ' chaos-smoke.out
 	rm -f chaos-smoke.out
 
-ci: build vet lint test race stress fuzz-smoke bench-smoke cover policy-smoke docs-check trace-smoke introspect-smoke chaos-smoke bench-check
+ci: build vet lint test race stress fuzz-smoke bench-smoke bench-e2e-smoke cover policy-smoke docs-check trace-smoke introspect-smoke chaos-smoke bench-check

@@ -52,12 +52,12 @@ func TestHotPathAllocFree(t *testing.T) {
 		hs.Put(1)
 		hs.Get()
 	})
-	// Every stats-on operation also lands in the per-op latency histogram
-	// (three atomic adds into a fixed bucket array — covered by the 0
-	// allocs/op assertion above); confirm the recordings are visible on
-	// the merged pool stats.
-	if st := ps.Stats(); st.OpLat.N() == 0 {
-		t.Error("stats-on pool recorded no per-op latencies")
+	// Every stats-on operation is counted; about one in sixteen is timed
+	// and lands in the per-op latency histogram (three atomic adds into a
+	// fixed bucket array — covered by the 0 allocs/op assertion above).
+	// Confirm both are visible on the merged pool stats.
+	if st := ps.Stats(); st.OpCount() == 0 || st.OpLat.N() == 0 {
+		t.Errorf("stats-on pool counted %d ops and timed %d", st.OpCount(), st.OpLat.N())
 	}
 	// And the histogram itself, bare: Record must stay allocation-free at
 	// any magnitude, including the saturating top bucket.
@@ -103,9 +103,10 @@ func TestHotPathAllocFree(t *testing.T) {
 		}
 	})
 
-	// Flight recorder on: Record is a clock read, a mutex, and an array
-	// store into the preallocated ring — the traced hot path keeps the 0
-	// allocs/op contract too (the tracing-off side of the contract is
+	// Flight recorder on: every Record is its own clock read, a mutex, and
+	// an array store into the preallocated ring (the recorder is not
+	// sampled, unlike the stats' op timing) — the traced hot path keeps
+	// the 0 allocs/op contract too (the tracing-off side of the contract is
 	// every other case in this test, all built with TraceBuf 0).
 	pt, err := pools.New[int](pools.Options{
 		Segments: 4, CollectStats: true, Topology: pools.ClusterTopology{Size: 2},

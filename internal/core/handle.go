@@ -35,15 +35,16 @@ const (
 // supplies the substrate (mutex-protected segments, directed-add
 // mailboxes, wall-clock delays) and keeps the per-operation accounting.
 type Handle[T any] struct {
-	pool       *Pool[T]
-	id         int
-	eng        *engine.Engine
-	steal      policy.StealAmount // resolved steal amount, cached off the engine for the probe loop
-	sub        substrate[T]
+	pool     *Pool[T]
+	id       int
+	eng      *engine.Engine
+	steal    policy.StealAmount // resolved steal amount, cached off the engine for the probe loop
+	sub      substrate[T]
 	stealBuf []T // reused steal-transfer buffer (reserve under the victim's lock, deposit outside)
 	stats    metrics.PoolStats
 	tr       *trace.Recorder // flight recorder (nil unless Options.TraceBuf > 0)
 	state    atomic.Int32    // hsIdle | hsOpen | hsClosed; atomic so Pool.Kill can close externally
+	sample   sampler         // which stats-on operations are timed
 }
 
 // ID returns the handle's segment index.
@@ -139,25 +140,57 @@ func (h *Handle[T]) Closed() bool { return h.state.Load() == hsClosed }
 // Stats returns a snapshot of this handle's operation statistics.
 func (h *Handle[T]) Stats() metrics.PoolStats { return h.stats }
 
-// now returns nanoseconds since pool creation when stats are being
-// collected, -1 otherwise. It reads only the monotonic clock (one
-// nanotime; p.base carries a monotonic reading, so time.Since never
-// touches the wall clock) — the stats-on hot path was dominated by
-// time.Now's paired wall+monotonic reads before this.
-func (h *Handle[T]) now() int64 {
-	if !h.pool.opts.CollectStats {
-		return -1
-	}
-	return int64(time.Since(h.pool.base))
+// sampleSpan is the stats sampling rate: a stats-on handle times one
+// operation in sampleSpan on average and only counts the rest. Each gap
+// between timed operations is drawn uniformly from [1, 2*sampleSpan-1],
+// so a periodic operation pattern (strict Put/Get alternation, say)
+// cannot alias with the sampler and leave one kind never timed.
+const sampleSpan = 16
+
+// sampler picks which stats-on operations a handle times.
+type sampler struct {
+	on      bool      // Options.CollectStats
+	untimed int32     // operations left to skip before the next timed one
+	x       uint64    // xorshift state drawing the gaps (never 0)
+	base    time.Time // the pool's creation time (carries a monotonic reading)
 }
 
-// since returns elapsed µs since a now() stamp (0 when stats are
-// disabled).
-func (h *Handle[T]) since(start int64) int64 {
-	if start < 0 {
-		return 0
+// begin starts one operation's stats. It returns a clock reading (ns
+// since base) when the operation is to be timed, and -1 when stats are
+// off or the sampler skips this operation — then the operation reads no
+// clock at all and the stats only count it. Only the monotonic clock is
+// read, so time.Since never touches the wall clock.
+func (s *sampler) begin() int64 {
+	if !s.on {
+		return -1
 	}
-	return (int64(time.Since(h.pool.base)) - start) / 1000
+	if s.untimed--; s.untimed >= 0 {
+		return -1
+	}
+	return s.start()
+}
+
+// start draws the gap to the next timed operation and reads the clock for
+// this one. It is split from begin, which runs on every operation, so
+// that begin stays small enough to inline.
+func (s *sampler) start() int64 {
+	x := s.x
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	s.x = x
+	s.untimed = int32(x % (2*sampleSpan - 1))
+	return int64(time.Since(s.base))
+}
+
+// since returns the µs elapsed since a begin stamp, keeping the sub-µs
+// fraction, or metrics.Untimed when the operation is not timed. A timed
+// operation reads the clock exactly twice: in begin and here.
+func (s *sampler) since(start int64) float64 {
+	if start < 0 {
+		return metrics.Untimed
+	}
+	return float64(int64(time.Since(s.base))-start) / 1000
 }
 
 // Put adds an element to the pool: into a hungry searcher's mailbox when
@@ -168,12 +201,12 @@ func (h *Handle[T]) since(start int64) int64 {
 func (h *Handle[T]) Put(v T) {
 	h.Register()
 	p := h.pool
-	start := h.now()
+	start := h.sample.begin()
 	if p.boxes != nil && p.giftOut(h.id, []T{v}) == 1 {
 		p.version.Add(1)
 		if p.opts.CollectStats {
 			h.stats.DirectedGives++
-			h.stats.RecordAdd(h.since(start))
+			h.stats.RecordAdd(h.sample.since(start))
 		}
 		if h.tr != nil {
 			h.tr.Record(trace.GiftSend, -1, 1)
@@ -193,7 +226,7 @@ func (h *Handle[T]) Put(v T) {
 	}
 	p.version.Add(1)
 	if p.opts.CollectStats {
-		h.stats.RecordAdd(h.since(start))
+		h.stats.RecordAdd(h.sample.since(start))
 	}
 }
 
@@ -212,7 +245,7 @@ func (h *Handle[T]) PutAll(items []T) {
 	}
 	h.Register()
 	p := h.pool
-	start := h.now()
+	start := h.sample.begin()
 	gifted := 0
 	if p.boxes != nil {
 		gifted = p.giftOut(h.id, items)
@@ -225,7 +258,7 @@ func (h *Handle[T]) PutAll(items []T) {
 		if gifted == len(items) {
 			p.version.Add(1)
 			if p.opts.CollectStats {
-				h.stats.RecordBatchAdd(h.since(start), gifted)
+				h.stats.RecordBatchAdd(h.sample.since(start), gifted)
 			}
 			return
 		}
@@ -239,7 +272,7 @@ func (h *Handle[T]) PutAll(items []T) {
 	}
 	p.version.Add(1)
 	if p.opts.CollectStats {
-		h.stats.RecordBatchAdd(h.since(start), len(items))
+		h.stats.RecordBatchAdd(h.sample.since(start), len(items))
 	}
 }
 
@@ -255,7 +288,7 @@ func (h *Handle[T]) TryPut(v T) bool {
 		h.Put(v)
 		return true
 	}
-	start := h.now()
+	start := h.sample.begin()
 	n := len(p.segs)
 	for off := 0; off < n; off++ {
 		idx := (h.id + off) % n
@@ -284,7 +317,7 @@ func (h *Handle[T]) TryPut(v T) bool {
 		if placed {
 			p.version.Add(1)
 			if p.opts.CollectStats {
-				h.stats.RecordAdd(h.since(start))
+				h.stats.RecordAdd(h.sample.since(start))
 			}
 			return true
 		}
@@ -297,11 +330,11 @@ func (h *Handle[T]) TryPut(v T) bool {
 func (h *Handle[T]) TryGetLocal() (T, bool) {
 	h.Register()
 	p := h.pool
-	start := h.now()
+	start := h.sample.begin()
 	p.opts.Delay.Delay(numa.AccessRemove, h.id, h.id)
 	v, ok := p.segs[h.id].dq.PopBottom()
 	if ok && p.opts.CollectStats {
-		h.stats.RecordLocalRemove(h.since(start))
+		h.stats.RecordLocalRemove(h.sample.since(start))
 	}
 	return v, ok
 }
@@ -319,7 +352,7 @@ func (h *Handle[T]) Get() (T, bool) {
 		return zero, false
 	}
 	h.Register()
-	start := h.now()
+	start := h.sample.begin()
 
 	// Fast path: the owner's lock-free bottom. Only a thief contending
 	// for the very last element can send this to the segment lock.
@@ -327,14 +360,15 @@ func (h *Handle[T]) Get() (T, bool) {
 	v, ok := p.segs[h.id].dq.PopBottom()
 	if ok {
 		if p.opts.CollectStats {
-			h.stats.RecordLocalRemove(h.since(start))
+			h.stats.RecordLocalRemove(h.sample.since(start))
 		}
-		h.observe(policy.Feedback{Got: 1, Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Got: 1})
 		return v, true
 	}
 
 	// Slow path: the engine's search-steal protocol, then the gift races.
-	searchStart := h.now()
+	// A timed remove is timed whole, so on the real pool StealTime also
+	// covers the failed local pop (a few ns) ahead of the search.
 	res := h.eng.Search(1)
 	g, gotGift, stole := h.resolveSearch(res)
 	if !stole {
@@ -343,22 +377,24 @@ func (h *Handle[T]) Get() (T, bool) {
 			h.parkLocal(g.rest())
 			if p.opts.CollectStats {
 				h.stats.DirectedReceives += int64(g.count())
-				h.stats.RecordStealRemove(h.since(start), h.since(searchStart), res.Examined, g.count())
+				d := h.sample.since(start)
+				h.stats.RecordStealRemove(d, d, res.Examined, g.count())
 			}
-			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count(), Elapsed: h.since(start)})
+			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
 			return v, true
 		}
 		if p.opts.CollectStats {
-			h.stats.RecordAbort(h.since(start))
+			h.stats.RecordAbort(h.sample.since(start))
 		}
-		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return zero, false
 	}
 	v = h.sub.takeReserved()
 	if p.opts.CollectStats {
-		h.stats.RecordStealRemove(h.since(start), h.since(searchStart), res.Examined, res.Got)
+		d := h.sample.since(start)
+		h.stats.RecordStealRemove(d, d, res.Examined, res.Got)
 	}
-	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: h.since(start)})
+	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return v, true
 }
 
@@ -425,7 +461,7 @@ func (h *Handle[T]) GetN(max int) []T {
 		return nil
 	}
 	h.Register()
-	start := h.now()
+	start := h.sample.begin()
 
 	// Fast path: drain the local segment through the owner's bottom.
 	p.opts.Delay.Delay(numa.AccessRemove, h.id, h.id)
@@ -433,14 +469,13 @@ func (h *Handle[T]) GetN(max int) []T {
 	out := s.dq.PopBottomN(max)
 	if len(out) > 0 {
 		if p.opts.CollectStats {
-			h.stats.RecordBatchLocalRemove(h.since(start), len(out))
+			h.stats.RecordBatchLocalRemove(h.sample.since(start), len(out))
 		}
-		h.observe(policy.Feedback{Got: len(out), Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Got: len(out)})
 		return out
 	}
 
 	// Slow path: search and steal, exactly as Get.
-	searchStart := h.now()
 	res := h.eng.Search(max)
 	g, gotGift, stole := h.resolveSearch(res)
 	if !stole {
@@ -455,15 +490,16 @@ func (h *Handle[T]) GetN(max int) []T {
 			}
 			if p.opts.CollectStats {
 				h.stats.DirectedReceives += int64(g.count())
-				h.stats.RecordBatchStealRemove(h.since(start), h.since(searchStart), res.Examined, g.count(), len(out))
+				d := h.sample.since(start)
+				h.stats.RecordBatchStealRemove(d, d, res.Examined, g.count(), len(out))
 			}
-			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count(), Elapsed: h.since(start)})
+			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
 			return out
 		}
 		if p.opts.CollectStats {
-			h.stats.RecordAbort(h.since(start))
+			h.stats.RecordAbort(h.sample.since(start))
 		}
-		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: h.since(start)})
+		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return nil
 	}
 	// The steal moved res.Got elements into the local segment and reserved
@@ -474,9 +510,10 @@ func (h *Handle[T]) GetN(max int) []T {
 		out = append(out, s.dq.PopBottomN(max-1)...)
 	}
 	if p.opts.CollectStats {
-		h.stats.RecordBatchStealRemove(h.since(start), h.since(searchStart), res.Examined, res.Got, len(out))
+		d := h.sample.since(start)
+		h.stats.RecordBatchStealRemove(d, d, res.Examined, res.Got, len(out))
 	}
-	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: h.since(start)})
+	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return out
 }
 

@@ -254,7 +254,11 @@ func New[T any](opts Options) (*Pool[T], error) {
 	}
 	p.handles = make([]*Handle[T], opts.Segments)
 	for i := range p.handles {
-		h := &Handle[T]{pool: p, id: i}
+		h := &Handle[T]{pool: p, id: i, sample: sampler{
+			on:   opts.CollectStats,
+			x:    rng.Mix(rng.SubSeed(opts.Seed, i)) | 1,
+			base: p.base,
+		}}
 		h.sub.h = h
 		var stats *metrics.PoolStats
 		if opts.CollectStats {

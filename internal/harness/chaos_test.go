@@ -55,27 +55,43 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	}
 }
 
-// RealRun under a wall-clock churn schedule: kills happen, every kill
-// is revived, and no element is lost or invented across the
-// transitions (conservation: fill + adds - removes = remaining).
+// RealRun under an operation-clock churn schedule: every scheduled kill
+// happens, every kill is revived, and no element is lost or invented
+// across the transitions (conservation: fill + adds - removes =
+// remaining).
 func TestRealRunChurn(t *testing.T) {
+	const totalOps, procs = 6000, 4
+	churn := workload.Churn{KillEvery: 300, ReviveAfter: 200, Drain: true, MaxKills: 8}
 	res, err := RealRun(RealRunConfig{
 		Workload: workload.Config{
-			Procs:           4,
+			Procs:           procs,
 			Model:           workload.RandomOps,
 			AddFraction:     0.5,
-			TotalOps:        6000,
+			TotalOps:        totalOps,
 			InitialElements: 64,
 		},
 		Search: search.Tree,
 		Seed:   42,
-		Churn:  workload.Churn{KillEvery: 300, ReviveAfter: 200, Drain: true, MaxKills: 8},
+		Churn:  churn,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kills == 0 {
-		t.Error("no kills performed (schedule should fire well inside the run)")
+	// Replay the seeded schedule (gap, victim, gap, victim, ...) in budget
+	// positions. An event fires at the first claim that reaches its
+	// position, which concurrent claims can overshoot by at most procs-1,
+	// so allow that per event.
+	gen := churn.Gen(42)
+	end := int64(0)
+	for gap := gen.NextGap(); gap >= 0; gap = gen.NextGap() {
+		gen.PickVictim(procs)
+		end += gap + churn.ReviveAfter + 2*(procs-1)
+	}
+	if end >= totalOps {
+		t.Fatalf("schedule ends at op %d, past the %d-op budget: pick another seed", end, totalOps)
+	}
+	if res.Kills != churn.MaxKills {
+		t.Errorf("kills = %d, want all %d scheduled inside the budget", res.Kills, churn.MaxKills)
 	}
 	if res.Kills != res.Revives {
 		t.Errorf("kills = %d, revives = %d, want equal", res.Kills, res.Revives)

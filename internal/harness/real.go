@@ -2,8 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pools/internal/core"
@@ -45,13 +47,17 @@ type RealRunConfig struct {
 	// events per handle (core.Options.TraceBuf); the recorded timelines
 	// come back in RealRunResult.Timelines.
 	TraceBuf int
-	// Churn, when enabled, runs a wall-clock chaos driver alongside the
-	// workers: it kills one live handle at a time on the seeded schedule
-	// (workload.Churn, gaps in wall-clock µs), revives it after the
-	// configured downtime, and stops when the budget is exhausted. A
-	// killed worker idles without claiming budget until revived (its
-	// next operation re-registers the handle). Not supported under the
-	// OpenLoop model, whose arrival streams assume a fixed worker set.
+	// Churn, when enabled, kills one live handle at a time on the seeded
+	// schedule (workload.Churn) and revives it after the configured
+	// downtime. The schedule runs on the operation clock: KillEvery and
+	// ReviveAfter count operations claimed from the shared budget, and the
+	// worker whose claim reaches a kill or revive performs it before its
+	// own operation. So the schedule fires at the same point in the work
+	// on any machine and at any speed. A killed worker idles without
+	// claiming budget until revived (its next operation re-registers the
+	// handle); a handle still down when the budget runs out is revived
+	// after the workers finish. Not supported under the OpenLoop model,
+	// whose arrival streams assume a fixed worker set.
 	Churn workload.Churn
 	// Publish, when non-nil, is called by each worker with a copy of its
 	// own handle's statistics every publishEvery operations and once as
@@ -130,6 +136,10 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 	}
 
 	budget := workload.NewBudget(wl.TotalOps)
+	var churn *opChurn
+	if churnOn {
+		churn = newOpChurn(p, cfg.Churn, wl.Procs, cfg.Seed)
+	}
 	var sojourns []metrics.LatencyHist
 	if wl.Model == workload.OpenLoop {
 		sojourns = make([]metrics.LatencyHist, wl.Procs)
@@ -217,6 +227,7 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 					if take == 0 {
 						break
 					}
+					churn.tick(budget.Used())
 					if ch.NextBatch(take) == metrics.OpAdd {
 						h.PutAll(batch[:take])
 					} else {
@@ -239,6 +250,7 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 				if !budget.TryClaim() {
 					break
 				}
+				churn.tick(budget.Used())
 				if ch.Next() == metrics.OpAdd {
 					h.Put(0)
 				} else {
@@ -256,47 +268,12 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 			h.Close()
 		}(id)
 	}
-	kills, revives := 0, 0
-	if churnOn {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Wall-clock chaos driver: gaps and downtimes are µs sleeps,
-			// chopped so budget exhaustion ends the schedule promptly.
-			wait := func(us int64) bool {
-				const step = 200 * time.Microsecond
-				deadline := time.Now().Add(time.Duration(us) * time.Microsecond)
-				for time.Now().Before(deadline) {
-					if budget.Exhausted() {
-						return false
-					}
-					time.Sleep(step)
-				}
-				return !budget.Exhausted()
-			}
-			gen := cfg.Churn.Gen(cfg.Seed)
-			for {
-				gap := gen.NextGap()
-				if gap < 0 || !wait(gap) {
-					return
-				}
-				t := gen.PickVictim(wl.Procs)
-				if !p.Kill(t, cfg.Churn.Drain) {
-					continue // refused (last live member); retry next gap
-				}
-				kills++
-				stop := !wait(cfg.Churn.ReviveAfter)
-				if p.Revive(t) {
-					revives++
-				}
-				if stop {
-					return
-				}
-			}
-		}()
-	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	var kills, revives int
+	if churn != nil {
+		kills, revives = churn.finish()
+	}
 
 	return RealRunResult{
 		Stats:     p.Stats(),
@@ -307,6 +284,79 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 		Kills:     kills,
 		Revives:   revives,
 	}, nil
+}
+
+// opChurn runs a churn schedule on RealRun's operation clock: the budget's
+// used count. Workers call tick after each successful claim; the first
+// claim to reach the next event's position performs it, so kills and
+// revives land at fixed points in the work instead of at wall-clock times
+// a fast run may never reach.
+type opChurn struct {
+	p     *core.Pool[int]
+	churn workload.Churn
+	procs int
+	next  atomic.Int64 // budget position of the next kill or revive; MaxInt64 once the schedule is done
+
+	mu             sync.Mutex // serializes the events; taken only when a tick reaches next
+	gen            *workload.ChurnGen
+	down           int // the killed handle awaiting revive, -1 when none
+	kills, revives int
+}
+
+func newOpChurn(p *core.Pool[int], c workload.Churn, procs int, seed uint64) *opChurn {
+	oc := &opChurn{p: p, churn: c, procs: procs, gen: c.Gen(seed), down: -1}
+	oc.schedule(0)
+	return oc
+}
+
+// schedule draws the gap to the next kill, counted from used.
+func (c *opChurn) schedule(used int64) {
+	gap := c.gen.NextGap()
+	if gap < 0 {
+		c.next.Store(math.MaxInt64)
+		return
+	}
+	c.next.Store(used + gap)
+}
+
+// tick advances the schedule to used, the budget's count after the
+// caller's claim. It is a no-op on a nil receiver (churn disabled) and,
+// short of the next event, costs one atomic load.
+func (c *opChurn) tick(used int) {
+	if c == nil || int64(used) < c.next.Load() {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if int64(used) < c.next.Load() {
+		return // another worker performed this event
+	}
+	if c.down >= 0 {
+		if c.p.Revive(c.down) {
+			c.revives++
+		}
+		c.down = -1
+		c.schedule(int64(used))
+		return
+	}
+	t := c.gen.PickVictim(c.procs)
+	if !c.p.Kill(t, c.churn.Drain) {
+		c.schedule(int64(used)) // refused (last live member); retry after the next gap
+		return
+	}
+	c.kills++
+	c.down = t
+	c.next.Store(int64(used) + c.churn.ReviveAfter)
+}
+
+// finish revives a handle the exhausted budget left down, once every
+// worker has exited, and returns the kill and revive counts.
+func (c *opChurn) finish() (kills, revives int) {
+	if c.down >= 0 && c.p.Revive(c.down) {
+		c.revives++
+	}
+	c.down = -1
+	return c.kills, c.revives
 }
 
 // RealCompare runs the three algorithms on the same wall-clock workload

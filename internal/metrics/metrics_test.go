@@ -250,6 +250,55 @@ func TestPoolStatsMerge(t *testing.T) {
 	}
 }
 
+// Untimed operations move every counter but no timing summary, and the
+// per-call averages scale each kind's sampled mean by its exact call
+// count.
+func TestPoolStatsUntimedCountsOnly(t *testing.T) {
+	var s PoolStats
+	s.RecordAdd(2.5)
+	s.RecordAdd(Untimed)
+	s.RecordBatchAdd(Untimed, 4)
+	s.RecordLocalRemove(0.5)
+	s.RecordStealRemove(Untimed, Untimed, 2, 3)
+	s.RecordBatchStealRemove(1.5, 1.25, 1, 4, 2)
+	s.RecordAbort(Untimed)
+
+	if s.Adds != 6 || s.AddCalls != 3 || s.Removes != 4 || s.RemoveCalls != 3 ||
+		s.Steals != 2 || s.Aborts != 1 || s.BatchAdds != 1 || s.BatchRemoves != 1 {
+		t.Fatalf("counts wrong: %+v", s)
+	}
+	if s.AddTime.N() != 1 || s.RemoveTime.N() != 2 || s.StealTime.N() != 1 || s.AbortTime.N() != 0 {
+		t.Fatalf("timed samples = %d/%d/%d/%d, want 1/2/1/0",
+			s.AddTime.N(), s.RemoveTime.N(), s.StealTime.N(), s.AbortTime.N())
+	}
+	if s.SegmentsExamined.N() != 2 || s.ElementsStolen.Sum() != 7 {
+		t.Errorf("steal summaries must cover untimed steals: examined n=%d, stolen sum=%v",
+			s.SegmentsExamined.N(), s.ElementsStolen.Sum())
+	}
+	if s.OpLat.N() != 3 {
+		t.Errorf("OpLat.N = %d, want the 3 timed operations", s.OpLat.N())
+	}
+	if s.OpCount() != 7 {
+		t.Errorf("OpCount = %d, want 7", s.OpCount())
+	}
+	if !almostEqual(s.StealFraction(), 2.0/3, 1e-12) {
+		t.Errorf("StealFraction = %v, want 2/3", s.StealFraction())
+	}
+	// Estimated total: add mean 2.5 × 3 calls + remove mean 1.0 × 3 calls
+	// + no timed abort.
+	if want := (2.5*3 + 1.0*3) / 7; !almostEqual(s.AvgOpTime(), want, 1e-12) {
+		t.Errorf("AvgOpTime = %v, want %v", s.AvgOpTime(), want)
+	}
+	if want := (2.5*3 + 1.0*3) / 11; !almostEqual(s.AvgTimePerElement(), want, 1e-12) {
+		t.Errorf("AvgTimePerElement = %v, want %v", s.AvgTimePerElement(), want)
+	}
+	var m PoolStats
+	m.Merge(&s)
+	if m.AddCalls != 3 || m.RemoveCalls != 3 {
+		t.Errorf("Merge dropped call counts: %d/%d", m.AddCalls, m.RemoveCalls)
+	}
+}
+
 func TestPoolStatsEmptyRatios(t *testing.T) {
 	var s PoolStats
 	if s.AvgOpTime() != 0 || s.StealFraction() != 0 || s.MixAchieved() != 0 {

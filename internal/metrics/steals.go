@@ -29,14 +29,23 @@ func (k OpKind) String() string {
 // for one experiment run (one trial). It is not safe for concurrent use;
 // concurrent collectors keep one PoolStats per processor and Merge at the
 // end of the run.
+//
+// Counts are exact; timings may be sampled. Every Record method bumps its
+// counters, but folds its durations into the timing summaries and OpLat
+// only when they are non-negative: a caller passes Untimed for an
+// operation it counted without reading the clock. The simulator times
+// every operation on its virtual clock; the real pool (internal/core)
+// times a random sample of about one operation in sixteen per handle, so
+// there a timing summary's N() is a sample count and the exact call counts
+// are AddCalls, RemoveCalls and Aborts.
 type PoolStats struct {
-	AddTime    Summary // duration of add operations (µs, virtual or real)
-	RemoveTime Summary // duration of remove operations, including searches
-	StealTime  Summary // duration of the search+steal portion of removes
-	AbortTime  Summary // duration of removes aborted by the livelock rule
+	AddTime    Summary // duration of timed add operations (µs, virtual or real)
+	RemoveTime Summary // duration of timed remove operations, including searches
+	StealTime  Summary // duration of the search+steal portion of timed removes
+	AbortTime  Summary // duration of timed removes aborted by the livelock rule
 
-	SegmentsExamined Summary // segments probed per steal
-	ElementsStolen   Summary // elements obtained per successful steal
+	SegmentsExamined Summary // segments probed per steal (every steal)
+	ElementsStolen   Summary // elements obtained per successful steal (every steal)
 
 	Adds         int64 // completed add operations
 	Removes      int64 // completed remove operations (element obtained)
@@ -44,14 +53,22 @@ type PoolStats struct {
 	Steals       int64 // removes that required a successful steal
 	Aborts       int64 // removes aborted by the all-searching rule
 
+	// Call counts: one per add or completed remove operation, however
+	// many elements it moved — the per-operation denominators of OpCount,
+	// StealFraction and the time averages, kept exact however the
+	// timings are sampled.
+	AddCalls    int64 // Put/PutAll calls that placed at least one element
+	RemoveCalls int64 // Get/GetN calls that obtained at least one element
+
 	// Directed-add extension (paper Section 5): elements handed straight
 	// to a searching process instead of the giver's local segment.
 	DirectedGives    int64 // adds delivered into another process's mailbox
 	DirectedReceives int64 // removes satisfied by a mailbox gift
 
-	// Batch operations (PutAll/GetN): each batch op contributes one timing
-	// observation to AddTime/RemoveTime but counts every element it moved
-	// in Adds/Removes, so Adds/AddTime.N() is the achieved add batch size.
+	// Batch operations (PutAll/GetN): each batch op is one call in
+	// AddCalls/RemoveCalls (and at most one timing observation) but counts
+	// every element it moved in Adds/Removes, so Adds/AddCalls is the
+	// achieved add batch size.
 	BatchAdds    int64 // PutAll calls that placed at least one element
 	BatchRemoves int64 // GetN calls that obtained at least one element
 
@@ -72,10 +89,11 @@ type PoolStats struct {
 	ForeignSteals int64 // classified steals whose victim belonged to another tenant
 
 	// OpLat is the per-operation latency histogram: one observation per
-	// completed operation (adds, removes — local, stolen, batch — and
-	// aborts), recorded with the operation's duration in µs (virtual or
-	// wall-clock). Recording is three atomic adds, so it stays on the
-	// 0-alloc hot path; percentiles are read at report time, after Merge.
+	// timed operation (adds, removes — local, stolen, batch — and aborts),
+	// recorded with the operation's duration in whole µs (virtual or
+	// wall-clock; the timing summaries keep the fraction). Recording is
+	// three atomic adds, so it stays on the 0-alloc hot path; percentiles
+	// are read at report time, after Merge.
 	OpLat LatencyHist
 }
 
@@ -99,72 +117,93 @@ func (s *PoolStats) CrossProbeFraction() float64 {
 	return float64(s.CrossProbes) / float64(s.RemoteProbes)
 }
 
-// RecordAdd records one completed add and its duration.
-func (s *PoolStats) RecordAdd(d int64) {
+// Untimed is the duration a caller passes to a Record method for an
+// operation it counted but did not time: the counters move, the timing
+// summaries and OpLat do not.
+const Untimed = -1.0
+
+// timed folds one timed operation of d µs into a duration summary and the
+// latency histogram; an Untimed (negative) d is skipped.
+func (s *PoolStats) timed(sum *Summary, d float64) {
+	if d < 0 {
+		return
+	}
+	sum.Add(d)
+	s.OpLat.Record(int64(d))
+}
+
+// RecordAdd records one completed add and its duration d (µs, or
+// Untimed).
+func (s *PoolStats) RecordAdd(d float64) {
 	s.Adds++
-	s.AddTime.Add(float64(d))
-	s.OpLat.Record(d)
+	s.AddCalls++
+	s.timed(&s.AddTime, d)
 }
 
 // RecordLocalRemove records a remove satisfied locally.
-func (s *PoolStats) RecordLocalRemove(d int64) {
+func (s *PoolStats) RecordLocalRemove(d float64) {
 	s.Removes++
+	s.RemoveCalls++
 	s.LocalRemoves++
-	s.RemoveTime.Add(float64(d))
-	s.OpLat.Record(d)
+	s.timed(&s.RemoveTime, d)
 }
 
 // RecordStealRemove records a remove that needed a steal: total duration d,
-// steal portion sd, number of segments examined, and elements obtained.
-func (s *PoolStats) RecordStealRemove(d, sd int64, examined, stolen int) {
+// steal portion sd (both µs, or Untimed), number of segments examined, and
+// elements obtained.
+func (s *PoolStats) RecordStealRemove(d, sd float64, examined, stolen int) {
 	s.Removes++
+	s.RemoveCalls++
+	s.recordSteal(sd, examined, stolen)
+	s.timed(&s.RemoveTime, d)
+}
+
+// recordSteal counts one successful steal and, when timed, its search+steal
+// portion sd.
+func (s *PoolStats) recordSteal(sd float64, examined, stolen int) {
 	s.Steals++
-	s.RemoveTime.Add(float64(d))
-	s.StealTime.Add(float64(sd))
 	s.SegmentsExamined.Add(float64(examined))
 	s.ElementsStolen.Add(float64(stolen))
-	s.OpLat.Record(d)
+	if sd >= 0 {
+		s.StealTime.Add(sd)
+	}
 }
 
 // RecordBatchAdd records one PutAll of n elements taking d in total.
-func (s *PoolStats) RecordBatchAdd(d int64, n int) {
+func (s *PoolStats) RecordBatchAdd(d float64, n int) {
 	s.BatchAdds++
 	s.Adds += int64(n)
-	s.AddTime.Add(float64(d))
-	s.OpLat.Record(d)
+	s.AddCalls++
+	s.timed(&s.AddTime, d)
 }
 
 // RecordBatchLocalRemove records one GetN satisfied by the local segment:
 // n elements obtained in one operation of duration d.
-func (s *PoolStats) RecordBatchLocalRemove(d int64, n int) {
+func (s *PoolStats) RecordBatchLocalRemove(d float64, n int) {
 	s.BatchRemoves++
 	s.Removes += int64(n)
 	s.LocalRemoves += int64(n)
-	s.RemoveTime.Add(float64(d))
-	s.OpLat.Record(d)
+	s.RemoveCalls++
+	s.timed(&s.RemoveTime, d)
 }
 
 // RecordBatchStealRemove records one GetN that needed a steal: total
 // duration d, steal portion sd, segments examined, elements transferred by
 // the steal, and n elements returned to the caller.
-func (s *PoolStats) RecordBatchStealRemove(d, sd int64, examined, stolen, n int) {
+func (s *PoolStats) RecordBatchStealRemove(d, sd float64, examined, stolen, n int) {
 	s.BatchRemoves++
 	s.Removes += int64(n)
-	s.Steals++
-	s.RemoveTime.Add(float64(d))
-	s.StealTime.Add(float64(sd))
-	s.SegmentsExamined.Add(float64(examined))
-	s.ElementsStolen.Add(float64(stolen))
-	s.OpLat.Record(d)
+	s.RemoveCalls++
+	s.recordSteal(sd, examined, stolen)
+	s.timed(&s.RemoveTime, d)
 }
 
 // RecordAbort records a remove aborted because every participant was
 // searching (the paper's livelock resolution), and the time spent before
 // the abort was detected.
-func (s *PoolStats) RecordAbort(d int64) {
+func (s *PoolStats) RecordAbort(d float64) {
 	s.Aborts++
-	s.AbortTime.Add(float64(d))
-	s.OpLat.Record(d)
+	s.timed(&s.AbortTime, d)
 }
 
 // RecordStealVictim classifies one successful remote steal against the
@@ -191,6 +230,8 @@ func (s *PoolStats) Merge(o *PoolStats) {
 	s.LocalRemoves += o.LocalRemoves
 	s.Steals += o.Steals
 	s.Aborts += o.Aborts
+	s.AddCalls += o.AddCalls
+	s.RemoveCalls += o.RemoveCalls
 	s.DirectedGives += o.DirectedGives
 	s.DirectedReceives += o.DirectedReceives
 	s.BatchAdds += o.BatchAdds
@@ -215,19 +256,27 @@ func (s *PoolStats) Ops() int64 { return s.Adds + s.Removes }
 // operation however many elements it moves. Equals Ops()+Aborts under
 // single-element operations.
 func (s *PoolStats) OpCount() int64 {
-	return s.AddTime.N() + s.RemoveTime.N() + s.AbortTime.N()
+	return s.AddCalls + s.RemoveCalls + s.Aborts
+}
+
+// timeTotal estimates the total duration of every operation: each timing
+// summary's mean scaled by its kind's exact call count. When every call is
+// timed (the simulator) each term is exactly the summary's Sum.
+func (s *PoolStats) timeTotal() float64 {
+	return s.AddTime.Mean()*float64(s.AddCalls) +
+		s.RemoveTime.Mean()*float64(s.RemoveCalls) +
+		s.AbortTime.Mean()*float64(s.Aborts)
 }
 
 // AvgOpTime returns the mean duration over all operations — adds,
 // removes, and aborted removes — the quantity plotted in the paper's
 // Figure 2.
 func (s *PoolStats) AvgOpTime() float64 {
-	total := s.AddTime.Sum() + s.RemoveTime.Sum() + s.AbortTime.Sum()
-	n := s.AddTime.N() + s.RemoveTime.N() + s.AbortTime.N()
+	n := s.OpCount()
 	if n == 0 {
 		return 0
 	}
-	return total / float64(n)
+	return s.timeTotal() / float64(n)
 }
 
 // AvgTimePerElement returns the mean operation time divided across the
@@ -236,12 +285,11 @@ func (s *PoolStats) AvgOpTime() float64 {
 // under batch operations it is the amortized per-element cost the batch
 // API exists to lower.
 func (s *PoolStats) AvgTimePerElement() float64 {
-	total := s.AddTime.Sum() + s.RemoveTime.Sum() + s.AbortTime.Sum()
 	n := s.Adds + s.Removes + s.Aborts
 	if n == 0 {
 		return 0
 	}
-	return total / float64(n)
+	return s.timeTotal() / float64(n)
 }
 
 // StealFraction returns the fraction of completed remove *operations*
@@ -250,10 +298,10 @@ func (s *PoolStats) AvgTimePerElement() float64 {
 // one operation), so the fraction stays comparable between batched and
 // single-element runs.
 func (s *PoolStats) StealFraction() float64 {
-	if s.RemoveTime.N() == 0 {
+	if s.RemoveCalls == 0 {
 		return 0
 	}
-	return float64(s.Steals) / float64(s.RemoveTime.N())
+	return float64(s.Steals) / float64(s.RemoveCalls)
 }
 
 // StealInterference returns the fraction of tenant-classified steals whose

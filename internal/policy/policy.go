@@ -87,13 +87,12 @@ type Placement interface {
 
 // Feedback is one completed remove operation's outcome, the signal a
 // Controller tunes from. The fields mirror what internal/metrics
-// aggregates: steal rate, search length, haul size, and operation time.
+// counts on every operation: steal rate, search length, and haul size.
 type Feedback struct {
-	Stole    bool  // the remove needed a successful steal (false for local removes and for directed-add gifts, which spared the steal)
-	Aborted  bool  // the remove aborted (livelock rule / exhaustion)
-	Examined int   // segments probed by the search (0 for local removes)
-	Got      int   // elements obtained (haul size; 0 on abort)
-	Elapsed  int64 // operation duration (µs, virtual or wall-clock)
+	Stole    bool // the remove needed a successful steal (false for local removes and for directed-add gifts, which spared the steal)
+	Aborted  bool // the remove aborted (livelock rule / exhaustion)
+	Examined int  // segments probed by the search (0 for local removes)
+	Got      int  // elements obtained (haul size; 0 on abort)
 }
 
 // Controller tunes pool parameters online from per-remove feedback.

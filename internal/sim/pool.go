@@ -360,6 +360,10 @@ func (pr *Proc[T]) Retire() {
 	}
 }
 
+// since returns the virtual µs elapsed since start, as a stats duration:
+// the simulator times every operation.
+func (pr *Proc[T]) since(start int64) float64 { return float64(pr.env.Now() - start) }
+
 // Put adds an element to the local segment — or to the segment a
 // Director placement selects — charging the add cost at the local or
 // remote rate accordingly.
@@ -371,7 +375,7 @@ func (pr *Proc[T]) Put(v T) {
 	p.segs[target].Add(v)
 	p.emptyAbort = false // elements exist again: searches may proceed
 	p.recordTrace(pr.env, target)
-	pr.stats.RecordAdd(pr.env.Now() - start)
+	pr.stats.RecordAdd(pr.since(start))
 }
 
 // PutAll adds every element of vs to one segment (the local one, or a
@@ -392,7 +396,7 @@ func (pr *Proc[T]) PutAll(vs []T) {
 	}
 	p.emptyAbort = false // elements exist again: searches may proceed
 	p.recordTrace(pr.env, target)
-	pr.stats.RecordBatchAdd(pr.env.Now()-start, len(vs))
+	pr.stats.RecordBatchAdd(pr.since(start), len(vs))
 }
 
 // GetN removes up to max elements in one operation: it drains the local
@@ -408,16 +412,16 @@ func (pr *Proc[T]) GetN(max int) []T {
 	pr.env.Charge(&p.segRes[pr.id], p.cfg.Costs.Cost(numa.AccessRemove, pr.id, pr.id))
 	if out := p.segs[pr.id].RemoveN(max); len(out) > 0 {
 		p.recordTrace(pr.env, pr.id)
-		pr.stats.RecordBatchLocalRemove(pr.env.Now()-start, len(out))
-		pr.observe(policy.Feedback{Got: len(out), Elapsed: pr.env.Now() - start})
+		pr.stats.RecordBatchLocalRemove(pr.since(start), len(out))
+		pr.observe(policy.Feedback{Got: len(out)})
 		return out
 	}
 
 	searchStart := pr.env.Now()
 	res := pr.eng.Search(max)
 	if res.Got == 0 {
-		pr.stats.RecordAbort(pr.env.Now() - start)
-		pr.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: pr.env.Now() - start})
+		pr.stats.RecordAbort(pr.since(start))
+		pr.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return nil
 	}
 	out := make([]T, 1, max)
@@ -426,8 +430,8 @@ func (pr *Proc[T]) GetN(max int) []T {
 		out = append(out, p.segs[pr.id].RemoveN(max-1)...)
 		p.recordTrace(pr.env, pr.id)
 	}
-	pr.stats.RecordBatchStealRemove(pr.env.Now()-start, pr.env.Now()-searchStart, res.Examined, res.Got, len(out))
-	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: pr.env.Now() - start})
+	pr.stats.RecordBatchStealRemove(pr.since(start), pr.since(searchStart), res.Examined, res.Got, len(out))
+	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return out
 }
 
@@ -441,21 +445,21 @@ func (pr *Proc[T]) Get() (T, bool) {
 	pr.env.Charge(&p.segRes[pr.id], p.cfg.Costs.Cost(numa.AccessRemove, pr.id, pr.id))
 	if v, ok := p.segs[pr.id].Remove(); ok {
 		p.recordTrace(pr.env, pr.id)
-		pr.stats.RecordLocalRemove(pr.env.Now() - start)
-		pr.observe(policy.Feedback{Got: 1, Elapsed: pr.env.Now() - start})
+		pr.stats.RecordLocalRemove(pr.since(start))
+		pr.observe(policy.Feedback{Got: 1})
 		return v, true
 	}
 
 	searchStart := pr.env.Now()
 	res := pr.eng.Search(1)
 	if res.Got == 0 {
-		pr.stats.RecordAbort(pr.env.Now() - start)
-		pr.observe(policy.Feedback{Aborted: true, Examined: res.Examined, Elapsed: pr.env.Now() - start})
+		pr.stats.RecordAbort(pr.since(start))
+		pr.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return zero, false
 	}
 	v := pr.sub.takeReserved()
-	pr.stats.RecordStealRemove(pr.env.Now()-start, pr.env.Now()-searchStart, res.Examined, res.Got)
-	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got, Elapsed: pr.env.Now() - start})
+	pr.stats.RecordStealRemove(pr.since(start), pr.since(searchStart), res.Examined, res.Got)
+	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return v, true
 }
 

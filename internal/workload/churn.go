@@ -20,9 +20,10 @@ import (
 // cost for a disabled schedule, so zero-churn runs stay byte-identical
 // to pre-churn fingerprints.
 type Churn struct {
-	// KillEvery is the mean gap between a revive and the next kill, in
-	// the driver's time unit (virtual µs in the simulator, wall-clock µs
-	// on the real pool). Zero or negative disables churn.
+	// KillEvery is the mean gap between a revive and the next kill:
+	// virtual µs in the simulator, operations claimed from the shared
+	// budget on the real pool (harness.RealRun). Zero or negative
+	// disables churn.
 	KillEvery int64
 	// ReviveAfter is the downtime between a kill and its revive, in the
 	// same unit. Zero revives at the driver's next tick.
