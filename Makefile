@@ -14,13 +14,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet: staticcheck, plus fieldalignment in
-# advisory mode (the hot structs — OwnerDeque, Adaptive, Membership —
-# deliberately order fields by cache-line contract, not minimal padding,
-# so its suggestions inform rather than gate; the layout tests are the
-# binding check). Both binaries are optional: CI installs them, local
+# Static analysis beyond vet: a gofmt gate over every .go file (bench/
+# included), staticcheck, plus fieldalignment in advisory mode (the hot
+# structs — OwnerDeque, Adaptive, Membership — deliberately order fields
+# by cache-line contract, not minimal padding, so its suggestions inform
+# rather than gate; the layout tests are the binding check). Both binaries are optional: CI installs them, local
 # runs without them print a skip note instead of fetching anything.
 lint: vet
+	@test -z "$$(gofmt -l .)" || { echo "lint: files not gofmt-clean:"; gofmt -l .; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -106,9 +107,13 @@ BENCH_MIN_NS ?= 100000
 # the suffix is runner shape and is stripped). The per-cpu entries are
 # ns-scale, far below BENCH_MIN_NS, so they are recorded and reported
 # but never gate the geomean — scaling-shape noise cannot flap CI.
+# BENCH_KEEP_CPU must also match the bare name Go prints at -cpu=1
+# (BenchmarkGetHotPath, no suffix): an unmatched bare row would land in
+# the strippable set and cancel suffix stripping for the whole run.
+# internal/tools/benchdiff's TestMakefileKeepCPUPattern reads this line.
 BENCH_CPUS ?= 1,2,4,8,16,32
 BENCH_SCALING ?= ^(BenchmarkGetHotPath|BenchmarkPoolContended)$$
-BENCH_KEEP_CPU ?= ^Benchmark(GetHotPath|PoolContended)(-|/)
+BENCH_KEEP_CPU ?= ^Benchmark(GetHotPath|PoolContended)(-|/|$$)
 
 bench-check:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=4 . > bench.out || (cat bench.out; exit 1)

@@ -444,14 +444,13 @@ func BenchmarkTreeRounds(b *testing.B) {
 // BenchmarkDirectedAdds compares the Section 5 hint extension against the
 // plain pool on a producer/consumer handoff loop.
 func BenchmarkDirectedAdds(b *testing.B) {
-	for _, directed := range []bool{false, true} {
-		name := "off"
-		if directed {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		place pools.Placement
+	}{{"off", pools.LocalPlacement{}}, {"on", pools.GiftAllPlacement{}}} {
+		b.Run(c.name, func(b *testing.B) {
 			p, err := pools.New[int](pools.Options{
-				Segments: 4, Search: pools.SearchLinear, DirectedAdds: directed,
+				Segments: 4, Search: pools.SearchLinear, Policies: pools.PolicySet{Place: c.place},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pools/internal/policy"
 	"pools/internal/search"
 )
 
@@ -161,7 +162,7 @@ func TestGetNClosedAndEmpty(t *testing.T) {
 // searcher: the consumer blocked in a search receives a gift from the
 // producer's PutAll and completes its GetN with it.
 func TestPutAllDirectedAdds(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 2, DirectedAdds: true, CollectStats: true})
+	p := newBatchPool(t, Options{Segments: 2, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true})
 	producer := p.Handle(1)
 	consumer := p.Handle(0)
 	consumer.Register()

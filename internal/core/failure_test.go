@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pools/internal/numa"
+	"pools/internal/policy"
 	"pools/internal/search"
 )
 
@@ -123,7 +124,7 @@ func TestPoolsAreIndependent(t *testing.T) {
 func TestStealOneConcurrentConservation(t *testing.T) {
 	const procs = 4
 	const perProc = 2000
-	p := newTestPool(t, Options{Segments: procs, Search: search.Random, Steal: StealOne, Seed: 9})
+	p := newTestPool(t, Options{Segments: procs, Search: search.Random, Policies: policy.Set{Steal: policy.One{}}, Seed: 9})
 	for i := 0; i < procs; i++ {
 		p.Handle(i).Register()
 	}

@@ -32,8 +32,8 @@ const (
 // may be used concurrently; that is the entire point of the structure.
 //
 // The search-steal protocol itself lives in internal/engine; the handle
-// supplies the substrate (mutex-protected segments, directed-add
-// mailboxes, wall-clock delays) and keeps the per-operation accounting.
+// supplies the substrate (OwnerDeque segments, directed-add mailboxes,
+// wall-clock delays) and keeps the per-operation accounting.
 type Handle[T any] struct {
 	pool     *Pool[T]
 	id       int
@@ -518,9 +518,10 @@ func (h *Handle[T]) GetN(max int) []T {
 }
 
 // substrate adapts a Handle to engine.Substrate / engine.TreeSubstrate:
-// the typed reserve/transfer half of the steal protocol, over
-// mutex-protected segments with wall-clock delay injection. Coverage
-// tracking, probe classification, and the abort rule live in the engine.
+// the typed reserve/transfer half of the steal protocol, over the
+// segments' thief side (the segment lock) with wall-clock delay
+// injection. Coverage tracking, probe classification, and the abort rule
+// live in the engine.
 type substrate[T any] struct {
 	h        *Handle[T]
 	reserved T

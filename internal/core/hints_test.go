@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pools/internal/policy"
 	"pools/internal/search"
 )
 
@@ -13,7 +14,7 @@ func TestDirectedAddDeliversToSearcher(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			p := newTestPool(t, Options{
-				Segments: 4, Search: kind, DirectedAdds: true, CollectStats: true,
+				Segments: 4, Search: kind, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true,
 			})
 			consumer := p.Handle(0)
 			producer := p.Handle(2)
@@ -59,7 +60,7 @@ func TestDirectedAddDeliversToSearcher(t *testing.T) {
 }
 
 func TestDirectedAddFallsBackToLocalSegment(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, DirectedAdds: true, CollectStats: true})
+	p := newTestPool(t, Options{Segments: 4, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true})
 	h := p.Handle(1)
 	// Nobody is hungry: Put must land locally.
 	h.Put(7)
@@ -72,7 +73,7 @@ func TestDirectedAddFallsBackToLocalSegment(t *testing.T) {
 }
 
 func TestDirectedAddLenAndDrainSeeMailboxes(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 2, DirectedAdds: true})
+	p := newTestPool(t, Options{Segments: 2, Policies: policy.Set{Place: policy.GiftAll{}}})
 	// Force a gift into handle 0's mailbox directly (simulating the race
 	// where a gift lands as the search ends).
 	p.boxes[0].hungry.Store(true)
@@ -96,7 +97,7 @@ func TestDirectedAddConservationUnderLoad(t *testing.T) {
 	const perProducer = 3000
 	const producers = 3
 	p := newTestPool(t, Options{
-		Segments: procs, Search: search.Linear, DirectedAdds: true, Seed: 5,
+		Segments: procs, Search: search.Linear, Policies: policy.Set{Place: policy.GiftAll{}}, Seed: 5,
 	})
 	for i := 0; i < procs; i++ {
 		p.Handle(i).Register()
@@ -147,8 +148,12 @@ func TestDirectedAddShortensSearches(t *testing.T) {
 	// removes via the mailbox (DirectedReceives > 0), demonstrating the
 	// extension actually engages under load.
 	run := func(directed bool) (receives, steals int64) {
+		var place policy.Placement // nil: local placement
+		if directed {
+			place = policy.GiftAll{}
+		}
 		p := newTestPool(t, Options{
-			Segments: 4, Search: search.Linear, DirectedAdds: directed, CollectStats: true, Seed: 2,
+			Segments: 4, Search: search.Linear, Policies: policy.Set{Place: place}, CollectStats: true, Seed: 2,
 		})
 		for i := 0; i < 4; i++ {
 			p.Handle(i).Register()

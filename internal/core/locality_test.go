@@ -23,8 +23,8 @@ func TestPerHandleControllersIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	producer := p.Handle(2)
-	thief := p.Handle(0)   // always steals: its segment is never fed
-	local := p.Handle(1)   // always removes locally
+	thief := p.Handle(0) // always steals: its segment is never fed
+	local := p.Handle(1) // always removes locally
 	for _, h := range p.handles {
 		h.Register()
 	}

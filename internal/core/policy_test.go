@@ -159,26 +159,42 @@ func TestGiftsInFlightHoldsOffAbort(t *testing.T) {
 	}
 }
 
-// TestStealEnumAlias checks the deprecated Options.Steal enum still
-// selects the steal-one policy when Policies.Steal is nil.
-func TestStealEnumAlias(t *testing.T) {
-	p, err := New[int](Options{Segments: 2, Steal: StealOne, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+// TestPolicyResolution checks how New fills Options.Policies: nil slots
+// take the paper defaults, and mailboxes exist only under a placement
+// that can gift. The nil-mailbox cases matter beyond configuration: the
+// zero-overhead owner path skips all gift traffic on p.boxes == nil.
+func TestPolicyResolution(t *testing.T) {
+	cases := []struct {
+		name         string
+		pol          policy.Set
+		steal, place string
+		boxes        bool
+	}{
+		{"zero value", policy.Set{}, "steal-half", "local", false},
+		{"explicit local", policy.Set{Place: policy.Local{}}, "steal-half", "local", false},
+		{"gift-all", policy.Set{Place: policy.GiftAll{}}, "steal-half", "gift-all", true},
+		{"steal-one", policy.Set{Steal: policy.One{}}, "steal-one", "local", false},
 	}
-	if got := p.pol.Steal.Name(); got != "steal-one" {
-		t.Fatalf("resolved steal policy = %q, want steal-one", got)
-	}
-	// An explicit Policies.Steal wins over the enum.
-	p, err = New[int](Options{
-		Segments: 2,
-		Steal:    StealOne,
-		Policies: policy.Set{Steal: policy.Half{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.pol.Steal.Name(); got != "steal-half" {
-		t.Fatalf("resolved steal policy = %q, want steal-half", got)
+	for _, c := range cases {
+		const segs = 3
+		p, err := New[int](Options{Segments: segs, Policies: c.pol})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := p.pol.Steal.Name(); got != c.steal {
+			t.Errorf("%s: steal = %q, want %q", c.name, got, c.steal)
+		}
+		if got := p.pol.Order; got != (policy.Order{Kind: search.Linear}) {
+			t.Errorf("%s: order = %#v, want policy.Order{Kind: search.Linear}", c.name, got)
+		}
+		if got := p.pol.Place.Name(); got != c.place {
+			t.Errorf("%s: place = %q, want %q", c.name, got, c.place)
+		}
+		if c.boxes && len(p.boxes) != segs {
+			t.Errorf("%s: %d mailboxes, want %d", c.name, len(p.boxes), segs)
+		}
+		if !c.boxes && p.boxes != nil {
+			t.Errorf("%s: mailboxes allocated under a non-gifting placement", c.name)
+		}
 	}
 }

@@ -7,11 +7,13 @@
 // configuration is the default policy.Set: steal-half over one of the
 // three search algorithms (tree, linear, or random; see internal/search).
 //
-// This is the "real" execution substrate: goroutines, mutex-protected
-// element segments, and atomic round counters, suitable for adoption as a
-// work-distribution structure. The paper's measured substrate (counter
-// segments on a simulated 16-processor Butterfly) lives in internal/sim
-// and consults the same policy.Set and search algorithms as this package.
+// This is the "real" execution substrate: goroutines, element segments
+// (segment.OwnerDeque: a lock-free owner bottom, with thieves serialized
+// under the segment lock), and atomic round counters, suitable for
+// adoption as a work-distribution structure. The paper's measured
+// substrate (counter segments on a simulated 16-processor Butterfly)
+// lives in internal/sim and consults the same policy.Set and search
+// algorithms as this package.
 //
 // # Usage model
 //
@@ -49,38 +51,6 @@ import (
 	"pools/internal/trace"
 )
 
-// StealPolicy selects how many elements a successful steal transfers.
-//
-// Deprecated: the enum survives as an alias for the two original
-// policies. Set Options.Policies.Steal instead — StealHalf becomes
-// Policies.Steal = policy.Half{} (or leave it nil, the default) and
-// StealOne becomes Policies.Steal = policy.One{} — which also admits the
-// proportional, adaptive, and per-handle policies.
-type StealPolicy int
-
-const (
-	// StealHalf is the paper's policy: take ceil(n/2) of the victim's
-	// elements, "trying to balance the available reserves and prevent its
-	// next request from also having to perform a search".
-	//
-	// Deprecated: use Options.Policies.Steal = policy.Half{} (the default
-	// when Policies.Steal is nil).
-	StealHalf StealPolicy = iota
-	// StealOne takes a single element, the ablation the paper's design
-	// argues against.
-	//
-	// Deprecated: use Options.Policies.Steal = policy.One{}.
-	StealOne
-)
-
-// String names the policy.
-func (s StealPolicy) String() string {
-	if s == StealOne {
-		return "steal-one"
-	}
-	return "steal-half"
-}
-
 // Options configures a Pool.
 type Options struct {
 	// Segments is the number of segments (and the maximum number of
@@ -92,16 +62,12 @@ type Options struct {
 	Seed uint64
 	// Policies selects the pool's tunable decisions: steal amount, victim
 	// order, placement of adds, and optional online control. Nil slots
-	// take paper defaults (steal-half, the Search algorithm's order, local
-	// placement — or whole-batch gifting when DirectedAdds is set). See
+	// take paper defaults: steal-half, the Search algorithm's order, and
+	// local placement. Policies.Steal = policy.One{} is the steal-one
+	// ablation; a gifting Policies.Place (policy.GiftAll{} is the paper's
+	// Section 5 directed adds) allocates the per-segment mailboxes. See
 	// internal/policy.
 	Policies policy.Set
-	// Steal selects the transfer policy.
-	//
-	// Deprecated: kept as an alias for the paper's two original policies;
-	// it is consulted only when Policies.Steal is nil. Set Policies.Steal
-	// = policy.Half{} or policy.One{} instead.
-	Steal StealPolicy
 	// Delay, when non-zero, injects wall-clock busy-waits per access to
 	// emulate a NUMA or loosely-coupled machine (Section 4.3's delays).
 	Delay numa.Delayer
@@ -125,15 +91,6 @@ type Options struct {
 	// encountering a full segment ... could be handled in a symmetric
 	// fashion, adding remotely to a segment with sufficient capacity."
 	SegmentCap int
-	// DirectedAdds enables the paper's Section 5 hint extension: an add
-	// that observes another process searching hands elements straight to
-	// that process's mailbox, sparing it the steal.
-	//
-	// Deprecated: the flag is exactly Policies.Place = policy.GiftAll{};
-	// set Policies.Place (GiftAll, GiftHalf, GiftOne, or GiftToEmptiest)
-	// instead, which both enables the mailboxes and chooses how much of a
-	// batch is gifted.
-	DirectedAdds bool
 	// TraceBuf, when positive, attaches a flight recorder of that many
 	// events to every handle (internal/trace): searches, probes, ring
 	// escalations, reserve/transfer edges, gift traffic, and termination
@@ -205,14 +162,8 @@ func New[T any](opts Options) (*Pool[T], error) {
 	if opts.TraceBuf < 0 {
 		return nil, fmt.Errorf("%w: TraceBuf = %d", ErrBadOptions, opts.TraceBuf)
 	}
-	// Resolve the policy set: the deprecated enum and flag act as aliases
-	// for the two original steal policies and the gifting placement, then
-	// nil slots take paper defaults.
-	pol := opts.Policies
-	if pol.Steal == nil && opts.Steal == StealOne {
-		pol.Steal = policy.One{}
-	}
-	pol = pol.WithDefaults(opts.Search, opts.DirectedAdds)
+	// Resolve the policy set: nil slots take paper defaults.
+	pol := opts.Policies.WithDefaults(opts.Search)
 	// Mailboxes exist only under a placement that can actually gift:
 	// an explicit policy.Local (the no-op placement) gets the same
 	// zero-overhead pool as the zero-value configuration.

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
 )
@@ -39,12 +40,6 @@ func TestDefaultSearchIsLinear(t *testing.T) {
 	p := newTestPool(t, Options{Segments: 4})
 	if k := p.handles[0].eng.Searcher().Kind(); k != search.Linear {
 		t.Fatalf("default search = %v, want linear", k)
-	}
-}
-
-func TestStealPolicyString(t *testing.T) {
-	if StealHalf.String() != "steal-half" || StealOne.String() != "steal-one" {
-		t.Fatal("StealPolicy names wrong")
 	}
 }
 
@@ -102,7 +97,7 @@ func TestGetStealsFromRemoteSegment(t *testing.T) {
 }
 
 func TestStealOnePolicy(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, Steal: StealOne, CollectStats: true})
+	p := newTestPool(t, Options{Segments: 4, Policies: policy.Set{Steal: policy.One{}}, CollectStats: true})
 	producer := p.Handle(1)
 	for i := 0; i < 10; i++ {
 		producer.Put(i)

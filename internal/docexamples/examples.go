@@ -54,20 +54,6 @@ func readmeQuickstart(workerID int, task Task, tasks []Task) {
 	_ = st
 }
 
-// readmeDeprecatedAliases mirrors the README fence mapping the deprecated
-// Options fields onto their policy-set replacements.
-func readmeDeprecatedAliases() {
-	// Options{Steal: pools.StealOne}  ->
-	p6, _ := pools.New[Task](pools.Options{Segments: 8,
-		Policies: pools.PolicySet{Steal: pools.StealOneAmount{}}})
-	// (StealHalf is the default: leave Policies.Steal nil, or set pools.StealHalfAmount{}.)
-
-	// Options{DirectedAdds: true}  ->
-	p7, _ := pools.New[Task](pools.Options{Segments: 8,
-		Policies: pools.PolicySet{Place: pools.GiftAllPlacement{}}})
-	_, _ = p6, p7
-}
-
 // packageDocExamples mirrors the pools package documentation fences
 // (quickstart, batch operations, policies, locality-aware policies).
 func packageDocExamples(workerID int, task Task, tasks []Task) {
@@ -103,5 +89,4 @@ func packageDocExamples(workerID int, task Task, tasks []Task) {
 }
 
 var _ = readmeQuickstart
-var _ = readmeDeprecatedAliases
 var _ = packageDocExamples

@@ -48,7 +48,7 @@ func newFakeEngine(t *testing.T, segs []int, self int, cfg Config, term Terminat
 	sub := &fakeSub{segs: segs, self: self}
 	cfg.Self = self
 	cfg.Segments = len(segs)
-	cfg.Policies = cfg.Policies.WithDefaults(search.Linear, false)
+	cfg.Policies = cfg.Policies.WithDefaults(search.Linear)
 	return New(cfg, sub, term), sub
 }
 
@@ -315,7 +315,7 @@ func TestDirectTarget(t *testing.T) {
 		sub := &fakeSub{segs: make([]int, 4), self: 1}
 		return New(Config{
 			Self: 1, Segments: 4,
-			Policies:  policy.Set{Place: clampDir{target: target}}.WithDefaults(search.Linear, false),
+			Policies:  policy.Set{Place: clampDir{target: target}}.WithDefaults(search.Linear),
 			SizeProbe: func(int) int { probed++; return 0 },
 		}, sub, NewBounded(4))
 	}
@@ -348,7 +348,7 @@ func TestControlAwareWiring(t *testing.T) {
 		Steal:   ph,
 		Control: ph,
 		Order:   policy.HierarchicalOrder{Topo: numa.Clusters{Size: 2}},
-	}.WithDefaults(search.Linear, false)
+	}.WithDefaults(search.Linear)
 	mk := func(self int) *Engine {
 		sub := &fakeSub{segs: make([]int, 4), self: self}
 		return New(Config{Self: self, Segments: 4, Policies: pol}, sub, NewBounded(4))

@@ -52,7 +52,7 @@ func FuzzEngineSearch(f *testing.F) {
 		e := New(Config{
 			Self:     self,
 			Segments: n,
-			Policies: pol.WithDefaults(search.Linear, false),
+			Policies: pol.WithDefaults(search.Linear),
 			Seed:     uint64(len(data)),
 		}, sub, NewBounded(budget))
 

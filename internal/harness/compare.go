@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pools/internal/plot"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/sim"
 	"pools/internal/workload"
@@ -32,19 +33,19 @@ func AlgoCompare(cfg Config) []AlgoRow {
 		rows = append(rows, AlgoRow{
 			Kind: kind, Scenario: "random 30% adds (sparse)",
 			Point: c.average(30, func(seed uint64) sim.RunResult {
-				return c.runRandom(kind, 0.3, seed, false)
+				return c.runRandom(kind, 0.3, seed)
 			}),
 		})
 		rows = append(rows, AlgoRow{
 			Kind: kind, Scenario: "random 70% adds (sufficient)",
 			Point: c.average(70, func(seed uint64) sim.RunResult {
-				return c.runRandom(kind, 0.7, seed, false)
+				return c.runRandom(kind, 0.7, seed)
 			}),
 		})
 		rows = append(rows, AlgoRow{
 			Kind: kind, Scenario: "balanced prod/cons, 5 producers",
 			Point: c.average(5, func(seed uint64) sim.RunResult {
-				return c.runPC(kind, 5, workload.Balanced, seed, false)
+				return c.runPC(kind, 5, workload.Balanced, seed, nil)
 			}),
 		})
 	}
@@ -101,11 +102,11 @@ func DelaySweep(cfg Config) []DelayRow {
 		for _, kind := range search.Kinds() {
 			kind := kind
 			rpt := cd.average(float64(d), func(seed uint64) sim.RunResult {
-				return cd.runRandom(kind, 0.3, seed, false)
+				return cd.runRandom(kind, 0.3, seed)
 			})
 			random.Times[kind] = rpt.AvgOpTime
 			ppt := cd.average(float64(d), func(seed uint64) sim.RunResult {
-				return cd.runPC(kind, 5, workload.Balanced, seed, false)
+				return cd.runPC(kind, 5, workload.Balanced, seed, nil)
 			})
 			pc.Times[kind] = ppt.AvgOpTime
 		}
@@ -159,12 +160,11 @@ func StealPolicyAblation(cfg Config) []StealPolicyRow {
 	c := cfg.withDefaults()
 	var out []StealPolicyRow
 	for _, kind := range search.Kinds() {
-		for _, one := range []bool{false, true} {
-			kind, one := kind, one
+		for _, steal := range []policy.StealAmount{nil, policy.One{}} { // nil: steal-half
 			out = append(out, StealPolicyRow{
-				Kind: kind, StealOne: one,
+				Kind: kind, StealOne: steal != nil,
 				Point: c.average(0, func(seed uint64) sim.RunResult {
-					return c.runPC(kind, 5, workload.Balanced, seed, one)
+					return c.runPC(kind, 5, workload.Balanced, seed, steal)
 				}),
 			})
 		}
@@ -176,12 +176,12 @@ func StealPolicyAblation(cfg Config) []StealPolicyRow {
 func RenderStealPolicy(rows []StealPolicyRow) string {
 	var cells [][]string
 	for _, r := range rows {
-		policy := "steal-half"
+		name := "steal-half"
 		if r.StealOne {
-			policy = "steal-one"
+			name = "steal-one"
 		}
 		cells = append(cells, []string{
-			r.Kind.String(), policy,
+			r.Kind.String(), name,
 			fmtF(r.Point.AvgOpTime / 1000),
 			fmtF(r.Point.StealsPerOp),
 			fmtF(r.Point.ElementsStolen),
@@ -213,7 +213,7 @@ func ArrangementCompare(cfg Config, kind search.Kind, producers int) []Arrangeme
 		out = append(out, ArrangementRow{
 			Kind: kind, Arrangement: arr,
 			Point: c.average(float64(producers), func(seed uint64) sim.RunResult {
-				return c.runPC(kind, producers, arr, seed, false)
+				return c.runPC(kind, producers, arr, seed, nil)
 			}),
 		})
 	}

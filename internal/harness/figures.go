@@ -26,14 +26,14 @@ func Fig2(cfg Config) Fig2Result {
 	var out Fig2Result
 	for _, mix := range workload.MixSweep() {
 		pt := c.average(mix*100, func(seed uint64) sim.RunResult {
-			return c.runRandom(search.Tree, mix, seed, false)
+			return c.runRandom(search.Tree, mix, seed)
 		})
 		out.Random = append(out.Random, pt)
 	}
 	for _, k := range workload.ProducerSweep(c.Procs) {
 		k := k
 		pt := c.average(0, func(seed uint64) sim.RunResult {
-			return c.runPC(search.Tree, k, workload.Contiguous, seed, false)
+			return c.runPC(search.Tree, k, workload.Contiguous, seed, nil)
 		})
 		// The paper plots the producer/consumer data at the measured mix:
 		// "the job mix was measured and the data was plotted on that
@@ -182,10 +182,10 @@ func Fig7(cfg Config) Fig7Result {
 	for _, k := range workload.ProducerSweep(c.Procs) {
 		k := k
 		out.Unbalanced = append(out.Unbalanced, c.average(float64(k), func(seed uint64) sim.RunResult {
-			return c.runPC(search.Tree, k, workload.Contiguous, seed, false)
+			return c.runPC(search.Tree, k, workload.Contiguous, seed, nil)
 		}))
 		out.Balanced = append(out.Balanced, c.average(float64(k), func(seed uint64) sim.RunResult {
-			return c.runPC(search.Tree, k, workload.Balanced, seed, false)
+			return c.runPC(search.Tree, k, workload.Balanced, seed, nil)
 		}))
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"pools/internal/numa"
+	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -109,21 +110,23 @@ func (c Config) average(x float64, run func(trialSeed uint64) sim.RunResult) Poi
 }
 
 // runRandom executes one random-ops trial.
-func (c Config) runRandom(kind search.Kind, addFraction float64, trialSeed uint64, stealOne bool) sim.RunResult {
+func (c Config) runRandom(kind search.Kind, addFraction float64, trialSeed uint64) sim.RunResult {
 	w := c.workloadFor(workload.RandomOps)
 	w.AddFraction = addFraction
 	return sim.Run(sim.RunConfig{
-		Workload: w, Search: kind, Costs: c.Costs, Seed: trialSeed, StealOne: stealOne,
+		Workload: w, Search: kind, Costs: c.Costs, Seed: trialSeed,
 	})
 }
 
-// runPC executes one producer/consumer trial.
-func (c Config) runPC(kind search.Kind, producers int, arr workload.Arrangement, trialSeed uint64, stealOne bool) sim.RunResult {
+// runPC executes one producer/consumer trial under the given steal amount
+// (nil means the paper's steal-half).
+func (c Config) runPC(kind search.Kind, producers int, arr workload.Arrangement, trialSeed uint64, steal policy.StealAmount) sim.RunResult {
 	w := c.workloadFor(workload.ProducerConsumer)
 	w.Producers = producers
 	w.Arrangement = arr
 	return sim.Run(sim.RunConfig{
-		Workload: w, Search: kind, Costs: c.Costs, Seed: trialSeed, StealOne: stealOne,
+		Workload: w, Search: kind, Costs: c.Costs, Seed: trialSeed,
+		Policies: policy.Set{Steal: steal},
 	})
 }
 

@@ -35,14 +35,12 @@ type RealRunConfig struct {
 	// (see core.Options.Policies). Adaptive sets carry state: construct a
 	// fresh Set per trial.
 	Policies policy.Set
-	Steal    core.StealPolicy // deprecated steal-one alias; see core.Options.Steal
 	Delay    numa.Delayer
 	// Topology assigns hop distances to segments so the real pool can run
 	// the clustered experiments: cross-cluster probes are counted in the
 	// result stats, and an active Delay without its own topology inherits
 	// this one (see core.Options.Topology).
 	Topology numa.Topology
-	Directed bool // enable the Section 5 directed-adds extension
 	// TraceBuf, when positive, attaches a flight recorder of that many
 	// events per handle (core.Options.TraceBuf); the recorded timelines
 	// come back in RealRunResult.Timelines.
@@ -116,10 +114,8 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 		Search:       cfg.Search,
 		Seed:         cfg.Seed,
 		Policies:     cfg.Policies,
-		Steal:        cfg.Steal,
 		Delay:        cfg.Delay,
 		Topology:     cfg.Topology,
-		DirectedAdds: cfg.Directed,
 		CollectStats: true,
 		TraceBuf:     cfg.TraceBuf,
 	})

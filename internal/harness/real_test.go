@@ -3,7 +3,7 @@ package harness
 import (
 	"testing"
 
-	"pools/internal/core"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -54,7 +54,7 @@ func TestRealRunProducerConsumer(t *testing.T) {
 func TestRealRunDirectedAdds(t *testing.T) {
 	wl := realWL(workload.ProducerConsumer)
 	wl.Producers = 2
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 5, Directed: true})
+	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 5, Policies: policy.Set{Place: policy.GiftAll{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRealRunDirectedAdds(t *testing.T) {
 func TestRealRunStealOne(t *testing.T) {
 	wl := realWL(workload.ProducerConsumer)
 	wl.Producers = 2
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Random, Seed: 6, Steal: core.StealOne})
+	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Random, Seed: 6, Policies: policy.Set{Steal: policy.One{}}})
 	if err != nil {
 		t.Fatal(err)
 	}

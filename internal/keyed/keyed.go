@@ -63,12 +63,6 @@ type Options struct {
 	// topology-aware Ranker order (policy.HierarchicalOrder or
 	// policy.LocalityOrder) to make sweeps cluster-first.
 	Topology numa.Topology
-	// Steal selects how many elements a bucket steal transfers.
-	//
-	// Deprecated: consulted only when Policies.Steal is nil. Set
-	// Policies.Steal instead (policy.Half{}, policy.One{}, ...), which
-	// also admits the adaptive and per-handle policies.
-	Steal policy.StealAmount
 	// TraceBuf, when positive, attaches a flight recorder of that many
 	// events to every handle (internal/trace): sweep probes, bucket
 	// reserve/transfer edges, and termination verdicts, timestamped in
@@ -134,11 +128,7 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 	if opts.TraceBuf < 0 {
 		return nil, fmt.Errorf("keyed: TraceBuf = %d, need >= 0", opts.TraceBuf)
 	}
-	pol := opts.Policies
-	if pol.Steal == nil {
-		pol.Steal = opts.Steal // deprecated alias; nil is filled below
-	}
-	pol = pol.WithDefaults(search.Linear, false)
+	pol := opts.Policies.WithDefaults(search.Linear)
 	p := &Pool[K, V]{opts: opts, pol: pol, segs: make([]seg[K, V], opts.Segments)}
 	p.members = engine.NewMembership(opts.Segments)
 	var ranker policy.Ranker

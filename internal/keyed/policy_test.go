@@ -8,11 +8,10 @@ import (
 )
 
 // TestKeyedPoliciesSteal checks Options.Policies.Steal drives bucket
-// steals and wins over the deprecated Steal field.
+// steals.
 func TestKeyedPoliciesSteal(t *testing.T) {
 	p, err := New[string, int](Options{
 		Segments: 4,
-		Steal:    policy.Half{}, // deprecated alias: must lose to Policies
 		Policies: policy.Set{Steal: policy.One{}},
 	})
 	if err != nil {

@@ -60,8 +60,8 @@ func TestCostWithTopology(t *testing.T) {
 		t.Fatalf("Uniform topology changed cost: %d vs %d", got, flat)
 	}
 	cl := base.WithTopology(Clusters{Size: 4})
-	near := cl.Cost(AccessProbe, 0, 1)  // same cluster: 1 hop
-	far := cl.Cost(AccessProbe, 0, 8)   // cross cluster: 4 hops
+	near := cl.Cost(AccessProbe, 0, 1) // same cluster: 1 hop
+	far := cl.Cost(AccessProbe, 0, 8)  // cross cluster: 4 hops
 	if near != 4*4+100 {
 		t.Fatalf("near-remote probe = %d, want %d", near, 4*4+100)
 	}

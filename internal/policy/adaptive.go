@@ -9,13 +9,13 @@ import "sync/atomic"
 // few hundred remove operations at large batch sizes — a 64-op window
 // would never complete and the controller would never adapt).
 const (
-	adaptWindow = 16              // removes per adjustment window
-	fracUnit    = 1024            // fixed-point scale for the steal fraction
-	fracMin     = fracUnit / 16   // never steal less than 1/16 of a victim
-	fracMax     = fracUnit        // never steal more than everything
-	fracStart   = fracUnit / 2    // start at the paper's steal-half
-	maxShift    = 2               // batch recommendation caps at 4x configured
-	batchCap    = 64              // and never exceeds the largest swept batch
+	adaptWindow = 16            // removes per adjustment window
+	fracUnit    = 1024          // fixed-point scale for the steal fraction
+	fracMin     = fracUnit / 16 // never steal less than 1/16 of a victim
+	fracMax     = fracUnit      // never steal more than everything
+	fracStart   = fracUnit / 2  // start at the paper's steal-half
+	maxShift    = 2             // batch recommendation caps at 4x configured
+	batchCap    = 64            // and never exceeds the largest swept batch
 )
 
 // Adaptive is both a StealAmount and a Controller: it steals an online-

@@ -115,12 +115,11 @@ type Controller interface {
 
 // Set bundles one policy per decision point. The zero value means "paper
 // defaults": steal-half, the pool's configured search algorithm, local
-// placement (or whole-batch gifting when directed adds are enabled), and
-// no online control.
+// placement, and no online control.
 type Set struct {
 	Steal   StealAmount // nil → Half
 	Order   VictimOrder // nil → Order{pool's configured search.Kind}
-	Place   Placement   // nil → Local (GiftAll when directed adds are on)
+	Place   Placement   // nil → Local; GiftAll is the paper's Section 5 directed adds
 	Control Controller  // nil → no online tuning
 }
 
@@ -147,9 +146,8 @@ func (s Set) Name() string {
 }
 
 // WithDefaults returns s with nil slots filled: steal-half, the given
-// search kind as victim order, and — when directed is true — whole-batch
-// gifting, otherwise local placement.
-func (s Set) WithDefaults(kind search.Kind, directed bool) Set {
+// search kind as victim order, and local placement.
+func (s Set) WithDefaults(kind search.Kind) Set {
 	if s.Steal == nil {
 		s.Steal = Half{}
 	}
@@ -160,11 +158,7 @@ func (s Set) WithDefaults(kind search.Kind, directed bool) Set {
 		s.Order = Order{Kind: kind}
 	}
 	if s.Place == nil {
-		if directed {
-			s.Place = GiftAll{}
-		} else {
-			s.Place = Local{}
-		}
+		s.Place = Local{}
 	}
 	return s
 }

@@ -210,13 +210,13 @@ func TestNamed(t *testing.T) {
 // TestSetDefaultsAndName checks WithDefaults fills every slot and Name
 // renders something stable for tables.
 func TestSetDefaultsAndName(t *testing.T) {
-	s := Set{}.WithDefaults(search.Tree, false)
+	s := Set{}.WithDefaults(search.Tree)
 	if s.Steal.Name() != "steal-half" || s.Order.Name() != "tree" || s.Place.Name() != "local" {
 		t.Fatalf("defaults = %s/%s/%s", s.Steal.Name(), s.Order.Name(), s.Place.Name())
 	}
-	s = Set{}.WithDefaults(0, true)
+	s = Set{Place: GiftAll{}}.WithDefaults(0)
 	if s.Order.Name() != "linear" || s.Place.Name() != "gift-all" {
-		t.Fatalf("directed defaults = %s/%s", s.Order.Name(), s.Place.Name())
+		t.Fatalf("gifting defaults = %s/%s", s.Order.Name(), s.Place.Name())
 	}
 	if got := (Set{}).Name(); got != "default" {
 		t.Fatalf("zero Set.Name() = %q", got)

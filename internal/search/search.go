@@ -5,7 +5,8 @@
 // the same decision logic drives both execution substrates in this repo:
 //
 //   - the real concurrent pool (internal/core), where World methods hit
-//     mutex-protected element segments and atomic round counters, and
+//     element segments (thieves under a per-segment lock) and atomic
+//     round counters, and
 //   - the Butterfly simulator (internal/sim), where World methods charge
 //     virtual time for local/remote accesses and queue on simulated locks.
 //

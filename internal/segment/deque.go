@@ -1,7 +1,7 @@
 // Package segment implements the local components of a concurrent pool.
 //
 // Manber's pool partitions its elements into one segment per processor.
-// The paper uses two representations:
+// The paper uses two representations, kept here as Deque and Counter:
 //
 //   - arbitrary-element segments with O(1) add, O(1) remove, and split
 //     (Deque here; Manber's original achieves O(1) split with a linked
@@ -11,10 +11,15 @@
 //   - a simplified representation storing only the element count (Counter
 //     here), which is what the paper actually measures: "we simplified the
 //     segments, representing them as a single counter that is atomically
-//     added to, subtracted from, or split in half".
+//     added to, subtracted from, or split in half". No pool runs on it;
+//     it is the reference model the segment fuzzer and the search tests
+//     check against.
 //
-// Segments are NOT synchronized: the pool (or the simulator) owns locking,
-// because the locking regime is precisely what the experiments vary.
+// Deque and Counter are NOT synchronized: the simulator and the keyed
+// pool own their locking, because the locking regime is precisely what
+// the experiments vary. OwnerDeque, the real pool's segment, carries its
+// own synchronization: a lock-free owner bottom, with thieves serialized
+// under the segment lock.
 package segment
 
 // Deque is an unordered element segment backed by a growable ring buffer.

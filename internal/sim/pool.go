@@ -27,12 +27,6 @@ type PoolConfig struct {
 	// placements (policy.GiftToEmptiest) are honored, with every size
 	// probe charged at the cost model's AccessProbe rate.
 	Policies policy.Set
-	// StealOne switches the transfer policy from the paper's steal-half
-	// to steal-one (ablation).
-	//
-	// Deprecated: consulted only when Policies.Steal is nil; use
-	// Policies.Steal.
-	StealOne bool
 	// Trace enables per-segment size traces (Figures 3-6).
 	Trace bool
 	// SearchLaps, when positive, replaces the paper's all-searching
@@ -90,11 +84,7 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 	if cfg.Search == 0 {
 		cfg.Search = search.Linear
 	}
-	pol := cfg.Policies
-	if pol.Steal == nil && cfg.StealOne {
-		pol.Steal = policy.One{}
-	}
-	pol = pol.WithDefaults(cfg.Search, false)
+	pol := cfg.Policies.WithDefaults(cfg.Search)
 	leaves := search.NumLeavesFor(cfg.Procs)
 	p := &Pool[T]{
 		cfg:          cfg,

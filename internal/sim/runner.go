@@ -21,8 +21,6 @@ type RunConfig struct {
 	// trial. Adaptive sets carry state: construct a fresh Set per trial
 	// (policy.Named does).
 	Policies policy.Set
-	// StealOne is the deprecated steal-one alias; see PoolConfig.StealOne.
-	StealOne bool
 	Trace    bool
 	// ControlTrace enables per-processor controller-trajectory traces
 	// (steal fraction and recommended batch size sampled after every
@@ -148,7 +146,6 @@ func Run(cfg RunConfig) RunResult {
 		Costs:      cfg.Costs,
 		Seed:       cfg.Seed,
 		Policies:   cfg.Policies,
-		StealOne:   cfg.StealOne,
 		Trace:      cfg.Trace,
 		SearchLaps: searchLaps,
 		EventBuf:   cfg.EventBuf,

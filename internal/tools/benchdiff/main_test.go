@@ -73,7 +73,7 @@ BenchmarkGetHotPath-4              	 4000000	       310.0 ns/op
 BenchmarkGetHotPath-32             	 4000000	       460.0 ns/op
 BenchmarkPoolContended/linear-16   	 1000000	      2100.0 ns/op
 `
-	keep := regexp.MustCompile(`^Benchmark(GetHotPath|PoolContended)(-|/)`)
+	keep := regexp.MustCompile(makefileKeepCPU(t))
 	got, err := parseBench(strings.NewReader(in), keep)
 	if err != nil {
 		t.Fatal(err)
@@ -248,5 +248,69 @@ func TestRunEmptyInput(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-baseline", "x.json", empty}, &out); err == nil {
 		t.Fatal("empty bench output accepted")
+	}
+}
+
+// makefileKeepCPU returns the BENCH_KEEP_CPU pattern `make bench-check`
+// passes to -keep-cpu, read from the repo's Makefile with make's `$$`
+// escape undone, so this test checks the pattern the gate really uses.
+func makefileKeepCPU(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile("../../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "BENCH_KEEP_CPU ?= "); ok {
+			return strings.ReplaceAll(strings.TrimSpace(v), "$$", "$")
+		}
+	}
+	t.Fatal("no BENCH_KEEP_CPU line in the Makefile")
+	return ""
+}
+
+// TestMakefileKeepCPUPattern replays the shape of a `make bench-check`
+// output on a 2-CPU runner: the main suite, every row suffixed -2, then
+// the scaling sweep at -cpu 1,2,4. Go prints the -cpu=1 rows with no
+// suffix, so the keep pattern must match the bare BenchmarkGetHotPath
+// too; otherwise that row lands in the strippable set, cancels suffix
+// stripping for the whole run, and no main-suite row meets the baseline
+// (benchdiff then exits with "no benchmarks in common").
+func TestMakefileKeepCPUPattern(t *testing.T) {
+	in := `BenchmarkAlgos-2                    	       1	 378000000 ns/op
+BenchmarkBatchPutGet/batch-8-2      	 1000000	       616.0 ns/op
+BenchmarkGetHotPath-2               	 4000000	       566.0 ns/op
+BenchmarkGetHotPathTraced-2         	 4000000	       391.0 ns/op
+BenchmarkPoolContended/linear-2     	 1000000	     14730.0 ns/op
+BenchmarkGetHotPath                 	 4000000	       581.0 ns/op
+BenchmarkGetHotPath-2               	 4000000	       566.0 ns/op
+BenchmarkGetHotPath-4               	 4000000	       480.0 ns/op
+BenchmarkPoolContended/linear       	 1000000	      6458.0 ns/op
+BenchmarkPoolContended/linear-2     	 1000000	     14730.0 ns/op
+BenchmarkPoolContended/linear-4     	 1000000	     13541.0 ns/op
+`
+	pattern := makefileKeepCPU(t)
+	got, err := parseBench(strings.NewReader(in), regexp.MustCompile(pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"BenchmarkAlgos", // runner-shape -2 stripped
+		"BenchmarkBatchPutGet/batch-8",
+		"BenchmarkGetHotPathTraced",
+		"BenchmarkGetHotPath", // per-cpu entries stay distinct
+		"BenchmarkGetHotPath-2",
+		"BenchmarkGetHotPath-4",
+		"BenchmarkPoolContended/linear",
+		"BenchmarkPoolContended/linear-2",
+		"BenchmarkPoolContended/linear-4",
+	}
+	for _, name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("pattern %q: missing %q in parsed set %v", pattern, name, got)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("pattern %q: parsed %d benchmarks, want %d: %v", pattern, len(got), len(want), got)
 	}
 }

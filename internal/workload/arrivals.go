@@ -80,13 +80,13 @@ func (a Arrivals) Validate() error {
 // allocation happens at Gen time — Next is allocation-free.
 type ArrivalGen struct {
 	rng     *rng.Xoshiro256
-	onMean  float64 // within-burst (or Poisson) mean gap
-	offMean float64 // between-burst mean gap (0 = pure Poisson)
-	burst   float64 // mean arrivals per burst
-	left    int     // arrivals remaining in the current burst
-	svc     [serviceClasses]int64 // service time per zipf class
+	onMean  float64                 // within-burst (or Poisson) mean gap
+	offMean float64                 // between-burst mean gap (0 = pure Poisson)
+	burst   float64                 // mean arrivals per burst
+	left    int                     // arrivals remaining in the current burst
+	svc     [serviceClasses]int64   // service time per zipf class
 	svcCum  [serviceClasses]float64 // cumulative class weights, normalized to 1
-	svcFlat int64 // deterministic service time when zipf is off (-1 = zipf on)
+	svcFlat int64                   // deterministic service time when zipf is off (-1 = zipf on)
 }
 
 // Gen builds the arrival generator for processor proc under trial seed

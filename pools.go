@@ -127,21 +127,6 @@ type Handle[T any] = core.Handle[T]
 // Options configures a Pool. See core.Options.
 type Options = core.Options
 
-// StealPolicy selects how many elements a steal transfers.
-//
-// Deprecated: the enum covers only the paper's two original policies and
-// is consulted only when Options.Policies.Steal is nil. Use
-// Options.Policies (see PolicySet).
-type StealPolicy = core.StealPolicy
-
-// Steal policies: the paper's steal-half, and steal-one for comparison.
-//
-// Deprecated: see StealPolicy.
-const (
-	StealHalf = core.StealHalf
-	StealOne  = core.StealOne
-)
-
 // PolicySet bundles the pool's pluggable decisions: steal amount, victim
 // order, placement, and online control. See internal/policy for the
 // catalog of implementations.

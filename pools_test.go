@@ -55,12 +55,6 @@ func TestPublicAPIBadOptions(t *testing.T) {
 	}
 }
 
-func TestPublicAPIStealPolicies(t *testing.T) {
-	if pools.StealHalf.String() != "steal-half" || pools.StealOne.String() != "steal-one" {
-		t.Fatal("policy aliases broken")
-	}
-}
-
 func TestPublicAPIPolicySet(t *testing.T) {
 	// Configure a proportional steal through the policy layer: a GetN(4)
 	// against a remote reserve of 40 steals exactly the 4 it asked for.
