@@ -9,6 +9,7 @@ package pools_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -379,11 +380,13 @@ func BenchmarkPoolSteal(b *testing.B) {
 }
 
 // BenchmarkPoolContended measures throughput with every segment's worker
-// hammering the pool concurrently at a slightly-sufficient mix.
+// hammering the pool concurrently at a slightly-sufficient mix. It runs
+// one worker per GOMAXPROCS on as many segments, so `-cpu 1,2,...`
+// traces how the pool scales on the host rather than oversubscribing it.
 func BenchmarkPoolContended(b *testing.B) {
 	for _, kind := range search.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			const workers = 8
+			workers := runtime.GOMAXPROCS(0)
 			p, err := pools.New[int](pools.Options{Segments: workers, Search: kind, Seed: 3})
 			if err != nil {
 				b.Fatal(err)

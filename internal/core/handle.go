@@ -197,7 +197,9 @@ func (s *sampler) since(start int64) float64 {
 // the Placement policy directs it there, into the segment a Director
 // placement (e.g. policy.GiftToEmptiest) selects, otherwise into the
 // local segment. It never fails and never blocks on other segments'
-// operations beyond the placement's own probes.
+// operations beyond the placement's own probes. A segment add touches the
+// pool-wide version only while some handle is searching (noteAdd), so
+// owners adding with nobody searching share no written cache line.
 func (h *Handle[T]) Put(v T) {
 	h.Register()
 	p := h.pool
@@ -224,7 +226,7 @@ func (h *Handle[T]) Put(v T) {
 		// lock-guarded foreign overflow.
 		p.segs[target].dq.AddForeign(v)
 	}
-	p.version.Add(1)
+	p.noteAdd()
 	if p.opts.CollectStats {
 		h.stats.RecordAdd(h.sample.since(start))
 	}
@@ -237,8 +239,8 @@ func (h *Handle[T]) Put(v T) {
 // to hungry searchers first, split evenly among them, so a batch arrival
 // can hand each starving consumer an entire reserve; the remainder lands
 // on the segment a Director placement selects (the local segment
-// otherwise). PutAll of an empty slice is a no-op. The items slice is not
-// retained.
+// otherwise), published to searches as Put's is (noteAdd). PutAll of an
+// empty slice is a no-op. The items slice is not retained.
 func (h *Handle[T]) PutAll(items []T) {
 	if len(items) == 0 {
 		return
@@ -270,7 +272,7 @@ func (h *Handle[T]) PutAll(items []T) {
 	} else {
 		p.segs[target].dq.AddForeignAll(items[gifted:])
 	}
-	p.version.Add(1)
+	p.noteAdd()
 	if p.opts.CollectStats {
 		h.stats.RecordBatchAdd(h.sample.since(start), len(items))
 	}
@@ -279,7 +281,8 @@ func (h *Handle[T]) PutAll(items []T) {
 // TryPut adds an element respecting Options.SegmentCap: if the local
 // segment is full it walks the ring for a segment with spare capacity (the
 // paper's symmetric remote-add footnote) and reports whether the element
-// was placed. With SegmentCap == 0 it always places locally.
+// was placed. With SegmentCap == 0 it always places locally. A placed
+// element is published to searches as Put's is (noteAdd).
 func (h *Handle[T]) TryPut(v T) bool {
 	p := h.pool
 	h.Register()
@@ -315,7 +318,7 @@ func (h *Handle[T]) TryPut(v T) bool {
 			placed = s.dq.AddForeignIfUnder(v, cap)
 		}
 		if placed {
-			p.version.Add(1)
+			p.noteAdd()
 			if p.opts.CollectStats {
 				h.stats.RecordAdd(h.sample.since(start))
 			}
@@ -413,7 +416,7 @@ func (h *Handle[T]) parkLocal(items []T) {
 	} else {
 		p.segs[t].dq.AddForeignAll(items)
 	}
-	p.version.Add(1)
+	p.noteAdd()
 }
 
 // resolveSearch settles the gift races after one engine search. A
@@ -604,20 +607,27 @@ func (w *substrate[T]) Probe(sIdx, want int) int {
 	// Between the victim unlock and the local deposit the stolen batch
 	// lives only in the handle's buffer — in no segment, invisible to
 	// probes. The moving count keeps the Coverage rule from certifying
-	// emptiness over it; raised before the claims begin so there is no
-	// gap, dropped only after the deposit's version bump so a searcher
-	// that reads zero is guaranteed to see the bump and re-arm.
-	p.moving.Add(1)
+	// emptiness over it; raised under the victim's lock before the claims
+	// begin so there is no gap, dropped only after the deposit's version
+	// bump so a searcher that reads zero is guaranteed to see the bump and
+	// re-arm. A probe that finds the victim empty never raises it: with
+	// more searchers than CPUs, descheduled empty probes holding the count
+	// would keep every searcher of an empty pool from aborting.
+	raised := false
 	src := &p.segs[sIdx]
 	buf := src.dq.StealInto(h.stealBuf[:0], func(n int) int {
 		// Consulted under the victim's steal lock, only when n > 0 —
 		// the same point the lock-era path sized its TakeOut.
+		p.moving.Add(1)
+		raised = true
 		p.opts.Delay.Delay(numa.AccessSplit, self, sIdx)
 		return h.steal.Amount(n, want)
 	})
 	moved := len(buf)
 	if moved == 0 {
-		p.moving.Add(-1)
+		if raised {
+			p.moving.Add(-1)
+		}
 		return 0
 	}
 	w.reserved = buf[moved-1]

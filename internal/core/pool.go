@@ -139,7 +139,7 @@ type Pool[T any] struct {
 	lookers atomic.Int32  // registered handles currently inside a search
 	open    atomic.Int32  // handles registered and not yet closed
 	moving  atomic.Int32  // steals mid-transfer (victim unlocked, surplus not yet deposited)
-	version atomic.Uint64 // bumped on every mutation that can feed a search
+	version atomic.Uint64 // bumped for every mutation an in-flight search could miss (noteAdd)
 	closed  atomic.Bool
 }
 
@@ -472,6 +472,30 @@ func (p *Pool[T]) placeTarget(s int) int {
 		return t
 	}
 	return s
+}
+
+// noteAdd publishes an add that has already stored its elements to the
+// searches in flight: it bumps the version only when some handle is
+// inside a search. The version is evidence for engine.Coverage alone, and
+// only a running search reads it, so an add made while nobody searches
+// leaves the pool-wide word (and its cache line) untouched.
+//
+// This is the Dekker pattern over Go's sequentially consistent atomics.
+// The add publishes before this lookers load: OwnerDeque's SC bottom
+// store, or a foreign add's fcount Add inside the segment lock. A search
+// raises lookers (substrate.Enter) before its first probe, and every
+// probe reads the segment through SC loads or under that lock. In the
+// single total order either the load comes after the searcher's Enter —
+// it sees lookers > 0 and bumps, so the searcher's Coverage re-arms — or
+// it comes before, and then so does the publish, so every probe of that
+// search sees the element. The other bumps stay unconditional: a steal's
+// deposit (the moving count is dropped only after it), redistribute
+// (which also bumps the epoch), gift sends (a gift goes only to a
+// searcher's mailbox), and SeedEvenly.
+func (p *Pool[T]) noteAdd() {
+	if p.lookers.Load() > 0 {
+		p.version.Add(1)
+	}
 }
 
 // Close marks the pool closed: every in-flight and future search aborts

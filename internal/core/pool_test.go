@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"pools/internal/engine"
 	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
@@ -482,4 +484,99 @@ func TestStaleSearchRearmsOnMutation(t *testing.T) {
 		}
 	}
 	t.Fatal("consumer never received the late element")
+}
+
+// TestAddPublishesOnlyToSearches pins the add gate (noteAdd) on every
+// site that uses it, driving the Coverage rule by hand as a search would:
+// (a) an add made while a search is in flight must keep that search from
+// certifying emptiness over segments it already saw empty, and (b) an add
+// made while no handle searches must leave the pool-wide version alone.
+func TestAddPublishesOnlyToSearches(t *testing.T) {
+	cases := []struct {
+		name string
+		add  func(t *testing.T, h *Handle[int])
+	}{
+		{"Put", func(_ *testing.T, h *Handle[int]) { h.Put(7) }},
+		{"PutAll", func(_ *testing.T, h *Handle[int]) { h.PutAll([]int{7, 8}) }},
+		{"TryPut", func(t *testing.T, h *Handle[int]) {
+			if !h.TryPut(7) {
+				t.Fatal("TryPut refused an element under SegmentCap")
+			}
+		}},
+		{"parkLocal", func(_ *testing.T, h *Handle[int]) { h.parkLocal([]int{7, 8}) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			newPool := func() *Pool[int] {
+				p := newTestPool(t, Options{Segments: 2, SegmentCap: 4})
+				p.Handle(0).Register()
+				p.Handle(1).Register()
+				return p
+			}
+
+			// (a) Handle 0 is inside a search, raised the way the engine
+			// raises it (Begin, then the substrate's Enter), and has seen
+			// every segment empty: without a publish it would abort.
+			p := newPool()
+			cov := engine.NewCoverage(2, coverageState[int]{p})
+			cov.Begin(1)
+			p.handles[0].sub.Enter(1)
+			cov.SawEmpty(0)
+			cov.SawEmpty(1)
+			if !cov.Aborted() {
+				t.Fatal("covered search with no add failed to abort")
+			}
+			c.add(t, p.Handle(1))
+			if cov.Aborted() {
+				t.Fatal("add during a search left its stale empty certificate standing")
+			}
+			p.handles[0].sub.Exit()
+
+			// (b) Nobody searches: the add must not write the shared word.
+			p = newPool()
+			before := p.version.Load()
+			c.add(t, p.Handle(1))
+			if got := p.version.Load(); got != before {
+				t.Fatalf("add with no searcher moved the version %d -> %d", before, got)
+			}
+		})
+	}
+}
+
+// TestEmptyProbeRaisesNoTransfer pins when a steal counts as a transfer
+// in flight: only once it has found elements to claim. An empty probe
+// that held the moving count would, with more searchers than CPUs, keep
+// every searcher of an empty pool from aborting, since a descheduled
+// prober can sit inside its window for a whole time slice. Handle 0
+// probes an empty victim in a loop while this goroutine samples the
+// Coverage evidence; the two loops overlap only with two or more CPUs.
+func TestEmptyProbeRaisesNoTransfer(t *testing.T) {
+	p := newTestPool(t, Options{Segments: 2})
+	var started, stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if p.handles[0].sub.Probe(1, 1) != 0 {
+				t.Error("probe of an empty segment reported elements")
+				return
+			}
+			started.Store(true)
+		}
+	}()
+	for !started.Load() {
+		runtime.Gosched()
+	}
+	cs := coverageState[int]{p}
+	seen := 0
+	for i := 0; i < 1_000_000; i++ {
+		if cs.TransfersInFlight() {
+			seen++
+		}
+	}
+	stop.Store(true)
+	<-done
+	if seen > 0 {
+		t.Fatalf("empty probes showed a transfer in flight in %d of 1000000 samples", seen)
+	}
 }

@@ -29,8 +29,11 @@ type Termination interface {
 // CoverageState is the pool-wide evidence the Coverage rule consults,
 // implemented by the real pool.
 type CoverageState interface {
-	// Version is a counter bumped on every mutation that could feed a
-	// search (adds, steals, parked gifts).
+	// Version is a counter that must move for every mutation that could
+	// feed an in-flight search (adds, steals, parked gifts). A mutation
+	// no running search can miss need not move it: the real pool skips
+	// the bump on an add made while no handle is searching, since any
+	// search that starts later probes after the add has published.
 	Version() uint64
 	// AllSearching reports the paper's livelock observation: every
 	// registered, unclosed handle is simultaneously inside a search.
