@@ -417,7 +417,8 @@ func BenchmarkPoolContended(b *testing.B) {
 }
 
 // BenchmarkTreeRounds compares the paper's locked round counters with the
-// atomic-max variant (ablation noted in DESIGN.md).
+// atomic-max variant (the real substrate's "Tree rounds" row in
+// docs/ARCHITECTURE.md).
 func BenchmarkTreeRounds(b *testing.B) {
 	for _, locked := range []bool{false, true} {
 		name := "atomic"

@@ -17,9 +17,8 @@
 //	poolbench -trace out.json           # flight-recorder dump (chrome://tracing)
 //	poolbench -debug-addr :6060         # live run with pprof/expvar//trace
 //
-// Experiments: fig2, fig3, fig4, fig5, fig6, fig7, algos, arrange, delay,
-// steal, roles, burst, policy, locality, hier, keyedloc, trace, tenants,
-// chaos, app, all.
+// Experiments: the entries of harness.Experiments, in order, plus all;
+// poolbench -h lists their names.
 // See docs/EXPERIMENTS.md for what each reproduces and its expected shape,
 // and docs/OBSERVABILITY.md for the flight recorder and the live
 // introspection endpoints.
@@ -50,21 +49,26 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("poolbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: fig2|fig3|fig4|fig5|fig6|fig7|algos|arrange|delay|steal|roles|burst|policy|locality|hier|keyedloc|trace|tenants|chaos|app|all")
+	var names []string
+	for _, e := range harness.Experiments {
+		names = append(names, e.Name)
+	}
+	names = append(names, "all")
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, "|"))
 	trials := fs.Int("trials", workload.PaperTrials, "trials averaged per data point")
 	seed := fs.Uint64("seed", 1989, "master seed")
 	ops := fs.Int("ops", workload.PaperTotalOps, "operations per trial")
 	fill := fs.Int("fill", 0, "initial pool elements (0 = experiment default: the paper's 320, except the thin-fill tenants sweep)")
 	procs := fs.Int("procs", workload.PaperProcs, "processors/segments")
 	depth := fs.Int("depth", 3, "tic-tac-toe expansion depth (3 = paper's 249,984 positions)")
-	csv := fs.Bool("csv", false, "append machine-readable CSV for fig2, fig7, burst, and policy")
+	csv := fs.Bool("csv", false, "append each experiment's machine-readable CSV, where it has one")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON dump of a seeded flight-recorder run to this file and exit")
 	debugAddr := fs.String("debug-addr", "", "serve live introspection (pprof, expvar, /stats, /trace) on this address while a wall-clock trial runs, then exit")
 	serveFor := fs.Duration("serve", 0, "with -debug-addr: keep serving this long after the run completes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := harness.Config{Trials: *trials, Seed: *seed, Ops: *ops, Fill: *fill, Procs: *procs}
+	cfg := harness.Config{Trials: *trials, Seed: *seed, Ops: *ops, Fill: *fill, Procs: *procs, Depth: *depth}
 
 	if *tracePath != "" {
 		return writeTrace(cfg, *tracePath, out)
@@ -75,16 +79,19 @@ func run(args []string, out io.Writer) error {
 
 	want := strings.ToLower(*exp)
 	ran := false
-	for _, e := range experiments {
-		if want != "all" && want != e.name {
+	for _, e := range harness.Experiments {
+		if want != "all" && want != e.Name {
 			continue
 		}
 		ran = true
-		fmt.Fprintf(out, "## %s — %s\n\n", e.name, e.title)
-		fmt.Fprintln(out, e.run(cfg, *depth, *csv))
+		text, csvText := e.Run(cfg)
+		if *csv && csvText != "" {
+			text += "\n" + csvText
+		}
+		fmt.Fprintf(out, "## %s — %s\n\n%s\n", e.Name, e.Title, text)
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", *exp)
+		return fmt.Errorf("unknown experiment %q (want %s)", *exp, strings.Join(names, ", "))
 	}
 	return nil
 }
@@ -154,136 +161,4 @@ func liveServe(cfg harness.Config, addr string, keep time.Duration, out io.Write
 		time.Sleep(keep)
 	}
 	return nil
-}
-
-type experiment struct {
-	name  string
-	title string
-	// run renders the experiment; with csv set, experiments that have a
-	// machine-readable form append it (computing the sweep only once).
-	run func(cfg harness.Config, depth int, csv bool) string
-}
-
-var experiments = []experiment{
-	{"fig2", "average operation time vs job mix (tree search)", func(cfg harness.Config, _ int, csv bool) string {
-		r := harness.Fig2(cfg)
-		if csv {
-			return r.Render() + "\n" + r.CSV()
-		}
-		return r.Render()
-	}},
-	{"fig3", "segment sizes over time: linear search, contiguous producers", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.FigTrace(cfg, "Figure 3", search.Linear, workload.Contiguous, 5).Render()
-	}},
-	{"fig4", "segment sizes over time: linear search, balanced producers", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.FigTrace(cfg, "Figure 4", search.Linear, workload.Balanced, 5).Render()
-	}},
-	{"fig5", "segment sizes over time: tree search, contiguous producers", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.FigTrace(cfg, "Figure 5", search.Tree, workload.Contiguous, 5).Render()
-	}},
-	{"fig6", "segment sizes over time: tree search, balanced producers", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.FigTrace(cfg, "Figure 6", search.Tree, workload.Balanced, 5).Render()
-	}},
-	{"fig7", "elements stolen per steal vs producers (tree search, errata orientation)", func(cfg harness.Config, _ int, csv bool) string {
-		r := harness.Fig7(cfg)
-		if csv {
-			return r.Render() + "\n" + r.CSV()
-		}
-		return r.Render()
-	}},
-	{"algos", "Section 4.3 algorithm comparison", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.RenderAlgoCompare(harness.AlgoCompare(cfg))
-	}},
-	{"arrange", "Section 4.2 contiguous vs balanced producers", func(cfg harness.Config, _ int, _ bool) string {
-		var b strings.Builder
-		for _, kind := range search.Kinds() {
-			b.WriteString(harness.RenderArrangement(harness.ArrangementCompare(cfg, kind, 5)))
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}},
-	{"delay", "Section 4.3 remote-delay sweep", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.RenderDelaySweep(harness.DelaySweep(cfg))
-	}},
-	{"steal", "steal-half vs steal-one ablation", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.RenderStealPolicy(harness.StealPolicyAblation(cfg))
-	}},
-	{"roles", "dynamic producer roles extension (Section 3.3)", func(cfg harness.Config, _ int, _ bool) string {
-		return harness.RenderDynamicRoles(harness.DynamicRoles(cfg))
-	}},
-	{"burst", "batch operations: per-element time vs batch size (burst workload)", func(cfg harness.Config, _ int, csv bool) string {
-		rows := harness.BurstSweep(cfg, search.Tree, 5, harness.BurstBatchSweep())
-		if csv {
-			return harness.RenderBurst(search.Tree, rows) + "\n" + harness.BurstCSV(rows)
-		}
-		return harness.RenderBurst(search.Tree, rows)
-	}},
-	{"policy", "steal/placement policy sweep: half vs one vs proportional vs adaptive (burst + fluctuating workloads)", func(cfg harness.Config, _ int, csv bool) string {
-		rows := harness.PolicySweep(cfg, search.Tree, 5, harness.BurstBatchSweep())
-		fluct := harness.PolicyFluctuate(cfg, search.Tree, 5, 16, []int{0, 100, 25})
-		out := harness.RenderPolicy(search.Tree, rows) + "\n" + harness.RenderPolicyFluct(16, fluct)
-		if csv {
-			out += "\n" + harness.PolicyCSV(rows) + "\n" + harness.PolicyFluctCSV(fluct)
-		}
-		return out
-	}},
-	{"locality", "locality-aware victim order vs the blind searches under clustered remote delays", func(cfg harness.Config, _ int, csv bool) string {
-		rows := harness.LocalitySweep(cfg, harness.LocalityScales())
-		out := harness.RenderLocality(rows)
-		if csv {
-			out += "\n" + harness.LocalityCSV(rows)
-		}
-		return out
-	}},
-	{"hier", "hierarchical cluster-first stealing vs flat and locality orders (cross-cluster probe fraction; two-level and three-level topologies)", func(cfg harness.Config, _ int, csv bool) string {
-		rows := harness.HierSweep(cfg, harness.LocalityScales())
-		out := harness.RenderHier(rows)
-		deep := harness.HierDeepSweep(cfg, harness.LocalityScales())
-		out += "\n" + harness.RenderHierDeep(deep)
-		if csv {
-			out += "\n" + harness.HierCSV(rows)
-			out += "\n" + harness.HierCSV(deep)
-		}
-		return out
-	}},
-	{"keyedloc", "keyed pool sweep orders on a clustered topology (ring vs locality vs hierarchical rank)", func(cfg harness.Config, _ int, csv bool) string {
-		rows := harness.KeyedLocalitySweep(cfg, harness.LocalityScales())
-		out := harness.RenderKeyedLoc(rows)
-		if csv {
-			out += "\n" + harness.KeyedLocCSV(rows)
-		}
-		return out
-	}},
-	{"trace", "controller trajectories & flight-recorder event density per handle over virtual time", func(cfg harness.Config, _ int, csv bool) string {
-		res := harness.ControlTraceRun(cfg, search.Tree, 5, 1)
-		out := harness.RenderControlTrace(res)
-		ev := harness.EventTraceRun(cfg, search.Tree, 5, 1)
-		out += "\n" + harness.RenderEventTrace(ev)
-		if csv {
-			out += "\n" + harness.ControlTraceCSV(res)
-			out += "\n" + harness.EventTraceCSV(ev)
-		}
-		return out
-	}},
-	{"tenants", "open-loop multi-tenant arrivals: per-tenant sojourn percentiles and steal interference", func(cfg harness.Config, _ int, csv bool) string {
-		rows := harness.TenantSweep(cfg, harness.DefaultTenantCounts(), harness.DefaultTenantSkews())
-		out := harness.RenderTenants(rows)
-		if csv {
-			out += "\n" + harness.TenantsCSV(rows)
-		}
-		return out
-	}},
-	{"chaos", "failure injection: throughput dip and recovery under kill/revive churn", func(cfg harness.Config, _ int, csv bool) string {
-		rows := harness.ChaosSweep(cfg, search.Tree, harness.DefaultChaosSchedules())
-		out := harness.RenderChaos(search.Tree, rows)
-		if csv {
-			out += "\n" + harness.ChaosCSV(rows)
-		}
-		return out
-	}},
-	{"app", "Section 4.4 tic-tac-toe work-list comparison", func(cfg harness.Config, depth int, _ bool) string {
-		rows := harness.App(cfg, harness.DefaultAppCosts(), depth,
-			[]int{1, 2, 4, 8, 16}, harness.AppImpls())
-		return harness.RenderApp(rows)
-	}},
 }

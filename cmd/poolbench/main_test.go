@@ -47,16 +47,6 @@ func TestRunAppExperimentSmallDepth(t *testing.T) {
 	}
 }
 
-func TestExperimentNamesUnique(t *testing.T) {
-	seen := map[string]bool{}
-	for _, e := range experiments {
-		if seen[e.name] {
-			t.Errorf("duplicate experiment name %q", e.name)
-		}
-		seen[e.name] = true
-	}
-}
-
 func TestRunCSVOutput(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-exp", "fig7", "-trials", "1", "-ops", "600", "-fill", "64", "-csv"}, &out)

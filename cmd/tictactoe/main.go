@@ -87,7 +87,8 @@ func (p poolSource) Get() (*ttt.Node, bool) { return p.h.Get() }
 
 // runReal executes the expansion with real goroutines and reports wall
 // time. On a single-core host this measures overhead, not speedup; the
-// simulator mode reproduces the paper's speedup figures (see DESIGN.md).
+// simulator mode reproduces the paper's speedup figures (see
+// docs/ARCHITECTURE.md on why the evaluation runs simulated).
 func runReal(impl string, workers, depth int, seed uint64, board ttt.Board) error {
 	wantValue, wantLeaves := ttt.Minimax(board, ttt.X, depth)
 	start := time.Now()

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pools/internal/plot"
 	"pools/internal/rng"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -56,9 +55,9 @@ func (i AppImpl) searchKind() search.Kind {
 	}
 }
 
-// AppCosts calibrates the simulated application per DESIGN.md's
-// substitution: a 1989-scale position evaluation dominates list overheads,
-// while the global stack's single critical section serializes.
+// AppCosts calibrates the simulated application: a 1989-scale position
+// evaluation dominates list overheads, while the global stack's single
+// critical section serializes.
 type AppCosts struct {
 	// PositionCost is the work to process one board position (µs).
 	PositionCost int64
@@ -224,24 +223,19 @@ func (s *simStackSource) Get() (*ttt.Node, bool) {
 	return n, true
 }
 
-// RenderApp formats the Section 4.4 table.
-func RenderApp(rows []AppRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		ok := "yes"
-		if !r.Correct {
-			ok = "NO"
+var appCols = []col[AppRow]{
+	str("work list", "", func(r AppRow) string { return r.Impl.String() }),
+	count("procs", "", func(r AppRow) int { return r.Procs }),
+	count("makespan (virt µs)", "", func(r AppRow) int64 { return r.Makespan }),
+	{head: "speedup", cell: fixed(1, func(r AppRow) float64 { return r.Speedup })},
+	count("positions", "", func(r AppRow) int64 { return r.Positions }),
+	str("correct", "", func(r AppRow) string {
+		if r.Correct {
+			return "yes"
 		}
-		cells = append(cells, []string{
-			r.Impl.String(),
-			fmt.Sprintf("%d", r.Procs),
-			fmt.Sprintf("%d", r.Makespan),
-			fmt.Sprintf("%.1f", r.Speedup),
-			fmt.Sprintf("%d", r.Positions),
-			ok,
-		})
-	}
-	return plot.Table([]string{
-		"work list", "procs", "makespan (virt µs)", "speedup", "positions", "correct",
-	}, cells)
+		return "NO"
+	}),
 }
+
+// RenderApp formats the Section 4.4 table.
+func RenderApp(rows []AppRow) string { return table(appCols, rows) }

@@ -51,49 +51,22 @@ func BurstSweep(cfg Config, kind search.Kind, producers int, batches []int) []Bu
 	return out
 }
 
-// RenderBurst draws the burst sweep chart and table.
-func RenderBurst(kind search.Kind, rows []BurstRow) string {
-	s := plot.Series{Name: "per-element time"}
-	for _, r := range rows {
-		s.X = append(s.X, float64(r.Batch))
-		s.Y = append(s.Y, r.Point.PerElementTime)
-	}
+func burstPt(r BurstRow) Point { return r.Point }
+
+var burstCols = []col[BurstRow]{
+	count("batch", "batch", func(r BurstRow) int { return r.Batch }),
+	at(burstPt, elemUS), at(burstPt, opUS), at(burstPt, stolen), at(burstPt, stealsOp), at(burstPt, makespanMS),
+}
+
+// burstReport draws the burst sweep chart and table, and the sweep as CSV.
+func burstReport(kind search.Kind, rows []BurstRow) (text, csv string) {
 	chart := plot.LineChart(
 		fmt.Sprintf("Burst workload: per-element operation time vs batch size (%s search)", kind),
 		"batch size (elements per PutAll/GetN)", "per-element time (virt µs)",
 		70, 16,
-		[]plot.Series{s},
+		seriesBy(rows, func(BurstRow) string { return "per-element time" },
+			func(r BurstRow) float64 { return float64(r.Batch) },
+			func(r BurstRow) float64 { return r.Point.PerElementTime }),
 	)
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.Batch),
-			fmtF(r.Point.PerElementTime),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.MakespanMean / 1000),
-		})
-	}
-	table := plot.Table([]string{
-		"batch", "µs/element", "µs/op", "stolen/steal", "steals/op", "makespan (ms)",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// BurstCSV emits the sweep as comma-separated values.
-func BurstCSV(rows []BurstRow) string {
-	header := []string{"batch", "per_element_us", "avg_op_us", "stolen_per_steal", "steals_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprintf("%d", r.Batch),
-			fmt.Sprintf("%.2f", r.Point.PerElementTime),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.ElementsStolen),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
+	return chart + "\n" + table(burstCols, rows), csvOf(burstCols, rows)
 }

@@ -41,13 +41,12 @@ func TestBurstDeterministic(t *testing.T) {
 func TestRenderBurst(t *testing.T) {
 	cfg := Config{Trials: 1, Seed: 7}
 	rows := BurstSweep(cfg, search.Tree, 5, []int{1, 8})
-	out := RenderBurst(search.Tree, rows)
+	out, csv := burstReport(search.Tree, rows)
 	for _, want := range []string{"batch size", "µs/element", "per-element"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered output missing %q:\n%s", want, out)
 		}
 	}
-	csv := BurstCSV(rows)
 	if !strings.Contains(csv, "per_element_us") || len(strings.Split(strings.TrimSpace(csv), "\n")) != 3 {
 		t.Fatalf("unexpected CSV:\n%s", csv)
 	}

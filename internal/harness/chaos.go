@@ -199,74 +199,49 @@ func measureChurn(res sim.RunResult, baseRate float64) churnMeasure {
 	return m
 }
 
-// RenderChaos draws the chaos sweep: throughput dip vs downtime for the
-// two kill modes, the per-schedule table, and a greppable recovery
-// footer (make chaos-smoke validates it).
-func RenderChaos(kind search.Kind, rows []ChaosRow) string {
-	series := map[bool]*plot.Series{}
-	for _, drain := range []bool{true, false} {
-		name := "steal-only kill"
-		if drain {
-			name = "drain kill"
+var chaosCols = []col[ChaosRow]{
+	str("schedule", "", func(r ChaosRow) string { return r.Schedule.Label }),
+	str("", "mode", func(r ChaosRow) string {
+		if r.Schedule.Churn.Drain {
+			return "drain"
 		}
-		series[drain] = &plot.Series{Name: name}
-	}
-	for _, r := range rows {
-		s := series[r.Schedule.Churn.Drain]
-		s.X = append(s.X, float64(r.Schedule.Churn.ReviveAfter))
-		s.Y = append(s.Y, r.DipFraction*100)
-	}
+		return "steal_only"
+	}),
+	count("", "kill_every_us", func(r ChaosRow) int64 { return r.Schedule.Churn.KillEvery }),
+	count("", "downtime_us", func(r ChaosRow) int64 { return r.Schedule.Churn.ReviveAfter }),
+	count("kills", "kills", func(r ChaosRow) int { return r.Kills }),
+	num("base ops/ms", "baseline_ops_per_ms", 2, func(r ChaosRow) float64 { return r.BaselineRate }),
+	num("churn ops/ms", "churn_ops_per_ms", 2, func(r ChaosRow) float64 { return r.MeanRate }),
+	scaled("dip %", pct, "dip_fraction", 4, func(r ChaosRow) float64 { return r.DipFraction }),
+	num("recovery (µs)", "recovery_us", 0, func(r ChaosRow) float64 { return r.RecoveryTime }),
+	{head: "recovered", csvHead: "recovered",
+		cell:    func(r ChaosRow) string { return fmt.Sprintf("%d/%d", r.Recovered, r.Kills) },
+		csvCell: func(r ChaosRow) string { return fmt.Sprintf("%d", r.Recovered) }},
+	scaled("makespan (ms)", ms, "makespan_us", 0, func(r ChaosRow) float64 { return r.MakespanMean }),
+}
+
+// chaosReport draws the chaos sweep — throughput dip vs downtime, one
+// series per kill mode — the per-schedule table, and a greppable
+// recovery footer (make chaos-smoke validates it), and the sweep as CSV.
+func chaosReport(kind search.Kind, rows []ChaosRow) (text, csv string) {
 	chart := plot.LineChart(
 		fmt.Sprintf("Chaos: worst throughput dip vs downtime (%s search)", kind),
 		"downtime before revive (virt µs)", "throughput dip (% of baseline)",
 		70, 16,
-		[]plot.Series{*series[true], *series[false]},
+		seriesBy(rows, func(r ChaosRow) string {
+			if r.Schedule.Churn.Drain {
+				return "drain kill"
+			}
+			return "steal-only kill"
+		}, func(r ChaosRow) float64 { return float64(r.Schedule.Churn.ReviveAfter) },
+			func(r ChaosRow) float64 { return r.DipFraction * 100 }),
 	)
-	var cells [][]string
-	totalRecovered, totalKills := 0, 0
+	recovered, kills := 0, 0
 	for _, r := range rows {
-		totalRecovered += r.Recovered
-		totalKills += r.Kills
-		cells = append(cells, []string{
-			r.Schedule.Label,
-			fmt.Sprintf("%d", r.Kills),
-			fmtF(r.BaselineRate),
-			fmtF(r.MeanRate),
-			fmtF(r.DipFraction * 100),
-			fmtF(r.RecoveryTime),
-			fmt.Sprintf("%d/%d", r.Recovered, r.Kills),
-			fmtF(r.MakespanMean / 1000),
-		})
+		recovered += r.Recovered
+		kills += r.Kills
 	}
-	table := plot.Table([]string{
-		"schedule", "kills", "base ops/ms", "churn ops/ms", "dip %", "recovery (µs)", "recovered", "makespan (ms)",
-	}, cells)
 	footer := fmt.Sprintf("recovered %d/%d downtime windows to %.0f%% of baseline throughput\n",
-		totalRecovered, totalKills, chaosRecoverFrac*100)
-	return chart + "\n" + table + footer
-}
-
-// ChaosCSV emits the sweep as comma-separated values.
-func ChaosCSV(rows []ChaosRow) string {
-	header := []string{"mode", "kill_every_us", "downtime_us", "kills", "baseline_ops_per_ms", "churn_ops_per_ms", "dip_fraction", "recovery_us", "recovered", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		mode := "steal_only"
-		if r.Schedule.Churn.Drain {
-			mode = "drain"
-		}
-		out = append(out, []string{
-			mode,
-			fmt.Sprintf("%d", r.Schedule.Churn.KillEvery),
-			fmt.Sprintf("%d", r.Schedule.Churn.ReviveAfter),
-			fmt.Sprintf("%d", r.Kills),
-			fmt.Sprintf("%.2f", r.BaselineRate),
-			fmt.Sprintf("%.2f", r.MeanRate),
-			fmt.Sprintf("%.4f", r.DipFraction),
-			fmt.Sprintf("%.0f", r.RecoveryTime),
-			fmt.Sprintf("%d", r.Recovered),
-			fmt.Sprintf("%.0f", r.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
+		recovered, kills, chaosRecoverFrac*100)
+	return chart + "\n" + table(chaosCols, rows) + footer, csvOf(chaosCols, rows)
 }

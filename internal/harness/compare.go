@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"pools/internal/plot"
 	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -52,25 +51,13 @@ func AlgoCompare(cfg Config) []AlgoRow {
 	return rows
 }
 
-// RenderAlgoCompare formats the comparison table.
-func RenderAlgoCompare(rows []AlgoRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Kind.String(),
-			r.Scenario,
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.AvgAddTime / 1000),
-			fmtF(r.Point.AvgRemoveTime / 1000),
-			fmtF(r.Point.SegmentsExamined),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealFraction * 100),
-		})
-	}
-	return plot.Table([]string{
-		"search", "scenario", "op (ms)", "add (ms)", "remove (ms)",
-		"segs/steal", "stolen/steal", "%removes stealing",
-	}, cells)
+func algoPt(r AlgoRow) Point { return r.Point }
+
+var algoCols = []col[AlgoRow]{
+	str("search", "", func(r AlgoRow) string { return r.Kind.String() }),
+	str("scenario", "", func(r AlgoRow) string { return r.Scenario }),
+	at(algoPt, opMS), at(algoPt, addMS), at(algoPt, removeMS),
+	at(algoPt, segs), at(algoPt, stolen), at(algoPt, stealPct),
 }
 
 // DelayRow is one point of the Section 4.3 remote-delay sweep.
@@ -115,32 +102,27 @@ func DelaySweep(cfg Config) []DelayRow {
 	return out
 }
 
-// RenderDelaySweep formats the sweep with a convergence ratio column
-// (tree time / best simple-algorithm time; -> 1.0 means converged).
-func RenderDelaySweep(rows []DelayRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		lin, ran, tree := r.Times[search.Linear], r.Times[search.Random], r.Times[search.Tree]
-		best := lin
-		if ran < best {
-			best = ran
-		}
+// delayCols tabulates the sweep with a convergence ratio column (tree
+// time / best simple-algorithm time; -> 1.0 means converged).
+var delayCols = []col[DelayRow]{
+	count("delay (µs)", "", func(r DelayRow) int64 { return r.DelayUS }),
+	str("scenario", "", func(r DelayRow) string { return r.Scenario }),
+	delayMS("linear (ms)", search.Linear),
+	delayMS("random (ms)", search.Random),
+	delayMS("tree (ms)", search.Tree),
+	str("tree/best", "", func(r DelayRow) string {
+		best := min(r.Times[search.Linear], r.Times[search.Random])
 		ratio := 0.0
 		if best > 0 {
-			ratio = tree / best
+			ratio = r.Times[search.Tree] / best
 		}
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", r.DelayUS),
-			r.Scenario,
-			fmtF(lin / 1000),
-			fmtF(ran / 1000),
-			fmtF(tree / 1000),
-			fmt.Sprintf("%.3f", ratio),
-		})
-	}
-	return plot.Table([]string{
-		"delay (µs)", "scenario", "linear (ms)", "random (ms)", "tree (ms)", "tree/best",
-	}, cells)
+		return fmt.Sprintf("%.3f", ratio)
+	}),
+}
+
+// delayMS is one algorithm's operation time column.
+func delayMS(head string, kind search.Kind) col[DelayRow] {
+	return scaled(head, ms, "", 0, func(r DelayRow) float64 { return r.Times[kind] })
 }
 
 // StealPolicyRow compares steal-half with steal-one (the ablation backing
@@ -172,25 +154,17 @@ func StealPolicyAblation(cfg Config) []StealPolicyRow {
 	return out
 }
 
-// RenderStealPolicy formats the ablation table.
-func RenderStealPolicy(rows []StealPolicyRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		name := "steal-half"
+func stealPt(r StealPolicyRow) Point { return r.Point }
+
+var stealCols = []col[StealPolicyRow]{
+	str("search", "", func(r StealPolicyRow) string { return r.Kind.String() }),
+	str("policy", "", func(r StealPolicyRow) string {
 		if r.StealOne {
-			name = "steal-one"
+			return "steal-one"
 		}
-		cells = append(cells, []string{
-			r.Kind.String(), name,
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.SegmentsExamined),
-		})
-	}
-	return plot.Table([]string{
-		"search", "policy", "op (ms)", "steals/op", "stolen/steal", "segs/steal",
-	}, cells)
+		return "steal-half"
+	}),
+	at(stealPt, opMS), at(stealPt, stealsOp), at(stealPt, stolen), at(stealPt, segs),
 }
 
 // ArrangementRow compares contiguous vs balanced producer placement for
@@ -220,25 +194,13 @@ func ArrangementCompare(cfg Config, kind search.Kind, producers int) []Arrangeme
 	return out
 }
 
-// RenderArrangement formats the arrangement comparison.
-func RenderArrangement(rows []ArrangementRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Kind.String(),
-			r.Arrangement.String(),
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.AvgAddTime / 1000),
-			fmtF(r.Point.AvgRemoveTime / 1000),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.SegmentsExamined),
-		})
-	}
-	return plot.Table([]string{
-		"search", "producers", "op (ms)", "add (ms)", "remove (ms)",
-		"stolen/steal", "steals/op", "segs/steal",
-	}, cells)
+func arrangePt(r ArrangementRow) Point { return r.Point }
+
+var arrangeCols = []col[ArrangementRow]{
+	str("search", "", func(r ArrangementRow) string { return r.Kind.String() }),
+	str("producers", "", func(r ArrangementRow) string { return r.Arrangement.String() }),
+	at(arrangePt, opMS), at(arrangePt, addMS), at(arrangePt, removeMS),
+	at(arrangePt, stolen), at(arrangePt, stealsOp), at(arrangePt, segs),
 }
 
 // DynamicRolesRow compares fixed producer roles with rotating ones (the
@@ -278,23 +240,18 @@ func DynamicRoles(cfg Config) []DynamicRolesRow {
 	return out
 }
 
-// RenderDynamicRoles formats the dynamic-roles table.
-func RenderDynamicRoles(rows []DynamicRolesRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		roles := "fixed"
-		if r.FlipEvery > 0 {
-			roles = fmt.Sprintf("rotate/%d ops", r.FlipEvery)
-		}
-		cells = append(cells, []string{
-			r.Kind.String(), roles,
-			fmtF(r.Point.AvgOpTime / 1000),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-		})
+func rolesPt(r DynamicRolesRow) Point { return r.Point }
+
+var rolesCols = []col[DynamicRolesRow]{
+	str("search", "", func(r DynamicRolesRow) string { return r.Kind.String() }),
+	str("roles", "", func(r DynamicRolesRow) string { return rotation(r.FlipEvery, "ops") }),
+	at(rolesPt, opMS), at(rolesPt, stolen), at(rolesPt, stealsOp), at(rolesPt, abortsOp),
+}
+
+// rotation names a role-flip cadence: "fixed", or "rotate/N <unit>".
+func rotation(flipEvery int, unit string) string {
+	if flipEvery > 0 {
+		return fmt.Sprintf("rotate/%d %s", flipEvery, unit)
 	}
-	return plot.Table([]string{
-		"search", "roles", "op (ms)", "stolen/steal", "steals/op", "aborts/op",
-	}, cells)
+	return "fixed"
 }

@@ -116,38 +116,30 @@ func EventTraceRun(cfg Config, kind search.Kind, producers, batch int) EventTrac
 	return out
 }
 
-// RenderEventTrace draws the event-density panels — one row per handle
+// eventTraceReport draws the event-density panels — one row per handle
 // over virtual time — and a per-handle activity table, footed by the
-// run's one-line stats summary.
-func RenderEventTrace(r EventTraceResult) string {
+// run's one-line stats summary. Its CSV is the raw recorded events in
+// long form (one row per event, merged across handles by virtual time)
+// via trace.WriteCSV.
+func eventTraceReport(r EventTraceResult) (text, csv string) {
 	title := fmt.Sprintf("Flight recorder: events per handle over time (%s search, burst batch %d, %d-proc clusters)",
 		r.Kind, r.Batch, LocalityClusterSize)
 	body := plot.TracePanels(title, "handle", "events per bucket", r.Density, r.Producers, "P", "C")
-	var cells [][]string
-	for h, tl := range r.Timelines {
-		role := "consumer"
-		if r.Producers[h] {
-			role = "producer"
-		}
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", h),
-			role,
-			fmt.Sprintf("%d", len(tl.Events)),
-			fmt.Sprintf("%d", r.Transfers[h]),
-			fmt.Sprintf("%d", r.Crosses[h]),
-			fmt.Sprintf("%d", tl.Dropped),
-		})
+	cols := []col[int]{
+		count("handle", "", func(h int) int { return h }),
+		str("role", "", func(h int) string { return handleRole(r.Producers, h) }),
+		count("events", "", func(h int) int { return len(r.Timelines[h].Events) }),
+		count("transfers", "", func(h int) int64 { return r.Transfers[h] }),
+		count("cross probes", "", func(h int) int64 { return r.Crosses[h] }),
+		count("dropped", "", func(h int) uint64 { return r.Timelines[h].Dropped }),
 	}
-	table := plot.Table([]string{"handle", "role", "events", "transfers", "cross probes", "dropped"}, cells)
-	return body + "\n" + table + "\n" + r.Stats.Summary() + "\n"
-}
-
-// EventTraceCSV emits the raw recorded events in long form (one row per
-// event, merged across handles by virtual time) via trace.WriteCSV.
-func EventTraceCSV(r EventTraceResult) string {
+	handles := make([]int, len(r.Timelines))
+	for h := range handles {
+		handles[h] = h
+	}
 	var buf bytes.Buffer
 	if err := trace.WriteCSV(&buf, r.Timelines); err != nil {
 		panic(err) // bytes.Buffer writes cannot fail
 	}
-	return buf.String()
+	return body + "\n" + table(cols, handles) + "\n" + r.Stats.Summary() + "\n", buf.String()
 }

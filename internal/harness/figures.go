@@ -44,32 +44,48 @@ func Fig2(cfg Config) Fig2Result {
 	return out
 }
 
-// Render draws the Figure 2 chart (times in ms, as in the paper).
-func (r Fig2Result) Render() string {
-	toSeries := func(name string, pts []Point) plot.Series {
-		s := plot.Series{Name: name}
-		for _, p := range pts {
-			s.X = append(s.X, p.X)
-			s.Y = append(s.Y, p.AvgOpTime/1000) // µs -> ms
-		}
-		return s
+// labeled is one Point under its series' chart, table and CSV labels.
+type labeled struct {
+	line, model, csvModel string
+	p                     Point
+}
+
+// label tags every point of one series.
+func label(line, model, csvModel string, pts []Point) []labeled {
+	out := make([]labeled, len(pts))
+	for i, p := range pts {
+		out[i] = labeled{line, model, csvModel, p}
 	}
+	return out
+}
+
+func labeledX(l labeled) float64 { return l.p.X }
+func labeledPt(l labeled) Point  { return l.p }
+
+var fig2Cols = []col[labeled]{
+	{head: "model", csvHead: "model",
+		cell:    func(l labeled) string { return l.model },
+		csvCell: func(l labeled) string { return l.csvModel }},
+	at(labeledPt, num("%adds", "pct_adds", 1, func(p Point) float64 { return p.X })),
+	at(labeledPt, scaled("avg op (ms)", ms, "avg_op_us", 1, func(p Point) float64 { return p.AvgOpTime })),
+	at(labeledPt, stealPct),
+	at(labeledPt, num("segs/steal", "segments_per_steal", 2, func(p Point) float64 { return p.SegmentsExamined })),
+	at(labeledPt, stolen.csvOnly()),
+}
+
+// report draws the Figure 2 chart (times in ms, as in the paper) and
+// table, and the points as CSV.
+func (r Fig2Result) report() (text, csv string) {
+	rows := append(label("random", "random", "random", r.Random),
+		label("producer/consumer", "prod/cons", "producer-consumer", r.PC)...)
 	chart := plot.LineChart(
 		"Figure 2: average operation time for the tree traversal algorithm",
 		"percent of operations that were adds", "avg op time (ms)",
 		70, 16,
-		[]plot.Series{toSeries("random", r.Random), toSeries("producer/consumer", r.PC)},
+		seriesBy(rows, func(l labeled) string { return l.line }, labeledX,
+			func(l labeled) float64 { return l.p.AvgOpTime / 1000 }),
 	)
-	var rows [][]string
-	for _, p := range r.Random {
-		rows = append(rows, []string{"random", fmtF(p.X), fmtF(p.AvgOpTime / 1000), fmtF(p.StealFraction * 100), fmtF(p.SegmentsExamined)})
-	}
-	for _, p := range r.PC {
-		rows = append(rows, []string{"prod/cons", fmtF(p.X), fmtF(p.AvgOpTime / 1000), fmtF(p.StealFraction * 100), fmtF(p.SegmentsExamined)})
-	}
-	table := plot.Table(
-		[]string{"model", "%adds", "avg op (ms)", "%removes stealing", "segs/steal"}, rows)
-	return chart + "\n" + table
+	return chart + "\n" + table(fig2Cols, rows), csvOf(fig2Cols, rows)
 }
 
 // TraceResult holds one Figures 3-6 style panel: per-segment sizes over
@@ -129,11 +145,11 @@ func FigTrace(cfg Config, figure string, kind search.Kind, arr workload.Arrangem
 	return out
 }
 
-// Render draws the trace panel.
-func (r TraceResult) Render() string {
+// render draws the trace panel.
+func (r TraceResult) render() string {
 	title := fmt.Sprintf("%s: segment sizes over time (%s search, %s producers)",
 		r.Figure, r.Kind, r.Arrangement)
-	body := plot.SegmentTraces(title, r.Sampled, r.Producers)
+	body := plot.TracePanels(title, "seg", "elements", r.Sampled, r.Producers, "P", "C")
 	var waits []string
 	for i, w := range r.Waited {
 		role := "C"
@@ -191,71 +207,30 @@ func Fig7(cfg Config) Fig7Result {
 	return out
 }
 
-// Render draws the Figure 7 chart and table.
-func (r Fig7Result) Render() string {
-	toSeries := func(name string, pts []Point) plot.Series {
-		s := plot.Series{Name: name}
-		for _, p := range pts {
-			s.X = append(s.X, p.X)
-			s.Y = append(s.Y, p.ElementsStolen)
-		}
-		return s
-	}
+// fig7Row is one producer count under both arrangements.
+type fig7Row struct{ unbal, bal Point }
+
+var fig7Cols = []col[fig7Row]{
+	count("producers", "producers", func(r fig7Row) int { return int(r.unbal.X) }),
+	num("stolen/steal (unbal)", "stolen_per_steal_unbalanced", 2, func(r fig7Row) float64 { return r.unbal.ElementsStolen }),
+	num("stolen/steal (bal)", "stolen_per_steal_balanced", 2, func(r fig7Row) float64 { return r.bal.ElementsStolen }),
+	num("steals/op (unbal)", "steals_per_op_unbalanced", 4, func(r fig7Row) float64 { return r.unbal.StealsPerOp }),
+	num("steals/op (bal)", "steals_per_op_balanced", 4, func(r fig7Row) float64 { return r.bal.StealsPerOp }),
+}
+
+// report draws the Figure 7 chart and table, and the points as CSV.
+func (r Fig7Result) report() (text, csv string) {
+	lines := append(label("unbalanced", "", "", r.Unbalanced), label("balanced", "", "", r.Balanced)...)
 	chart := plot.LineChart(
 		"Figure 7: average number of elements stolen per steal (tree search)",
 		"number of producers", "elements stolen per steal",
 		70, 16,
-		[]plot.Series{toSeries("unbalanced", r.Unbalanced), toSeries("balanced", r.Balanced)},
+		seriesBy(lines, func(l labeled) string { return l.line }, labeledX,
+			func(l labeled) float64 { return l.p.ElementsStolen }),
 	)
-	var rows [][]string
-	for i := range r.Unbalanced {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", int(r.Unbalanced[i].X)),
-			fmtF(r.Unbalanced[i].ElementsStolen),
-			fmtF(r.Balanced[i].ElementsStolen),
-			fmtF(r.Unbalanced[i].StealsPerOp),
-			fmtF(r.Balanced[i].StealsPerOp),
-		})
+	rows := make([]fig7Row, len(r.Unbalanced))
+	for i := range rows {
+		rows[i] = fig7Row{r.Unbalanced[i], r.Balanced[i]}
 	}
-	table := plot.Table(
-		[]string{"producers", "stolen/steal (unbal)", "stolen/steal (bal)", "steals/op (unbal)", "steals/op (bal)"}, rows)
-	return chart + "\n" + table
-}
-
-// CSV emits the Figure 2 data points as comma-separated values for
-// external plotting.
-func (r Fig2Result) CSV() string {
-	header := []string{"model", "pct_adds", "avg_op_us", "steal_fraction", "segments_per_steal", "stolen_per_steal"}
-	var rows [][]string
-	emit := func(model string, pts []Point) {
-		for _, p := range pts {
-			rows = append(rows, []string{
-				model,
-				fmt.Sprintf("%.1f", p.X),
-				fmt.Sprintf("%.1f", p.AvgOpTime),
-				fmt.Sprintf("%.4f", p.StealFraction),
-				fmt.Sprintf("%.2f", p.SegmentsExamined),
-				fmt.Sprintf("%.2f", p.ElementsStolen),
-			})
-		}
-	}
-	emit("random", r.Random)
-	emit("producer-consumer", r.PC)
-	return plot.CSV(header, rows)
-}
-
-// CSV emits the Figure 7 data points as comma-separated values.
-func (r Fig7Result) CSV() string {
-	header := []string{"producers", "stolen_per_steal_unbalanced", "stolen_per_steal_balanced", "steals_per_op_unbalanced", "steals_per_op_balanced"}
-	var rows [][]string
-	for i := range r.Unbalanced {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", int(r.Unbalanced[i].X)),
-			fmt.Sprintf("%.2f", r.Unbalanced[i].ElementsStolen),
-			fmt.Sprintf("%.2f", r.Balanced[i].ElementsStolen),
-			fmt.Sprintf("%.4f", r.Unbalanced[i].StealsPerOp),
-			fmt.Sprintf("%.4f", r.Balanced[i].StealsPerOp),
-		})
-	}
-	return plot.CSV(header, rows)
+	return chart + "\n" + table(fig7Cols, rows), csvOf(fig7Cols, rows)
 }

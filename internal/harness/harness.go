@@ -1,9 +1,10 @@
 // Package harness defines one reproducible experiment per table and figure
-// in the paper's evaluation (Section 4), plus the ablations DESIGN.md
-// calls out. Every experiment runs on the virtual-time Butterfly
-// (internal/sim), averages workload.PaperTrials seeded trials exactly as
-// Section 3.4 prescribes, and renders its results as text tables and ASCII
-// figures.
+// in the paper's evaluation (Section 4), plus the ablations and extensions
+// docs/EXPERIMENTS.md catalogs. Every experiment runs on the virtual-time
+// Butterfly (internal/sim) and averages workload.PaperTrials seeded trials
+// exactly as Section 3.4 prescribes. Experiments is the registry
+// cmd/poolbench runs; each entry renders its text tables, ASCII figures
+// and CSV from one column spec per sweep (report.go).
 package harness
 
 import (
@@ -26,6 +27,7 @@ type Config struct {
 	Procs  int            // processors/segments (default 16)
 	Ops    int            // shared op budget per trial (default 5000)
 	Fill   int            // initial elements (default 320)
+	Depth  int            // tic-tac-toe expansion depth of the app experiment (default 3)
 }
 
 // withDefaults fills unset fields with the paper's protocol values.
@@ -47,6 +49,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fill == 0 {
 		c.Fill = workload.PaperInitialElements
+	}
+	if c.Depth == 0 {
+		c.Depth = 3
 	}
 	return c
 }

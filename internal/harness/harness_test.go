@@ -41,7 +41,7 @@ func TestFig2Shape(t *testing.T) {
 			t.Errorf("PC point at mix %.0f%% had no steals", p.X)
 		}
 	}
-	out := r.Render()
+	out, _ := r.report()
 	for _, want := range []string{"Figure 2", "random", "producer/consumer", "%adds"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -90,7 +90,7 @@ func TestFigTraceBunchingAndBalance(t *testing.T) {
 		t.Errorf("balanced drained %d producers, contiguous %d",
 			bal.ProducersDrained(), unbal.ProducersDrained())
 	}
-	out := unbal.Render()
+	out := unbal.render()
 	for _, want := range []string{"Figure 3", "linear", "contiguous", "seg  0 P", "queueing delay"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
@@ -117,7 +117,7 @@ func TestFig7BalancedStealsMore(t *testing.T) {
 	if balSum <= unbalSum {
 		t.Errorf("balanced stole %.1f total, unbalanced %.1f — errata shape violated", balSum, unbalSum)
 	}
-	if !strings.Contains(r.Render(), "Figure 7") {
+	if out, _ := r.report(); !strings.Contains(out, "Figure 7") {
 		t.Error("render missing title")
 	}
 }
@@ -158,7 +158,7 @@ func TestAlgoCompareTreeNeverFasterButExaminesFewer(t *testing.T) {
 		t.Errorf("tree P/C op time %.0f decisively beats simple algorithms (%.0f) — unexpected",
 			treePC.AvgOpTime, bestPC)
 	}
-	out := RenderAlgoCompare(rows)
+	out := table(algoCols, rows)
 	if !strings.Contains(out, "tree") || !strings.Contains(out, "segs/steal") {
 		t.Error("render incomplete")
 	}
@@ -198,7 +198,7 @@ func TestDelaySweepConvergence(t *testing.T) {
 	if lastRandom.Times[search.Linear] <= firstRandom.Times[search.Linear] {
 		t.Error("delay did not increase linear op times")
 	}
-	if !strings.Contains(RenderDelaySweep(rows), "tree/best") {
+	if !strings.Contains(table(delayCols, rows), "tree/best") {
 		t.Error("render incomplete")
 	}
 }
@@ -238,7 +238,7 @@ func TestStealPolicyAblation(t *testing.T) {
 			t.Errorf("%v: steal-one frequency %.3f <= steal-half %.3f", kind, one.StealsPerOp, half.StealsPerOp)
 		}
 	}
-	if !strings.Contains(RenderStealPolicy(rows), "steal-one") {
+	if !strings.Contains(table(stealCols, rows), "steal-one") {
 		t.Error("render incomplete")
 	}
 }
@@ -326,7 +326,7 @@ func TestDynamicRolesChurnCosts(t *testing.T) {
 				rotating.Point.AbortsPerOp, fixed.Point.AbortsPerOp)
 		}
 	}
-	if !strings.Contains(RenderDynamicRoles(rows), "rotate/10 ops") {
+	if !strings.Contains(table(rolesCols, rows), "rotate/10 ops") {
 		t.Error("render incomplete")
 	}
 }

@@ -129,56 +129,30 @@ func hierSweepOn(cfg Config, scales []int64, topo numa.Topology) []HierRow {
 	return out
 }
 
-// RenderHier draws the hierarchical sweep: the cross-cluster probe
-// fraction per configuration across the delay scales (the discipline the
-// policy exists to enforce), the average-operation-time chart, and the
-// measurement table with a hier/best-flat time ratio column (< 1.0 means
-// cluster-first escalation beat every flat order at that delay).
-func RenderHier(rows []HierRow) string {
-	return renderHier(rows, fmt.Sprintf("%d-proc clusters", LocalityClusterSize))
-}
+func hierPt(r HierRow) Point { return r.Point }
 
-// RenderHierDeep draws the deep sweep (HierDeepSweep) with the
-// three-level topology named in the chart titles.
-func RenderHierDeep(rows []HierRow) string {
-	return renderHier(rows, DeepTopology().Name()+" three-level topology")
-}
-
-// renderHier renders one hierarchical sweep, labelling the charts with
-// the topology description.
-func renderHier(rows []HierRow, label string) string {
-	frac := map[string]*plot.Series{}
-	times := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		f := frac[r.Order]
-		if f == nil {
-			f = &plot.Series{Name: r.Order}
-			frac[r.Order] = f
-			times[r.Order] = &plot.Series{Name: r.Order}
-			order = append(order, r.Order)
-		}
-		f.X = append(f.X, float64(r.DelayUS))
-		f.Y = append(f.Y, r.Point.CrossProbeFrac)
-		times[r.Order].X = append(times[r.Order].X, float64(r.DelayUS))
-		times[r.Order].Y = append(times[r.Order].Y, r.Point.AvgOpTime)
-	}
-	var fs, ts []plot.Series
-	for _, name := range order {
-		fs = append(fs, *frac[name])
-		ts = append(ts, *times[name])
-	}
+// hierReport draws one hierarchical sweep, labelling the charts with the
+// topology description: the cross-cluster probe fraction per
+// configuration across the delay scales (the discipline the policy
+// exists to enforce), the average-operation-time chart, and the table
+// with a hier/best-flat time ratio column (< 1.0 means cluster-first
+// escalation beat every flat order at that delay). The CSV's topology
+// column keeps rows from the two-level and three-level sweeps
+// distinguishable when both blocks appear in one output.
+func hierReport(rows []HierRow, label string) (text, csv string) {
+	order := func(r HierRow) string { return r.Order }
+	delay := func(r HierRow) float64 { return float64(r.DelayUS) }
 	fracChart := plot.LineChart(
 		fmt.Sprintf("Hierarchical sweep: cross-cluster probe fraction vs added remote delay (%s)", label),
 		"added delay per remote op (virt µs)", "cross-cluster probe fraction",
 		70, 14,
-		fs,
+		seriesBy(rows, order, delay, func(r HierRow) float64 { return r.Point.CrossProbeFrac }),
 	)
 	timeChart := plot.LineChart(
 		fmt.Sprintf("Hierarchical sweep: avg operation time vs added remote delay (%s)", label),
 		"added delay per remote op (virt µs)", "avg op time (virt µs)",
 		70, 14,
-		ts,
+		seriesBy(rows, order, delay, func(r HierRow) float64 { return r.Point.AvgOpTime }),
 	)
 	// Best flat (locality-blind, non-hierarchical) time per delay for the
 	// ratio column.
@@ -191,47 +165,16 @@ func renderHier(rows []HierRow, label string) string {
 			bestFlat[r.DelayUS] = r.Point.AvgOpTime
 		}
 	}
-	var cells [][]string
-	for _, r := range rows {
-		ratio := "-"
-		if r.Order == "hier" && bestFlat[r.DelayUS] > 0 {
-			ratio = fmt.Sprintf("%.3f", r.Point.AvgOpTime/bestFlat[r.DelayUS])
-		}
-		cells = append(cells, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.3f", r.Point.CrossProbeFrac),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.SegmentsExamined),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-			ratio,
-		})
+	cols := []col[HierRow]{
+		str("order", "order", order),
+		str("", "topology", func(r HierRow) string { return r.Topo }),
+		count("delay (µs)", "delay_us", func(r HierRow) int64 { return r.DelayUS }),
+		dec("cross-frac", 3, "cross_probe_frac", 4, func(r HierRow) float64 { return r.Point.CrossProbeFrac }),
+		at(hierPt, opUS), at(hierPt, segs), at(hierPt, stealsOp), at(hierPt, abortsOp),
+		str("vs best flat", "", func(r HierRow) string {
+			return ratioTo(r.Order == "hier", r.Point.AvgOpTime, bestFlat[r.DelayUS])
+		}),
+		at(hierPt, makespanMS.csvOnly()),
 	}
-	table := plot.Table([]string{
-		"order", "delay (µs)", "cross-frac", "µs/op", "segs/steal", "steals/op", "aborts/op", "vs best flat",
-	}, cells)
-	return fracChart + "\n" + timeChart + "\n" + table
-}
-
-// HierCSV emits the sweep as comma-separated values. The topology column
-// keeps rows from the two-level and three-level sweeps distinguishable
-// when both blocks appear in one output.
-func HierCSV(rows []HierRow) string {
-	header := []string{"order", "topology", "delay_us", "cross_probe_frac", "avg_op_us", "segs_per_steal", "steals_per_op", "aborts_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Order,
-			r.Topo,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.4f", r.Point.CrossProbeFrac),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.SegmentsExamined),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
+	return fracChart + "\n" + timeChart + "\n" + table(cols, rows), csvOf(cols, rows)
 }

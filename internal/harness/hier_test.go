@@ -55,13 +55,12 @@ func TestHierSweepReducesCrossProbes(t *testing.T) {
 func TestRenderHier(t *testing.T) {
 	cfg := Config{Trials: 1, Seed: 7, Ops: 600, Fill: 64}
 	rows := HierSweep(cfg, []int64{0, 1000})
-	out := RenderHier(rows)
+	out, csv := hierReport(rows, "4-proc clusters")
 	for _, want := range []string{"cross-cluster probe fraction", "avg operation time", "hier-adaptive", "vs best flat"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
-	csv := HierCSV(rows)
 	if !strings.Contains(csv, "order,topology,delay_us,cross_probe_frac,avg_op_us") {
 		t.Errorf("CSV header missing:\n%s", csv)
 	}
@@ -111,13 +110,12 @@ func TestKeyedLocalitySweepShape(t *testing.T) {
 func TestRenderKeyedLoc(t *testing.T) {
 	cfg := Config{Trials: 1, Seed: 7, Ops: 600, Fill: 64}
 	rows := KeyedLocalitySweep(cfg, []int64{0, 1000})
-	out := RenderKeyedLoc(rows)
+	out, csv := keyedLocReport(rows)
 	for _, want := range []string{"Keyed locality sweep", "probe cost per Get", "cross-frac", "misses"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
-	csv := KeyedLocCSV(rows)
 	if !strings.Contains(csv, "order,delay_us,probes_per_get,cross_frac") {
 		t.Errorf("CSV header missing:\n%s", csv)
 	}

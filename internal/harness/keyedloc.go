@@ -128,62 +128,26 @@ func KeyedLocalitySweep(cfg Config, scales []int64) []KeyedLocRow {
 	return out
 }
 
-// RenderKeyedLoc draws the keyed sweep: modeled probe cost per Get across
-// the delay scales, one series per sweep order, plus the measurement
-// table.
-func RenderKeyedLoc(rows []KeyedLocRow) string {
-	series := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		s := series[r.Order]
-		if s == nil {
-			s = &plot.Series{Name: r.Order}
-			series[r.Order] = s
-			order = append(order, r.Order)
-		}
-		s.X = append(s.X, float64(r.DelayUS))
-		s.Y = append(s.Y, r.CostPerGet)
-	}
-	var ss []plot.Series
-	for _, name := range order {
-		ss = append(ss, *series[name])
-	}
+var keyedLocCols = []col[KeyedLocRow]{
+	str("order", "order", func(r KeyedLocRow) string { return r.Order }),
+	count("delay (µs)", "delay_us", func(r KeyedLocRow) int64 { return r.DelayUS }),
+	dec("probes/get", 2, "probes_per_get", 3, func(r KeyedLocRow) float64 { return r.ProbesPerGet }),
+	dec("cross-frac", 3, "cross_frac", 4, func(r KeyedLocRow) float64 { return r.CrossFrac }),
+	num("probe µs/get", "probe_cost_per_get", 2, func(r KeyedLocRow) float64 { return r.CostPerGet }),
+	count("misses", "misses", func(r KeyedLocRow) int64 { return r.Misses }),
+}
+
+// keyedLocReport draws the keyed sweep — modeled probe cost per Get
+// across the delay scales, one series per sweep order — and its table,
+// and the sweep as CSV.
+func keyedLocReport(rows []KeyedLocRow) (text, csv string) {
 	chart := plot.LineChart(
 		fmt.Sprintf("Keyed locality sweep: modeled probe cost per Get vs added remote delay (%d-proc clusters)", LocalityClusterSize),
 		"added delay per remote op (virt µs)", "probe cost per Get (virt µs)",
 		70, 14,
-		ss,
+		seriesBy(rows, func(r KeyedLocRow) string { return r.Order },
+			func(r KeyedLocRow) float64 { return float64(r.DelayUS) },
+			func(r KeyedLocRow) float64 { return r.CostPerGet }),
 	)
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.2f", r.ProbesPerGet),
-			fmt.Sprintf("%.3f", r.CrossFrac),
-			fmtF(r.CostPerGet),
-			fmt.Sprintf("%d", r.Misses),
-		})
-	}
-	table := plot.Table([]string{
-		"order", "delay (µs)", "probes/get", "cross-frac", "probe µs/get", "misses",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// KeyedLocCSV emits the sweep as comma-separated values.
-func KeyedLocCSV(rows []KeyedLocRow) string {
-	header := []string{"order", "delay_us", "probes_per_get", "cross_frac", "probe_cost_per_get", "misses"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.3f", r.ProbesPerGet),
-			fmt.Sprintf("%.4f", r.CrossFrac),
-			fmt.Sprintf("%.2f", r.CostPerGet),
-			fmt.Sprintf("%d", r.Misses),
-		})
-	}
-	return plot.CSV(header, out)
+	return chart + "\n" + table(keyedLocCols, rows), csvOf(keyedLocCols, rows)
 }

@@ -105,33 +105,21 @@ func LocalitySweep(cfg Config, scales []int64) []LocalityRow {
 	return out
 }
 
-// RenderLocality draws the locality sweep: one average-operation-time
+func localityPt(r LocalityRow) Point { return r.Point }
+
+// localityReport draws the locality sweep — one average-operation-time
 // series per victim order across the delay scales (the paper's Figure 2
-// metric), plus the measurement table with a locality/best-blind ratio
-// column (< 1.0 means the cost-ranked order beat every blind order at
-// that delay).
-func RenderLocality(rows []LocalityRow) string {
-	series := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		s := series[r.Order]
-		if s == nil {
-			s = &plot.Series{Name: r.Order}
-			series[r.Order] = s
-			order = append(order, r.Order)
-		}
-		s.X = append(s.X, float64(r.DelayUS))
-		s.Y = append(s.Y, r.Point.AvgOpTime)
-	}
-	var ss []plot.Series
-	for _, name := range order {
-		ss = append(ss, *series[name])
-	}
+// metric) — and its table with a locality/best-blind ratio column (< 1.0
+// means the cost-ranked order beat every blind order at that delay), and
+// the sweep as CSV.
+func localityReport(rows []LocalityRow) (text, csv string) {
 	chart := plot.LineChart(
 		fmt.Sprintf("Locality sweep: avg operation time vs added remote delay (clustered topology, %d-proc clusters)", LocalityClusterSize),
 		"added delay per remote op (virt µs)", "avg op time (virt µs)",
 		70, 16,
-		ss,
+		seriesBy(rows, func(r LocalityRow) string { return r.Order },
+			func(r LocalityRow) float64 { return float64(r.DelayUS) },
+			func(r LocalityRow) float64 { return r.Point.AvgOpTime }),
 	)
 	best := map[int64]float64{}
 	for _, r := range rows {
@@ -142,46 +130,26 @@ func RenderLocality(rows []LocalityRow) string {
 			best[r.DelayUS] = r.Point.AvgOpTime
 		}
 	}
-	var cells [][]string
-	for _, r := range rows {
-		ratio := "-"
-		if r.Order == "locality" && best[r.DelayUS] > 0 {
-			ratio = fmt.Sprintf("%.3f", r.Point.AvgOpTime/best[r.DelayUS])
-		}
-		cells = append(cells, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.AvgRemoveTime),
-			fmtF(r.Point.SegmentsExamined),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-			ratio,
-		})
+	cols := []col[LocalityRow]{
+		str("order", "order", func(r LocalityRow) string { return r.Order }),
+		count("delay (µs)", "delay_us", func(r LocalityRow) int64 { return r.DelayUS }),
+		at(localityPt, opUS), at(localityPt, removeUS), at(localityPt, segs),
+		at(localityPt, stealsOp), at(localityPt, abortsOp),
+		str("vs best blind", "", func(r LocalityRow) string {
+			return ratioTo(r.Order == "locality", r.Point.AvgOpTime, best[r.DelayUS])
+		}),
+		at(localityPt, makespanMS.csvOnly()),
 	}
-	table := plot.Table([]string{
-		"order", "delay (µs)", "µs/op", "µs/remove", "segs/steal", "steals/op", "aborts/op", "vs best blind",
-	}, cells)
-	return chart + "\n" + table
+	return chart + "\n" + table(cols, rows), csvOf(cols, rows)
 }
 
-// LocalityCSV emits the sweep as comma-separated values.
-func LocalityCSV(rows []LocalityRow) string {
-	header := []string{"order", "delay_us", "avg_op_us", "avg_remove_us", "segs_per_steal", "steals_per_op", "aborts_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Order,
-			fmt.Sprintf("%d", r.DelayUS),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.AvgRemoveTime),
-			fmt.Sprintf("%.2f", r.Point.SegmentsExamined),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
+// ratioTo is a ratio cell: v/best to three places on the rows it
+// applies to, "-" elsewhere.
+func ratioTo(applies bool, v, best float64) string {
+	if !applies || best <= 0 {
+		return "-"
 	}
-	return plot.CSV(header, out)
+	return fmt.Sprintf("%.3f", v/best)
 }
 
 // ControlTraceResult holds one controller-trajectory run: the per-handle
@@ -269,54 +237,51 @@ func ControlTraceRun(cfg Config, kind search.Kind, producers, batch int) Control
 	return out
 }
 
-// RenderControlTrace draws the trajectory panels — steal fraction per
+// handleRole names handle h's role in a producer/consumer run.
+func handleRole(producers map[int]bool, h int) string {
+	if producers[h] {
+		return "producer"
+	}
+	return "consumer"
+}
+
+// handleSample indexes one handle's trajectory at one sample.
+type handleSample struct{ h, i int }
+
+// permil is a sampled permil column: a fraction to three places in the
+// table, the raw permil in the CSV.
+func permil(head, csvHead string, trace [][]int64) col[handleSample] {
+	return col[handleSample]{head: head, csvHead: csvHead,
+		cell:    func(s handleSample) string { return fmt.Sprintf("%.3f", float64(trace[s.h][s.i])/1000) },
+		csvCell: func(s handleSample) string { return fmt.Sprintf("%d", trace[s.h][s.i]) }}
+}
+
+// controlTraceReport draws the trajectory panels — steal fraction per
 // handle over virtual time, then each handle's cross-cluster probe
-// fraction — and the final-operating-point table.
-func RenderControlTrace(r ControlTraceResult) string {
+// fraction — and the final-operating-point table (each handle's last
+// sample), and writes the trajectories as long-form CSV: one row per
+// (handle, sample).
+func controlTraceReport(r ControlTraceResult) (text, csv string) {
 	title := fmt.Sprintf("Controller trajectories: per-handle steal fraction over time (%s search, burst batch %d)",
 		r.Kind, r.Batch)
 	body := plot.TracePanels(title, "handle", "steal fraction (permil)", r.FracSampled, r.Producers, "P", "C")
 	crossTitle := fmt.Sprintf("Cross-cluster probe fraction per handle over time (%d-proc clusters)",
 		LocalityClusterSize)
 	body += "\n" + plot.TracePanels(crossTitle, "handle", "cross-probe fraction (permil)", r.CrossSampled, r.Producers, "P", "C")
-	var cells [][]string
-	for h := range r.FracSampled {
-		role := "consumer"
-		if r.Producers[h] {
-			role = "producer"
-		}
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", h),
-			role,
-			fmt.Sprintf("%.3f", r.FinalFrac[h]),
-			fmt.Sprintf("%d", r.FinalBatch[h]),
-			fmt.Sprintf("%.3f", r.FinalCross[h]),
-		})
+	cols := []col[handleSample]{
+		count("handle", "handle", func(s handleSample) int { return s.h }),
+		str("role", "role", func(s handleSample) string { return handleRole(r.Producers, s.h) }),
+		count("", "sample", func(s handleSample) int { return s.i }),
+		permil("final steal fraction", "frac_permil", r.FracSampled),
+		count("final batch", "batch", func(s handleSample) int64 { return r.BatchSampled[s.h][s.i] }),
+		permil("final cross-frac", "cross_permil", r.CrossSampled),
 	}
-	table := plot.Table([]string{"handle", "role", "final steal fraction", "final batch", "final cross-frac"}, cells)
-	return body + "\n" + table
-}
-
-// ControlTraceCSV emits the trajectories in long form: one row per
-// (handle, sample).
-func ControlTraceCSV(r ControlTraceResult) string {
-	header := []string{"handle", "role", "sample", "frac_permil", "batch", "cross_permil"}
-	var out [][]string
+	var finals, samples []handleSample
 	for h := range r.FracSampled {
-		role := "consumer"
-		if r.Producers[h] {
-			role = "producer"
-		}
+		finals = append(finals, handleSample{h, len(r.FracSampled[h]) - 1})
 		for i := range r.FracSampled[h] {
-			out = append(out, []string{
-				fmt.Sprintf("%d", h),
-				role,
-				fmt.Sprintf("%d", i),
-				fmt.Sprintf("%d", r.FracSampled[h][i]),
-				fmt.Sprintf("%d", r.BatchSampled[h][i]),
-				fmt.Sprintf("%d", r.CrossSampled[h][i]),
-			})
+			samples = append(samples, handleSample{h, i})
 		}
 	}
-	return plot.CSV(header, out)
+	return body + "\n" + table(cols, finals), csvOf(cols, samples)
 }

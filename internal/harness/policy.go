@@ -100,104 +100,41 @@ func PolicyFluctuate(cfg Config, kind search.Kind, producers, batch int, flips [
 	return out
 }
 
-// RenderPolicy draws the policy sweep: one per-element-time series per
-// policy across the batch sweep, plus the measurement table.
-func RenderPolicy(kind search.Kind, rows []PolicyRow) string {
-	series := map[string]*plot.Series{}
-	var order []string
-	for _, r := range rows {
-		s := series[r.Policy]
-		if s == nil {
-			s = &plot.Series{Name: r.Policy}
-			series[r.Policy] = s
-			order = append(order, r.Policy)
-		}
-		s.X = append(s.X, float64(r.Batch))
-		s.Y = append(s.Y, r.Point.PerElementTime)
-	}
-	var ss []plot.Series
-	for _, name := range order {
-		ss = append(ss, *series[name])
-	}
+func policyPt(r PolicyRow) Point { return r.Point }
+
+var policyCols = []col[PolicyRow]{
+	str("policy", "policy", func(r PolicyRow) string { return r.Policy }),
+	count("batch", "batch", func(r PolicyRow) int { return r.Batch }),
+	at(policyPt, elemUS), at(policyPt, opUS), at(policyPt, stolen),
+	at(policyPt, stealsOp), at(policyPt, abortsOp), at(policyPt, makespanMS),
+}
+
+// policyReport draws the policy sweep — one per-element-time series per
+// policy across the batch sweep — and its table, and the sweep as CSV.
+func policyReport(kind search.Kind, rows []PolicyRow) (text, csv string) {
 	chart := plot.LineChart(
 		fmt.Sprintf("Policy sweep: per-element time vs batch size (%s search, burst workload)", kind),
 		"batch size (elements per PutAll/GetN)", "per-element time (virt µs)",
 		70, 16,
-		ss,
+		seriesBy(rows, func(r PolicyRow) string { return r.Policy },
+			func(r PolicyRow) float64 { return float64(r.Batch) },
+			func(r PolicyRow) float64 { return r.Point.PerElementTime }),
 	)
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Policy,
-			fmt.Sprintf("%d", r.Batch),
-			fmtF(r.Point.PerElementTime),
-			fmtF(r.Point.AvgOpTime),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-			fmtF(r.Point.MakespanMean / 1000),
-		})
-	}
-	table := plot.Table([]string{
-		"policy", "batch", "µs/element", "µs/op", "stolen/steal", "steals/op", "aborts/op", "makespan (ms)",
-	}, cells)
-	return chart + "\n" + table
+	return chart + "\n" + table(policyCols, rows), csvOf(policyCols, rows)
 }
 
-// RenderPolicyFluct formats the fluctuating-roles comparison table.
-func RenderPolicyFluct(batch int, rows []PolicyFluctRow) string {
-	var cells [][]string
-	for _, r := range rows {
-		roles := "fixed"
-		if r.FlipEvery > 0 {
-			roles = fmt.Sprintf("rotate/%d elems", r.FlipEvery)
-		}
-		cells = append(cells, []string{
-			r.Policy,
-			roles,
-			fmtF(r.Point.PerElementTime),
-			fmtF(r.Point.ElementsStolen),
-			fmtF(r.Point.StealsPerOp),
-			fmtF(r.Point.AbortsPerOp),
-		})
-	}
-	return fmt.Sprintf("Fluctuating producers (batch %d):\n", batch) + plot.Table([]string{
-		"policy", "roles", "µs/element", "stolen/steal", "steals/op", "aborts/op",
-	}, cells)
+func fluctPt(r PolicyFluctRow) Point { return r.Point }
+
+var fluctCols = []col[PolicyFluctRow]{
+	str("policy", "policy", func(r PolicyFluctRow) string { return r.Policy }),
+	{head: "roles", csvHead: "flip_every",
+		cell:    func(r PolicyFluctRow) string { return rotation(r.FlipEvery, "elems") },
+		csvCell: func(r PolicyFluctRow) string { return fmt.Sprintf("%d", r.FlipEvery) }},
+	at(fluctPt, elemUS), at(fluctPt, stolen), at(fluctPt, stealsOp), at(fluctPt, abortsOp),
 }
 
-// PolicyCSV emits the batch sweep as comma-separated values.
-func PolicyCSV(rows []PolicyRow) string {
-	header := []string{"policy", "batch", "per_element_us", "avg_op_us", "stolen_per_steal", "steals_per_op", "aborts_per_op", "makespan_us"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Policy,
-			fmt.Sprintf("%d", r.Batch),
-			fmt.Sprintf("%.2f", r.Point.PerElementTime),
-			fmt.Sprintf("%.2f", r.Point.AvgOpTime),
-			fmt.Sprintf("%.2f", r.Point.ElementsStolen),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-			fmt.Sprintf("%.0f", r.Point.MakespanMean),
-		})
-	}
-	return plot.CSV(header, out)
-}
-
-// PolicyFluctCSV emits the fluctuating-roles comparison as CSV.
-func PolicyFluctCSV(rows []PolicyFluctRow) string {
-	header := []string{"policy", "flip_every", "per_element_us", "stolen_per_steal", "steals_per_op", "aborts_per_op"}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Policy,
-			fmt.Sprintf("%d", r.FlipEvery),
-			fmt.Sprintf("%.2f", r.Point.PerElementTime),
-			fmt.Sprintf("%.2f", r.Point.ElementsStolen),
-			fmt.Sprintf("%.4f", r.Point.StealsPerOp),
-			fmt.Sprintf("%.4f", r.Point.AbortsPerOp),
-		})
-	}
-	return plot.CSV(header, out)
+// fluctReport tabulates the fluctuating-roles comparison at one batch
+// size, and writes it as CSV.
+func fluctReport(batch int, rows []PolicyFluctRow) (text, csv string) {
+	return fmt.Sprintf("Fluctuating producers (batch %d):\n", batch) + table(fluctCols, rows), csvOf(fluctCols, rows)
 }

@@ -98,23 +98,21 @@ func TestPolicyFluctuate(t *testing.T) {
 func TestRenderPolicy(t *testing.T) {
 	cfg := Config{Trials: 1, Seed: 11}
 	rows := PolicySweep(cfg, search.Tree, 5, []int{1, 8})
-	out := RenderPolicy(search.Tree, rows)
+	out, csv := policyReport(search.Tree, rows)
 	for _, want := range []string{"half", "one", "proportional", "adaptive", "per-element time", "µs/element"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered sweep missing %q:\n%s", want, out)
 		}
 	}
-	csv := PolicyCSV(rows)
 	if !strings.Contains(csv, "per_element_us") ||
 		len(strings.Split(strings.TrimSpace(csv), "\n")) != len(rows)+1 {
 		t.Fatalf("unexpected CSV:\n%s", csv)
 	}
 	fluct := PolicyFluctuate(cfg, search.Linear, 4, 8, []int{0, 10})
-	fout := RenderPolicyFluct(8, fluct)
+	fout, fcsv := fluctReport(8, fluct)
 	if !strings.Contains(fout, "rotate/10 elems") || !strings.Contains(fout, "Fluctuating") {
 		t.Fatalf("fluct render missing content:\n%s", fout)
 	}
-	fcsv := PolicyFluctCSV(fluct)
 	if !strings.Contains(fcsv, "flip_every") ||
 		len(strings.Split(strings.TrimSpace(fcsv), "\n")) != len(fluct)+1 {
 		t.Fatalf("unexpected fluct CSV:\n%s", fcsv)

@@ -145,77 +145,42 @@ func TenantSweep(cfg Config, counts []int, skews []float64) []TenantRow {
 	return out
 }
 
-// RenderTenants draws the sweep figure (worst-tenant p99 vs skew, one
-// series per tenant count) and the full per-tenant table.
-func RenderTenants(rows []TenantRow) string {
-	series := map[int]*plot.Series{}
-	var order []int
-	for _, r := range rows {
-		s, ok := series[r.Tenants]
-		if !ok {
-			s = &plot.Series{Name: fmt.Sprintf("%d tenants", r.Tenants)}
-			series[r.Tenants] = s
-			order = append(order, r.Tenants)
-		}
-		s.X = append(s.X, r.Skew)
-		s.Y = append(s.Y, r.WorstP99/1000)
-	}
-	var ss []plot.Series
-	for _, nt := range order {
-		ss = append(ss, *series[nt])
-	}
+// tenantLine is one tenant's point within its sweep cell.
+type tenantLine struct {
+	row *TenantRow
+	TenantPoint
+}
+
+var tenantCols = []col[tenantLine]{
+	count("tenants", "tenants", func(l tenantLine) int { return l.row.Tenants }),
+	num("skew", "skew", 2, func(l tenantLine) float64 { return l.row.Skew }),
+	count("tenant", "tenant", func(l tenantLine) int { return l.Tenant }),
+	count("procs", "procs", func(l tenantLine) int { return l.Procs }),
+	dec("λ/proc", 4, "lambda_per_proc", 5, func(l tenantLine) float64 { return l.Lambda }),
+	num("p50 µs", "p50_us", 1, func(l tenantLine) float64 { return l.P50 }),
+	num("p99 µs", "p99_us", 1, func(l tenantLine) float64 { return l.P99 }),
+	num("p999 µs", "p999_us", 1, func(l tenantLine) float64 { return l.P999 }),
+	dec("interf", 2, "steal_interference", 4, func(l tenantLine) float64 { return l.Interference }),
+	count("ops", "ops", func(l tenantLine) int64 { return l.Ops }),
+}
+
+// tenantsReport draws the sweep figure (worst-tenant p99 vs skew, one
+// series per tenant count) and the full per-tenant table, and the sweep
+// as CSV, one line per tenant per sweep cell.
+func tenantsReport(rows []TenantRow) (text, csv string) {
 	chart := plot.LineChart(
 		"Open-loop tenants: worst-tenant p99 sojourn vs lambda skew (linear search, tenant-fair placement)",
 		"lambda skew (zipf exponent)", "worst-tenant p99 sojourn (virt ms)",
 		70, 16,
-		ss,
+		seriesBy(rows, func(r TenantRow) string { return fmt.Sprintf("%d tenants", r.Tenants) },
+			func(r TenantRow) float64 { return r.Skew },
+			func(r TenantRow) float64 { return r.WorstP99 / 1000 }),
 	)
-	var cells [][]string
-	for _, r := range rows {
-		for _, p := range r.Points {
-			cells = append(cells, []string{
-				fmt.Sprintf("%d", r.Tenants),
-				fmtF(r.Skew),
-				fmt.Sprintf("%d", p.Tenant),
-				fmt.Sprintf("%d", p.Procs),
-				fmt.Sprintf("%.4f", p.Lambda),
-				fmtF(p.P50),
-				fmtF(p.P99),
-				fmtF(p.P999),
-				fmt.Sprintf("%.2f", p.Interference),
-				fmt.Sprintf("%d", p.Ops),
-			})
+	var lines []tenantLine
+	for i := range rows {
+		for _, p := range rows[i].Points {
+			lines = append(lines, tenantLine{&rows[i], p})
 		}
 	}
-	table := plot.Table([]string{
-		"tenants", "skew", "tenant", "procs", "λ/proc", "p50 µs", "p99 µs", "p999 µs", "interf", "ops",
-	}, cells)
-	return chart + "\n" + table
-}
-
-// TenantsCSV emits the sweep as comma-separated values, one line per
-// tenant per sweep cell.
-func TenantsCSV(rows []TenantRow) string {
-	header := []string{
-		"tenants", "skew", "tenant", "procs", "lambda_per_proc",
-		"p50_us", "p99_us", "p999_us", "steal_interference", "ops",
-	}
-	var out [][]string
-	for _, r := range rows {
-		for _, p := range r.Points {
-			out = append(out, []string{
-				fmt.Sprintf("%d", r.Tenants),
-				fmt.Sprintf("%.2f", r.Skew),
-				fmt.Sprintf("%d", p.Tenant),
-				fmt.Sprintf("%d", p.Procs),
-				fmt.Sprintf("%.5f", p.Lambda),
-				fmt.Sprintf("%.1f", p.P50),
-				fmt.Sprintf("%.1f", p.P99),
-				fmt.Sprintf("%.1f", p.P999),
-				fmt.Sprintf("%.4f", p.Interference),
-				fmt.Sprintf("%d", p.Ops),
-			})
-		}
-	}
-	return plot.CSV(header, out)
+	return chart + "\n" + table(tenantCols, lines), csvOf(tenantCols, lines)
 }

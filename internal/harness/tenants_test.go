@@ -69,13 +69,12 @@ func TestTenantSweep(t *testing.T) {
 
 func TestRenderTenantsAndCSV(t *testing.T) {
 	rows := TenantSweep(tenantTestCfg(), []int{2}, []float64{0.7})
-	out := RenderTenants(rows)
+	out, csv := tenantsReport(rows)
 	for _, want := range []string{"worst-tenant p99", "lambda skew", "interf", "p999 µs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered output missing %q", want)
 		}
 	}
-	csv := TenantsCSV(rows)
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 3 { // header + one line per tenant
 		t.Fatalf("CSV has %d lines, want 3:\n%s", len(lines), csv)

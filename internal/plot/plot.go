@@ -109,21 +109,14 @@ func LineChart(title, xLabel, yLabel string, width, height int, series []Series)
 	return b.String()
 }
 
-// SegmentTraces renders Figures 3-6 style panels: one row per segment,
-// showing each segment's size over time as a density ramp, with producers
-// marked. traces[i] must be the resampled sizes of segment i at uniform
-// time steps.
-func SegmentTraces(title string, traces [][]int64, producers map[int]bool) string {
-	return TracePanels(title, "seg", "elements", traces, producers, "P", "C")
-}
-
 // TracePanels renders one labeled density row per series: row i shows
 // rows[i]'s values over uniform time steps as a ramp from ' ' (zero) to
 // '@' (the global maximum). rowPrefix labels each row ("seg", "handle"),
 // unit names the plotted quantity in the scale line, and marked rows get
 // markLabel instead of unmarkLabel next to their index (producer/consumer
-// roles in the figures). It is the shared renderer behind the Figure 3-6
-// segment-size panels and the controller-trajectory panels.
+// roles in the figures). It draws the Figures 3-6 segment-size panels
+// (rowPrefix "seg") and the controller-trajectory and event-density
+// panels (rowPrefix "handle").
 func TracePanels(title, rowPrefix, unit string, rows [][]int64, marked map[int]bool, markLabel, unmarkLabel string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)

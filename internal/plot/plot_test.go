@@ -69,7 +69,7 @@ func TestSegmentTraces(t *testing.T) {
 		{0, 1, 2, 3},
 		{10, 10, 0, 0},
 	}
-	out := SegmentTraces("Figure 3", traces, map[int]bool{1: true})
+	out := TracePanels("Figure 3", "seg", "elements", traces, map[int]bool{1: true}, "P", "C")
 	if !strings.Contains(out, "seg  0 C") || !strings.Contains(out, "seg  1 P") {
 		t.Fatalf("roles missing:\n%s", out)
 	}
@@ -82,7 +82,7 @@ func TestSegmentTraces(t *testing.T) {
 }
 
 func TestSegmentTracesAllZero(t *testing.T) {
-	out := SegmentTraces("z", [][]int64{{0, 0}}, nil)
+	out := TracePanels("z", "seg", "elements", [][]int64{{0, 0}}, nil, "P", "C")
 	if !strings.Contains(out, "seg  0 C") {
 		t.Fatalf("zero trace broken:\n%s", out)
 	}

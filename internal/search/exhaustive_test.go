@@ -110,8 +110,8 @@ func TestInterleavedTreeSearchers(t *testing.T) {
 	}
 }
 
-// A searcher's round counter never exceeds the maximum node round + 1
-// (the invariant DESIGN.md lists), checked across many empty traversals.
+// A searcher's round counter never exceeds the maximum node round + 1,
+// checked across many empty traversals.
 func TestTreeRoundInvariantAcrossAborts(t *testing.T) {
 	const n = 4
 	w := newFakeWorld(1, n)
