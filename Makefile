@@ -6,7 +6,7 @@ GO ?= go
 # (baseline was 87.9% when the gate was introduced).
 COVER_FLOOR ?= 85.0
 
-.PHONY: build test race fuzz-smoke bench-smoke bench-e2e-smoke vet lint stress cover policy-smoke docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
+.PHONY: build test test-procs1 race fuzz-smoke bench-smoke bench-e2e-smoke vet lint stress cover policy-smoke docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,11 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# The wall-clock suites on a single P: one proc is the shape where a test
+# that spins without yielding starves the goroutines it waits on.
+test-procs1:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/harness ./internal/core
+
 race:
 	$(GO) test -race ./...
 
@@ -47,7 +52,7 @@ race:
 # cores forces preemption inside the lock-free owner/thief windows that
 # a matched count rarely interleaves.
 STRESS_COUNT ?= 20
-STRESS_PROCS ?= 2 8 32
+STRESS_PROCS ?= 1 2 8 32
 STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback
 
 stress:
@@ -184,4 +189,4 @@ chaos-smoke:
 	grep -q 'recovered ' chaos-smoke.out
 	rm -f chaos-smoke.out
 
-ci: build vet lint test race stress fuzz-smoke bench-smoke bench-e2e-smoke cover policy-smoke docs-check trace-smoke introspect-smoke chaos-smoke bench-check
+ci: build vet lint test test-procs1 race stress fuzz-smoke bench-smoke bench-e2e-smoke cover policy-smoke docs-check trace-smoke introspect-smoke chaos-smoke bench-check

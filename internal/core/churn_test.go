@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,7 +244,9 @@ func TestCloseStealRace(t *testing.T) {
 
 // Concurrent churn under the race detector: workers operate while a
 // driver performs kills and revives; every element put is either
-// consumed or still in the pool at the end.
+// consumed or still in the pool at the end. Workers and driver yield as
+// they go so that on a single P the driver's churn interleaves with the
+// workers' operations instead of running only after they finish.
 func TestChurnConcurrentConservation(t *testing.T) {
 	const procs = 4
 	const perProc = 3000
@@ -264,6 +267,9 @@ func TestChurnConcurrentConservation(t *testing.T) {
 					puts.Add(1)
 				} else if _, ok := h.Get(); ok {
 					gets.Add(1)
+				}
+				if j%64 == 63 {
+					runtime.Gosched()
 				}
 			}
 		}(i)
@@ -290,6 +296,7 @@ func TestChurnConcurrentConservation(t *testing.T) {
 				}
 				transitions += 2
 			}
+			runtime.Gosched()
 		}
 	}()
 	workers.Wait()

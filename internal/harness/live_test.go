@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"pools/internal/search"
@@ -26,7 +27,9 @@ func TestStartLive(t *testing.T) {
 		TraceBuf: 256,
 	})
 
-	// Hammer the observer API until the run finishes.
+	// Hammer the observer API until the run finishes, yielding once per
+	// poll: at GOMAXPROCS=1 a poll loop that never yields leaves the run's
+	// workers only the scheduler's preemption slices.
 	var lastOps int64
 	for alive := true; alive; {
 		select {
@@ -44,6 +47,7 @@ func TestStartLive(t *testing.T) {
 			_ = len(tl.Events)
 		}
 		_ = live.Timeline(0)
+		runtime.Gosched()
 	}
 
 	res, err := live.Result()

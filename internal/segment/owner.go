@@ -10,13 +10,13 @@ import (
 // built on. One designated goroutine — the segment's owner — pushes and
 // pops at the bottom of a power-of-two ring with plain slot stores
 // published by sequentially-consistent index stores and no lock; thieves
-// serialize on the segment lock and claim elements at the top one
-// compare-style claim at a time, falling back to nothing: the lock IS the
-// steal path, exactly the lock + TakeOut reserve-transfer discipline the
-// pools already use, now paid only by thieves. Non-owner adds (Director
-// placements, kill-time redistribution, seeding) land in a lock-guarded
-// overflow Deque that the owner migrates into its ring when the ring runs
-// dry, so a foreign add never touches the owner's bottom index.
+// serialize on the segment lock and claim a whole batch at the top with
+// one compare-and-swap: the lock IS the steal path, exactly the lock +
+// TakeOut reserve-transfer discipline the pools already use, now paid
+// only by thieves. Non-owner adds (Director placements, kill-time
+// redistribution, seeding) land in a lock-guarded overflow Deque that
+// the owner migrates into its ring when the ring runs dry, so a foreign
+// add never touches the owner's bottom index.
 //
 // # Memory-ordering argument
 //
@@ -26,42 +26,64 @@ import (
 // go through sync/atomic, which Go guarantees sequentially consistent,
 // so both sides can run the classic claim-then-validate handshake:
 //
-//   - a thief (holding mu) claims slot t with CompareAndSwap(top, t,
-//     t+1), then validates bottom >= t+1. If validation fails the owner
-//     has claimed the same last element; the thief rolls its claim back
-//     and stops.
+//   - a thief (holding mu) reads t = top and b = bottom, claims the batch
+//     [t, t+m), m = min(k, b-t), with one CompareAndSwap(top, t, t+m),
+//     then validates against a fresh bottom b2. If b2 < t+m the owner's
+//     pops won the slots [b2, t+m); the thief keeps [t, b2) and stores
+//     top = b2, handing the rest back.
 //   - the owner claims slot b-1 by storing bottom = b-1, then validates
 //     top < b-1. On top == b-1 exactly (one element left) it tries
 //     CompareAndSwap(top, b-1, b) itself — claims are CASes on both
 //     sides, so exactly one party wins the final slot — provided no
-//     steal claim section is in flight (the stealing flag below). Any
-//     other boundary goes through mu, by which time the thief has
-//     committed or rolled back, and re-checks — so the last element
-//     goes to exactly one side and a rolled-back claim strands nothing.
+//     steal claim section is in flight (claimFrom == 0, below). Any other
+//     boundary, including a top the thief's batch CAS pushed past b-1,
+//     goes through mu, by which time the thief has committed or handed
+//     its losing range back, and re-checks — so every slot goes to
+//     exactly one side and a handed-back range strands nothing.
 //
-// Because both sides publish their claim before validating, at least one
-// observes the other (SC total order) on the contended last element.
+// Because both sides publish their claim before validating, for every
+// contested slot at least one side observes the other (SC total order):
+// an owner pop whose top load precedes the batch CAS stored its bottom
+// earlier still, so the thief's validation sees it; one whose top load
+// follows the CAS sees the inflated top and resolves under mu. While a
+// thief holds mu the owner cannot pop below the section's starting top
+// (its pop of that slot would see top >= it and block on mu), so b2 >= t.
 //
 // Plain slot accesses are race-free by two rules. First, thieves read a
 // slot only after a validated claim, and the slot's value was published
 // by the owner's SC bottom store, which the thief's bottom load acquired.
 // Second, the owner reuses a slot (ring wraparound) only after every
-// foreign access to it is happens-before-ordered: lock-free pushes
-// require occupancy to stay at or below cap-2 against the observed top
-// (one free slot of margin). A top value stored by a mu critical section
-// orders every EARLIER section's slot accesses before the owner (the
-// mutex chains the sections, the SC load of top chains the last of them
-// to the owner) but not the storing section's own, later slot work —
-// that is what the margin slot absorbs. A top value stored by the
-// owner's own CAS is stronger, not weaker: the CAS fires only after the
-// owner observed the stealing flag clear, whose clearing store (chained
-// through mu) orders every completed section's slot work, and a section
-// racing the flag load can only claim at or above the contested slot,
-// where it either loses the CAS or takes nothing. A thief's claim can
-// inflate the observed top by at most one (claims resolve one at a time
-// under mu before the next), which the margin also absorbs: worst-case
-// occupancy reaches cap with every slot distinct, and the next push
-// re-checks and grows under mu.
+// foreign access to it is happens-before-ordered: lock-free pushes keep
+// occupancy at or below cap-2 against a reuse floor (one free slot of
+// margin), and the floor is not top alone. A thief's batch CAS publishes
+// top = t+m BEFORE the thief reads and zeroes the slots [t, t+m), so an
+// owner that acquired the inflated top has not acquired those slot
+// accesses; and the hand-back store can lower top again after the owner
+// read it. So each section publishes claimFrom = 1 + top (taken under
+// mu, before its first claim; cleared before unlock, after its slot
+// work), and the floor is the minimum of top and every nonzero
+// claimFrom-1 the owner sees in a claimFrom, top, claimFrom load
+// sequence (reuseFloor):
+//
+//   - a section active at either claimFrom load caps the floor at its
+//     starting top, at or below every slot it can touch and every value
+//     its hand-back can store;
+//   - a section that starts and ends between the two claimFrom loads is
+//     ordered entirely before the owner by its clearing store, which the
+//     second load acquires, and it handed nothing back: a hand-back
+//     needs an owner pop between the claim and the validation, and the
+//     owner was inside this push, so the top it loaded never drops;
+//   - earlier sections are ordered by the mutex chain to the last
+//     clearing store.
+//
+// A top value stored by the owner's own CAS is stronger, not weaker: the
+// CAS fires only after the owner observed claimFrom == 0, whose clearing
+// store (chained through mu) orders every completed section's slot work,
+// and a section starting after that load reads the owner's claimed
+// bottom, finds no slot to take, and claims nothing. So against the
+// floor, worst-case occupancy reaches cap-1 with every slot distinct
+// from any unordered foreign access, and the next push re-checks and
+// grows under mu.
 //
 // Only the owner grows the ring, under mu, so thieves (who read buf under
 // mu) and the owner (the only other toucher) both see a stable buffer.
@@ -73,13 +95,13 @@ type OwnerDeque[T any] struct {
 	bottom atomic.Int64
 	buf    []T
 	_      [32]byte
-	// Thief-written line: top and the steal-section flag move only while
+	// Thief-written line: top and the steal-section word move only while
 	// mu is held (except the owner's last-element CAS on top) but are
 	// loaded lock-free by the owner on every push and pop, so they get a
 	// cache line away from both the owner's bottom and the lock.
-	top      atomic.Int64
-	stealing atomic.Int32 // inside a StealInto claim section (set under mu)
-	_        [52]byte
+	top       atomic.Int64
+	claimFrom atomic.Int64 // 0, or 1 + top at the start of a StealInto claim section (set under mu)
+	_         [48]byte
 	// Shared tail: the steal lock, the foreign-add overflow it guards,
 	// and the overflow's lock-free size mirror. The trailing pad keeps a
 	// neighboring OwnerDeque's bottom off this line (segments are stored
@@ -95,12 +117,17 @@ const ownerMinCap = 8
 
 // Len returns the segment's current size: ring span plus foreign
 // overflow. It takes no lock, so under concurrency it is a momentary
-// snapshot: mid-claim it is at most one off, and mid-migration
-// (popForeign moving the overflow into the ring) it can transiently
-// OVERcount — never falsely read empty, so a concurrent searcher's
-// coverage pass cannot certify emptiness while elements exist. Exact
-// whenever the segment is quiescent, which is all the deterministic
-// drivers need.
+// snapshot. Mid-claim it can undercount by up to the whole in-flight
+// batch, down to zero: the batch CAS raises top before the thief
+// validates and hands back what the owner's pops won. The real pool's
+// searchers are safe against that window because the thief raises the
+// pool's moving count under mu before the claim and drops it only after
+// redepositing the batch, so no coverage pass certifies emptiness across
+// it. Mid-migration (popForeign moving the overflow into the ring) it
+// can transiently OVERcount but never falsely read empty, so a
+// concurrent searcher's coverage pass cannot certify emptiness while
+// elements exist. Exact whenever the segment is quiescent, which is all
+// the deterministic drivers need.
 //
 // The load order is load-bearing and pairs with popForeign's store
 // order. The migration publishes the enlarged ring span BEFORE clearing
@@ -130,10 +157,28 @@ func (d *OwnerDeque[T]) lenLocked() int {
 	return int(n) + d.foreign.Len()
 }
 
+// reuseFloor returns the ring index the owner's push path sizes its
+// occupancy against: top, lowered to the starting top of any steal
+// section seen in flight. The claimFrom, top, claimFrom load order is
+// load-bearing; see the type's memory-ordering argument.
+func (d *OwnerDeque[T]) reuseFloor() int64 {
+	c1 := d.claimFrom.Load()
+	t := d.top.Load()
+	c2 := d.claimFrom.Load()
+	if c1 != 0 {
+		t = min(t, c1-1)
+	}
+	if c2 != 0 {
+		t = min(t, c2-1)
+	}
+	return t
+}
+
 // grow ensures ring capacity for the current span plus extra plus the
 // one-slot margin the push-path memory-ordering argument needs. Owner
 // only, mu held (thieves excluded, so the copy and the buffer swap are
-// safe against their slot reads).
+// safe against their slot reads, and no claim section is open, so top
+// is the floor).
 func (d *OwnerDeque[T]) grow(extra int) {
 	b, t := d.bottom.Load(), d.top.Load()
 	n := int(b - t)
@@ -161,11 +206,12 @@ func (d *OwnerDeque[T]) grow(extra int) {
 }
 
 // PushBottom adds an element at the owner end. Owner only. The common
-// case is two atomic loads, a slot store, and one SC index store; the
-// lock is taken only to grow the ring.
+// case is four atomic loads (bottom, then the reuse floor's three on the
+// thief line), a slot store, and one SC index store; the lock is taken
+// only to grow the ring.
 func (d *OwnerDeque[T]) PushBottom(v T) {
 	b := d.bottom.Load()
-	if t := d.top.Load(); len(d.buf) == 0 || b-t >= int64(len(d.buf)-1) {
+	if t := d.reuseFloor(); len(d.buf) == 0 || b-t >= int64(len(d.buf)-1) {
 		d.mu.Lock()
 		d.grow(1)
 		d.mu.Unlock()
@@ -182,7 +228,7 @@ func (d *OwnerDeque[T]) PushBottomAll(vs []T) {
 		return
 	}
 	b := d.bottom.Load()
-	if t := d.top.Load(); len(d.buf) == 0 || b-t+int64(len(vs)) > int64(len(d.buf)-1) {
+	if t := d.reuseFloor(); len(d.buf) == 0 || b-t+int64(len(vs)) > int64(len(d.buf)-1) {
 		d.mu.Lock()
 		d.grow(len(vs))
 		d.mu.Unlock()
@@ -197,10 +243,11 @@ func (d *OwnerDeque[T]) PushBottomAll(vs []T) {
 // PopBottom removes the most recently pushed element (LIFO, preserving
 // task locality exactly like Deque.Remove). Owner only. The common case
 // is lock-free: claim the last slot with an SC bottom store, validate
-// against top. The boundary — one element left, or a thief's claim in
-// flight — resolves under mu, where the thief has already committed or
-// rolled back. A dry ring falls back to the foreign overflow, migrating
-// it into the ring so subsequent pops are lock-free again.
+// against top. The boundary — one element left, or a thief's batch
+// claim in flight — resolves under mu, where the thief has already
+// committed or handed back what it lost. A dry ring falls back to the
+// foreign overflow, migrating it into the ring so subsequent pops are
+// lock-free again.
 func (d *OwnerDeque[T]) PopBottom() (T, bool) {
 	var zero T
 	b0 := d.bottom.Load()
@@ -216,30 +263,30 @@ func (d *OwnerDeque[T]) PopBottom() (T, bool) {
 		d.buf[b&mask] = zero
 		return v, true
 	}
-	if t == b && d.stealing.Load() == 0 && d.top.CompareAndSwap(t, t+1) {
+	if t == b && d.claimFrom.Load() == 0 && d.top.CompareAndSwap(t, t+1) {
 		// Last element, and the CAS beat any thief to it: claims are
 		// CASes on both sides, so exactly one party can move top past
-		// the final slot. The stealing check first is load-bearing for
-		// the push path's slot-reuse argument: a thief's claim-CAS
-		// publishes its new top BEFORE the thief touches the slot, so
+		// the final slot. The claimFrom check first is load-bearing for
+		// the push path's slot-reuse argument: a thief's batch CAS
+		// publishes its new top BEFORE the thief touches the slots, so
 		// acquiring top alone does not order that thief's in-flight
-		// slot reads/zeroes — but acquiring the flag at zero orders
+		// slot reads/zeroes — but acquiring claimFrom at zero orders
 		// every completed steal section (the last section's clearing
 		// store, chained through mu to all earlier ones), and a section
-		// starting after the load can only claim at or above t, where
-		// it loses this CAS or takes nothing. So on success every
-		// foreign slot access below t+1 happens-before the owner, and
-		// the one-slot push margin stays sufficient. Restore bottom to
-		// the canonical empty state (top == bottom == b+1) and take the
-		// element without the lock — this is the steady-state pop of a
-		// pool hovering near size one, the serial hot path.
+		// starting after the load reads bottom == b == top and claims
+		// nothing. So on success every foreign slot access below t+1
+		// happens-before the owner, and the one-slot push margin stays
+		// sufficient. Restore bottom to the canonical empty state (top
+		// == bottom == b+1) and take the element without the lock —
+		// this is the steady-state pop of a pool hovering near size
+		// one, the serial hot path.
 		v := d.buf[b&mask]
 		d.buf[b&mask] = zero
 		d.bottom.Store(b + 1)
 		return v, true
 	}
-	// Boundary lost or ambiguous: a thief's claim is in flight (its
-	// commit or rollback resolves inside mu), or the ring emptied
+	// Boundary lost or ambiguous: a thief's batch claim is in flight (its
+	// commit or hand-back resolves inside mu), or the ring emptied
 	// between the size check and the claim.
 	d.mu.Lock()
 	if t := d.top.Load(); t <= b {
@@ -361,12 +408,12 @@ func (d *OwnerDeque[T]) AddForeignIfUnder(v T, limit int) bool {
 // StealInto is the thief's batch reserve-transfer: under the segment
 // lock it sizes the victim once (n > 0 guaranteed when take is called),
 // asks take for the transfer amount, then pulls that many elements —
-// foreign overflow first (head-first, the coldest), then top-of-ring
-// claims one validated claim at a time — appending them to buf and
-// returning the extended slice. A claim the owner wins ends the batch
-// short; the caller gets what was actually reserved. take must not call
-// back into the deque (the lock is held). Passing a buffer with spare
-// capacity makes StealInto allocation-free.
+// foreign overflow first (head-first, the coldest), then the top of the
+// ring as one batch claimed with a single CAS — appending them to buf
+// and returning the extended slice. Slots the owner's pops win end the
+// batch short; the caller gets what was actually reserved. take must not
+// call back into the deque (the lock is held). Passing a buffer with
+// spare capacity makes StealInto allocation-free.
 func (d *OwnerDeque[T]) StealInto(buf []T, take func(n int) int) []T {
 	d.mu.Lock()
 	n := d.lenLocked()
@@ -374,12 +421,12 @@ func (d *OwnerDeque[T]) StealInto(buf []T, take func(n int) int) []T {
 		d.mu.Unlock()
 		return buf
 	}
-	// Mark the claim section open for the owner's last-element CAS fast
-	// path; cleared (with release ordering on this section's slot
-	// writes) before the unlock.
-	d.stealing.Store(1)
+	// Open the claim section for the owner's push floor and last-element
+	// CAS; cleared (with release ordering on this section's slot work)
+	// before the unlock.
+	d.claimFrom.Store(1 + d.top.Load())
 	defer func() {
-		d.stealing.Store(0)
+		d.claimFrom.Store(0)
 		d.mu.Unlock()
 	}()
 	k := take(n)
@@ -395,28 +442,31 @@ func (d *OwnerDeque[T]) StealInto(buf []T, take func(n int) int) []T {
 		d.fcount.Add(int64(-fk))
 		k -= fk
 	}
-	var zero T
-	mask := int64(len(d.buf) - 1)
-	for k > 0 {
+	for {
 		t := d.top.Load()
-		if d.bottom.Load()-t <= 0 {
-			break
+		m := min(int64(k), d.bottom.Load()-t)
+		if m <= 0 {
+			return buf
 		}
-		// Claim slot t. The CAS (not a plain store) can lose only to the
-		// owner's lock-free last-element CAS; on failure re-evaluate —
-		// the reloaded span goes non-positive and the batch ends.
-		if !d.top.CompareAndSwap(t, t+1) {
+		// Claim [t, t+m). The CAS can lose only to the owner's lock-free
+		// last-element CAS; on failure re-read top and bottom.
+		if !d.top.CompareAndSwap(t, t+m) {
 			continue
 		}
-		if d.bottom.Load() < t+1 {
-			d.top.Store(t) // the owner claimed the same last element: roll back
-			break
+		if b := d.bottom.Load(); b < t+m {
+			// The owner's pops won [b, t+m): hand them back. Its pop of
+			// slot b, if still pending, resolves under mu once we unlock.
+			m = max(b-t, 0)
+			d.top.Store(t + m)
 		}
-		buf = append(buf, d.buf[t&mask])
-		d.buf[t&mask] = zero
-		k--
+		var zero T
+		mask := int64(len(d.buf) - 1)
+		for i := t; i < t+m; i++ {
+			buf = append(buf, d.buf[i&mask])
+			d.buf[i&mask] = zero
+		}
+		return buf
 	}
-	return buf
 }
 
 // StealAll drains the whole segment through the steal path, appending to

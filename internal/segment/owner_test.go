@@ -363,6 +363,154 @@ func TestOwnerDequeOwnerVsSingleThief(t *testing.T) {
 	}
 }
 
+// TestOwnerDequeBatchClaimVsOwnerPops aims the owner's pops at the batch
+// claim's hand-back window: thieves StealAll short spans while the owner
+// pushes a few elements and pops a burst back, so a thief's one CAS over
+// the whole span keeps colliding with owner pops that claimed its tail
+// before the CAS landed and must be handed back. Every value must come
+// out exactly once.
+func TestOwnerDequeBatchClaimVsOwnerPops(t *testing.T) {
+	// The hand-back window is a few instructions wide; force real
+	// interleaving even when the host (or -cpu) gives us one proc.
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	const (
+		thieves = 2
+		spans   = 50000
+		maxSpan = 6
+	)
+	var d OwnerDeque[uint32]
+	seen := make([]atomic.Uint32, spans*maxSpan+1)
+	mark := func(v uint32) {
+		if v == 0 {
+			t.Errorf("zero value delivered: a slot was read after it was cleared")
+			return
+		}
+		if seen[v].Add(1) != 1 {
+			t.Errorf("value %d taken twice", v)
+		}
+	}
+	var stop atomic.Bool
+	var wg, started sync.WaitGroup
+	for th := 0; th < thieves; th++ {
+		wg.Add(1)
+		started.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			buf := make([]uint32, 0, 2*maxSpan)
+			for !stop.Load() {
+				buf = d.StealAll(buf[:0])
+				for _, v := range buf {
+					mark(v)
+				}
+				if len(buf) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	started.Wait()
+	next := uint32(1)
+	for i := 0; i < spans; i++ {
+		span := 1 + i%maxSpan
+		for j := 0; j < span; j++ {
+			d.PushBottom(next)
+			next++
+		}
+		for j := 0; j < 1+i%4; j++ {
+			if v, ok := d.PopBottom(); ok {
+				mark(v)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for _, v := range d.StealAll(nil) {
+		mark(v)
+	}
+	for v := uint32(1); v < next; v++ {
+		if n := seen[v].Load(); n != 1 {
+			t.Fatalf("value %d seen %d times, want 1", v, n)
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatalf("Len = %d after full drain", d.Len())
+	}
+}
+
+// TestOwnerDequeBatchClaimWraparound pins the push path's reuse floor: a
+// thief's batch CAS raises top before the thief reads the claimed slots,
+// so an owner sizing its pushes against that top alone would wrap onto
+// a slot still being read. Each round starts a fresh 8-slot ring that
+// the owner keeps at cap-2 (by Len, which reads the raised top) while a
+// thief takes half at a time; under -race an unordered wraparound write
+// is reported, and a clobbered slot shows up as a zero, a duplicate or
+// a loss.
+func TestOwnerDequeBatchClaimWraparound(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	const (
+		rounds   = 200
+		perRound = 300
+		keep     = ownerMinCap - 2
+	)
+	seen := make([]atomic.Uint32, rounds*perRound+1)
+	mark := func(v uint32) {
+		if v == 0 {
+			t.Errorf("zero value delivered: a slot was overwritten mid-claim")
+			return
+		}
+		if seen[v].Add(1) != 1 {
+			t.Errorf("value %d taken twice", v)
+		}
+	}
+	half := func(n int) int { return (n + 1) / 2 }
+	next := uint32(1)
+	for r := 0; r < rounds; r++ {
+		var d OwnerDeque[uint32]
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			buf := make([]uint32, 0, ownerMinCap)
+			for !stop.Load() {
+				buf = d.StealInto(buf[:0], half)
+				for _, v := range buf {
+					mark(v)
+				}
+				if len(buf) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+		for i := 0; i < perRound; i++ {
+			for d.Len() >= keep {
+				runtime.Gosched()
+			}
+			d.PushBottom(next)
+			next++
+			if i%7 == 6 {
+				if v, ok := d.PopBottom(); ok {
+					mark(v)
+				}
+			}
+		}
+		stop.Store(true)
+		<-done
+		for _, v := range d.StealAll(nil) {
+			mark(v)
+		}
+	}
+	for v := uint32(1); v < next; v++ {
+		if n := seen[v].Load(); n != 1 {
+			t.Fatalf("value %d seen %d times, want 1", v, n)
+		}
+	}
+}
+
 // TestOwnerDequeLenNoFalseEmptyDuringMigration pins the no-false-empty
 // contract between popForeign and the lock-free Len: the migration
 // publishes the enlarged ring span before clearing fcount, and Len
@@ -465,4 +613,45 @@ func TestOwnerDequeLayout(t *testing.T) {
 	if size-offFcount < line {
 		t.Errorf("fcount is %d bytes from the struct end, want >= %d (neighbor's bottom)", size-offFcount, line)
 	}
+}
+
+// BenchmarkOwnerDequeStealContended is the segment-layer row for the
+// steal path under contention: StealInto takes half the segment while an
+// owner goroutine keeps refilling it to backlog elements from the
+// bottom. ns/op is one StealInto that brought something back (empty
+// calls in between count toward its time); elements/steal is how many
+// it brought.
+func BenchmarkOwnerDequeStealContended(b *testing.B) {
+	const backlog = 64
+	var d OwnerDeque[int]
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fill := make([]int, backlog)
+		for !stop.Load() {
+			if n := d.Len(); n < backlog {
+				d.PushBottomAll(fill[:backlog-n])
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+	half := func(n int) int { return (n + 1) / 2 }
+	buf := make([]int, 0, backlog)
+	stolen := 0
+	b.ResetTimer()
+	for steals := 0; steals < b.N; {
+		buf = d.StealInto(buf[:0], half)
+		if len(buf) == 0 {
+			runtime.Gosched()
+			continue
+		}
+		stolen += len(buf)
+		steals++
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-done
+	b.ReportMetric(float64(stolen)/float64(b.N), "elements/steal")
 }
