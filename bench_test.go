@@ -176,9 +176,12 @@ func BenchmarkGetHotPath(b *testing.B) {
 
 // BenchmarkGetHotPathTraced measures the stats-on fast path with the
 // flight recorder attached: identical loop to BenchmarkGetHotPath, so
-// the gap between the two is the per-event recording cost (a clock read,
-// a mutex, and a ring store — still 0 allocs/op). Pinned in
-// BENCH_BASELINE.json so recorder overhead can't creep.
+// the gap between the two is what tracing adds to a local op. Local hits
+// record nothing (only a search's outcome reaches the recorder), so the
+// gap should stay near zero. Before the timer starts, handle 1 steals
+// from handle 0; afterwards the steal's reserve_transfer must still be on
+// handle 1's timeline and handle 0's recorder must hold no new event.
+// Pinned in BENCH_BASELINE.json so recorder overhead can't creep.
 func BenchmarkGetHotPathTraced(b *testing.B) {
 	p, err := pools.New[int](pools.Options{
 		Segments: 8, CollectStats: true, Topology: pools.ClusterTopology{Size: 2},
@@ -187,9 +190,11 @@ func BenchmarkGetHotPathTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	stealFromHandle0(b, p)
 	h := p.Handle(0)
 	h.Put(0)
 	h.Get()
+	held := p.Tracer(0).Len()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -199,9 +204,7 @@ func BenchmarkGetHotPathTraced(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if tls := p.Timelines(); len(tls) == 0 || len(tls[0].Events) == 0 {
-		b.Fatal("traced benchmark recorded no events")
-	}
+	requireTraceKept(b, p, held)
 }
 
 // BenchmarkGetHotPathHist measures the same stats-on fast path while

@@ -9,10 +9,12 @@ package pools_test
 // hard failure instead of a number to eyeball.
 
 import (
+	"slices"
 	"testing"
 
 	"pools"
 	"pools/internal/metrics"
+	"pools/internal/trace"
 )
 
 // requireZeroAllocs runs f through testing.AllocsPerRun and fails on any
@@ -103,11 +105,12 @@ func TestHotPathAllocFree(t *testing.T) {
 		}
 	})
 
-	// Flight recorder on: every Record is its own clock read, a mutex, and
-	// an array store into the preallocated ring (the recorder is not
-	// sampled, unlike the stats' op timing) — the traced hot path keeps
-	// the 0 allocs/op contract too (the tracing-off side of the contract is
-	// every other case in this test, all built with TraceBuf 0).
+	// Flight recorder on: the local Put/Get path records nothing (only a
+	// search's outcome reaches the recorder), so the traced hot path keeps
+	// the 0 allocs/op contract and leaves the ring's protocol history in
+	// place. Handle 1 steals from handle 0 first; its reserve_transfer
+	// must survive the measured loop (the tracing-off side of the contract
+	// is every other case in this test, all built with TraceBuf 0).
 	pt, err := pools.New[int](pools.Options{
 		Segments: 4, CollectStats: true, Topology: pools.ClusterTopology{Size: 2},
 		TraceBuf: 256,
@@ -115,16 +118,16 @@ func TestHotPathAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stealFromHandle0(t, pt)
 	ht := pt.Handle(0)
+	held := pt.Tracer(0).Len()
 	requireZeroAllocs(t, "core traced Put/Get", func() {
 		ht.Put(1)
 		if _, ok := ht.Get(); !ok {
 			t.Fatal("traced Get missed")
 		}
 	})
-	if tl := pt.Tracer(0).Timeline(); len(tl.Events) == 0 {
-		t.Error("traced pool recorded no events")
-	}
+	requireTraceKept(t, pt, held)
 
 	// Keyed local Put/Get, including the drain-to-empty cycle: the spare
 	// bucket cache keeps a hot class from allocating a fresh bucket every
@@ -140,4 +143,28 @@ func TestHotPathAllocFree(t *testing.T) {
 			t.Fatal("keyed Get missed")
 		}
 	})
+}
+
+// stealFromHandle0 has handle 1 steal the only element of handle 0's
+// segment, so handle 1's flight recorder holds one steal and both
+// segments are left empty, as an untraced hot-path loop finds them.
+func stealFromHandle0(tb testing.TB, p *pools.Pool[int]) {
+	tb.Helper()
+	p.Handle(0).Put(0)
+	if _, ok := p.Handle(1).Get(); !ok {
+		tb.Fatal("handle 1 found nothing to steal")
+	}
+}
+
+// requireTraceKept fails unless handle 0's recorder still holds exactly
+// held events (its owner path recorded nothing) and handle 1's timeline
+// still holds the reserve_transfer of the steal made by stealFromHandle0.
+func requireTraceKept(tb testing.TB, p *pools.Pool[int], held int) {
+	tb.Helper()
+	if n := p.Tracer(0).Len(); n != held {
+		tb.Fatalf("handle 0's owner path recorded %d events, want 0", n-held)
+	}
+	if !slices.ContainsFunc(p.Tracer(1).Timeline().Events, func(e trace.Event) bool { return e.Kind == trace.ReserveTransfer }) {
+		tb.Fatal("handle 1's steal left no reserve_transfer on its timeline")
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
+	"pools/internal/trace"
 )
 
 func newTestPool(t *testing.T, opts Options) *Pool[int] {
@@ -95,6 +97,39 @@ func TestGetStealsFromRemoteSegment(t *testing.T) {
 		if got := p.SegmentLen(5); got != 5 {
 			t.Fatalf("%v: victim segment has %d, want 5", kind, got)
 		}
+	}
+}
+
+// TestTraceKeepsStealAcrossHotOwnerPath checks that the flight recorder
+// holds protocol history, not owner traffic: after one steal, 10 000
+// local Put/Get pairs on the thief leave its 8-slot ring untouched, so
+// the steal's reserve_transfer survives and Dropped does not grow.
+func TestTraceKeepsStealAcrossHotOwnerPath(t *testing.T) {
+	p := newTestPool(t, Options{Segments: 2, TraceBuf: 8})
+	victim, thief := p.Handle(1), p.Handle(0)
+	for i := 0; i < 10; i++ {
+		victim.Put(i)
+	}
+	if _, ok := thief.Get(); !ok {
+		t.Fatal("steal Get failed with elements present")
+	}
+	tr := p.Tracer(0)
+	before := tr.Timeline()
+	if !slices.ContainsFunc(before.Events, func(e trace.Event) bool { return e.Kind == trace.ReserveTransfer }) {
+		t.Fatalf("steal left no reserve_transfer: %v", before.Events)
+	}
+	for i := 0; i < 10000; i++ {
+		thief.Put(i)
+		if _, ok := thief.Get(); !ok {
+			t.Fatal("local Get missed")
+		}
+	}
+	after := tr.Timeline()
+	if after.Dropped != before.Dropped {
+		t.Fatalf("Dropped grew %d -> %d across local ops", before.Dropped, after.Dropped)
+	}
+	if !slices.Equal(after.Events, before.Events) {
+		t.Fatalf("local ops changed the ring: %v, want %v", after.Events, before.Events)
 	}
 }
 

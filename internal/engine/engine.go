@@ -226,11 +226,13 @@ func (e *Engine) StealAmount() policy.StealAmount { return e.steal }
 // edges onto the same timeline as the engine's protocol events.
 func (e *Engine) Tracer() *trace.Recorder { return e.tr }
 
-// Observe feeds one remove outcome to the handle's controller, if any,
-// and records it on the flight recorder (got, or -1 on abort, plus the
-// probe count) so traces show the controller's input stream.
+// Observe feeds one remove outcome to the handle's controller, if any.
+// Outcomes a search produced (a steal, an abort, or any probe) are also
+// recorded on the flight recorder (got, or -1 on abort, plus the probe
+// count); local hits are not, so the owner path never touches the
+// recorder and its ring keeps the protocol history.
 func (e *Engine) Observe(fb policy.Feedback) {
-	if e.tr != nil {
+	if e.tr != nil && (fb.Stole || fb.Aborted || fb.Examined > 0) {
 		got := int32(fb.Got)
 		if fb.Aborted {
 			got = -1

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"pools/internal/metrics"
 	"pools/internal/numa"
 	"pools/internal/policy"
 	"pools/internal/search"
+	"pools/internal/trace"
 )
 
 // fakeSub is a scripted in-memory substrate: segment sizes in a slice,
@@ -362,5 +364,58 @@ func TestControlAwareWiring(t *testing.T) {
 	}
 	if k := e0.Searcher().Kind(); k != search.Hierarchical {
 		t.Fatalf("searcher kind = %v, want hierarchical (ControlAware path)", k)
+	}
+}
+
+// TestObserveTracesOnlySearchOutcomes checks that Observe records one
+// feedback event per stolen, aborted or probing outcome and none for a
+// local hit or a gift taken before any probe, while the controller still
+// folds in every outcome: one Adaptive window closes only because the
+// local hits count toward it, and it lands where a controller fed the
+// same stream directly lands.
+func TestObserveTracesOnlySearchOutcomes(t *testing.T) {
+	ctl := policy.NewAdaptive()
+	tr := trace.NewRecorder(0, 64, nil)
+	e, _ := newFakeEngine(t, make([]int, 4), 0, Config{Policies: policy.Set{Control: ctl}, Tracer: tr}, NewBounded(4))
+
+	var stream []policy.Feedback
+	for i := 0; i < 8; i++ {
+		stream = append(stream, policy.Feedback{Got: 1}) // local hit
+	}
+	stream = append(stream, policy.Feedback{Got: 2}) // gift before any probe
+	for i := 0; i < 5; i++ {
+		stream = append(stream, policy.Feedback{Stole: true, Examined: 3, Got: 4})
+	}
+	stream = append(stream,
+		policy.Feedback{Aborted: true, Examined: 4},
+		policy.Feedback{Examined: 2, Got: 1}, // gift found mid-search
+	)
+	ref := policy.NewAdaptive()
+	for _, fb := range stream {
+		e.Observe(fb)
+		ref.Observe(fb)
+	}
+
+	type ev struct{ got, examined int32 }
+	var got []ev
+	for _, x := range tr.Events() {
+		if x.Kind != trace.Feedback {
+			t.Fatalf("Observe recorded %v, want only feedback", x.Kind)
+		}
+		got = append(got, ev{x.Arg1, x.Arg2})
+	}
+	want := []ev{{4, 3}, {4, 3}, {4, 3}, {4, 3}, {4, 3}, {-1, 4}, {1, 2}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("feedback events %v, want %v", got, want)
+	}
+
+	// 16 outcomes close one window at a steal rate of 5/16, which raises
+	// the fraction from the starting one half; the 7 search outcomes
+	// alone would not close it.
+	if f := ctl.StealFraction(); f == 0.5 || f != ref.StealFraction() {
+		t.Fatalf("controller fraction %v, want %v (moved from 0.5)", f, ref.StealFraction())
+	}
+	if b, rb := ctl.BatchSize(8), ref.BatchSize(8); b != rb {
+		t.Fatalf("controller batch %d, want %d", b, rb)
 	}
 }

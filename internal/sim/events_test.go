@@ -13,6 +13,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -163,6 +164,48 @@ func TestGoldenChromeChaosTrace(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("seeded chaos trace is not deterministic across runs")
+	}
+}
+
+// TestGoldenTracesHoldNoLocalHitFeedback checks both committed Chrome
+// goldens for the recorder's owner-path contract: a feedback event is a
+// search's outcome, so none may read as a local hit (got >= 0 with no
+// probe examined). A regression that traces local hits again fails here
+// by name rather than only as a byte diff.
+func TestGoldenTracesHoldNoLocalHitFeedback(t *testing.T) {
+	for _, name := range []string{"golden_trace.json", "golden_chaos_trace.json"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				TS   int64  `json:"ts"`
+				TID  int    `json:"tid"`
+				Args struct {
+					Arg1 int32 `json:"arg1"`
+					Arg2 int32 `json:"arg2"`
+				} `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		feedback := 0
+		for _, ev := range doc.TraceEvents {
+			if ev.Name != trace.Feedback.String() {
+				continue
+			}
+			feedback++
+			if ev.Args.Arg1 >= 0 && ev.Args.Arg2 == 0 {
+				t.Errorf("%s: local-hit feedback (got %d, examined 0) on handle %d at ts %d",
+					name, ev.Args.Arg1, ev.TID, ev.TS)
+			}
+		}
+		if feedback == 0 {
+			t.Errorf("%s holds no feedback events; the check would be vacuous", name)
+		}
 	}
 }
 

@@ -84,7 +84,10 @@ const (
 	DirectPlace
 	// Feedback is the post-search Observe edge feeding the adaptive
 	// controller. Arg1 = elements obtained (-1 when aborted),
-	// Arg2 = probes examined.
+	// Arg2 = probes examined. Only a search's outcome (a steal, an
+	// abort, or any probe) is recorded: local hits feed the controller
+	// silently, and a gift taken before any probe shows only as its
+	// GiftRecv.
 	Feedback
 	// MemberLeave records a handle leaving the pool's membership (a kill
 	// or a departure). Arg1 = departed segment, Arg2 = 1 when its
