@@ -4,6 +4,13 @@
 // either a concurrent pool or the original global-lock stack. "To examine
 // the first three moves of a 4 by 4 by 4 game requires examining 249,984
 // board positions" (64 * 63 * 62).
+//
+// Board.Eval and Board.Winner score a position by scanning all 76 lines.
+// The parallel Engine scans only the root that way: a move changes just
+// the 4 or 7 lines through its cell, so each generated position's score
+// and winner are derived from its parent's over those lines. The full
+// scans, and the sequential Minimax built on them, are the reference the
+// engine is tested against.
 package ttt
 
 import (
@@ -179,16 +186,56 @@ const WinScore = 1 << 20
 func (b Board) Eval() int {
 	score := 0
 	for _, m := range lineMasks {
-		nx := bits.OnesCount64(b.XBits & m)
-		no := bits.OnesCount64(b.OBits & m)
-		switch {
-		case no == 0 && nx > 0:
-			score += evalWeights[nx]
-		case nx == 0 && no > 0:
-			score -= evalWeights[no]
-		}
+		score += b.lineScore(m)
 	}
 	return score
+}
+
+// lineScore is line m's term in Eval: the weight of the stones on it if
+// only one player has any, signed for that player, and 0 otherwise.
+func (b Board) lineScore(m uint64) int {
+	nx := bits.OnesCount64(b.XBits & m)
+	no := bits.OnesCount64(b.OBits & m)
+	switch {
+	case no == 0 && nx > 0:
+		return evalWeights[nx]
+	case nx == 0 && no > 0:
+		return -evalWeights[no]
+	}
+	return 0
+}
+
+// cellLines lists, for each cell, the masks of the 4 or 7 lines through
+// it: the only lines whose score or completion a move there can change.
+var cellLines = buildCellLines()
+
+func buildCellLines() (out [Cells][]uint64) {
+	for _, m := range lineMasks {
+		for c := 0; c < Cells; c++ {
+			if m&(1<<uint(c)) != 0 {
+				out[c] = append(out[c], m)
+			}
+		}
+	}
+	return out
+}
+
+// playScored returns the position after p claims cell c, with its Eval
+// and Winner derived from b's (eval and 0, since only a position nobody
+// has won is played on) over the lines through c alone.
+func (b Board) playScored(c int, p Player, eval int) (child Board, childEval int, winner Player) {
+	child = b.Play(c, p)
+	own := child.XBits
+	if p == O {
+		own = child.OBits
+	}
+	for _, m := range cellLines[c] {
+		eval += child.lineScore(m) - b.lineScore(m)
+		if own&m == m {
+			winner = p
+		}
+	}
+	return child, eval, winner
 }
 
 // String renders the board layer by layer (z slices).

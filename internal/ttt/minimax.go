@@ -7,7 +7,10 @@ import "math"
 // (no pruning — the paper's program places every generated position in the
 // work list, so the sequential reference must visit the same tree).
 // It also returns the number of leaf positions evaluated, which for
-// (empty board, X, depth 3) is the paper's 249,984.
+// (empty board, X, depth 3) is the paper's 249,984. It scores every leaf
+// with the full-scan Board.Eval and Board.Winner, independently of the
+// Engine's incremental scoring, and is the reference the Engine is tested
+// against.
 func Minimax(b Board, toMove Player, depth int) (value int, leaves int64) {
 	if w := b.Winner(); w != 0 {
 		return int(w) * WinScore, 1

@@ -9,14 +9,23 @@ import (
 // Nodes are the elements placed in the work list: "each position is placed
 // in a pool when it is generated. Processors repeatedly pull a position
 // from the pool and possibly generate new positions to put in the pool."
+//
+// A node carries its position's Board.Eval and Board.Winner. A child's
+// are derived from its parent's when the child is generated, over only
+// the lines through the cell just played; the root's are computed in
+// full when it is expanded. Values are int32, which holds every one since
+// |Eval| <= NumLines*WinScore < 2^31, and the small fields fill the
+// padding, so the node fits the 48-byte size class (TestNodeLayout).
 type Node struct {
 	Board  Board
 	ToMove Player
-	Depth  int // remaining expansion depth; 0 = evaluate statically
+	winner Player // Board.Winner()
+	eval   int32  // Board.Eval()
+	Depth  int    // remaining expansion depth; 0 = evaluate statically
 
 	parent  *Node
 	pending atomic.Int32 // children not yet resolved
-	value   atomic.Int64 // running max (X to move) or min (O to move)
+	value   atomic.Int32 // running max (X to move) or min (O to move)
 }
 
 // Value returns the node's current minimax value. Only meaningful once the
@@ -25,7 +34,7 @@ func (n *Node) Value() int { return int(n.value.Load()) }
 
 // applyChild folds a resolved child's value into this node's running
 // max/min using a CAS loop (workers resolve children concurrently).
-func (n *Node) applyChild(v int64) {
+func (n *Node) applyChild(v int32) {
 	max := n.ToMove == X
 	for {
 		cur := n.value.Load()
@@ -55,7 +64,7 @@ type Engine struct {
 	done      atomic.Bool
 	expanded  atomic.Int64 // internal nodes expanded
 	evaluated atomic.Int64 // leaf positions evaluated
-	rootValue atomic.Int64
+	rootValue atomic.Int32
 }
 
 // NewEngine prepares the expansion of (board, toMove) to the given depth
@@ -70,9 +79,9 @@ func NewEngine(board Board, toMove Player, depth int, seed Source) *Engine {
 func newNode(b Board, toMove Player, depth int, parent *Node) *Node {
 	n := &Node{Board: b, ToMove: toMove, Depth: depth, parent: parent}
 	if toMove == X {
-		n.value.Store(math.MinInt64)
+		n.value.Store(math.MinInt32)
 	} else {
-		n.value.Store(math.MaxInt64)
+		n.value.Store(math.MaxInt32)
 	}
 	return n
 }
@@ -108,13 +117,19 @@ func (e *Engine) Step(src Source) bool {
 
 // Expand processes one node. Exposed separately so the simulator can
 // charge the position-processing cost between Get and Expand.
+//
+// A won, depth-0 or full position is a leaf, valued from the node's
+// carried Winner and Eval. Any other position puts one child per free
+// cell, each scored incrementally from n (Board.playScored), so no
+// position but the root is ever scanned over all 76 lines.
 func (e *Engine) Expand(n *Node, src Source) {
-	if w := n.Board.Winner(); w != 0 || n.Depth == 0 {
-		var v int64
+	if n.parent == nil {
+		n.eval, n.winner = int32(n.Board.Eval()), n.Board.Winner()
+	}
+	if w := n.winner; w != 0 || n.Depth == 0 {
+		v := n.eval
 		if w != 0 {
-			v = int64(w) * WinScore
-		} else {
-			v = int64(n.Board.Eval())
+			v = int32(w) * WinScore
 		}
 		e.evaluated.Add(1)
 		e.resolve(n, v)
@@ -123,20 +138,22 @@ func (e *Engine) Expand(n *Node, src Source) {
 	moves := n.Board.Moves(make([]int, 0, Cells))
 	if len(moves) == 0 {
 		e.evaluated.Add(1)
-		e.resolve(n, int64(n.Board.Eval()))
+		e.resolve(n, n.eval)
 		return
 	}
 	e.expanded.Add(1)
 	n.pending.Store(int32(len(moves)))
 	for _, m := range moves {
-		child := newNode(n.Board.Play(m, n.ToMove), n.ToMove.Opponent(), n.Depth-1, n)
+		b, eval, w := n.Board.playScored(m, n.ToMove, int(n.eval))
+		child := newNode(b, n.ToMove.Opponent(), n.Depth-1, n)
+		child.eval, child.winner = int32(eval), w
 		src.Put(child)
 	}
 }
 
 // resolve reports node n's final value v, propagating completion up the
 // tree; resolving the root finishes the computation.
-func (e *Engine) resolve(n *Node, v int64) {
+func (e *Engine) resolve(n *Node, v int32) {
 	for {
 		if n.parent == nil {
 			e.rootValue.Store(v)

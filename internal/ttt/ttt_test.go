@@ -2,6 +2,7 @@ package ttt
 
 import (
 	"math/bits"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,39 @@ func TestEvalSymmetric(t *testing.T) {
 	}
 }
 
+// TestPlayScoredMatchesFullScan checks the incremental scoring against
+// Eval and Winner on every two-stone board, and on every line completed
+// at each of its cells.
+func TestPlayScoredMatchesFullScan(t *testing.T) {
+	check := func(b Board, c int, p Player, eval int) (Board, int) {
+		t.Helper()
+		next, nextEval, w := b.playScored(c, p, eval)
+		if nextEval != next.Eval() || w != next.Winner() {
+			t.Fatalf("%v at %d: incremental (%d, %v), full (%d, %v)", p, c, nextEval, w, next.Eval(), next.Winner())
+		}
+		return next, nextEval
+	}
+	for c1 := 0; c1 < Cells; c1++ {
+		b1, e1 := check(Board{}, c1, X, 0)
+		for c2 := 0; c2 < Cells; c2++ {
+			if c2 != c1 {
+				check(b1, c2, O, e1)
+			}
+		}
+	}
+	for _, line := range LineMasks() {
+		for last := 0; last < Cells; last++ {
+			if line&(1<<uint(last)) == 0 {
+				continue
+			}
+			b := Board{XBits: line &^ (1 << uint(last))}
+			if b, _ = check(b, last, X, b.Eval()); b.Winner() != X {
+				t.Fatalf("line %#x completed at %d: no winner", line, last)
+			}
+		}
+	}
+}
+
 func TestEvalEmptyZero(t *testing.T) {
 	var b Board
 	if b.Eval() != 0 {
@@ -251,18 +285,93 @@ func TestEngineSequentialMatchesMinimax(t *testing.T) {
 	}
 }
 
-func TestEngineFromMidgamePosition(t *testing.T) {
+// midgameBoard returns a seeded random position with the given number of
+// stones, X holding the extra one on odd counts, and no winner. With
+// threats, X first takes three cells of one line and O three of a
+// disjoint one, and no later stone lands on either line, so each side
+// has a win in one.
+func midgameBoard(seed int64, stones int, threats bool) Board {
+	rng := rand.New(rand.NewSource(seed))
 	var b Board
-	b = b.Play(5, X)
-	b = b.Play(40, O)
-	b = b.Play(22, X)
-	src := &sliceSource{}
-	e := NewEngine(b, O, 2, src)
-	for e.Step(src) {
+	var reserved uint64
+	if threats {
+		lines := LineMasks()
+		lx := lines[rng.Intn(len(lines))]
+		lo := lx
+		for lo&lx != 0 {
+			lo = lines[rng.Intn(len(lines))]
+		}
+		reserved = lx | lo
+		for _, threat := range []struct {
+			line uint64
+			p    Player
+		}{{lx, X}, {lo, O}} {
+			skip := rng.Intn(Size)
+			for c, j := 0, 0; c < Cells; c++ {
+				if threat.line&(1<<uint(c)) == 0 {
+					continue
+				}
+				if j != skip {
+					b = b.Play(c, threat.p)
+				}
+				j++
+			}
+		}
 	}
-	want, _ := Minimax(b, O, 2)
-	if e.RootValue() != want {
-		t.Fatalf("engine %d, minimax %d", e.RootValue(), want)
+	for b.MoveCount() < stones {
+		p := O
+		if bits.OnesCount64(b.XBits) < (stones+1)/2 {
+			p = X
+		}
+		c := rng.Intn(Cells)
+		if (b.Occupied()|reserved)&(1<<uint(c)) != 0 {
+			continue
+		}
+		if next := b.Play(c, p); next.Winner() == 0 {
+			b = next
+		}
+	}
+	return b
+}
+
+// midgameCases are the engine-equivalence positions: seeded random
+// midgames, four of them with a win in one open for each side, so the search
+// reaches children whose win the engine detects incrementally.
+var midgameCases = []struct {
+	seed    int64
+	stones  int
+	threats bool
+}{
+	{1, 8, false},
+	{2, 8, true},
+	{3, 14, true},
+	{4, 20, false},
+	{5, 24, true},
+	{6, 30, true},
+}
+
+func TestEngineFromMidgamePosition(t *testing.T) {
+	for _, tc := range midgameCases {
+		b := midgameBoard(tc.seed, tc.stones, tc.threats)
+		if b.MoveCount() != tc.stones || b.Winner() != 0 {
+			t.Fatalf("seed %d: %d stones, winner %v", tc.seed, b.MoveCount(), b.Winner())
+		}
+		for _, toMove := range []Player{X, O} {
+			for depth := 1; depth <= 3; depth++ {
+				src := &sliceSource{}
+				e := NewEngine(b, toMove, depth, src)
+				for e.Step(src) {
+				}
+				want, leaves := Minimax(b, toMove, depth)
+				if e.RootValue() != want || e.Evaluated() != leaves {
+					t.Errorf("seed %d, %v to move, depth %d: engine (%d, %d leaves), minimax (%d, %d leaves)",
+						tc.seed, toMove, depth, e.RootValue(), e.Evaluated(), want, leaves)
+				}
+				if tc.threats && depth == 1 && want != int(toMove)*WinScore {
+					t.Errorf("seed %d: %v to move has no win in one (value %d)", tc.seed, toMove, want)
+				}
+			}
+		}
 	}
 }
 
@@ -297,37 +406,47 @@ func (p poolSource) Put(n *Node)        { p.h.Put(n) }
 func (p poolSource) Get() (*Node, bool) { return p.h.Get() }
 
 func TestEngineParallelWithConcurrentPool(t *testing.T) {
+	threats := midgameCases[2]
+	positions := []struct {
+		b      Board
+		toMove Player
+		depth  int
+	}{
+		{Board{}, X, 2},
+		{midgameBoard(threats.seed, threats.stones, threats.threats), O, 3},
+	}
 	for _, kind := range search.Kinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			var b Board
-			pool, err := core.New[*Node](core.Options{Segments: 4, Search: kind, Seed: 11})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 4; i++ {
-				pool.Handle(i).Register()
-			}
-			e := NewEngine(b, X, 2, poolSource{pool.Handle(0)})
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					src := poolSource{pool.Handle(id)}
-					for !e.Done() {
-						e.Step(src)
-					}
-					pool.Handle(id).Close()
-				}(w)
-			}
-			wg.Wait()
-			want, leaves := Minimax(b, X, 2)
-			if e.RootValue() != want {
-				t.Fatalf("parallel pool value %d, want %d", e.RootValue(), want)
-			}
-			if e.Evaluated() != leaves {
-				t.Fatalf("evaluated %d, want %d", e.Evaluated(), leaves)
+			for _, pos := range positions {
+				pool, err := core.New[*Node](core.Options{Segments: 4, Search: kind, Seed: 11})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 4; i++ {
+					pool.Handle(i).Register()
+				}
+				e := NewEngine(pos.b, pos.toMove, pos.depth, poolSource{pool.Handle(0)})
+				var wg sync.WaitGroup
+				for w := 0; w < 4; w++ {
+					wg.Add(1)
+					go func(id int) {
+						defer wg.Done()
+						src := poolSource{pool.Handle(id)}
+						for !e.Done() {
+							e.Step(src)
+						}
+						pool.Handle(id).Close()
+					}(w)
+				}
+				wg.Wait()
+				want, leaves := Minimax(pos.b, pos.toMove, pos.depth)
+				if e.RootValue() != want {
+					t.Fatalf("%d stones: parallel pool value %d, want %d", pos.b.MoveCount(), e.RootValue(), want)
+				}
+				if e.Evaluated() != leaves {
+					t.Fatalf("%d stones: evaluated %d, want %d", pos.b.MoveCount(), e.Evaluated(), leaves)
+				}
 			}
 		})
 	}
@@ -373,6 +492,21 @@ func BenchmarkEval(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		board.Eval()
 	}
+}
+
+// BenchmarkEngineDepth3 runs the paper's three-move search from the
+// empty board on the sequential engine: the application's own cost per
+// leaf, with no pool in the way.
+func BenchmarkEngineDepth3(b *testing.B) {
+	var leaves int64
+	for i := 0; i < b.N; i++ {
+		src := &sliceSource{}
+		e := NewEngine(Board{}, X, 3, src)
+		for e.Step(src) {
+		}
+		leaves += e.Evaluated()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leaves), "ns/leaf")
 }
 
 func BenchmarkMinimaxDepth2(b *testing.B) {
