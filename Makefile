@@ -13,6 +13,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags docsexamples ./internal/docexamples
 
 # Static analysis beyond vet: a gofmt gate over every .go file (bench/
 # included), staticcheck, plus fieldalignment in advisory mode (the hot

@@ -247,7 +247,7 @@ func BenchmarkGetHotPathHist(b *testing.B) {
 func BenchmarkPoolLocalPutGet(b *testing.B) {
 	for _, kind := range search.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			p, err := pools.New[int](pools.Options{Segments: 4, Search: kind})
+			p, err := pools.New[int](pools.Options{Segments: 4, Policies: pools.PolicySet{Order: kind}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -363,7 +363,7 @@ func BenchmarkBurstSim(b *testing.B) {
 func BenchmarkPoolSteal(b *testing.B) {
 	for _, kind := range search.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			p, err := pools.New[int](pools.Options{Segments: 16, Search: kind, Seed: 1})
+			p, err := pools.New[int](pools.Options{Segments: 16, Policies: pools.PolicySet{Order: kind}, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -390,7 +390,7 @@ func BenchmarkPoolContended(b *testing.B) {
 	for _, kind := range search.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
 			workers := runtime.GOMAXPROCS(0)
-			p, err := pools.New[int](pools.Options{Segments: workers, Search: kind, Seed: 3})
+			p, err := pools.New[int](pools.Options{Segments: workers, Policies: pools.PolicySet{Order: kind}, Seed: 3})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -430,7 +430,7 @@ func BenchmarkTreeRounds(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			p, err := pools.New[int](pools.Options{
-				Segments: 16, Search: pools.SearchTree, TreeLocking: locked,
+				Segments: 16, Policies: pools.PolicySet{Order: pools.SearchTree}, TreeLocking: locked,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -457,7 +457,7 @@ func BenchmarkDirectedAdds(b *testing.B) {
 	}{{"off", pools.LocalPlacement{}}, {"on", pools.GiftAllPlacement{}}} {
 		b.Run(c.name, func(b *testing.B) {
 			p, err := pools.New[int](pools.Options{
-				Segments: 4, Search: pools.SearchLinear, Policies: pools.PolicySet{Place: c.place},
+				Segments: 4, Policies: pools.PolicySet{Place: c.place},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -505,7 +505,7 @@ func BenchmarkRealProtocol(b *testing.B) {
 			wl.InitialElements = 128
 			for i := 0; i < b.N; i++ {
 				if _, err := harness.RealRun(harness.RealRunConfig{
-					Workload: wl, Search: kind, Seed: uint64(i),
+					Workload: wl, Policies: pools.PolicySet{Order: kind}, Seed: uint64(i),
 				}); err != nil {
 					b.Fatal(err)
 				}

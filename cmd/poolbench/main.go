@@ -35,6 +35,7 @@ import (
 	"pools/internal/harness"
 	"pools/internal/introspect"
 	"pools/internal/numa"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/trace"
 	"pools/internal/workload"
@@ -140,7 +141,7 @@ func liveServe(cfg harness.Config, addr string, keep time.Duration, out io.Write
 			TotalOps:        cfg.Ops,
 			InitialElements: fill,
 		},
-		Search:   search.Tree,
+		Policies: policy.Set{Order: search.Tree},
 		Seed:     cfg.Seed,
 		Topology: numa.Clusters{Size: harness.LocalityClusterSize},
 		TraceBuf: harness.EventTraceBuf,

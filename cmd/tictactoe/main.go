@@ -20,6 +20,7 @@ import (
 	"pools/internal/baseline"
 	"pools/internal/core"
 	"pools/internal/harness"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/ttt"
 )
@@ -108,7 +109,7 @@ func runReal(impl string, workers, depth int, seed uint64, board ttt.Board) erro
 		kind := map[string]search.Kind{
 			"pool-linear": search.Linear, "pool-random": search.Random, "pool-tree": search.Tree,
 		}[impl]
-		pool, err := core.New[*ttt.Node](core.Options{Segments: workers, Search: kind, Seed: seed})
+		pool, err := core.New[*ttt.Node](core.Options{Segments: workers, Policies: policy.Set{Order: kind}, Seed: seed})
 		if err != nil {
 			return err
 		}

@@ -40,8 +40,9 @@ func main() {
 	const workers = 8
 	p, err := pools.New[state](pools.Options{
 		Segments: workers,
-		Search:   pools.SearchRandom, // DIB used random/linear stealing
-		Seed:     1987,               // the year DIB was published
+		// DIB used random/linear stealing.
+		Policies: pools.PolicySet{Order: pools.SearchRandom},
+		Seed:     1987, // the year DIB was published
 	})
 	if err != nil {
 		panic(err)

@@ -23,7 +23,7 @@ const (
 func throughput(kind pools.SearchKind, scale time.Duration) float64 {
 	p, err := pools.New[int](pools.Options{
 		Segments: workers,
-		Search:   kind,
+		Policies: pools.PolicySet{Order: kind},
 		Seed:     7,
 		Delay:    numa.Delayer{Model: numa.ButterflyCosts(), Scale: scale},
 	})

@@ -28,7 +28,7 @@ const (
 func runArrangement(name string, positions []int, batch int) {
 	p, err := pools.New[int](pools.Options{
 		Segments:     workers,
-		Search:       pools.SearchLinear,
+		Policies:     pools.PolicySet{Order: pools.SearchLinear},
 		CollectStats: true,
 	})
 	if err != nil {

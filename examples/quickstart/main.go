@@ -14,7 +14,7 @@ func main() {
 	const workers = 4
 	p, err := pools.New[int](pools.Options{
 		Segments: workers,
-		Search:   pools.SearchLinear,
+		Policies: pools.PolicySet{Order: pools.SearchLinear},
 	})
 	if err != nil {
 		panic(err)

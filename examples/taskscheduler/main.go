@@ -39,7 +39,7 @@ func main() {
 
 	p, err := pools.New[task](pools.Options{
 		Segments: workers,
-		Search:   pools.SearchTree, // fewest remote probes per steal
+		Policies: pools.PolicySet{Order: pools.SearchTree}, // fewest remote probes per steal
 		Seed:     2026,
 	})
 	if err != nil {

@@ -83,7 +83,7 @@ func TestPutAllHuge(t *testing.T) {
 func TestGetNAcrossSteal(t *testing.T) {
 	for _, kind := range search.Kinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			p := newBatchPool(t, Options{Segments: 8, Search: kind, Seed: 7, CollectStats: true})
+			p := newBatchPool(t, Options{Segments: 8, Policies: policy.Set{Order: kind}, Seed: 7, CollectStats: true})
 			producer := p.Handle(5)
 			consumer := p.Handle(0)
 			items := make([]int, 40)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
 )
@@ -32,7 +33,7 @@ func liveCount(p *Pool[int]) int {
 }
 
 func TestKillDrainRedistributes(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, Search: search.Linear, Seed: 3})
+	p := newTestPool(t, Options{Segments: 4, Seed: 3})
 	h0 := p.Handle(0)
 	for i := 0; i < 40; i++ {
 		h0.Put(i)
@@ -73,7 +74,7 @@ func TestKillDrainRedistributes(t *testing.T) {
 }
 
 func TestKillStealOnlyDrainsViaSteals(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, Search: search.Linear, Seed: 5})
+	p := newTestPool(t, Options{Segments: 4, Seed: 5})
 	h0 := p.Handle(0)
 	for i := 0; i < 30; i++ {
 		h0.Put(i)
@@ -99,7 +100,7 @@ func TestKillStealOnlyDrainsViaSteals(t *testing.T) {
 }
 
 func TestKillLastAliveRefused(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 2, Search: search.Linear})
+	p := newTestPool(t, Options{Segments: 2})
 	if !p.Kill(0, true) {
 		t.Fatal("first kill refused")
 	}
@@ -121,7 +122,7 @@ func TestKillLastAliveRefused(t *testing.T) {
 }
 
 func TestReviveRestoresOperation(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 3, Search: search.Tree, Seed: 8})
+	p := newTestPool(t, Options{Segments: 3, Policies: policy.Set{Order: search.Tree}, Seed: 8})
 	h1 := p.Handle(1)
 	h1.Put(7)
 	if !p.Kill(1, true) {
@@ -154,7 +155,7 @@ func TestReviveRestoresOperation(t *testing.T) {
 // membership looks like.
 func TestChurnInvariants1000(t *testing.T) {
 	const segments = 8
-	p := newTestPool(t, Options{Segments: segments, Search: search.Linear, Seed: 17})
+	p := newTestPool(t, Options{Segments: segments, Seed: 17})
 	r := rng.NewXoshiro256(20260808)
 	count := 0
 	transitions := 0
@@ -210,7 +211,7 @@ func TestCloseStealRace(t *testing.T) {
 		iters = 20
 	}
 	for it := 0; it < iters; it++ {
-		p := newTestPool(t, Options{Segments: 4, Search: search.Linear, Seed: uint64(it + 1)})
+		p := newTestPool(t, Options{Segments: 4, Seed: uint64(it + 1)})
 		h0 := p.Handle(0)
 		for i := 0; i < fill; i++ {
 			h0.Put(i)
@@ -250,7 +251,7 @@ func TestCloseStealRace(t *testing.T) {
 func TestChurnConcurrentConservation(t *testing.T) {
 	const procs = 4
 	const perProc = 3000
-	p := newTestPool(t, Options{Segments: procs, Search: search.Tree, Seed: 23})
+	p := newTestPool(t, Options{Segments: procs, Policies: policy.Set{Order: search.Tree}, Seed: 23})
 	for i := 0; i < procs; i++ {
 		p.Handle(i).Register()
 	}

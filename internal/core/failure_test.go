@@ -17,7 +17,7 @@ func TestCloseReleasesStuckSearchers(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			const consumers = 3
-			p := newTestPool(t, Options{Segments: consumers + 1, Search: kind, Seed: 4})
+			p := newTestPool(t, Options{Segments: consumers + 1, Policies: policy.Set{Order: kind}, Seed: 4})
 			for i := 0; i <= consumers; i++ {
 				p.Handle(i).Register() // a registered producer keeps searches alive
 			}
@@ -52,7 +52,7 @@ func TestCloseReleasesStuckSearchers(t *testing.T) {
 // participants' emptiness detection sound.
 func TestHandleCloseMidRunTermination(t *testing.T) {
 	const procs = 4
-	p := newTestPool(t, Options{Segments: procs, Search: search.Linear})
+	p := newTestPool(t, Options{Segments: procs})
 	for i := 0; i < procs; i++ {
 		p.Handle(i).Register()
 	}
@@ -108,8 +108,8 @@ func TestDelayerSlowsOperations(t *testing.T) {
 
 // Two pools must be fully independent (no shared global state).
 func TestPoolsAreIndependent(t *testing.T) {
-	a := newTestPool(t, Options{Segments: 2, Search: search.Tree})
-	b := newTestPool(t, Options{Segments: 2, Search: search.Tree})
+	a := newTestPool(t, Options{Segments: 2, Policies: policy.Set{Order: search.Tree}})
+	b := newTestPool(t, Options{Segments: 2, Policies: policy.Set{Order: search.Tree}})
 	a.Handle(0).Put(1)
 	if b.Len() != 0 {
 		t.Fatal("pools share state")
@@ -124,7 +124,7 @@ func TestPoolsAreIndependent(t *testing.T) {
 func TestStealOneConcurrentConservation(t *testing.T) {
 	const procs = 4
 	const perProc = 2000
-	p := newTestPool(t, Options{Segments: procs, Search: search.Random, Policies: policy.Set{Steal: policy.One{}}, Seed: 9})
+	p := newTestPool(t, Options{Segments: procs, Policies: policy.Set{Steal: policy.One{}, Order: search.Random}, Seed: 9})
 	for i := 0; i < procs; i++ {
 		p.Handle(i).Register()
 	}
@@ -159,7 +159,7 @@ func TestStealOneConcurrentConservation(t *testing.T) {
 // even under the locked variant.
 func TestPoolTreeRoundsMonotone(t *testing.T) {
 	for _, locked := range []bool{false, true} {
-		p := newTestPool(t, Options{Segments: 8, Search: search.Tree, TreeLocking: locked})
+		p := newTestPool(t, Options{Segments: 8, Policies: policy.Set{Order: search.Tree}, TreeLocking: locked})
 		producer := p.Handle(3)
 		consumer := p.Handle(6)
 		prev := make([]uint64, len(p.nodes))

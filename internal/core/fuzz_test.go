@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"pools/internal/search"
-)
+import "testing"
 
 // FuzzMembership interprets a byte script as interleaved pool operations
 // and membership transitions, and checks the chaos layer's three
@@ -31,7 +27,7 @@ func FuzzMembership(f *testing.F) {
 	f.Add([]byte{0x00, 0x86, 0x00, 0x41, 0xc2, 0x85, 0x41, 0x00, 0xc1, 0x41})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const segments = 4
-		p, err := New[int](Options{Segments: segments, Search: search.Linear, Seed: 11})
+		p, err := New[int](Options{Segments: segments, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,7 @@ func TestDirectedAddDeliversToSearcher(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			p := newTestPool(t, Options{
-				Segments: 4, Search: kind, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true,
+				Segments: 4, Policies: policy.Set{Place: policy.GiftAll{}, Order: kind}, CollectStats: true,
 			})
 			consumer := p.Handle(0)
 			producer := p.Handle(2)
@@ -97,7 +97,7 @@ func TestDirectedAddConservationUnderLoad(t *testing.T) {
 	const perProducer = 3000
 	const producers = 3
 	p := newTestPool(t, Options{
-		Segments: procs, Search: search.Linear, Policies: policy.Set{Place: policy.GiftAll{}}, Seed: 5,
+		Segments: procs, Policies: policy.Set{Place: policy.GiftAll{}}, Seed: 5,
 	})
 	for i := 0; i < procs; i++ {
 		p.Handle(i).Register()
@@ -153,7 +153,7 @@ func TestDirectedAddShortensSearches(t *testing.T) {
 			place = policy.GiftAll{}
 		}
 		p := newTestPool(t, Options{
-			Segments: 4, Search: search.Linear, Policies: policy.Set{Place: place}, CollectStats: true, Seed: 2,
+			Segments: 4, Policies: policy.Set{Place: place}, CollectStats: true, Seed: 2,
 		})
 		for i := 0; i < 4; i++ {
 			p.Handle(i).Register()

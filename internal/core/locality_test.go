@@ -6,7 +6,6 @@ import (
 
 	"pools/internal/numa"
 	"pools/internal/policy"
-	"pools/internal/search"
 )
 
 // TestPerHandleControllersIndependent drives two consumer handles with
@@ -18,7 +17,7 @@ func TestPerHandleControllersIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New[int](Options{Segments: 3, Policies: set, Search: search.Linear})
+	p, err := New[int](Options{Segments: 3, Policies: set})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pools/internal/engine"
+	"pools/internal/numa"
 	"pools/internal/policy"
 	"pools/internal/search"
 )
@@ -44,7 +45,7 @@ func TestAdaptiveControllerOnRealPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New[int](Options{Segments: 2, Policies: set, Search: search.Linear})
+	p, err := New[int](Options{Segments: 2, Policies: set})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +185,8 @@ func TestPolicyResolution(t *testing.T) {
 		if got := p.pol.Steal.Name(); got != c.steal {
 			t.Errorf("%s: steal = %q, want %q", c.name, got, c.steal)
 		}
-		if got := p.pol.Order; got != (policy.Order{Kind: search.Linear}) {
-			t.Errorf("%s: order = %#v, want policy.Order{Kind: search.Linear}", c.name, got)
+		if got := p.pol.Order; got != search.Linear {
+			t.Errorf("%s: order = %#v, want search.Linear", c.name, got)
 		}
 		if got := p.pol.Place.Name(); got != c.place {
 			t.Errorf("%s: place = %q, want %q", c.name, got, c.place)
@@ -195,6 +196,53 @@ func TestPolicyResolution(t *testing.T) {
 		}
 		if !c.boxes && p.boxes != nil {
 			t.Errorf("%s: mailboxes allocated under a non-gifting placement", c.name)
+		}
+	}
+}
+
+// TestTreeNodesFollowOrder checks the tree's round counters are allocated
+// exactly when the resolved victim order runs Manber's tree, bare or
+// reached through a wrapper, and that a steal under each order completes
+// (a tree search over unallocated counters would index out of range).
+func TestTreeNodesFollowOrder(t *testing.T) {
+	flat := numa.ButterflyCosts() // victim-uniform: LocalityOrder falls back
+	cases := []struct {
+		name  string
+		order policy.VictimOrder
+		kind  search.Kind // the searcher every handle runs
+	}{
+		{"nil", nil, search.Linear},
+		{"linear", search.Linear, search.Linear},
+		{"random", search.Random, search.Random},
+		{"tree", search.Tree, search.Tree},
+		{"locality-linear", policy.LocalityOrder{Model: flat}, search.Linear},
+		{"locality-tree", policy.LocalityOrder{Model: flat, Fallback: search.Tree}, search.Tree},
+		{"hier-random", policy.HierarchicalOrder{Inner: search.Random}, search.Random},
+		{"hier-tree", policy.HierarchicalOrder{Inner: search.Tree}, search.Tree},
+	}
+	for _, c := range cases {
+		const segs = 4
+		p := newTestPool(t, Options{Segments: segs, Policies: policy.Set{Order: c.order}, CollectStats: true})
+		wantNodes := 0
+		if c.kind == search.Tree {
+			wantNodes = search.NumTreeNodes(segs)
+		}
+		if len(p.nodes) != wantNodes {
+			t.Errorf("%s: %d tree nodes, want %d", c.name, len(p.nodes), wantNodes)
+		}
+		if k := p.handles[0].eng.Searcher().Kind(); k != c.kind {
+			t.Errorf("%s: searcher kind = %v, want %v", c.name, k, c.kind)
+		}
+		producer := p.Handle(3)
+		for i := 0; i < 6; i++ {
+			producer.Put(i)
+		}
+		consumer := p.Handle(0)
+		if _, ok := consumer.Get(); !ok {
+			t.Fatalf("%s: Get failed with elements present", c.name)
+		}
+		if st := consumer.Stats(); st.Steals != 1 {
+			t.Errorf("%s: Steals = %d, want 1", c.name, st.Steals)
 		}
 	}
 }

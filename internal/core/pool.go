@@ -21,7 +21,7 @@
 // (goroutine) claims the Handle for one segment and performs all its
 // operations through it:
 //
-//	p, _ := core.New[Task](core.Options{Segments: 8, Search: search.Linear})
+//	p, _ := core.New[Task](core.Options{Segments: 8, Policies: policy.Set{Order: search.Tree}})
 //	h := p.Handle(3)       // this goroutine owns segment 3
 //	h.Put(t)               // local add
 //	t, ok := h.Get()       // local remove, stealing remotely if empty
@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,17 +57,15 @@ type Options struct {
 	// Segments is the number of segments (and the maximum number of
 	// participating processes). Required, >= 1.
 	Segments int
-	// Search selects the steal-search algorithm. Default: search.Linear.
-	Search search.Kind
 	// Seed drives the random search algorithm's per-process streams.
 	Seed uint64
 	// Policies selects the pool's tunable decisions: steal amount, victim
 	// order, placement of adds, and optional online control. Nil slots
-	// take paper defaults: steal-half, the Search algorithm's order, and
-	// local placement. Policies.Steal = policy.One{} is the steal-one
-	// ablation; a gifting Policies.Place (policy.GiftAll{} is the paper's
-	// Section 5 directed adds) allocates the per-segment mailboxes. See
-	// internal/policy.
+	// take paper defaults: steal-half, linear search, and local placement.
+	// Policies.Order takes any search.Kind; Policies.Steal = policy.One{}
+	// is the steal-one ablation; a gifting Policies.Place (policy.GiftAll{}
+	// is the paper's Section 5 directed adds) allocates the per-segment
+	// mailboxes. See internal/policy.
 	Policies policy.Set
 	// Delay, when non-zero, injects wall-clock busy-waits per access to
 	// emulate a NUMA or loosely-coupled machine (Section 4.3's delays).
@@ -148,14 +147,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 	if opts.Segments < 1 {
 		return nil, fmt.Errorf("%w: Segments = %d, need >= 1", ErrBadOptions, opts.Segments)
 	}
-	if opts.Search == 0 {
-		opts.Search = search.Linear
-	}
-	switch opts.Search {
-	case search.Linear, search.Random, search.Tree:
-	default:
-		return nil, fmt.Errorf("%w: unknown search kind %d", ErrBadOptions, int(opts.Search))
-	}
 	if opts.SegmentCap < 0 {
 		return nil, fmt.Errorf("%w: SegmentCap = %d", ErrBadOptions, opts.SegmentCap)
 	}
@@ -163,7 +154,12 @@ func New[T any](opts Options) (*Pool[T], error) {
 		return nil, fmt.Errorf("%w: TraceBuf = %d", ErrBadOptions, opts.TraceBuf)
 	}
 	// Resolve the policy set: nil slots take paper defaults.
-	pol := opts.Policies.WithDefaults(opts.Search)
+	pol := opts.Policies.WithDefaults()
+	// Only the paper's three algorithms are orders; custom orders report 0.
+	kind := policy.KindOf(pol.Order)
+	if pol.Order == search.Kind(0) || kind != 0 && !slices.Contains(search.Kinds(), kind) {
+		return nil, fmt.Errorf("%w: unknown search kind %d in order %s", ErrBadOptions, int(kind), pol.Order.Name())
+	}
 	// Mailboxes exist only under a placement that can actually gift:
 	// an explicit policy.Local (the no-op placement) gets the same
 	// zero-overhead pool as the zero-value configuration.
@@ -187,7 +183,7 @@ func New[T any](opts Options) (*Pool[T], error) {
 		members: engine.NewMembership(opts.Segments),
 		base:    time.Now(),
 	}
-	if opts.Search == search.Tree || policy.KindOf(pol.Order) == search.Tree {
+	if kind == search.Tree {
 		p.nodes = make([]treeNode, 2*p.leaves)
 	}
 	if directed {

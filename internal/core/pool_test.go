@@ -30,8 +30,14 @@ func TestNewValidation(t *testing.T) {
 	cases := []Options{
 		{Segments: 0},
 		{Segments: -1},
-		{Segments: 4, Search: search.Kind(9)},
 		{Segments: 4, SegmentCap: -1},
+		// Malformed victim orders: no paper algorithm behind the kind.
+		{Segments: 4, Policies: policy.Set{Order: search.Kind(9)}},
+		{Segments: 4, Policies: policy.Set{Order: search.Kind(0)}},
+		{Segments: 4, Policies: policy.Set{Order: search.Ordered}},
+		{Segments: 4, Policies: policy.Set{Order: search.Hierarchical}},
+		{Segments: 4, Policies: policy.Set{Order: policy.LocalityOrder{Fallback: 9}}},
+		{Segments: 4, Policies: policy.Set{Order: policy.HierarchicalOrder{Inner: search.Kind(9)}}},
 	}
 	for i, o := range cases {
 		if _, err := New[int](o); !errors.Is(err, ErrBadOptions) {
@@ -49,7 +55,7 @@ func TestDefaultSearchIsLinear(t *testing.T) {
 
 func TestPutGetLocal(t *testing.T) {
 	for _, kind := range search.Kinds() {
-		p := newTestPool(t, Options{Segments: 4, Search: kind})
+		p := newTestPool(t, Options{Segments: 4, Policies: policy.Set{Order: kind}})
 		h := p.Handle(0)
 		h.Put(42)
 		h.Put(43)
@@ -69,7 +75,7 @@ func TestPutGetLocal(t *testing.T) {
 
 func TestGetStealsFromRemoteSegment(t *testing.T) {
 	for _, kind := range search.Kinds() {
-		p := newTestPool(t, Options{Segments: 8, Search: kind, CollectStats: true})
+		p := newTestPool(t, Options{Segments: 8, Policies: policy.Set{Order: kind}, CollectStats: true})
 		producer := p.Handle(5)
 		for i := 0; i < 10; i++ {
 			producer.Put(i)
@@ -282,7 +288,7 @@ func TestConcurrentConservation(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			const procs = 8
 			const perProc = 2000
-			p := newTestPool(t, Options{Segments: procs, Search: kind, Seed: 7})
+			p := newTestPool(t, Options{Segments: procs, Policies: policy.Set{Order: kind}, Seed: 7})
 			for i := 0; i < procs; i++ {
 				p.Handle(i).Register()
 			}
@@ -340,7 +346,7 @@ func TestProducerConsumerDelivery(t *testing.T) {
 			const procs = 8
 			const producers = 3
 			const perProducer = 3000
-			p := newTestPool(t, Options{Segments: procs, Search: kind, Seed: 3})
+			p := newTestPool(t, Options{Segments: procs, Policies: policy.Set{Order: kind}, Seed: 3})
 			for i := 0; i < procs; i++ {
 				p.Handle(i).Register()
 			}
@@ -384,7 +390,7 @@ func TestProducerConsumerDelivery(t *testing.T) {
 }
 
 func TestTreeLockingVariant(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 8, Search: search.Tree, TreeLocking: true})
+	p := newTestPool(t, Options{Segments: 8, Policies: policy.Set{Order: search.Tree}, TreeLocking: true})
 	producer := p.Handle(7)
 	for i := 0; i < 20; i++ {
 		producer.Put(i)
@@ -405,7 +411,7 @@ func TestSequentialConservationProperty(t *testing.T) {
 	f := func(ops []uint8, segsRaw uint8, kindRaw uint8) bool {
 		segs := int(segsRaw)%8 + 1
 		kind := search.Kinds()[int(kindRaw)%3]
-		p, err := New[int](Options{Segments: segs, Search: kind, Seed: 1})
+		p, err := New[int](Options{Segments: segs, Policies: policy.Set{Order: kind}, Seed: 1})
 		if err != nil {
 			return false
 		}
@@ -448,7 +454,7 @@ func TestStatsAggregation(t *testing.T) {
 func TestGetUsesLastFoundLocality(t *testing.T) {
 	// After stealing from segment k, the linear algorithm's next search
 	// starts at k: the consumer should keep draining the same producer.
-	p := newTestPool(t, Options{Segments: 16, Search: search.Linear, CollectStats: true})
+	p := newTestPool(t, Options{Segments: 16, CollectStats: true})
 	producer := p.Handle(9)
 	for i := 0; i < 64; i++ {
 		producer.Put(i)
@@ -477,7 +483,7 @@ func TestGetUsesLastFoundLocality(t *testing.T) {
 // fire there; the staleness rule must).
 func TestSequentialMultiHandleGetAborts(t *testing.T) {
 	for _, kind := range search.Kinds() {
-		p := newTestPool(t, Options{Segments: 4, Search: kind, Seed: 2})
+		p := newTestPool(t, Options{Segments: 4, Policies: policy.Set{Order: kind}, Seed: 2})
 		for i := 0; i < 4; i++ {
 			p.Handle(i).Register()
 		}
@@ -500,7 +506,7 @@ func TestSequentialMultiHandleGetAborts(t *testing.T) {
 // A mutation during a stale search re-arms it: the searcher must find the
 // late-arriving element rather than abort.
 func TestStaleSearchRearmsOnMutation(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, Search: search.Linear})
+	p := newTestPool(t, Options{Segments: 4})
 	consumer := p.Handle(0)
 	producer := p.Handle(2)
 	consumer.Register()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pools/internal/metrics"
-	"pools/internal/search"
 )
 
 // TestSampledStatsExactCounts runs a scripted single-goroutine mix on a
@@ -23,7 +22,7 @@ func TestSampledStatsExactCounts(t *testing.T) {
 		steals       = 512  // A.Put; B.Get (B's segment is empty: it steals A's one element)
 		batchSteals  = 64   // A.PutAll(4); B.GetN(4) steals 2; A.GetN(4) takes the other 2
 	)
-	p := newTestPool(t, Options{Segments: 2, Search: search.Linear, CollectStats: true})
+	p := newTestPool(t, Options{Segments: 2, CollectStats: true})
 	a, b := p.Handle(0), p.Handle(1)
 	a.Register()
 	b.Register()

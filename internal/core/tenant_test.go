@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pools/internal/policy"
-	"pools/internal/search"
 )
 
 // TestTenantStealClassification checks the end-to-end interference
@@ -16,7 +15,6 @@ func TestTenantStealClassification(t *testing.T) {
 	tm := policy.EvenTenants(4, 2) // tenant 0: segments 0,1; tenant 1: 2,3
 	p, err := New[int](Options{
 		Segments:     4,
-		Search:       search.Linear,
 		CollectStats: true,
 		Policies:     policy.Set{Place: policy.TenantFair{Map: tm, Probes: 1}},
 	})
@@ -82,7 +80,6 @@ func TestTenantFairPlacementConfinesAdds(t *testing.T) {
 	tm := policy.EvenTenants(4, 2)
 	p, err := New[int](Options{
 		Segments: 4,
-		Search:   search.Linear,
 		Policies: policy.Set{Place: policy.TenantFair{Map: tm, Probes: -1}},
 	})
 	if err != nil {

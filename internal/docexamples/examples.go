@@ -9,7 +9,7 @@ type Task struct{}
 
 // readmeQuickstart mirrors the README "Quickstart" fence.
 func readmeQuickstart(workerID int, task Task, tasks []Task) {
-	p, _ := pools.New[Task](pools.Options{Segments: 8, Search: pools.SearchTree})
+	p, _ := pools.New[Task](pools.Options{Segments: 8, Policies: pools.PolicySet{Order: pools.SearchTree}})
 	h := p.Handle(workerID) // each worker goroutine owns one segment
 	h.Put(task)             // O(1), local
 	task, ok := h.Get()     // local pop, or steal from a remote segment
@@ -57,7 +57,7 @@ func readmeQuickstart(workerID int, task Task, tasks []Task) {
 // packageDocExamples mirrors the pools package documentation fences
 // (quickstart, batch operations, policies, locality-aware policies).
 func packageDocExamples(workerID int, task Task, tasks []Task) {
-	p, err := pools.New[Task](pools.Options{Segments: 8, Search: pools.SearchLinear})
+	p, err := pools.New[Task](pools.Options{Segments: 8, Policies: pools.PolicySet{Order: pools.SearchTree}})
 	if err != nil {
 		return
 	}

@@ -39,27 +39,27 @@ func statsFingerprint(s metrics.PoolStats) string {
 		s.BatchAdds, s.BatchRemoves)
 }
 
-func corePolicies(name string) (policy.Set, search.Kind) {
+func corePolicies(name string) policy.Set {
 	topo := numa.Clusters{Size: 2}
 	switch name {
 	case "default":
-		return policy.Set{}, search.Linear
+		return policy.Set{}
 	case "tree":
-		return policy.Set{}, search.Tree
+		return policy.Set{Order: search.Tree}
 	case "random":
-		return policy.Set{}, search.Random
+		return policy.Set{Order: search.Random}
 	case "hier-emptiest":
 		return policy.Set{
 			Order: policy.HierarchicalOrder{Topo: topo},
 			Place: policy.GiftToEmptiest{},
-		}, search.Linear
+		}
 	case "per-handle-locality":
 		p := policy.NewPerHandle()
 		return policy.Set{
 			Steal:   p,
 			Control: p,
 			Order:   policy.LocalityOrder{Model: numa.ButterflyCosts().WithTopology(topo)},
-		}, search.Linear
+		}
 	}
 	panic(name)
 }
@@ -68,12 +68,10 @@ func corePolicies(name string) (policy.Set, search.Kind) {
 // goroutine: a seeded op mix over all handles, counting results and final
 // stats.
 func coreFingerprint(name string, seed uint64) string {
-	pol, kind := corePolicies(name)
 	p, err := core.New[int](core.Options{
 		Segments:     8,
-		Search:       kind,
 		Seed:         seed,
-		Policies:     pol,
+		Policies:     corePolicies(name),
 		Topology:     numa.Clusters{Size: 2},
 		CollectStats: true,
 	})
@@ -118,13 +116,13 @@ func simFingerprint(name string, seed uint64) string {
 		Procs: 16, TotalOps: 4000, InitialElements: 320,
 		Model: workload.RandomOps, AddFraction: 0.3,
 	}
-	cfg := sim.RunConfig{Workload: w, Search: search.Linear, Costs: costs, Seed: seed}
+	cfg := sim.RunConfig{Workload: w, Costs: costs, Seed: seed}
 	switch name {
 	case "default":
 	case "tree":
-		cfg.Search = search.Tree
+		cfg.Policies = policy.Set{Order: search.Tree}
 	case "random":
-		cfg.Search = search.Random
+		cfg.Policies = policy.Set{Order: search.Random}
 	case "hier":
 		cfg.Policies = policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}
 	case "hier-adaptive":

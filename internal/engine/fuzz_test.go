@@ -41,18 +41,18 @@ func FuzzEngineSearch(f *testing.F) {
 		var pol policy.Set
 		switch mode % 3 {
 		case 0:
-			pol = policy.Set{Order: policy.Order{Kind: search.Linear}}
+			pol = policy.Set{Order: search.Linear}
 		case 1:
-			pol = policy.Set{Order: policy.Order{Kind: search.Random}}
+			pol = policy.Set{Order: search.Random}
 		case 2:
 			ph := policy.NewPerHandle()
-			pol = policy.Set{Steal: ph, Control: ph, Order: policy.Order{Kind: search.Linear}}
+			pol = policy.Set{Steal: ph, Control: ph, Order: search.Linear}
 		}
 		budget := n * (int(mode/3)%3 + 1)
 		e := New(Config{
 			Self:     self,
 			Segments: n,
-			Policies: pol.WithDefaults(search.Linear),
+			Policies: pol.WithDefaults(),
 			Seed:     uint64(len(data)),
 		}, sub, NewBounded(budget))
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -137,10 +138,10 @@ func runApp(c Config, ac AppCosts, impl AppImpl, board ttt.Board, depth, procs i
 		}
 	default:
 		pool := sim.NewPool[*ttt.Node](sim.PoolConfig{
-			Procs:  procs,
-			Search: impl.searchKind(),
-			Costs:  c.Costs,
-			Seed:   rng.SubSeed(c.Seed, procs),
+			Procs:    procs,
+			Costs:    c.Costs,
+			Seed:     rng.SubSeed(c.Seed, procs),
+			Policies: policy.Set{Order: impl.searchKind()},
 		})
 		eng = ttt.NewEngine(board, ttt.X, depth, preSeed{pool: pool})
 		for id := 0; id < procs; id++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pools/internal/plot"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/sim"
 	"pools/internal/workload"
@@ -43,7 +44,7 @@ func BurstSweep(cfg Config, kind search.Kind, producers int, batches []int) []Bu
 			w.Arrangement = workload.Balanced
 			w.BatchSize = bs
 			return sim.Run(sim.RunConfig{
-				Workload: w, Search: kind, Costs: c.Costs, Seed: seed,
+				Workload: w, Policies: policy.Set{Order: kind}, Costs: c.Costs, Seed: seed,
 			})
 		})
 		out = append(out, BurstRow{Batch: bs, Point: pt})

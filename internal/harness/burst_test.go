@@ -62,7 +62,7 @@ func TestRealRunBurst(t *testing.T) {
 		TotalOps:        400,
 		InitialElements: 32,
 	}
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 9})
+	res, err := RealRun(RealRunConfig{Workload: wl, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

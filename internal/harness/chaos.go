@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pools/internal/plot"
+	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -88,7 +89,7 @@ func ChaosSweep(cfg Config, kind search.Kind, schedules []ChaosSchedule) []Chaos
 		w := c.workloadFor(workload.RandomOps)
 		w.AddFraction = 0.5
 		return sim.Run(sim.RunConfig{
-			Workload: w, Search: kind, Costs: c.Costs, Seed: seed, Churn: churn,
+			Workload: w, Policies: policy.Set{Order: kind}, Costs: c.Costs, Seed: seed, Churn: churn,
 		})
 	}
 	var out []ChaosRow

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -69,9 +70,9 @@ func TestRealRunChurn(t *testing.T) {
 			TotalOps:        totalOps,
 			InitialElements: 64,
 		},
-		Search: search.Tree,
-		Seed:   42,
-		Churn:  churn,
+		Policies: policy.Set{Order: search.Tree},
+		Seed:     42,
+		Churn:    churn,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +113,9 @@ func TestRealRunChurnStealOnly(t *testing.T) {
 			TotalOps:        6000,
 			InitialElements: 64,
 		},
-		Search: search.Tree,
-		Seed:   43,
-		Churn:  workload.Churn{KillEvery: 300, ReviveAfter: 200, MaxKills: 8},
+		Policies: policy.Set{Order: search.Tree},
+		Seed:     43,
+		Churn:    workload.Churn{KillEvery: 300, ReviveAfter: 200, MaxKills: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

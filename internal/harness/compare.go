@@ -231,7 +231,7 @@ func DynamicRoles(cfg Config) []DynamicRolesRow {
 					w.Arrangement = workload.Contiguous
 					w.RoleFlipEvery = flip
 					return sim.Run(sim.RunConfig{
-						Workload: w, Search: kind, Costs: c.Costs, Seed: seed,
+						Workload: w, Policies: policy.Set{Order: kind}, Costs: c.Costs, Seed: seed,
 					})
 				}),
 			})

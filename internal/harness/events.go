@@ -65,10 +65,11 @@ func EventTraceRun(cfg Config, kind search.Kind, producers, batch int) EventTrac
 	w.Producers = producers
 	w.Arrangement = workload.Contiguous
 	w.BatchSize = batch
+	set.Order = kind
 	res := sim.Run(sim.RunConfig{
-		Workload: w, Search: kind,
-		Costs: c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize}),
-		Seed:  rng.SubSeed(c.Seed, 0), Policies: set,
+		Workload: w,
+		Costs:    c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize}),
+		Seed:     rng.SubSeed(c.Seed, 0), Policies: set,
 		EventBuf: EventTraceBuf,
 	})
 

@@ -6,6 +6,7 @@ import (
 
 	"pools/internal/metrics"
 	"pools/internal/plot"
+	"pools/internal/policy"
 	"pools/internal/rng"
 	"pools/internal/search"
 	"pools/internal/sim"
@@ -113,7 +114,7 @@ func FigTrace(cfg Config, figure string, kind search.Kind, arr workload.Arrangem
 	w.Producers = producers
 	w.Arrangement = arr
 	res := sim.Run(sim.RunConfig{
-		Workload: w, Search: kind, Costs: c.Costs,
+		Workload: w, Policies: policy.Set{Order: kind}, Costs: c.Costs,
 		Seed: rng.SubSeed(c.Seed, 0), Trace: true,
 	})
 

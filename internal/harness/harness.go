@@ -119,7 +119,7 @@ func (c Config) runRandom(kind search.Kind, addFraction float64, trialSeed uint6
 	w := c.workloadFor(workload.RandomOps)
 	w.AddFraction = addFraction
 	return sim.Run(sim.RunConfig{
-		Workload: w, Search: kind, Costs: c.Costs, Seed: trialSeed,
+		Workload: w, Policies: policy.Set{Order: kind}, Costs: c.Costs, Seed: trialSeed,
 	})
 }
 
@@ -130,8 +130,8 @@ func (c Config) runPC(kind search.Kind, producers int, arr workload.Arrangement,
 	w.Producers = producers
 	w.Arrangement = arr
 	return sim.Run(sim.RunConfig{
-		Workload: w, Search: kind, Costs: c.Costs, Seed: trialSeed,
-		Policies: policy.Set{Steal: steal},
+		Workload: w, Costs: c.Costs, Seed: trialSeed,
+		Policies: policy.Set{Steal: steal, Order: kind},
 	})
 }
 

@@ -41,9 +41,9 @@ func HierOrderNames() []string {
 func hierSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
 	switch name {
 	case "linear":
-		return policy.Set{Order: policy.Order{Kind: search.Linear}}
+		return policy.Set{Order: search.Linear}
 	case "random":
-		return policy.Set{Order: policy.Order{Kind: search.Random}}
+		return policy.Set{Order: search.Random}
 	case "locality":
 		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
 	case "hier":
@@ -119,7 +119,7 @@ func hierSweepOn(cfg Config, scales []int64, topo numa.Topology) []HierRow {
 				w := cd.workloadFor(workload.RandomOps)
 				w.AddFraction = LocalityMix
 				return sim.Run(sim.RunConfig{
-					Workload: w, Search: search.Linear, Costs: costs,
+					Workload: w, Costs: costs,
 					Seed: seed, Policies: hierSet(name, costs, topo),
 				})
 			})

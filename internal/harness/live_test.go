@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -22,7 +23,7 @@ func TestStartLive(t *testing.T) {
 			TotalOps:        total,
 			InitialElements: 64,
 		},
-		Search:   search.Tree,
+		Policies: policy.Set{Order: search.Tree},
 		Seed:     3,
 		TraceBuf: 256,
 	})

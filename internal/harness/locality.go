@@ -47,11 +47,11 @@ func localitySet(name string, costs numa.CostModel) policy.Set {
 	case "locality":
 		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
 	case "linear":
-		return policy.Set{Order: policy.Order{Kind: search.Linear}}
+		return policy.Set{Order: search.Linear}
 	case "random":
-		return policy.Set{Order: policy.Order{Kind: search.Random}}
+		return policy.Set{Order: search.Random}
 	case "tree":
-		return policy.Set{Order: policy.Order{Kind: search.Tree}}
+		return policy.Set{Order: search.Tree}
 	default:
 		panic(fmt.Sprintf("harness: unknown victim order %q", name))
 	}
@@ -95,7 +95,7 @@ func LocalitySweep(cfg Config, scales []int64) []LocalityRow {
 				w := cd.workloadFor(workload.RandomOps)
 				w.AddFraction = LocalityMix
 				return sim.Run(sim.RunConfig{
-					Workload: w, Search: search.Linear, Costs: costs,
+					Workload: w, Costs: costs,
 					Seed: seed, Policies: localitySet(name, costs),
 				})
 			})
@@ -197,10 +197,11 @@ func ControlTraceRun(cfg Config, kind search.Kind, producers, batch int) Control
 	w.Producers = producers
 	w.Arrangement = workload.Contiguous
 	w.BatchSize = batch
+	set.Order = kind
 	res := sim.Run(sim.RunConfig{
-		Workload: w, Search: kind,
-		Costs: c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize}),
-		Seed:  rng.SubSeed(c.Seed, 0), Policies: set, ControlTrace: true,
+		Workload: w,
+		Costs:    c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize}),
+		Seed:     rng.SubSeed(c.Seed, 0), Policies: set, ControlTrace: true,
 	})
 
 	const buckets = 100

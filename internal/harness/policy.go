@@ -44,8 +44,9 @@ func (c Config) policyBurstRun(name string, kind search.Kind, producers, batch, 
 	w.Arrangement = workload.Balanced
 	w.BatchSize = batch
 	w.RoleFlipEvery = flipEvery
+	set.Order = kind
 	return sim.Run(sim.RunConfig{
-		Workload: w, Search: kind, Costs: c.Costs, Seed: seed, Policies: set,
+		Workload: w, Costs: c.Costs, Seed: seed, Policies: set,
 	})
 }
 

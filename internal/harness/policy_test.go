@@ -136,7 +136,7 @@ func TestRealRunBurstAdaptive(t *testing.T) {
 		TotalOps:        400,
 		InitialElements: 32,
 	}
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 9, Policies: set})
+	res, err := RealRun(RealRunConfig{Workload: wl, Seed: 9, Policies: set})
 	if err != nil {
 		t.Fatal(err)
 	}

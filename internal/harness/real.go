@@ -29,7 +29,6 @@ import (
 // workloads the paper defines, and so multicore hosts can compare.
 type RealRunConfig struct {
 	Workload workload.Config
-	Search   search.Kind
 	Seed     uint64
 	// Policies selects the pool's steal/search/placement/control policies
 	// (see core.Options.Policies). Adaptive sets carry state: construct a
@@ -111,7 +110,6 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 	}
 	p, err := core.New[int](core.Options{
 		Segments:     wl.Procs,
-		Search:       cfg.Search,
 		Seed:         cfg.Seed,
 		Policies:     cfg.Policies,
 		Delay:        cfg.Delay,
@@ -365,7 +363,7 @@ func RealCompare(wl workload.Config, trials int, seed uint64) (map[search.Kind]P
 		for trial := 0; trial < trials; trial++ {
 			res, err := RealRun(RealRunConfig{
 				Workload: wl,
-				Search:   kind,
+				Policies: policy.Set{Order: kind},
 				Seed:     rng.SubSeed(seed, trial),
 			})
 			if err != nil {

@@ -20,7 +20,7 @@ func TestRealRunConservation(t *testing.T) {
 	for _, kind := range search.Kinds() {
 		wl := realWL(workload.RandomOps)
 		wl.AddFraction = 0.5
-		res, err := RealRun(RealRunConfig{Workload: wl, Search: kind, Seed: 11})
+		res, err := RealRun(RealRunConfig{Workload: wl, Policies: policy.Set{Order: kind}, Seed: 11})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -42,7 +42,7 @@ func TestRealRunProducerConsumer(t *testing.T) {
 	wl := realWL(workload.ProducerConsumer)
 	wl.Producers = 3
 	wl.Arrangement = workload.Balanced
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 4})
+	res, err := RealRun(RealRunConfig{Workload: wl, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRealRunProducerConsumer(t *testing.T) {
 func TestRealRunDirectedAdds(t *testing.T) {
 	wl := realWL(workload.ProducerConsumer)
 	wl.Producers = 2
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 5, Policies: policy.Set{Place: policy.GiftAll{}}})
+	res, err := RealRun(RealRunConfig{Workload: wl, Seed: 5, Policies: policy.Set{Place: policy.GiftAll{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRealRunDirectedAdds(t *testing.T) {
 func TestRealRunStealOne(t *testing.T) {
 	wl := realWL(workload.ProducerConsumer)
 	wl.Producers = 2
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Random, Seed: 6, Policies: policy.Set{Steal: policy.One{}}})
+	res, err := RealRun(RealRunConfig{Workload: wl, Seed: 6, Policies: policy.Set{Steal: policy.One{}, Order: search.Random}})
 	if err != nil {
 		t.Fatal(err)
 	}

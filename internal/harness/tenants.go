@@ -7,7 +7,6 @@ import (
 	"pools/internal/plot"
 	"pools/internal/policy"
 	"pools/internal/rng"
-	"pools/internal/search"
 	"pools/internal/sim"
 	"pools/internal/workload"
 )
@@ -108,7 +107,6 @@ func TenantSweep(cfg Config, counts []int, skews []float64) []TenantRow {
 			for trial := 0; trial < c.Trials; trial++ {
 				res := sim.Run(sim.RunConfig{
 					Workload: w,
-					Search:   search.Linear,
 					Costs:    c.Costs,
 					Seed:     rng.SubSeed(c.Seed, trial),
 					Policies: policy.Set{Place: policy.TenantFair{Map: tmap}},

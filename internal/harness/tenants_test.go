@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pools/internal/search"
 	"pools/internal/workload"
 )
 
@@ -98,7 +97,7 @@ func TestRealRunOpenLoop(t *testing.T) {
 		Tenants:         2,
 		TenantSkew:      1,
 	}
-	res, err := RealRun(RealRunConfig{Workload: wl, Search: search.Linear, Seed: 7})
+	res, err := RealRun(RealRunConfig{Workload: wl, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

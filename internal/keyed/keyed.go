@@ -128,7 +128,7 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 	if opts.TraceBuf < 0 {
 		return nil, fmt.Errorf("keyed: TraceBuf = %d, need >= 0", opts.TraceBuf)
 	}
-	pol := opts.Policies.WithDefaults(search.Linear)
+	pol := opts.Policies.WithDefaults()
 	p := &Pool[K, V]{opts: opts, pol: pol, segs: make([]seg[K, V], opts.Segments)}
 	p.members = engine.NewMembership(opts.Segments)
 	var ranker policy.Ranker

@@ -94,11 +94,11 @@ type HierarchicalOrder struct {
 	// Topo assigns the hop rings. Nil behaves like numa.Uniform (one
 	// remote ring), which delegates everything to Inner.
 	Topo numa.Topology
-	// Inner orders victims within each ring: a paper search order
-	// (policy.Order) or LocalityOrder. Rankers (LocalityOrder) contribute
-	// their preference; Order{Kind: search.Random} shuffles each ring with
-	// the searcher's seed; every other order visits rings clockwise from
-	// self. Nil means Order{Kind: search.Linear}.
+	// Inner orders victims within each ring: a paper search algorithm
+	// (a search.Kind) or LocalityOrder. Rankers (LocalityOrder) contribute
+	// their preference; search.Random shuffles each ring with the
+	// searcher's seed; every other order visits rings clockwise from
+	// self. Nil means search.Linear.
 	Inner VictimOrder
 	// Threshold is the consecutive-fruitless-probe count that triggers
 	// escalation to the next ring. 0 means the structural default (the
@@ -117,7 +117,7 @@ var (
 // inner returns the within-ring order, defaulting to linear.
 func (o HierarchicalOrder) inner() VictimOrder {
 	if o.Inner == nil {
-		return Order{Kind: search.Linear}
+		return search.Linear
 	}
 	return o.Inner
 }
@@ -172,7 +172,7 @@ func (o HierarchicalOrder) innerPositions(self, segments int, seed uint64) []int
 			return pos
 		}
 	}
-	if ord, ok := in.(Order); ok && ord.Kind == search.Random {
+	if in == search.Random {
 		perm := make([]int, segments)
 		for i := range perm {
 			perm[i] = i

@@ -124,7 +124,7 @@ func TestHierarchicalThresholdNegativeEscalatesImmediately(t *testing.T) {
 }
 
 func TestHierarchicalUniformDelegatesToInner(t *testing.T) {
-	o := HierarchicalOrder{Inner: Order{Kind: search.Linear}}
+	o := HierarchicalOrder{Inner: search.Linear}
 	s := o.Searcher(0, 4, 1)
 	if s.Kind() != search.Linear {
 		t.Fatalf("nil-topology searcher kind = %v, want delegation to linear", s.Kind())
@@ -138,7 +138,7 @@ func TestHierarchicalUniformDelegatesToInner(t *testing.T) {
 }
 
 func TestHierarchicalRandomInnerIsSeededPermutation(t *testing.T) {
-	o := HierarchicalOrder{Topo: clustered2, Inner: Order{Kind: search.Random}}
+	o := HierarchicalOrder{Topo: clustered2, Inner: search.Random}
 	a := o.SearcherFor(0, 6, 7, nil).(*hierSearcher)
 	b := o.SearcherFor(0, 6, 7, nil).(*hierSearcher)
 	c := o.SearcherFor(0, 6, 8, nil).(*hierSearcher)

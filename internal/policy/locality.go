@@ -58,8 +58,8 @@ func (o LocalityOrder) fallbackKind() search.Kind {
 	return o.Fallback
 }
 
-// SearchKind reports the fallback algorithm. KindOf consults it so pools
-// allocate tree round-counter nodes when the fallback is search.Tree.
+// SearchKind reports the search.Kind run under a victim-uniform model, so
+// pools allocate tree round counters when the fallback is search.Tree.
 func (o LocalityOrder) SearchKind() search.Kind { return o.fallbackKind() }
 
 // probeCosts returns the model's probe cost from self to every segment.

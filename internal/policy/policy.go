@@ -60,7 +60,8 @@ type StealAmount interface {
 // VictimOrder decides which remote segments a searching process visits,
 // and in what order, by supplying the search strategy it runs. It layers
 // over internal/search: the three paper algorithms are orderings (ring,
-// shuffled, tree-guided), and custom orders plug in the same way.
+// shuffled, tree-guided), and search.Kind itself implements VictimOrder,
+// so search.Tree is a complete order. Custom orders plug in the same way.
 type VictimOrder interface {
 	// Searcher returns the search strategy for the process owning segment
 	// self in a pool of segments segments. The seed feeds randomized
@@ -113,12 +114,14 @@ type Controller interface {
 	Name() string
 }
 
+var _ VictimOrder = search.Linear
+
 // Set bundles one policy per decision point. The zero value means "paper
-// defaults": steal-half, the pool's configured search algorithm, local
-// placement, and no online control.
+// defaults": steal-half, linear search, local placement, and no online
+// control.
 type Set struct {
 	Steal   StealAmount // nil → Half
-	Order   VictimOrder // nil → Order{pool's configured search.Kind}
+	Order   VictimOrder // nil → search.Linear; any search.Kind is an order
 	Place   Placement   // nil → Local; GiftAll is the paper's Section 5 directed adds
 	Control Controller  // nil → no online tuning
 }
@@ -145,17 +148,14 @@ func (s Set) Name() string {
 	return strings.Join(parts, ",")
 }
 
-// WithDefaults returns s with nil slots filled: steal-half, the given
-// search kind as victim order, and local placement.
-func (s Set) WithDefaults(kind search.Kind) Set {
+// WithDefaults returns s with nil slots filled: steal-half, linear
+// search, and local placement.
+func (s Set) WithDefaults() Set {
 	if s.Steal == nil {
 		s.Steal = Half{}
 	}
 	if s.Order == nil {
-		if kind == 0 {
-			kind = search.Linear
-		}
-		s.Order = Order{Kind: kind}
+		s.Order = search.Linear
 	}
 	if s.Place == nil {
 		s.Place = Local{}
@@ -211,31 +211,15 @@ func (s Set) ForHandle(handle int) (Controller, StealAmount) {
 	return ctl, steal
 }
 
-// Order is the VictimOrder wrapping one of the paper's three search
-// algorithms: linear visits the ring clockwise from the last success,
-// random visits in a private shuffled order, and tree follows Manber's
-// round-counter tree.
-type Order struct{ Kind search.Kind }
-
-// Searcher implements VictimOrder.
-func (o Order) Searcher(self, segments int, seed uint64) search.Searcher {
-	return search.New(o.Kind, self, segments, seed)
-}
-
-// Name implements VictimOrder.
-func (o Order) Name() string { return o.Kind.String() }
-
 // KindOf returns the search algorithm behind a VictimOrder, or 0 for
 // custom orders. The pools use it to decide whether the tree search's
-// round-counter nodes must be allocated. Orders that may delegate to a
-// paper algorithm (LocalityOrder's uniform-cost fallback) report it via a
-// SearchKind method; other custom orders that need the tree should embed
-// Order{Kind: search.Tree} or expose the same method.
+// round-counter nodes must be allocated. Every order that runs or may
+// delegate to a paper algorithm reports it through a SearchKind method:
+// search.Kind returns itself, LocalityOrder its uniform-cost fallback,
+// HierarchicalOrder its inner order's kind. Custom orders that need the
+// tree should embed search.Tree or expose the same method.
 func KindOf(o VictimOrder) search.Kind {
-	switch v := o.(type) {
-	case Order:
-		return v.Kind
-	case interface{ SearchKind() search.Kind }:
+	if v, ok := o.(interface{ SearchKind() search.Kind }); ok {
 		return v.SearchKind()
 	}
 	return 0

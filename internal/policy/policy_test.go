@@ -210,13 +210,13 @@ func TestNamed(t *testing.T) {
 // TestSetDefaultsAndName checks WithDefaults fills every slot and Name
 // renders something stable for tables.
 func TestSetDefaultsAndName(t *testing.T) {
-	s := Set{}.WithDefaults(search.Tree)
-	if s.Steal.Name() != "steal-half" || s.Order.Name() != "tree" || s.Place.Name() != "local" {
+	s := Set{}.WithDefaults()
+	if s.Steal.Name() != "steal-half" || s.Order != search.Linear || s.Place.Name() != "local" {
 		t.Fatalf("defaults = %s/%s/%s", s.Steal.Name(), s.Order.Name(), s.Place.Name())
 	}
-	s = Set{Place: GiftAll{}}.WithDefaults(0)
-	if s.Order.Name() != "linear" || s.Place.Name() != "gift-all" {
-		t.Fatalf("gifting defaults = %s/%s", s.Order.Name(), s.Place.Name())
+	s = Set{Order: search.Tree, Place: GiftAll{}}.WithDefaults()
+	if s.Order != search.Tree || s.Place.Name() != "gift-all" {
+		t.Fatalf("explicit slots overwritten: %s/%s", s.Order.Name(), s.Place.Name())
 	}
 	if got := (Set{}).Name(); got != "default" {
 		t.Fatalf("zero Set.Name() = %q", got)
@@ -225,7 +225,26 @@ func TestSetDefaultsAndName(t *testing.T) {
 	if got := ad.Name(); got != "adaptive" {
 		t.Fatalf("adaptive Set.Name() = %q", got)
 	}
-	if w := (Order{Kind: search.Random}).Searcher(2, 8, 42); w.Kind() != search.Random {
-		t.Fatalf("Order.Searcher kind = %v", w.Kind())
+	if w := search.Random.Searcher(2, 8, 42); w.Kind() != search.Random {
+		t.Fatalf("Kind.Searcher kind = %v", w.Kind())
+	}
+}
+
+// TestKindOrderNames pins the names the paper's algorithms carry as
+// victim orders, bare and as a hierarchical inner order: the CSVs and
+// traces print them. KindOf must see through both to the kind.
+func TestKindOrderNames(t *testing.T) {
+	want := map[search.Kind]string{search.Linear: "linear", search.Random: "random", search.Tree: "tree"}
+	for _, k := range search.Kinds() {
+		if got := k.Name(); got != want[k] {
+			t.Errorf("%v.Name() = %q, want %q", k, got, want[k])
+		}
+		hier := HierarchicalOrder{Inner: k}
+		if got := hier.Name(); got != "hier-"+want[k] {
+			t.Errorf("HierarchicalOrder{Inner: %v}.Name() = %q, want %q", k, got, "hier-"+want[k])
+		}
+		if KindOf(k) != k || KindOf(hier) != k {
+			t.Errorf("KindOf(%v) = %v, KindOf(hier) = %v", k, KindOf(k), KindOf(hier))
+		}
 	}
 }

@@ -45,6 +45,16 @@ func (k Kind) String() string {
 	}
 }
 
+// Searcher implements policy.VictimOrder: a Kind is itself a victim
+// order, so the paper's algorithms need no wrapper.
+func (k Kind) Searcher(self, segments int, seed uint64) Searcher { return New(k, self, segments, seed) }
+
+// Name implements policy.VictimOrder.
+func (k Kind) Name() string { return k.String() }
+
+// SearchKind returns k; policy.KindOf reads it to decide tree allocation.
+func (k Kind) SearchKind() Kind { return k }
+
 // Kinds lists all algorithms in presentation order (the order the paper
 // introduces them is tree, linear, random; we sweep in enum order).
 func Kinds() []Kind { return []Kind{Linear, Random, Tree} }

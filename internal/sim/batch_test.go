@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pools/internal/numa"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -77,7 +78,7 @@ func TestRunBurstConservation(t *testing.T) {
 		TotalOps:        2000,
 		InitialElements: 64,
 	}
-	res := Run(RunConfig{Workload: wl, Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: 5})
+	res := Run(RunConfig{Workload: wl, Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 5})
 	st := res.Stats
 	if st.BatchAdds == 0 || st.BatchRemoves == 0 {
 		t.Fatalf("burst run recorded no batch ops: adds=%d removes=%d", st.BatchAdds, st.BatchRemoves)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pools/internal/numa"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -17,10 +18,10 @@ func churnRunConfig(drain bool) RunConfig {
 			TotalOps:        1500,
 			InitialElements: 120,
 		},
-		Search: search.Tree,
-		Costs:  numa.ButterflyCosts(),
-		Seed:   42,
-		Churn:  workload.Churn{KillEvery: 1000, ReviveAfter: 600, Drain: drain, MaxKills: 6},
+		Policies: policy.Set{Order: search.Tree},
+		Costs:    numa.ButterflyCosts(),
+		Seed:     42,
+		Churn:    workload.Churn{KillEvery: 1000, ReviveAfter: 600, Drain: drain, MaxKills: 6},
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"pools/internal/numa"
-	"pools/internal/search"
 	"pools/internal/trace"
 	"pools/internal/workload"
 )
@@ -39,7 +38,6 @@ func goldenRun() RunResult {
 			TotalOps:        80,
 			InitialElements: 6,
 		},
-		Search:   search.Linear,
 		Costs:    numa.ButterflyCosts(),
 		Seed:     7,
 		EventBuf: 512,
@@ -104,7 +102,6 @@ func goldenChaosRun() RunResult {
 			TotalOps:        300,
 			InitialElements: 24,
 		},
-		Search:   search.Linear,
 		Costs:    numa.ButterflyCosts(),
 		Seed:     7,
 		EventBuf: 2048,

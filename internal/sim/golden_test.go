@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"pools/internal/numa"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -79,19 +80,19 @@ func goldenConfigs() map[string]RunConfig {
 
 	churn := func(drain bool) RunConfig {
 		return RunConfig{
-			Workload: random(0.5), Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 1989,
+			Workload: random(0.5), Policies: policy.Set{Order: search.Linear}, Costs: numa.ButterflyCosts(), Seed: 1989,
 			Churn: workload.Churn{KillEvery: 2000, ReviveAfter: 1500, Drain: drain, MaxKills: 4},
 		}
 	}
 
 	return map[string]RunConfig{
-		"linear/pc5-contiguous": {Workload: pc(workload.Contiguous), Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 1989},
-		"tree/pc5-balanced":     {Workload: pc(workload.Balanced), Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: 1989},
-		"linear/random-mix30":   {Workload: random(0.3), Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 1989},
-		"tree/random-mix70":     {Workload: random(0.7), Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: 1989},
-		"tree/burst-batch8":     {Workload: burst, Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: 1989},
+		"linear/pc5-contiguous": {Workload: pc(workload.Contiguous), Policies: policy.Set{Order: search.Linear}, Costs: numa.ButterflyCosts(), Seed: 1989},
+		"tree/pc5-balanced":     {Workload: pc(workload.Balanced), Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 1989},
+		"linear/random-mix30":   {Workload: random(0.3), Policies: policy.Set{Order: search.Linear}, Costs: numa.ButterflyCosts(), Seed: 1989},
+		"tree/random-mix70":     {Workload: random(0.7), Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 1989},
+		"tree/burst-batch8":     {Workload: burst, Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 1989},
 		"linear/clustered-mix40": {
-			Workload: random(0.4), Search: search.Linear, Costs: clustered, Seed: 1989,
+			Workload: random(0.4), Policies: policy.Set{Order: search.Linear}, Costs: clustered, Seed: 1989,
 		},
 		"linear/churn-drain":     churn(true),
 		"linear/churn-stealonly": churn(false),

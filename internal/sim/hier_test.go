@@ -22,7 +22,7 @@ func hierRun(t *testing.T, set policy.Set, costs numa.CostModel, seed uint64) Ru
 		TotalOps:        1500,
 		InitialElements: 96,
 	}
-	return Run(RunConfig{Workload: w, Search: search.Linear, Costs: costs, Seed: seed, Policies: set})
+	return Run(RunConfig{Workload: w, Costs: costs, Seed: seed, Policies: set})
 }
 
 // TestSimHierarchicalReducesCrossProbes runs the clustered workload under
@@ -32,7 +32,7 @@ func hierRun(t *testing.T, set policy.Set, costs numa.CostModel, seed uint64) Ru
 func TestSimHierarchicalReducesCrossProbes(t *testing.T) {
 	topo := numa.Clusters{Size: 4}
 	costs := numa.ButterflyCosts().WithTopology(topo).WithExtraDelay(1000)
-	flat := hierRun(t, policy.Set{Order: policy.Order{Kind: search.Linear}}, costs, 11)
+	flat := hierRun(t, policy.Set{Order: search.Linear}, costs, 11)
 	hier := hierRun(t, policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}, costs, 11)
 	if flat.Stats.RemoteProbes == 0 || hier.Stats.RemoteProbes == 0 {
 		t.Fatalf("no remote probes recorded: flat %+v hier %+v", flat.Stats.RemoteProbes, hier.Stats.RemoteProbes)

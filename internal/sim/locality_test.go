@@ -22,7 +22,7 @@ func localityTrial(t *testing.T, set policy.Set, extra int64, seed uint64) RunRe
 		InitialElements: 96,
 	}
 	return Run(RunConfig{
-		Workload: w, Search: search.Linear, Costs: costs, Seed: seed, Policies: set,
+		Workload: w, Costs: costs, Seed: seed, Policies: set,
 	})
 }
 
@@ -40,11 +40,11 @@ func TestLocalityOrderBeatsBlindUnderDelay(t *testing.T) {
 		case "locality":
 			set = policy.Set{Order: policy.LocalityOrder{Model: costs}}
 		case "random":
-			set = policy.Set{Order: policy.Order{Kind: search.Random}}
+			set = policy.Set{Order: search.Random}
 		case "tree":
-			set = policy.Set{Order: policy.Order{Kind: search.Tree}}
+			set = policy.Set{Order: search.Tree}
 		case "linear":
-			set = policy.Set{Order: policy.Order{Kind: search.Linear}}
+			set = policy.Set{Order: search.Linear}
 		}
 		var total int64
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -74,10 +74,10 @@ func TestLocalityFallbackMatchesLinear(t *testing.T) {
 		TotalOps: 800, InitialElements: 64,
 	}
 	run := func(set policy.Set) RunResult {
-		return Run(RunConfig{Workload: w, Search: search.Linear, Costs: costs, Seed: 42, Policies: set})
+		return Run(RunConfig{Workload: w, Costs: costs, Seed: 42, Policies: set})
 	}
 	a := run(policy.Set{Order: policy.LocalityOrder{Model: costs}})
-	b := run(policy.Set{Order: policy.Order{Kind: search.Linear}})
+	b := run(policy.Set{Order: search.Linear})
 	if a.Makespan != b.Makespan || a.Stats != b.Stats {
 		t.Fatalf("uniform-cost locality diverged from linear: makespan %d vs %d", a.Makespan, b.Makespan)
 	}
@@ -101,8 +101,9 @@ func TestControlTraceRecordsPerHandleTrajectories(t *testing.T) {
 		TotalOps:        2000,
 		InitialElements: 64,
 	}
+	set.Order = search.Tree
 	res := Run(RunConfig{
-		Workload: w, Search: search.Tree, Costs: numa.ButterflyCosts(),
+		Workload: w, Costs: numa.ButterflyCosts(),
 		Seed: 7, Policies: set, ControlTrace: true,
 	})
 	if len(res.Controls) != 8 {
@@ -132,7 +133,7 @@ func TestControlTraceRecordsPerHandleTrajectories(t *testing.T) {
 	}
 	// Without the flag, no traces are collected.
 	res = Run(RunConfig{
-		Workload: w, Search: search.Tree, Costs: numa.ButterflyCosts(),
+		Workload: w, Costs: numa.ButterflyCosts(),
 		Seed: 7, Policies: set,
 	})
 	if res.Controls != nil {
@@ -151,11 +152,11 @@ func TestEmptiestPlacementInSim(t *testing.T) {
 	}
 	costs := numa.ButterflyCosts()
 	directed := Run(RunConfig{
-		Workload: w, Search: search.Linear, Costs: costs, Seed: 5,
+		Workload: w, Costs: costs, Seed: 5,
 		Policies: policy.Set{Place: policy.GiftToEmptiest{}},
 	})
 	local := Run(RunConfig{
-		Workload: w, Search: search.Linear, Costs: costs, Seed: 5,
+		Workload: w, Costs: costs, Seed: 5,
 	})
 	if directed.Makespan <= local.Makespan {
 		t.Fatalf("directed makespan %d <= local %d: probe charges missing", directed.Makespan, local.Makespan)

@@ -25,9 +25,9 @@ func policyTrial(t *testing.T, name string, seed uint64) RunResult {
 		TotalOps:        1500,
 		InitialElements: 80,
 	}
+	set.Order = search.Tree
 	return Run(RunConfig{
 		Workload: w,
-		Search:   search.Tree,
 		Costs:    numa.ButterflyCosts(),
 		Seed:     seed,
 		Policies: set,

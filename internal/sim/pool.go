@@ -15,17 +15,17 @@ import (
 
 // PoolConfig configures a simulated concurrent pool.
 type PoolConfig struct {
-	Procs  int            // one segment and one process per processor
-	Search search.Kind    // steal-search algorithm
-	Costs  numa.CostModel // access cost model (numa.ButterflyCosts())
-	Seed   uint64         // drives the random search algorithm
+	Procs int            // one segment and one process per processor
+	Costs numa.CostModel // access cost model (numa.ButterflyCosts())
+	Seed  uint64         // drives the random search algorithm
 	// Policies selects the pool's tunable decisions (steal amount, victim
 	// order, size-aware placement, online control), exactly as
 	// core.Options.Policies does for the real pool; nil slots take paper
-	// defaults. Mailbox placements (GiftAll and friends) are ignored — the
-	// simulated pool has no directed-add mailboxes — but Director
-	// placements (policy.GiftToEmptiest) are honored, with every size
-	// probe charged at the cost model's AccessProbe rate.
+	// defaults (Order: search.Linear). Mailbox placements (GiftAll and
+	// friends) are ignored — the simulated pool has no directed-add
+	// mailboxes — but Director placements (policy.GiftToEmptiest) are
+	// honored, with every size probe charged at the cost model's
+	// AccessProbe rate.
 	Policies policy.Set
 	// Trace enables per-segment size traces (Figures 3-6).
 	Trace bool
@@ -81,10 +81,7 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 	if cfg.Procs < 1 {
 		panic(fmt.Sprintf("sim: pool with %d procs", cfg.Procs))
 	}
-	if cfg.Search == 0 {
-		cfg.Search = search.Linear
-	}
-	pol := cfg.Policies.WithDefaults(cfg.Search)
+	pol := cfg.Policies.WithDefaults()
 	leaves := search.NumLeavesFor(cfg.Procs)
 	p := &Pool[T]{
 		cfg:          cfg,
@@ -99,7 +96,7 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 	for i := range p.segRes {
 		p.segRes[i].Name = fmt.Sprintf("segment-%d", i)
 	}
-	if cfg.Search == search.Tree || policy.KindOf(pol.Order) == search.Tree {
+	if policy.KindOf(pol.Order) == search.Tree {
 		p.rounds = make([]uint64, 2*leaves)
 		p.nodeRes = make([]Resource, 2*leaves)
 		for i := range p.nodeRes {

@@ -4,7 +4,6 @@ import (
 	"pools/internal/metrics"
 	"pools/internal/numa"
 	"pools/internal/policy"
-	"pools/internal/search"
 	"pools/internal/trace"
 	"pools/internal/workload"
 )
@@ -14,7 +13,6 @@ import (
 // pool until the shared operation budget is exhausted (Section 3.4).
 type RunConfig struct {
 	Workload workload.Config
-	Search   search.Kind
 	Costs    numa.CostModel
 	Seed     uint64
 	// Policies selects the pool's steal/search/control policies for this
@@ -142,7 +140,6 @@ func Run(cfg RunConfig) RunResult {
 	}
 	pool := NewPool[Token](PoolConfig{
 		Procs:      wl.Procs,
-		Search:     cfg.Search,
 		Costs:      cfg.Costs,
 		Seed:       cfg.Seed,
 		Policies:   cfg.Policies,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pools/internal/numa"
+	"pools/internal/policy"
 	"pools/internal/search"
 	"pools/internal/workload"
 )
@@ -155,7 +156,7 @@ func TestSimPoolLocalOps(t *testing.T) {
 
 func TestSimPoolStealAcrossProcs(t *testing.T) {
 	for _, kind := range search.Kinds() {
-		pool := NewPool[int](PoolConfig{Procs: 4, Search: kind, Costs: numa.ButterflyCosts(), Seed: 5})
+		pool := NewPool[int](PoolConfig{Procs: 4, Policies: policy.Set{Order: kind}, Costs: numa.ButterflyCosts(), Seed: 5})
 		pool.Seed(8, func(i int) int { return i }) // 2 per segment
 		s := New(4)
 		got := make([][]int, 4)
@@ -213,7 +214,7 @@ func TestRunPaperProtocolConservation(t *testing.T) {
 	for _, kind := range search.Kinds() {
 		wl := workload.Paper(workload.RandomOps)
 		wl.AddFraction = 0.5
-		res := Run(RunConfig{Workload: wl, Search: kind, Costs: numa.ButterflyCosts(), Seed: 42})
+		res := Run(RunConfig{Workload: wl, Policies: policy.Set{Order: kind}, Costs: numa.ButterflyCosts(), Seed: 42})
 		st := res.Stats
 		if got := st.Ops() + st.Aborts; got != int64(wl.TotalOps) {
 			t.Fatalf("%v: ops+aborts = %d, want %d", kind, got, wl.TotalOps)
@@ -232,14 +233,14 @@ func TestRunPaperProtocolConservation(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	wl := workload.Paper(workload.ProducerConsumer)
 	wl.Producers = 5
-	cfg := RunConfig{Workload: wl, Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: 9}
+	cfg := RunConfig{Workload: wl, Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 9}
 	a := Run(cfg)
 	b := Run(cfg)
 	if a.Makespan != b.Makespan || a.Stats.AvgOpTime() != b.Stats.AvgOpTime() ||
 		a.Stats.Steals != b.Stats.Steals || a.Remaining != b.Remaining {
 		t.Fatalf("same seed diverged: %+v vs %+v", a.Stats, b.Stats)
 	}
-	c := Run(RunConfig{Workload: wl, Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: 10})
+	c := Run(RunConfig{Workload: wl, Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 10})
 	if a.Makespan == c.Makespan && a.Stats.Steals == c.Stats.Steals {
 		t.Log("warning: different seeds produced identical results (possible but suspicious)")
 	}
@@ -250,7 +251,7 @@ func TestRunSufficientMixHasFewSteals(t *testing.T) {
 	// pool grows; steals should be essentially absent.
 	wl := workload.Paper(workload.RandomOps)
 	wl.AddFraction = 0.8
-	res := Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 1})
+	res := Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: 1})
 	if frac := res.Stats.StealFraction(); frac > 0.05 {
 		t.Fatalf("steal fraction %.3f at 80%% adds, want ~0", frac)
 	}
@@ -259,14 +260,14 @@ func TestRunSufficientMixHasFewSteals(t *testing.T) {
 func TestRunSparseMixStealsOften(t *testing.T) {
 	wl := workload.Paper(workload.RandomOps)
 	wl.AddFraction = 0.3
-	res := Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 1})
+	res := Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: 1})
 	if res.Stats.Steals == 0 {
 		t.Fatal("sparse mix produced no steals")
 	}
 	// Sparse runs drain the pool; average op time must exceed the
 	// sufficient-mix time.
 	wl.AddFraction = 0.9
-	rich := Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 1})
+	rich := Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: 1})
 	if res.Stats.AvgOpTime() <= rich.Stats.AvgOpTime() {
 		t.Fatalf("sparse avg %.1f <= sufficient avg %.1f", res.Stats.AvgOpTime(), rich.Stats.AvgOpTime())
 	}
@@ -277,7 +278,7 @@ func TestRunProducerConsumerStealsAtAllMixes(t *testing.T) {
 	// elements they use, regardless of the ratio" — even at 50%+ mixes.
 	wl := workload.Paper(workload.ProducerConsumer)
 	wl.Producers = 10 // 62% adds: sufficient
-	res := Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 3})
+	res := Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: 3})
 	if res.Stats.Steals == 0 {
 		t.Fatal("producer/consumer with sufficient mix still must steal")
 	}
@@ -286,7 +287,7 @@ func TestRunProducerConsumerStealsAtAllMixes(t *testing.T) {
 func TestRunTraceRecordsSegments(t *testing.T) {
 	wl := workload.Paper(workload.ProducerConsumer)
 	wl.Producers = 5
-	res := Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 3, Trace: true})
+	res := Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: 3, Trace: true})
 	if len(res.Traces) != 16 {
 		t.Fatalf("traces = %d, want 16", len(res.Traces))
 	}
@@ -304,7 +305,7 @@ func TestRunZeroProducersAborts(t *testing.T) {
 	// the rest abort; the run must terminate.
 	wl := workload.Paper(workload.ProducerConsumer)
 	wl.Producers = 0
-	res := Run(RunConfig{Workload: wl, Search: search.Random, Costs: numa.ButterflyCosts(), Seed: 2})
+	res := Run(RunConfig{Workload: wl, Policies: policy.Set{Order: search.Random}, Costs: numa.ButterflyCosts(), Seed: 2})
 	if res.Stats.Removes != int64(wl.InitialElements) {
 		t.Fatalf("removes = %d, want %d", res.Stats.Removes, wl.InitialElements)
 	}
@@ -316,7 +317,7 @@ func TestRunZeroProducersAborts(t *testing.T) {
 func TestRunAllProducers(t *testing.T) {
 	wl := workload.Paper(workload.ProducerConsumer)
 	wl.Producers = 16
-	res := Run(RunConfig{Workload: wl, Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: 2})
+	res := Run(RunConfig{Workload: wl, Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 2})
 	if res.Stats.Adds != int64(wl.TotalOps) {
 		t.Fatalf("adds = %d, want %d", res.Stats.Adds, wl.TotalOps)
 	}
@@ -328,8 +329,8 @@ func TestRunAllProducers(t *testing.T) {
 func TestRunExtraDelayRaisesOpTimes(t *testing.T) {
 	wl := workload.Paper(workload.RandomOps)
 	wl.AddFraction = 0.3
-	base := Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 5})
-	slow := Run(RunConfig{Workload: wl, Search: search.Linear,
+	base := Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: 5})
+	slow := Run(RunConfig{Workload: wl,
 		Costs: numa.ButterflyCosts().WithExtraDelay(1000), Seed: 5})
 	if slow.Stats.AvgOpTime() <= base.Stats.AvgOpTime() {
 		t.Fatalf("extra delay did not slow ops: %.1f vs %.1f",
@@ -341,7 +342,7 @@ func BenchmarkRunRandomMix30Linear(b *testing.B) {
 	wl := workload.Paper(workload.RandomOps)
 	wl.AddFraction = 0.3
 	for i := 0; i < b.N; i++ {
-		Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: uint64(i)})
+		Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: uint64(i)})
 	}
 }
 
@@ -349,7 +350,7 @@ func BenchmarkRunPC5Tree(b *testing.B) {
 	wl := workload.Paper(workload.ProducerConsumer)
 	wl.Producers = 5
 	for i := 0; i < b.N; i++ {
-		Run(RunConfig{Workload: wl, Search: search.Tree, Costs: numa.ButterflyCosts(), Seed: uint64(i)})
+		Run(RunConfig{Workload: wl, Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: uint64(i)})
 	}
 }
 
@@ -437,7 +438,7 @@ func TestRunDynamicRolesWorkload(t *testing.T) {
 	wl := workload.Paper(workload.ProducerConsumer)
 	wl.Producers = 4
 	wl.RoleFlipEvery = 10
-	res := Run(RunConfig{Workload: wl, Search: search.Linear, Costs: numa.ButterflyCosts(), Seed: 6})
+	res := Run(RunConfig{Workload: wl, Costs: numa.ButterflyCosts(), Seed: 6})
 	if res.Stats.Adds == 0 || res.Stats.Removes == 0 {
 		t.Fatalf("rotation produced a degenerate run: %+v", res.Stats)
 	}

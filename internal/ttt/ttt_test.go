@@ -9,6 +9,7 @@ import (
 
 	"pools/internal/baseline"
 	"pools/internal/core"
+	"pools/internal/policy"
 	"pools/internal/search"
 )
 
@@ -419,7 +420,7 @@ func TestEngineParallelWithConcurrentPool(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			for _, pos := range positions {
-				pool, err := core.New[*Node](core.Options{Segments: 4, Search: kind, Seed: 11})
+				pool, err := core.New[*Node](core.Options{Segments: 4, Policies: policy.Set{Order: kind}, Seed: 11})
 				if err != nil {
 					t.Fatal(err)
 				}

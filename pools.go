@@ -14,7 +14,7 @@
 //
 // # Quickstart
 //
-//	p, err := pools.New[Task](pools.Options{Segments: 8, Search: pools.SearchLinear})
+//	p, err := pools.New[Task](pools.Options{Segments: 8, Policies: pools.PolicySet{Order: pools.SearchTree}})
 //	if err != nil { ... }
 //	h := p.Handle(workerID) // each worker owns one segment
 //	h.Put(task)             // O(1), local
@@ -172,9 +172,6 @@ type (
 	// against the hop cost of reaching it, keeping adds near on clustered
 	// machines unless a farther segment is much emptier.
 	NearestEmptiestPlacement = policy.GiftToNearestEmptiest
-	// SearchOrder is the VictimOrder wrapping a search algorithm, e.g.
-	// SearchOrder{Kind: SearchTree}.
-	SearchOrder = policy.Order
 	// LocalityVictimOrder ranks steal victims by expected access cost
 	// under a CostModel, visiting near victims first.
 	LocalityVictimOrder = policy.LocalityOrder
@@ -240,7 +237,8 @@ func NewPerHandlePolicy() *PerHandleControl { return policy.NewPerHandle() }
 // "one", "proportional", "adaptive", or "per-handle".
 func PolicyByName(name string) (PolicySet, error) { return policy.Named(name) }
 
-// SearchKind selects the steal-search algorithm.
+// SearchKind selects the steal-search algorithm. It is itself a
+// VictimOrder: set it as PolicySet.Order (nil means SearchLinear).
 type SearchKind = search.Kind
 
 // The three search algorithms the paper evaluates.

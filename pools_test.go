@@ -9,7 +9,7 @@ import (
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
-	p, err := pools.New[string](pools.Options{Segments: 4, Search: pools.SearchLinear})
+	p, err := pools.New[string](pools.Options{Segments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIAllSearchKinds(t *testing.T) {
 	for _, kind := range []pools.SearchKind{pools.SearchLinear, pools.SearchRandom, pools.SearchTree} {
-		p, err := pools.New[int](pools.Options{Segments: 8, Search: kind, Seed: 42})
+		p, err := pools.New[int](pools.Options{Segments: 8, Policies: pools.PolicySet{Order: kind}, Seed: 42})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -97,7 +97,7 @@ func TestPublicAPIPolicySet(t *testing.T) {
 		Segments: 2,
 		Policies: pools.PolicySet{
 			Steal: pools.StealHalfAmount{},
-			Order: pools.SearchOrder{Kind: pools.SearchTree},
+			Order: pools.SearchTree,
 			Place: pools.GiftHalfPlacement{},
 		},
 	})
@@ -122,7 +122,7 @@ func TestPublicAPIPolicySet(t *testing.T) {
 
 func TestPublicAPIConcurrentWorkers(t *testing.T) {
 	const workers = 4
-	p, err := pools.New[int](pools.Options{Segments: workers, Search: pools.SearchTree})
+	p, err := pools.New[int](pools.Options{Segments: workers, Policies: pools.PolicySet{Order: pools.SearchTree}})
 	if err != nil {
 		t.Fatal(err)
 	}
