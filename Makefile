@@ -70,6 +70,7 @@ fuzz-smoke:
 
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/ttt
 
 # End-to-end benchmark smoke: bench/ is its own module, which the root
 # `go test ./...` does not reach. Its short tests run every workload

@@ -2,6 +2,7 @@ package ttt
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -15,7 +16,12 @@ import (
 // the lines through the cell just played; the root's are computed in
 // full when it is expanded. Values are int32, which holds every one since
 // |Eval| <= NumLines*WinScore < 2^31, and the small fields fill the
-// padding, so the node fits the 48-byte size class (TestNodeLayout).
+// padding, so the node is 48 bytes (TestNodeLayout).
+//
+// Only the root is allocated alone. An expansion allocates all its
+// children as one slab, a []Node of up to Cells elements (about 3 KB).
+// A slab lives until its last child, or a descendant's parent pointer,
+// dies.
 type Node struct {
 	Board  Board
 	ToMove Player
@@ -23,10 +29,38 @@ type Node struct {
 	eval   int32  // Board.Eval()
 	Depth  int    // remaining expansion depth; 0 = evaluate statically
 
-	parent  *Node
-	pending atomic.Int32 // children not yet resolved
+	parent *Node
+	// pending holds, in its low pendingBits bits, the number of children
+	// not yet resolved and, in the bits above, the number of leaf
+	// children resolved so far. A leaf child resolves with one Add of
+	// leafResolved, an internal child with Add(-1); the resolve that
+	// zeroes the low bits hands the leaf count on to Engine.evaluated.
+	pending atomic.Int32
 	value   atomic.Int32 // running max (X to move) or min (O to move)
 }
+
+// The layout of Node.pending. The low bits must hold Cells, the most
+// children a node can have, and stay above it for a while after they
+// wrap: a resolve that finds them above Cells is a child arriving after
+// its parent completed, which only a duplicate delivery produces.
+const (
+	pendingBits  = 8
+	pendingMask  = 1<<pendingBits - 1
+	leafResolved = 1<<pendingBits - 1 // one leaf more, one child fewer pending
+)
+
+// Compile-time guard: Cells < pendingMask, so the low bits hold every
+// child count and read above Cells once they wrap.
+const _ uint = pendingMask - 1 - Cells
+
+// yieldEvery is how many expansions, over all workers, pass between
+// yields of the processor. A worker that never blocks enters the
+// scheduler only when it is preempted, about every 10 ms, and until then
+// the collector's background mark worker can wait for a processor.
+// Everything allocated while a mark phase waits survives the cycle, so
+// the wait sets the peak heap. Yielding about every 4000 positions bounds
+// it.
+const yieldEvery = 64
 
 // Value returns the node's current minimax value. Only meaningful once the
 // node has resolved.
@@ -63,7 +97,7 @@ type Engine struct {
 
 	done      atomic.Bool
 	expanded  atomic.Int64 // internal nodes expanded
-	evaluated atomic.Int64 // leaf positions evaluated
+	evaluated atomic.Int64 // leaf positions evaluated, added as each parent completes
 	rootValue atomic.Int32
 }
 
@@ -71,19 +105,25 @@ type Engine struct {
 // and places the root in seed. Depth must be >= 1.
 func NewEngine(board Board, toMove Player, depth int, seed Source) *Engine {
 	e := &Engine{}
-	e.root = newNode(board, toMove, depth, nil)
+	e.root = newNode(board, toMove, depth)
 	seed.Put(e.root)
 	return e
 }
 
-func newNode(b Board, toMove Player, depth int, parent *Node) *Node {
-	n := &Node{Board: b, ToMove: toMove, Depth: depth, parent: parent}
-	if toMove == X {
-		n.value.Store(math.MinInt32)
-	} else {
-		n.value.Store(math.MaxInt32)
-	}
+// newNode allocates a root; Expand allocates every other node in a slab.
+func newNode(b Board, toMove Player, depth int) *Node {
+	n := &Node{Board: b, ToMove: toMove, Depth: depth}
+	n.value.Store(startValue(toMove))
 	return n
+}
+
+// startValue is the running value a node with toMove to move starts from:
+// the identity of its max (X) or min (O).
+func startValue(toMove Player) int32 {
+	if toMove == X {
+		return math.MinInt32
+	}
+	return math.MaxInt32
 }
 
 // Done reports whether the root has resolved.
@@ -95,11 +135,15 @@ func (e *Engine) RootValue() int { return int(e.rootValue.Load()) }
 // Expanded returns the number of internal nodes expanded so far.
 func (e *Engine) Expanded() int64 { return e.expanded.Load() }
 
-// Evaluated returns the number of leaf positions evaluated so far — the
-// paper's "board positions examined".
+// Evaluated returns the number of leaf positions evaluated — the paper's
+// "board positions examined". A leaf is counted when its parent
+// completes, so the count is exact once every delivered node has been
+// processed (in particular once Done); mid-search it lags by the leaves
+// whose parent is unresolved.
 func (e *Engine) Evaluated() int64 { return e.evaluated.Load() }
 
-// Positions returns all positions handled (internal + leaves).
+// Positions returns all positions handled (internal + leaves); like
+// Evaluated, it is exact once every delivered node has been processed.
 func (e *Engine) Positions() int64 { return e.expanded.Load() + e.evaluated.Load() }
 
 // Step retrieves one position from src and processes it: leaves are
@@ -121,7 +165,8 @@ func (e *Engine) Step(src Source) bool {
 // A won, depth-0 or full position is a leaf, valued from the node's
 // carried Winner and Eval. Any other position puts one child per free
 // cell, each scored incrementally from n (Board.playScored), so no
-// position but the root is ever scanned over all 76 lines.
+// position but the root is ever scanned over all 76 lines. The children
+// are allocated together, as one slab.
 func (e *Engine) Expand(n *Node, src Source) {
 	if n.parent == nil {
 		n.eval, n.winner = int32(n.Board.Eval()), n.Board.Winner()
@@ -131,40 +176,53 @@ func (e *Engine) Expand(n *Node, src Source) {
 		if w != 0 {
 			v = int32(w) * WinScore
 		}
-		e.evaluated.Add(1)
-		e.resolve(n, v)
+		e.resolve(n, v, leafResolved)
 		return
 	}
 	moves := n.Board.Moves(make([]int, 0, Cells))
 	if len(moves) == 0 {
-		e.evaluated.Add(1)
-		e.resolve(n, n.eval)
+		e.resolve(n, n.eval, leafResolved)
 		return
 	}
-	e.expanded.Add(1)
+	if e.expanded.Add(1)%yieldEvery == 0 {
+		runtime.Gosched()
+	}
 	n.pending.Store(int32(len(moves)))
-	for _, m := range moves {
+	kids := make([]Node, len(moves))
+	toMove := n.ToMove.Opponent()
+	start := startValue(toMove)
+	for i, m := range moves {
 		b, eval, w := n.Board.playScored(m, n.ToMove, int(n.eval))
-		child := newNode(b, n.ToMove.Opponent(), n.Depth-1, n)
+		child := &kids[i]
+		child.Board, child.ToMove, child.Depth, child.parent = b, toMove, n.Depth-1, n
 		child.eval, child.winner = int32(eval), w
+		child.value.Store(start)
 		src.Put(child)
 	}
 }
 
 // resolve reports node n's final value v, propagating completion up the
-// tree; resolving the root finishes the computation.
-func (e *Engine) resolve(n *Node, v int32) {
-	for {
-		if n.parent == nil {
-			e.rootValue.Store(v)
-			e.done.Store(true)
-			return
-		}
-		p := n.parent
+// tree; resolving the root finishes the computation. delta is what n's
+// resolution adds to its parent's pending word: leafResolved for a leaf,
+// -1 for an internal node.
+func (e *Engine) resolve(n *Node, v, delta int32) {
+	for p := n.parent; p != nil; p = n.parent {
 		p.applyChild(v)
-		if p.pending.Add(-1) != 0 {
+		r := p.pending.Add(delta)
+		if low := r & pendingMask; low != 0 {
+			if low > Cells && delta == leafResolved {
+				e.evaluated.Add(1) // p completed before this child arrived: a duplicate delivery
+			}
 			return
 		}
-		n, v = p, p.value.Load()
+		if leaves := r >> pendingBits; leaves != 0 {
+			e.evaluated.Add(int64(leaves))
+		}
+		n, v, delta = p, p.value.Load(), -1
 	}
+	if delta == leafResolved {
+		e.evaluated.Add(1) // a leaf root
+	}
+	e.rootValue.Store(v)
+	e.done.Store(true)
 }

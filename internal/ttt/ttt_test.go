@@ -253,7 +253,7 @@ func TestBestMoveTerminalBoard(t *testing.T) {
 	}
 }
 
-// chanSource adapts a plain slice for single-threaded engine tests.
+// sliceSource adapts a plain slice for single-threaded engine tests.
 type sliceSource struct{ items []*Node }
 
 func (s *sliceSource) Put(n *Node) { s.items = append(s.items, n) }
@@ -453,15 +453,80 @@ func TestEngineParallelWithConcurrentPool(t *testing.T) {
 	}
 }
 
+// dupSource hands the first depth-0 node it delivers out a second time:
+// at once, while that node's parent still has children pending, or, with
+// late set, only after every other node, when its parent has completed.
+type dupSource struct {
+	sliceSource
+	late bool
+	seen bool
+	held *Node
+}
+
+func (s *dupSource) Get() (*Node, bool) {
+	n, ok := s.sliceSource.Get()
+	if !ok {
+		n, s.held = s.held, nil
+		return n, n != nil
+	}
+	if n.Depth == 0 && !s.seen {
+		s.seen = true
+		if s.late {
+			s.held = n
+		} else {
+			s.Put(n)
+		}
+	}
+	return n, true
+}
+
+// TestEngineCountsDuplicateLeaf pins Evaluated to the number of leaf
+// resolutions, a duplicate delivery included, once the work list is
+// drained.
+func TestEngineCountsDuplicateLeaf(t *testing.T) {
+	const depth = 2
+	for _, late := range []bool{false, true} {
+		src := &dupSource{late: late}
+		e := NewEngine(Board{}, X, depth, src)
+		for e.Step(src) {
+		}
+		if !src.seen || src.held != nil {
+			t.Fatalf("late=%v: duplicate not delivered", late)
+		}
+		if want := PositionCount(Cells, depth) + 1; e.Evaluated() != want {
+			t.Errorf("late=%v: evaluated %d, want %d", late, e.Evaluated(), want)
+		}
+		if want, _ := Minimax(Board{}, X, depth); late && e.RootValue() != want {
+			t.Errorf("late duplicate changed the root value: %d, want %d", e.RootValue(), want)
+		}
+	}
+}
+
+// TestExpandAllocatesOnce pins the slab: expanding an internal node
+// allocates all its children at once.
+func TestExpandAllocatesOnce(t *testing.T) {
+	src := &sliceSource{items: make([]*Node, 0, Cells)}
+	e := NewEngine(Board{}, X, 3, src)
+	e.Step(src)
+	n := src.items[0] // a depth-2 child of the root, so its children are internal
+	allocs := testing.AllocsPerRun(100, func() {
+		src.items = src.items[:0]
+		e.Expand(n, src)
+	})
+	if allocs != 1 {
+		t.Errorf("Expand made %v allocations for %d children, want 1", allocs, len(src.items))
+	}
+}
+
 func TestNodeApplyChildMinNode(t *testing.T) {
-	n := newNode(Board{}, O, 1, nil) // O to move: min node
+	n := newNode(Board{}, O, 1) // O to move: min node
 	n.applyChild(5)
 	n.applyChild(-3)
 	n.applyChild(10)
 	if n.Value() != -3 {
 		t.Fatalf("min node value = %d, want -3", n.Value())
 	}
-	m := newNode(Board{}, X, 1, nil)
+	m := newNode(Board{}, X, 1)
 	m.applyChild(5)
 	m.applyChild(-3)
 	if m.Value() != 5 {
@@ -496,18 +561,50 @@ func BenchmarkEval(b *testing.B) {
 }
 
 // BenchmarkEngineDepth3 runs the paper's three-move search from the
-// empty board on the sequential engine: the application's own cost per
-// leaf, with no pool in the way.
+// empty board. sequential is the application's own cost per leaf, with
+// no pool in the way. workers=2 steps one Engine from two goroutines
+// through a 2-segment pool, so it also pays for the words the workers
+// share, such as the engine's counters.
 func BenchmarkEngineDepth3(b *testing.B) {
-	var leaves int64
-	for i := 0; i < b.N; i++ {
-		src := &sliceSource{}
-		e := NewEngine(Board{}, X, 3, src)
-		for e.Step(src) {
+	b.Run("sequential", func(b *testing.B) {
+		b.ReportAllocs()
+		var leaves int64
+		for i := 0; i < b.N; i++ {
+			src := &sliceSource{}
+			e := NewEngine(Board{}, X, 3, src)
+			for e.Step(src) {
+			}
+			leaves += e.Evaluated()
 		}
-		leaves += e.Evaluated()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leaves), "ns/leaf")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leaves), "ns/leaf")
+	})
+	b.Run("workers=2", func(b *testing.B) {
+		b.ReportAllocs()
+		var leaves int64
+		for i := 0; i < b.N; i++ {
+			pool, err := core.New[*Node](core.Options{Segments: 2, Seed: 11})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool.Handle(0).Register()
+			pool.Handle(1).Register()
+			e := NewEngine(Board{}, X, 3, poolSource{pool.Handle(0)})
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(h *core.Handle[*Node]) {
+					defer wg.Done()
+					for !e.Done() {
+						e.Step(poolSource{h})
+					}
+					h.Close()
+				}(pool.Handle(w))
+			}
+			wg.Wait()
+			leaves += e.Evaluated()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(leaves), "ns/leaf")
+	})
 }
 
 func BenchmarkMinimaxDepth2(b *testing.B) {
