@@ -6,7 +6,7 @@ GO ?= go
 # (baseline was 87.9% when the gate was introduced).
 COVER_FLOOR ?= 85.0
 
-.PHONY: build test test-procs1 race fuzz-smoke bench-smoke bench-e2e-smoke vet lint stress cover policy-smoke docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
+.PHONY: build test test-procs1 race inline-check fuzz-smoke bench-smoke bench-e2e-smoke vet lint stress cover policy-smoke docs-check bench-check bench-baseline trace-smoke introspect-smoke chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -156,6 +156,16 @@ docs-check:
 	$(GO) run ./internal/tools/doclint ./internal/policy ./internal/numa ./internal/engine ./internal/workload ./internal/trace ./internal/introspect
 	$(GO) build -tags docsexamples ./internal/docexamples
 
+# Owner-path inlining gate: a disabled feature must cost Put/Get one
+# inlined field test. The compiler's -m report must show each feature
+# check (NUMA delay, Director placement, controller/recorder feedback,
+# membership redirect, stats sampler) inlined at every owner-path call
+# site in core and keyed; internal/tools/inlinecheck holds the list.
+inline-check:
+	$(GO) build -gcflags=-m ./internal/core ./internal/keyed 2> inline.out || (cat inline.out; exit 1)
+	$(GO) run ./internal/tools/inlinecheck inline.out
+	rm -f inline.out
+
 # Flight-recorder smoke: a seeded poolbench -trace dump must validate
 # against the Chrome trace-event schema (internal/tools/tracecheck), and
 # the sim's golden-trace test must agree byte-for-byte with the committed
@@ -191,4 +201,4 @@ chaos-smoke:
 	grep -q 'recovered ' chaos-smoke.out
 	rm -f chaos-smoke.out
 
-ci: build vet lint test test-procs1 race stress fuzz-smoke bench-smoke bench-e2e-smoke cover policy-smoke docs-check trace-smoke introspect-smoke chaos-smoke bench-check
+ci: build vet lint inline-check test test-procs1 race stress fuzz-smoke bench-smoke bench-e2e-smoke cover policy-smoke docs-check trace-smoke introspect-smoke chaos-smoke bench-check

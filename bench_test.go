@@ -261,6 +261,30 @@ func BenchmarkPoolLocalPutGet(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolLocalPutGetDeep is the owner path in forkjoin's shape:
+// 32 Puts then 32 Gets on one handle, so the Gets pop a deep ring rather
+// than racing thieves for its last element. ns/element is one Put plus
+// one Get; minus segment's BenchmarkOwnerDequePushPop/depth=32 it is the
+// handle layer's cost.
+func BenchmarkPoolLocalPutGetDeep(b *testing.B) {
+	const depth = 32
+	p, err := pools.New[int](pools.Options{Segments: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := p.Handle(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < depth; j++ {
+			h.Put(j)
+		}
+		for j := 0; j < depth; j++ {
+			h.Get()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/element")
+}
+
 // BenchmarkBatchPutGet compares the batch operations against an
 // equivalent loop of single-element operations on the same workload: move
 // `batch` elements into the local segment and back out. At batch >= 8 the

@@ -74,8 +74,13 @@ func (h *Handle[T]) Controller() policy.Controller { return h.eng.Controller() }
 // Register all participants first so that a consumer starting before the
 // first producer's Put does not observe a one-process pool and abort
 // immediately. Register is idempotent.
-func (h *Handle[T]) Register() {
-	if h.state.Load() == hsIdle && h.state.CompareAndSwap(hsIdle, hsOpen) {
+func (h *Handle[T]) Register() { h.registerFrom(h.state.Load()) }
+
+// registerFrom is Register given the handle's state as already loaded,
+// so an operation that has just read it for its closed check does not
+// read it again.
+func (h *Handle[T]) registerFrom(s int32) {
+	if s == hsIdle && h.state.CompareAndSwap(hsIdle, hsOpen) {
 		h.pool.open.Add(1)
 	}
 }
@@ -215,7 +220,7 @@ func (h *Handle[T]) Put(v T) {
 		}
 		return
 	}
-	target := p.placeTarget(h.eng.DirectTarget(1))
+	target := p.members.Place(h.eng.DirectTarget(1))
 	p.opts.Delay.Delay(numa.AccessAdd, h.id, target)
 	if target == h.id {
 		// The owner's lock-free bottom: no lock on the local add path.
@@ -265,7 +270,7 @@ func (h *Handle[T]) PutAll(items []T) {
 			return
 		}
 	}
-	target := p.placeTarget(h.eng.DirectTarget(len(items) - gifted))
+	target := p.members.Place(h.eng.DirectTarget(len(items) - gifted))
 	p.opts.Delay.Delay(numa.AccessAdd, h.id, target)
 	if target == h.id {
 		p.segs[target].dq.PushBottomAll(items[gifted:])
@@ -351,10 +356,11 @@ func (h *Handle[T]) TryGetLocal() (T, bool) {
 func (h *Handle[T]) Get() (T, bool) {
 	var zero T
 	p := h.pool
-	if h.state.Load() == hsClosed || p.closed.Load() {
+	st := h.state.Load()
+	if st == hsClosed || p.closed.Load() {
 		return zero, false
 	}
-	h.Register()
+	h.registerFrom(st)
 	start := h.sample.begin()
 
 	// Fast path: the owner's lock-free bottom. Only a thief contending
@@ -411,7 +417,7 @@ func (h *Handle[T]) parkLocal(items []T) {
 		return
 	}
 	p := h.pool
-	if t := p.placeTarget(h.id); t == h.id {
+	if t := p.members.Place(h.id); t == h.id {
 		p.segs[t].dq.PushBottomAll(items)
 	} else {
 		p.segs[t].dq.AddForeignAll(items)
@@ -460,10 +466,11 @@ func (h *Handle[T]) GetN(max int) []T {
 		return nil
 	}
 	p := h.pool
-	if h.state.Load() == hsClosed || p.closed.Load() {
+	st := h.state.Load()
+	if st == hsClosed || p.closed.Load() {
 		return nil
 	}
-	h.Register()
+	h.registerFrom(st)
 	start := h.sample.begin()
 
 	// Fast path: drain the local segment through the owner's bottom.
@@ -634,10 +641,10 @@ func (w *substrate[T]) Probe(sIdx, want int) int {
 	w.has = true
 	if moved > 1 {
 		// A kill can drain this thief's own segment between the search's
-		// start and this deposit; placeTarget reads the victim bit after
+		// start and this deposit; Place reads the victim bit after
 		// Kill's membership store, so the surplus lands where searches
 		// (and the kill-time drain's moving-wait) still find it.
-		if t := p.placeTarget(self); t == self {
+		if t := p.members.Place(self); t == self {
 			p.segs[t].dq.PushBottomAll(buf[:moved-1])
 		} else {
 			p.segs[t].dq.AddForeignAll(buf[:moved-1])

@@ -456,20 +456,6 @@ func (p *Pool[T]) Victim(i int) bool { return p.members.Victim(i) }
 // Revive, and kill-time redistribution.
 func (p *Pool[T]) Epoch() uint64 { return p.members.Epoch() }
 
-// placeTarget redirects a deposit aimed at segment s to the nearest
-// victim segment when s has left the victim set (a drain-mode kill), so
-// no element lands where searches no longer look. On the no-churn path
-// it costs one atomic load.
-func (p *Pool[T]) placeTarget(s int) int {
-	if p.members.Victim(s) {
-		return s
-	}
-	if t := p.members.FallbackVictim(s); t >= 0 {
-		return t
-	}
-	return s
-}
-
 // noteAdd publishes an add that has already stored its elements to the
 // searches in flight: it bumps the version only when some handle is
 // inside a search. The version is evidence for engine.Coverage alone, and

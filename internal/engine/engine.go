@@ -230,8 +230,17 @@ func (e *Engine) Tracer() *trace.Recorder { return e.tr }
 // Outcomes a search produced (a steal, an abort, or any probe) are also
 // recorded on the flight recorder (got, or -1 on abort, plus the probe
 // count); local hits are not, so the owner path never touches the
-// recorder and its ring keeps the protocol history.
+// recorder and its ring keeps the protocol history. With neither a
+// controller nor a recorder the call is one inlined test.
 func (e *Engine) Observe(fb policy.Feedback) {
+	if e.tr == nil && e.ctl == nil {
+		return
+	}
+	e.observe(fb)
+}
+
+// observe is Observe's out-of-line half.
+func (e *Engine) observe(fb policy.Feedback) {
 	if e.tr != nil && (fb.Stole || fb.Aborted || fb.Examined > 0) {
 		got := int32(fb.Got)
 		if fb.Aborted {
@@ -282,11 +291,16 @@ func (e *Engine) noteProbe(s, got int) {
 // DirectTarget consults the Director placement (when the policy set has
 // one) for where an add of n elements should land, probing segment sizes
 // through the substrate's SizeProbe. Out-of-range answers keep the add
-// local, as does the absence of a Director.
+// local, as does the absence of a Director, which costs one inlined test.
 func (e *Engine) DirectTarget(n int) int {
 	if e.dir == nil {
 		return e.self
 	}
+	return e.directTarget(n)
+}
+
+// directTarget is DirectTarget's out-of-line half, under a Director.
+func (e *Engine) directTarget(n int) int {
 	t := e.dir.Direct(e.self, e.segments, n, e.sizeFn)
 	if t < 0 || t >= e.segments {
 		return e.self

@@ -147,6 +147,31 @@ func (m *Membership) Join(s int) bool {
 // covered the destination segments re-scans them.
 func (m *Membership) Bump() uint64 { return m.epoch.Add(1) }
 
+// Place redirects a deposit aimed at segment s to the nearest victim
+// segment in ring order when s has left the victim set (a drain-mode
+// kill), so no element lands where searches no longer look. With no
+// victim left it returns s. While s is a victim — every call without
+// churn — it costs one inlined atomic load.
+func (m *Membership) Place(s int) int {
+	// Victim's test, spelled out: the call's extra cost would push Place
+	// past the inlining budget.
+	if m.state[s].w.Load()&memberVictim != 0 {
+		return s
+	}
+	return m.place(s)
+}
+
+// place is Place's out-of-line half, for a departed segment. It is kept
+// out of line so that Place stays within the inlining budget.
+//
+//go:noinline
+func (m *Membership) place(s int) int {
+	if t := m.FallbackVictim(s); t >= 0 {
+		return t
+	}
+	return s
+}
+
 // FallbackVictim returns the first victim segment at or after `from` in
 // ring order, or -1 when no victim remains. Deposits and parks aimed at
 // a departed drain-mode segment are redirected here so no element lands

@@ -118,6 +118,41 @@ func TestMembershipFallbackVictim(t *testing.T) {
 	}
 }
 
+// TestMembershipPlace covers the deposit redirect: a victim keeps its
+// deposit, a departed drain-mode segment's deposit goes to the nearest
+// victim in ring order (wrapping), and with no victim left the target
+// comes back unchanged.
+func TestMembershipPlace(t *testing.T) {
+	m := NewMembership(4)
+	for s := 0; s < 4; s++ {
+		if got := m.Place(s); got != s {
+			t.Fatalf("Place(%d) on a fresh membership = %d, want itself", s, got)
+		}
+	}
+	m.Leave(1, true) // steal-only: still a victim
+	if got := m.Place(1); got != 1 {
+		t.Fatalf("Place(1) on a steal-only departed segment = %d, want 1", got)
+	}
+	m.Leave(2, false)
+	if got := m.Place(2); got != 3 {
+		t.Fatalf("Place(2) = %d, want 3 (next victim)", got)
+	}
+	m.Leave(3, false)
+	if got := m.Place(3); got != 0 {
+		t.Fatalf("Place(3) = %d, want 0 (ring wrap)", got)
+	}
+	if got := m.Place(2); got != 0 {
+		t.Fatalf("Place(2) = %d, want 0 (skips departed 3, wraps)", got)
+	}
+
+	// No victim left: strip the bit by hand, as Leave keeps one alive.
+	one := NewMembership(1)
+	one.state[0].w.Store(memberAlive)
+	if got := one.Place(0); got != 0 {
+		t.Fatalf("Place with no victims = %d, want 0 unchanged", got)
+	}
+}
+
 // TestMembershipConcurrentChurn hammers leave/join from many goroutines
 // (run under -race) and checks the conserved quantities afterwards: the
 // live count matches the alive bits, at least one member survived, and

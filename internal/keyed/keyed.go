@@ -346,6 +346,10 @@ type Handle[K comparable, V any] struct {
 	stats metrics.PoolStats
 }
 
+// An instantiation, so that building this package alone compiles the
+// generic handle and reports its inlining decisions (make inline-check).
+var _ = (*Handle[int, int]).Put
+
 // ProbeStats sums every handle's remote-probe accounting: how many sweep
 // probes touched another segment, and how many of those crossed a cluster
 // boundary under Options.Topology (always 0 without one). Like Stats on
@@ -380,24 +384,10 @@ func (h *Handle[K, V]) sizeProbe() func(s int) int {
 	}
 }
 
-// placeTarget redirects a deposit aimed at segment s to a live victim
-// when s has left the victim set (drain-killed), so a dead member's
-// segment stays empty and sweeps may skip it. The common case — s still
-// a victim — is one atomic load.
-func (p *Pool[K, V]) placeTarget(s int) int {
-	if p.members.Victim(s) {
-		return s
-	}
-	if t := p.members.FallbackVictim(s); t >= 0 {
-		return t
-	}
-	return s
-}
-
 // Put adds an element of class k to the local segment — or to the
 // segment a Director placement selects. O(1) without a Director.
 func (h *Handle[K, V]) Put(k K, v V) {
-	s := &h.pool.segs[h.pool.placeTarget(h.eng.DirectTarget(1))]
+	s := &h.pool.segs[h.pool.members.Place(h.eng.DirectTarget(1))]
 	s.mu.Lock()
 	s.bucket(k).Add(v)
 	s.total++
@@ -411,7 +401,7 @@ func (h *Handle[K, V]) PutAll(k K, vs []V) {
 	if len(vs) == 0 {
 		return
 	}
-	s := &h.pool.segs[h.pool.placeTarget(h.eng.DirectTarget(len(vs)))]
+	s := &h.pool.segs[h.pool.members.Place(h.eng.DirectTarget(len(vs)))]
 	s.mu.Lock()
 	s.bucket(k).AddAll(vs)
 	s.total += len(vs)
@@ -599,7 +589,7 @@ func (h *Handle[K, V]) stealNFrom(sIdx int, k K, max int) []V {
 		out[i] = buf[moved-1-i]
 	}
 	if moved > n {
-		dst := &p.segs[p.placeTarget(h.id)]
+		dst := &p.segs[p.members.Place(h.id)]
 		dst.mu.Lock()
 		dst.bucket(k).AddAll(buf[:moved-n])
 		dst.total += moved - n
@@ -673,7 +663,7 @@ func (h *Handle[K, V]) stealAnyFrom(sIdx int) (K, V, bool) {
 	moved := len(buf)
 	v := buf[moved-1]
 	if moved > 1 {
-		dst := &p.segs[p.placeTarget(h.id)]
+		dst := &p.segs[p.members.Place(h.id)]
 		dst.mu.Lock()
 		dst.bucket(key).AddAll(buf[:moved-1])
 		dst.total += moved - 1

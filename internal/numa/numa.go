@@ -187,11 +187,19 @@ type Delayer struct {
 // than sleeping) mirrors a processor stalled on a remote reference: the
 // paper's delays model latency the processor cannot overlap. The pointer
 // receiver keeps the no-op call on the disabled hot path from copying the
-// whole struct (CostModel embeds an interface and five words).
+// whole struct (CostModel embeds an interface and five words), and a
+// zero Scale costs the caller one inlined test.
 func (d *Delayer) Delay(kind Kind, proc, home int) {
 	if d.Scale == 0 {
 		return
 	}
+	d.delay(kind, proc, home)
+}
+
+// delay is Delay's out-of-line half: the busy-wait under a non-zero Scale.
+//
+//go:noinline
+func (d *Delayer) delay(kind Kind, proc, home int) {
 	c := d.Model.Cost(kind, proc, home)
 	if c <= 0 {
 		return

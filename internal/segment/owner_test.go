@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -654,4 +655,30 @@ func BenchmarkOwnerDequeStealContended(b *testing.B) {
 	stop.Store(true)
 	<-done
 	b.ReportMetric(float64(stolen)/float64(b.N), "elements/steal")
+}
+
+// BenchmarkOwnerDequePushPop is the segment-layer row for the owner
+// path, the ring under every Put/Get. size=1 pushes one element and pops
+// it, so every pop is the last-element CAS race with thieves; depth=32
+// pushes 32 and pops them back, forkjoin's shape, where all but the last
+// pop take the plain path. ns/element is one push plus one pop.
+func BenchmarkOwnerDequePushPop(b *testing.B) {
+	for _, depth := range []int{1, 32} {
+		name := fmt.Sprintf("depth=%d", depth)
+		if depth == 1 {
+			name = "size=1"
+		}
+		b.Run(name, func(b *testing.B) {
+			var d OwnerDeque[int]
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < depth; j++ {
+					d.PushBottom(j)
+				}
+				for j := 0; j < depth; j++ {
+					d.PopBottom()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/element")
+		})
+	}
 }
