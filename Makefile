@@ -47,19 +47,20 @@ race:
 	$(GO) test -race ./...
 
 # Deque/steal stress: the raced concurrency suites (owner-path deque,
-# steal, churn, kill/revive, conservation) repeated STRESS_COUNT times
+# steal, churn, kill/revive, conservation, and the membership
+# conformance table over core, keyed and sim) repeated STRESS_COUNT times
 # at several GOMAXPROCS shapes. The shape sweep matters more than the
 # core count of the machine running it: GOMAXPROCS above the physical
 # cores forces preemption inside the lock-free owner/thief windows that
 # a matched count rarely interleaves.
 STRESS_COUNT ?= 20
 STRESS_PROCS ?= 1 2 8 32
-STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback
+STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback|Conformance
 
 stress:
 	@for procs in $(STRESS_PROCS); do \
 		echo "== stress: GOMAXPROCS=$$procs -race -count=$(STRESS_COUNT) =="; \
-		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run '$(STRESS_RUN)' ./internal/segment ./internal/core || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run '$(STRESS_RUN)' ./internal/segment ./internal/core ./internal/keyed ./internal/engine || exit 1; \
 	done
 
 fuzz-smoke:

@@ -212,7 +212,9 @@ func New[T any](opts Options) (*Pool[T], error) {
 			stats = &h.stats
 		}
 		if opts.TraceBuf > 0 {
-			h.tr = trace.NewRecorder(i, opts.TraceBuf, p.traceClock)
+			// Microseconds since p.base: the op stats' monotonic time zero.
+			h.tr = trace.NewRecorder(i, opts.TraceBuf, func() int64 { return time.Since(p.base).Microseconds() })
+			p.members.Attach(i, h.tr)
 		}
 		h.eng = engine.New(engine.Config{
 			Self:      i,
@@ -231,12 +233,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 	return p, nil
 }
 
-// traceClock is the flight recorder's wall clock: microseconds since
-// pool creation, shared by every handle so their tracks align. It reads
-// the monotonic clock only (p.base carries a monotonic reading), the
-// same time zero the op-latency stats use.
-func (p *Pool[T]) traceClock() int64 { return time.Since(p.base).Microseconds() }
-
 // Tracer returns segment i's flight recorder, nil unless the pool was
 // built with Options.TraceBuf > 0. Safe to call (and dump) while the
 // pool runs; the recorder synchronizes record-vs-snapshot itself.
@@ -245,16 +241,7 @@ func (p *Pool[T]) Tracer(i int) *trace.Recorder { return p.handles[i].tr }
 // Timelines snapshots every handle's flight recorder for export
 // (trace.ChromeJSON / trace.WriteCSV). It returns nil when tracing is
 // disabled.
-func (p *Pool[T]) Timelines() []trace.Timeline {
-	if p.opts.TraceBuf <= 0 {
-		return nil
-	}
-	recs := make([]*trace.Recorder, len(p.handles))
-	for i, h := range p.handles {
-		recs[i] = h.tr
-	}
-	return trace.Collect(recs...)
-}
+func (p *Pool[T]) Timelines() []trace.Timeline { return p.members.Timelines() }
 
 // sizeProbe builds the handle's Director size-probe closure once, so the
 // add hot path under a size-aware placement does not allocate a closure
@@ -356,7 +343,6 @@ func (p *Pool[T]) Drain() []T {
 // membership. Kill refuses to remove the last live member and reports
 // whether the kill happened.
 func (p *Pool[T]) Kill(i int, drain bool) bool {
-	h := p.handles[i]
 	// Order matters: the membership store first, so any deposit that
 	// starts after it sees the new victim bit and redirects; then the
 	// handle state, so the owner's next operation fails; then the wait
@@ -365,14 +351,7 @@ func (p *Pool[T]) Kill(i int, drain bool) bool {
 	if !p.members.Leave(i, !drain) {
 		return false
 	}
-	h.withdraw()
-	if h.tr != nil {
-		d := int32(0)
-		if drain {
-			d = 1
-		}
-		h.tr.Record(trace.MemberLeave, int32(i), d)
-	}
+	p.handles[i].withdraw()
 	if drain {
 		for p.moving.Load() > 0 {
 			runtime.Gosched()
@@ -383,11 +362,9 @@ func (p *Pool[T]) Kill(i int, drain bool) bool {
 }
 
 // redistribute empties killed segment i — deque and stranded mailbox
-// gift — across the surviving victim segments, round-robin. The moving
-// count guards the whole relocation exactly like a steal's in-buffer
-// window, and the epoch bump at the end forces every search that had
-// already covered a destination segment to re-scan it before it may
-// certify emptiness.
+// gift — across the surviving victim segments, one element at a time
+// (engine.Membership.Relocate). The moving count guards the whole
+// relocation exactly like a steal's in-buffer window.
 func (p *Pool[T]) redistribute(i int) {
 	p.moving.Add(1)
 	items := p.segs[i].dq.StealAll(nil)
@@ -396,33 +373,13 @@ func (p *Pool[T]) redistribute(i int) {
 			items = append(items, g.elements()...)
 		}
 	}
-	n := len(p.segs)
-	placed := 0
-	for off, k := 0, 0; off < n && k < len(items); off++ {
-		t := (i + 1 + off) % n
-		if !p.members.Victim(t) {
-			continue
-		}
-		// Victims share the relocated elements evenly: ceil of what
-		// remains over the victims not yet visited this pass.
-		take := (len(items) - k + (p.members.Live() - placed) - 1) / max(p.members.Live()-placed, 1)
-		if take < 1 {
-			take = 1
-		}
-		if k+take > len(items) {
-			take = len(items) - k
-		}
-		// The redistributor is not the destination's owner, so the
-		// relocated elements go through its foreign overflow.
-		p.segs[t].dq.AddForeignAll(items[k : k+take])
-		k += take
-		placed++
-	}
+	// The redistributor is not the destination's owner, so the
+	// relocated elements go through its foreign overflow.
+	p.members.Relocate(i, len(items), func(t, k int) int {
+		p.segs[t].dq.AddForeign(items[k])
+		return 1
+	})
 	p.version.Add(1)
-	e := p.members.Bump()
-	if h := p.handles[i]; h.tr != nil {
-		h.tr.Record(trace.EpochBump, int32(e&0x7fffffff), int32(len(items)))
-	}
 	p.moving.Add(-1)
 }
 
@@ -434,14 +391,10 @@ func (p *Pool[T]) redistribute(i int) {
 // probed before any emptiness certificate. Revive reports whether the
 // handle was in fact dead.
 func (p *Pool[T]) Revive(i int) bool {
-	h := p.handles[i]
-	if !h.state.CompareAndSwap(hsClosed, hsIdle) {
+	if !p.handles[i].state.CompareAndSwap(hsClosed, hsIdle) {
 		return false
 	}
 	p.members.Join(i)
-	if h.tr != nil {
-		h.tr.Record(trace.MemberJoin, int32(i), 0)
-	}
 	return true
 }
 

@@ -25,9 +25,15 @@ package engine
 //
 // Membership is substrate-neutral: the real pool reads it under real
 // concurrency (all fields are atomics), the simulator under virtual
-// time, the keyed pool under its bounded sweeps.
+// time, the keyed pool under its bounded sweeps. Leave, Join and Relocate
+// also record every transition and deal a departed segment's elements to
+// the survivors, so a substrate supplies only how one unit is deposited.
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"pools/internal/trace"
+)
 
 // Per-segment membership state bits.
 const (
@@ -63,6 +69,7 @@ type Membership struct {
 	live  atomic.Int32
 	_     [60]byte
 	state []memberWord
+	recs  []*trace.Recorder // per-segment flight recorders; nil until the first Attach
 }
 
 // NewMembership returns a membership over n segments, all alive victims.
@@ -75,8 +82,31 @@ func NewMembership(n int) *Membership {
 	return m
 }
 
-// Segments returns the membership's segment count.
-func (m *Membership) Segments() int { return len(m.state) }
+// Attach makes r segment s's flight recorder: Leave, Join and Relocate
+// record segment s's transitions there. Call it before the pool is
+// shared; an untraced pool never calls it and pays nothing.
+func (m *Membership) Attach(s int, r *trace.Recorder) {
+	if m.recs == nil {
+		m.recs = make([]*trace.Recorder, len(m.state))
+	}
+	m.recs[s] = r
+}
+
+// record writes one event to segment s's recorder, if one is attached.
+func (m *Membership) record(s int, k trace.Kind, arg1, arg2 int32) {
+	if m.recs != nil && m.recs[s] != nil {
+		m.recs[s].Record(k, arg1, arg2)
+	}
+}
+
+// Timelines snapshots the attached flight recorders for export, nil
+// when none is attached.
+func (m *Membership) Timelines() []trace.Timeline {
+	if m.recs == nil {
+		return nil
+	}
+	return trace.Collect(m.recs...)
+}
 
 // Epoch returns the current membership epoch. Coverage snapshots it at
 // search begin and re-arms when it moves.
@@ -90,15 +120,13 @@ func (m *Membership) Alive(s int) bool { return m.state[s].w.Load()&memberAlive 
 // empty, so skipping it costs a search nothing.
 func (m *Membership) Victim(s int) bool { return m.state[s].w.Load()&memberVictim != 0 }
 
-// Live returns the number of alive segments.
-func (m *Membership) Live() int { return int(m.live.Load()) }
-
 // Leave removes segment s from the alive set: with keepVictim the
 // segment stays a steal-only victim, without it the segment also leaves
 // the victim set (the caller drains and redistributes its elements).
 // Leave refuses to remove the last alive segment (a pool with no live
 // member could strand every element) and reports whether the transition
-// happened. On success the epoch has been bumped.
+// happened. On success the epoch has been bumped and a member_leave
+// event (arg2 1 for a drain, 0 for steal-only) recorded.
 func (m *Membership) Leave(s int, keepVictim bool) bool {
 	if m.live.Add(-1) < 1 {
 		m.live.Add(1)
@@ -119,13 +147,14 @@ func (m *Membership) Leave(s int, keepVictim bool) bool {
 		}
 	}
 	m.epoch.Add(1)
+	m.record(s, trace.MemberLeave, int32(s), int32(memberVictim-next)) // 1 drain, 0 steal-only
 	return true
 }
 
 // Join re-admits segment s as an alive victim (a revive, or a fresh
 // member joining after a leave). It reports whether the transition
 // happened (false when s is already alive). On success the epoch has
-// been bumped.
+// been bumped and a member_join event recorded.
 func (m *Membership) Join(s int) bool {
 	for {
 		cur := m.state[s].w.Load()
@@ -138,14 +167,25 @@ func (m *Membership) Join(s int) bool {
 	}
 	m.live.Add(1)
 	m.epoch.Add(1)
+	m.record(s, trace.MemberJoin, int32(s), 0)
 	return true
 }
 
-// Bump advances the epoch without a membership transition, invalidating
-// every in-flight coverage certificate: pools call it after externally
-// relocating elements (a kill-time drain) so a searcher that had already
-// covered the destination segments re-scans them.
-func (m *Membership) Bump() uint64 { return m.epoch.Add(1) }
+// Relocate deals the n units (elements, or keyed buckets) of departed
+// segment s round-robin over the victims after s in ring order: unit k
+// goes to deposit(t, k), which returns the elements it moved. Victim bits
+// are re-read per unit, so a segment that leaves mid-deal gets no later
+// unit. Then the epoch is bumped, so searches that covered a destination
+// re-scan it, and epoch_bump is recorded with the moved count.
+func (m *Membership) Relocate(s, n int, deposit func(t, k int) int) {
+	moved := 0
+	for k, t := 0, s; k < n; k++ {
+		t = m.Place((t + 1) % len(m.state))
+		moved += deposit(t, k)
+	}
+	e := m.epoch.Add(1)
+	m.record(s, trace.EpochBump, int32(e&0x7fffffff), int32(moved))
+}
 
 // Place redirects a deposit aimed at segment s to the nearest victim
 // segment in ring order when s has left the victim set (a drain-mode

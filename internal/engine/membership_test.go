@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"testing"
+
+	"pools/internal/trace"
 )
 
 // TestMembershipTransitions exercises the leave/join state machine: bit
@@ -10,8 +13,8 @@ import (
 // epoch stamp on every successful transition.
 func TestMembershipTransitions(t *testing.T) {
 	m := NewMembership(4)
-	if m.Segments() != 4 || m.Live() != 4 {
-		t.Fatalf("fresh membership: Segments=%d Live=%d, want 4/4", m.Segments(), m.Live())
+	if len(m.state) != 4 || int(m.live.Load()) != 4 {
+		t.Fatalf("fresh membership: Segments=%d Live=%d, want 4/4", len(m.state), int(m.live.Load()))
 	}
 	for s := 0; s < 4; s++ {
 		if !m.Alive(s) || !m.Victim(s) {
@@ -27,8 +30,8 @@ func TestMembershipTransitions(t *testing.T) {
 	if m.Alive(1) || !m.Victim(1) {
 		t.Fatalf("steal-only departed segment: Alive=%v Victim=%v, want false/true", m.Alive(1), m.Victim(1))
 	}
-	if m.Live() != 3 {
-		t.Fatalf("Live=%d after one leave, want 3", m.Live())
+	if int(m.live.Load()) != 3 {
+		t.Fatalf("Live=%d after one leave, want 3", int(m.live.Load()))
 	}
 	if m.Epoch() == e0 {
 		t.Fatal("Leave did not bump the epoch")
@@ -47,8 +50,8 @@ func TestMembershipTransitions(t *testing.T) {
 	if m.Leave(1, false) {
 		t.Fatal("Leave succeeded on an already-departed segment")
 	}
-	if m.Epoch() != e || m.Live() != 2 {
-		t.Fatalf("failed Leave mutated state: epoch %d→%d, Live=%d", e, m.Epoch(), m.Live())
+	if m.Epoch() != e || int(m.live.Load()) != 2 {
+		t.Fatalf("failed Leave mutated state: epoch %d→%d, Live=%d", e, m.Epoch(), int(m.live.Load()))
 	}
 
 	// Join re-admits as a full alive victim; joining an alive segment is
@@ -56,8 +59,8 @@ func TestMembershipTransitions(t *testing.T) {
 	if !m.Join(2) {
 		t.Fatal("Join(2) refused on a departed segment")
 	}
-	if !m.Alive(2) || !m.Victim(2) || m.Live() != 3 {
-		t.Fatalf("rejoined segment: Alive=%v Victim=%v Live=%d, want true/true/3", m.Alive(2), m.Victim(2), m.Live())
+	if !m.Alive(2) || !m.Victim(2) || int(m.live.Load()) != 3 {
+		t.Fatalf("rejoined segment: Alive=%v Victim=%v Live=%d, want true/true/3", m.Alive(2), m.Victim(2), int(m.live.Load()))
 	}
 	if m.Epoch() == e {
 		t.Fatal("Join did not bump the epoch")
@@ -66,10 +69,94 @@ func TestMembershipTransitions(t *testing.T) {
 		t.Fatal("Join succeeded on an alive segment")
 	}
 
-	// Bump advances the epoch with no membership change.
+	// An empty relocation advances the epoch with no membership change.
 	e = m.Epoch()
-	if got := m.Bump(); got != e+1 || m.Epoch() != e+1 {
-		t.Fatalf("Bump: got %d, Epoch=%d, want %d", got, m.Epoch(), e+1)
+	m.Relocate(2, 0, nil)
+	if m.Epoch() != e+1 || int(m.live.Load()) != 3 || !m.Alive(2) {
+		t.Fatalf("Relocate(2, 0, nil): Epoch=%d Live=%d Alive(2)=%v, want %d/3/true", m.Epoch(), int(m.live.Load()), m.Alive(2), e+1)
+	}
+}
+
+// TestMembershipRelocate covers the shared deal and the recorded
+// transitions: units go round-robin over the victims after the departed
+// segment (steal-only members included, drained ones skipped), a
+// segment that leaves mid-deal gets no later unit, each relocation
+// moves the epoch by exactly one, and the attached recorders see
+// member_leave, member_join and epoch_bump with their arguments.
+func TestMembershipRelocate(t *testing.T) {
+	m := NewMembership(6)
+	if m.Timelines() != nil {
+		t.Fatal("Timelines() non-nil with no recorder attached")
+	}
+	var recs [6]*trace.Recorder
+	for s := range recs {
+		recs[s] = trace.NewRecorder(s, 16, nil)
+		m.Attach(s, recs[s])
+	}
+	if !m.Leave(1, true) || !m.Leave(3, false) || !m.Leave(0, false) {
+		t.Fatal("setup leaves refused")
+	}
+
+	// Deal order from 0's successor over victims 1 (steal-only), 2, 4, 5.
+	var got []int
+	e := m.Epoch()
+	m.Relocate(0, 6, func(tgt, k int) int {
+		if k != len(got) {
+			t.Fatalf("unit %d dealt out of order (after %d units)", k, len(got))
+		}
+		got = append(got, tgt)
+		return 2
+	})
+	if want := []int{1, 2, 4, 5, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("deal order %v, want %v", got, want)
+	}
+	if m.Epoch() != e+1 {
+		t.Fatalf("Relocate moved the epoch %d→%d, want exactly one", e, m.Epoch())
+	}
+
+	// A segment that leaves from inside deposit is skipped for every
+	// later unit.
+	got = got[:0]
+	m.Relocate(0, 7, func(tgt, k int) int {
+		got = append(got, tgt)
+		if k == 2 && !m.Leave(5, false) {
+			t.Fatal("Leave(5) inside deposit refused")
+		}
+		return 1
+	})
+	if want := []int{1, 2, 4, 1, 2, 4, 1}; !slices.Equal(got, want) {
+		t.Fatalf("deal order with a mid-deal leave %v, want %v", got, want)
+	}
+	if !m.Join(3) {
+		t.Fatal("Join(3) refused")
+	}
+
+	type ev struct {
+		k          trace.Kind
+		arg1, arg2 int32
+	}
+	events := func(s int) []ev {
+		var out []ev
+		for _, x := range recs[s].Events() {
+			out = append(out, ev{x.Kind, x.Arg1, x.Arg2})
+		}
+		return out
+	}
+	want := map[int][]ev{
+		0: {{trace.MemberLeave, 0, 1}, {trace.EpochBump, int32(e + 1), 12}, {trace.EpochBump, int32(e + 3), 7}},
+		1: {{trace.MemberLeave, 1, 0}},
+		2: nil,
+		3: {{trace.MemberLeave, 3, 1}, {trace.MemberJoin, 3, 0}},
+		4: nil,
+		5: {{trace.MemberLeave, 5, 1}},
+	}
+	for s, w := range want {
+		if g := events(s); !slices.Equal(g, w) {
+			t.Errorf("segment %d recorded %v, want %v", s, g, w)
+		}
+	}
+	if tl := m.Timelines(); len(tl) != 6 || tl[3].Handle != 3 || len(tl[3].Events) != 2 {
+		t.Errorf("Timelines() = %d timelines, want one per attached recorder", len(tl))
 	}
 }
 
@@ -84,8 +171,8 @@ func TestMembershipLastAlive(t *testing.T) {
 	if m.Leave(2, true) {
 		t.Fatal("last alive segment was allowed to leave")
 	}
-	if m.Live() != 1 || !m.Alive(2) || m.Epoch() != e {
-		t.Fatalf("refused Leave mutated state: Live=%d Alive(2)=%v epoch %d→%d", m.Live(), m.Alive(2), e, m.Epoch())
+	if int(m.live.Load()) != 1 || !m.Alive(2) || m.Epoch() != e {
+		t.Fatalf("refused Leave mutated state: Live=%d Alive(2)=%v epoch %d→%d", int(m.live.Load()), m.Alive(2), e, m.Epoch())
 	}
 	// After a rejoin the previously-refused leave goes through.
 	if !m.Join(0) || !m.Leave(2, true) {
@@ -189,8 +276,8 @@ func TestMembershipConcurrentChurn(t *testing.T) {
 			alive++
 		}
 	}
-	if alive != m.Live() {
-		t.Fatalf("Live()=%d but %d alive bits set", m.Live(), alive)
+	if alive != int(m.live.Load()) {
+		t.Fatalf("Live()=%d but %d alive bits set", int(m.live.Load()), alive)
 	}
 	if alive < 1 {
 		t.Fatal("churn killed the last alive member")

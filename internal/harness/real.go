@@ -12,8 +12,6 @@ import (
 	"pools/internal/metrics"
 	"pools/internal/numa"
 	"pools/internal/policy"
-	"pools/internal/rng"
-	"pools/internal/search"
 	"pools/internal/trace"
 	"pools/internal/workload"
 )
@@ -351,36 +349,4 @@ func (c *opChurn) finish() (kills, revives int) {
 	}
 	c.down = -1
 	return c.kills, c.revives
-}
-
-// RealCompare runs the three algorithms on the same wall-clock workload
-// and returns one Point per algorithm (X encodes the search kind).
-func RealCompare(wl workload.Config, trials int, seed uint64) (map[search.Kind]Point, error) {
-	out := make(map[search.Kind]Point, 3)
-	for _, kind := range search.Kinds() {
-		var pt Point
-		n := float64(trials)
-		for trial := 0; trial < trials; trial++ {
-			res, err := RealRun(RealRunConfig{
-				Workload: wl,
-				Policies: policy.Set{Order: kind},
-				Seed:     rng.SubSeed(seed, trial),
-			})
-			if err != nil {
-				return nil, err
-			}
-			st := res.Stats
-			pt.AvgOpTime += st.AvgOpTime() / n
-			pt.SegmentsExamined += st.SegmentsExamined.Mean() / n
-			pt.ElementsStolen += st.ElementsStolen.Mean() / n
-			pt.StealFraction += st.StealFraction() / n
-			if ops := float64(st.OpCount()); ops > 0 {
-				pt.StealsPerOp += float64(st.Steals) / ops / n
-			}
-			pt.MixAchieved += st.MixAchieved() / n
-		}
-		pt.X = float64(kind)
-		out[kind] = pt
-	}
-	return out, nil
 }

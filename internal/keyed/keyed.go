@@ -162,7 +162,8 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 			if p.epoch.IsZero() {
 				p.epoch = time.Now()
 			}
-			h.tr = trace.NewRecorder(i, opts.TraceBuf, p.traceClock)
+			h.tr = trace.NewRecorder(i, opts.TraceBuf, func() int64 { return time.Since(p.epoch).Microseconds() })
+			p.members.Attach(i, h.tr)
 		}
 		h.eng = engine.New(engine.Config{
 			Self:      i,
@@ -181,26 +182,13 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 	return p, nil
 }
 
-// traceClock is the flight recorder's wall clock: microseconds since
-// pool creation, shared by every handle so their tracks align.
-func (p *Pool[K, V]) traceClock() int64 { return time.Since(p.epoch).Microseconds() }
-
 // Tracer returns segment i's flight recorder, nil unless the pool was
 // built with Options.TraceBuf > 0.
 func (p *Pool[K, V]) Tracer(i int) *trace.Recorder { return p.handles[i].tr }
 
 // Timelines snapshots every handle's flight recorder for export, nil
 // when tracing is disabled.
-func (p *Pool[K, V]) Timelines() []trace.Timeline {
-	if p.opts.TraceBuf <= 0 {
-		return nil
-	}
-	recs := make([]*trace.Recorder, len(p.handles))
-	for i, h := range p.handles {
-		recs[i] = h.tr
-	}
-	return trace.Collect(recs...)
-}
+func (p *Pool[K, V]) Timelines() []trace.Timeline { return p.members.Timelines() }
 
 // Segments returns the number of segments.
 func (p *Pool[K, V]) Segments() int { return p.opts.Segments }
@@ -248,13 +236,6 @@ func (p *Pool[K, V]) Kill(i int, drain bool) bool {
 	if !p.members.Leave(i, !drain) {
 		return false
 	}
-	if h := p.handles[i]; h.tr != nil {
-		d := int32(0)
-		if drain {
-			d = 1
-		}
-		h.tr.Record(trace.MemberLeave, int32(i), d)
-	}
 	if drain {
 		p.redistribute(i)
 	}
@@ -262,61 +243,37 @@ func (p *Pool[K, V]) Kill(i int, drain bool) bool {
 }
 
 // redistribute drains segment i's buckets into the surviving victim
-// segments, round-robin by bucket from i's ring successor so one
-// survivor does not absorb the whole segment, and bumps the membership
-// epoch once the elements have landed.
+// segments, one non-empty bucket per unit of engine.Membership.Relocate,
+// so one survivor does not absorb the whole segment.
 func (p *Pool[K, V]) redistribute(i int) {
 	s := &p.segs[i]
 	s.mu.Lock()
 	buckets := s.buckets
-	moved := s.total
 	s.buckets = make(map[K]*segment.Deque[V])
 	s.total = 0
 	s.spare = nil
 	s.mu.Unlock()
-	n := len(p.segs)
-	next := i
+	var keys []K
+	var parts [][]V
 	for k, b := range buckets {
-		elems := b.TakeOut(nil, b.Len())
-		if len(elems) == 0 {
-			continue
+		if elems := b.TakeOut(nil, b.Len()); len(elems) > 0 {
+			keys, parts = append(keys, k), append(parts, elems)
 		}
-		t := -1
-		for off := 1; off <= n; off++ {
-			c := (next + off) % n
-			if p.members.Victim(c) {
-				t = c
-				break
-			}
-		}
-		if t < 0 {
-			t = i // unreachable: Leave keeps at least one live (victim) member
-		}
-		next = t
+	}
+	p.members.Relocate(i, len(parts), func(t, j int) int {
 		dst := &p.segs[t]
 		dst.mu.Lock()
-		dst.bucket(k).AddAll(elems)
-		dst.total += len(elems)
+		dst.bucket(keys[j]).AddAll(parts[j])
+		dst.total += len(parts[j])
 		dst.mu.Unlock()
-	}
-	e := p.members.Bump()
-	if h := p.handles[i]; h.tr != nil {
-		h.tr.Record(trace.EpochBump, int32(e&0x7fffffff), int32(moved))
-	}
+		return len(parts[j])
+	})
 }
 
 // Revive re-admits a killed handle: its segment rejoins the victim set
 // and alive set, and the membership epoch bumps so in-flight sweeps see
 // the topology change. Reviving a live member returns false.
-func (p *Pool[K, V]) Revive(i int) bool {
-	if !p.members.Join(i) {
-		return false
-	}
-	if h := p.handles[i]; h.tr != nil {
-		h.tr.Record(trace.MemberJoin, int32(i), 0)
-	}
-	return true
-}
+func (p *Pool[K, V]) Revive(i int) bool { return p.members.Join(i) }
 
 // Alive reports whether handle i is a live member.
 func (p *Pool[K, V]) Alive(i int) bool { return p.members.Alive(i) }

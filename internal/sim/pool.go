@@ -68,7 +68,6 @@ type Pool[T any] struct {
 	members *engine.Membership // dynamic membership: alive/victim bits + epoch
 
 	traces []metrics.Trace
-	recs   []*trace.Recorder // per-proc flight recorders (EventBuf only)
 }
 
 // Token is the element type for workload experiments where element values
@@ -106,21 +105,13 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 	if cfg.Trace {
 		p.traces = make([]metrics.Trace, cfg.Procs)
 	}
-	if cfg.EventBuf > 0 {
-		p.recs = make([]*trace.Recorder, cfg.Procs)
-	}
 	return p
 }
 
 // Timelines snapshots every processor's flight recorder for export,
 // nil unless PoolConfig.EventBuf was set. Processors that never bound
 // a Proc contribute no timeline.
-func (p *Pool[T]) Timelines() []trace.Timeline {
-	if p.recs == nil {
-		return nil
-	}
-	return trace.Collect(p.recs...)
-}
+func (p *Pool[T]) Timelines() []trace.Timeline { return p.members.Timelines() }
 
 // BatchSize returns the batch size the pool-wide controller recommends
 // for a workload configured at current, or current itself without one.
@@ -185,44 +176,27 @@ func (p *Pool[T]) Kill(env *Env, i int, drain bool) bool {
 	if p.participants > 0 {
 		p.participants--
 	}
-	if p.recs != nil && p.recs[i] != nil {
-		d := int32(0)
-		if drain {
-			d = 1
-		}
-		p.recs[i].Record(trace.MemberLeave, int32(i), d)
-	}
 	if drain {
 		p.relocate(env, i)
 	}
 	return true
 }
 
-// relocate empties killed segment i round-robin across the surviving
-// victim segments, charging the driver one remove access for the drain
-// and one add access per destination visit. The simulator is
-// cooperative — no other processor runs during the relocation — so no
-// transfer guard is needed; the epoch bump still mirrors the real
-// pool's, keeping traces comparable across substrates.
+// relocate empties killed segment i one element at a time across the
+// surviving victim segments (engine.Membership.Relocate), charging the
+// driver one remove access for the drain and one add access per
+// element. The simulator is cooperative — no other processor runs
+// during the relocation — so no transfer guard is needed.
 func (p *Pool[T]) relocate(env *Env, i int) {
 	env.Charge(&p.segRes[i], p.cfg.Costs.Cost(numa.AccessRemove, i, i))
 	items := p.segs[i].Drain()
 	p.recordTrace(env, i)
-	k := 0
-	for off := 0; k < len(items); off++ {
-		t := (i + 1 + off) % len(p.segs)
-		if !p.members.Victim(t) {
-			continue
-		}
+	p.members.Relocate(i, len(items), func(t, k int) int {
 		env.Charge(&p.segRes[t], p.cfg.Costs.Cost(numa.AccessAdd, i, t))
 		p.segs[t].Add(items[k])
-		k++
 		p.recordTrace(env, t)
-	}
-	e := p.members.Bump()
-	if p.recs != nil && p.recs[i] != nil {
-		p.recs[i].Record(trace.EpochBump, int32(e&0x7fffffff), int32(len(items)))
-	}
+		return 1
+	})
 }
 
 // Revive re-admits processor i: it rejoins the membership (and the
@@ -235,18 +209,11 @@ func (p *Pool[T]) Revive(i int) bool {
 	}
 	p.participants++
 	p.emptyAbort = false
-	if p.recs != nil && p.recs[i] != nil {
-		p.recs[i].Record(trace.MemberJoin, int32(i), 0)
-	}
 	return true
 }
 
 // Alive reports whether processor i is a live member.
 func (p *Pool[T]) Alive(i int) bool { return p.members.Alive(i) }
-
-// Epoch returns the pool's membership epoch (bumped on every kill,
-// revive, and kill-time relocation).
-func (p *Pool[T]) Epoch() uint64 { return p.members.Epoch() }
 
 // recordTrace logs segment s's size at the current virtual time.
 func (p *Pool[T]) recordTrace(env *Env, s int) {
@@ -282,9 +249,9 @@ func (p *Pool[T]) Proc(env *Env) *Proc[T] {
 		term = engine.NewBounded(p.cfg.SearchLaps * p.cfg.Procs)
 	}
 	var rec *trace.Recorder
-	if p.recs != nil {
+	if p.cfg.EventBuf > 0 {
 		rec = trace.NewRecorder(id, p.cfg.EventBuf, env.Now)
-		p.recs[id] = rec
+		p.members.Attach(id, rec)
 		pr.tr = rec
 	}
 	pr.eng = engine.New(engine.Config{

@@ -132,9 +132,6 @@ func (e *Engine) Done() bool { return e.done.Load() }
 // RootValue returns the minimax value of the root (valid once Done).
 func (e *Engine) RootValue() int { return int(e.rootValue.Load()) }
 
-// Expanded returns the number of internal nodes expanded so far.
-func (e *Engine) Expanded() int64 { return e.expanded.Load() }
-
 // Evaluated returns the number of leaf positions evaluated — the paper's
 // "board positions examined". A leaf is counted when its parent
 // completes, so the count is exact once every delivered node has been

@@ -187,11 +187,6 @@ func (g *ArrivalGen) Next() (gap, service int64) {
 	return gap, g.svc[lo]
 }
 
-// MeanService returns the analytic mean of the service distribution the
-// generator draws from (ServiceMean by construction; exposed for tests
-// and capacity planning).
-func (a Arrivals) MeanService() float64 { return float64(a.ServiceMean) }
-
 // TenantCount returns the effective number of tenants: Config.Tenants,
 // clamped to [1, Procs].
 func (c Config) TenantCount() int {
