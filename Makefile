@@ -72,6 +72,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/ttt
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/segment
 
 # End-to-end benchmark smoke: bench/ is its own module, which the root
 # `go test ./...` does not reach. Its short tests run every workload

@@ -107,7 +107,7 @@ type pad [64]byte
 
 // seg is one segment: an OwnerDeque whose lock-free bottom belongs to the
 // segment's handle and whose steal lock serializes thieves. The deque
-// pads its own header (owner line / thief line / lock tail) and tiles to
+// pads its own header (owner line / top line / steal line) and tiles to
 // a cache-line multiple, so adjacent segments in the slice never share a
 // line — see segment.TestOwnerDequeLayout.
 type seg[T any] struct {

@@ -85,31 +85,55 @@ import (
 // from any unordered foreign access, and the next push re-checks and
 // grows under mu.
 //
+// The owner caches the floor in a plain field (floor) and re-reads it
+// only when a push tests full against the cached value. That is sound
+// because the floor only rises: every top stored after a reuseFloor
+// read is at or above the floor it returned. The owner's CAS and a
+// thief's batch CAS only raise top; a hand-back lowers top only to its
+// own section's start or above, and that start was counted in the floor
+// when the section was open at the read; later sections start at the
+// current top. So a stale floor is a lower bound, and it only sends a
+// push to refresh, or to grow, earlier.
+//
 // Only the owner grows the ring, under mu, so thieves (who read buf under
 // mu) and the owner (the only other toucher) both see a stable buffer.
 //
+// # Layout
+//
+// Each cache line has one class of writer, so a steal does not
+// invalidate the lines the owner re-reads between its own writes:
+//
+//	line   field      written by                         polled lock-free by
+//	owner  bottom     owner                              thieves in a steal, Len
+//	owner  buf        owner, under mu (grow)             —
+//	owner  fcount     under mu (foreign add, overflow    Len, popForeign
+//	                  steal, migration), all rare
+//	owner  floor      owner (plain)                      —
+//	top    top        thieves under mu; owner's          owner push refresh and pop, Len
+//	                  last-element CAS
+//	steal  mu         thieves, foreign adders, owner     —
+//	                  slow paths
+//	steal  claimFrom  thieves under mu                   owner push refresh, last-element pop
+//	steal  foreign    under mu                           —
+//
+// A trailing pad keeps the next segment's bottom (segments are stored in
+// one slice) off the steal line; TestOwnerDequeLayout pins all of it.
+//
 // The zero value is an empty, usable deque.
 type OwnerDeque[T any] struct {
-	// Owner-hot line: the bottom index and the ring header, both written
-	// by the owner alone (the header only under mu, but read lock-free).
 	bottom atomic.Int64
 	buf    []T
-	_      [32]byte
-	// Thief-written line: top and the steal-section word move only while
-	// mu is held (except the owner's last-element CAS on top) but are
-	// loaded lock-free by the owner on every push and pop, so they get a
-	// cache line away from both the owner's bottom and the lock.
-	top       atomic.Int64
+	fcount atomic.Int64
+	floor  int64 // owner-private cached reuseFloor; a lower bound of the live floor
+	_      [16]byte
+
+	top atomic.Int64
+	_   [56]byte
+
+	mu        sync.Mutex
 	claimFrom atomic.Int64 // 0, or 1 + top at the start of a StealInto claim section (set under mu)
-	_         [48]byte
-	// Shared tail: the steal lock, the foreign-add overflow it guards,
-	// and the overflow's lock-free size mirror. The trailing pad keeps a
-	// neighboring OwnerDeque's bottom off this line (segments are stored
-	// in one slice), verified by TestOwnerDequeLayout.
-	mu      sync.Mutex
-	foreign Deque[T]
-	fcount  atomic.Int64
-	_       [72]byte
+	foreign   Deque[T]
+	_         [72]byte
 }
 
 // ownerMinCap is the smallest ring allocated; must be a power of two.
@@ -206,15 +230,20 @@ func (d *OwnerDeque[T]) grow(extra int) {
 }
 
 // PushBottom adds an element at the owner end. Owner only. The common
-// case is four atomic loads (bottom, then the reuse floor's three on the
-// thief line), a slot store, and one SC index store; the lock is taken
-// only to grow the ring.
+// case is one atomic load (bottom, on the owner's line), a test against
+// the cached floor, a slot store, and one SC index store; the floor is
+// re-read only when the cached one says full, and the lock is taken
+// only to grow the ring. The floor never exceeds bottom, so the empty
+// ring of the zero value always tests full and grows.
 func (d *OwnerDeque[T]) PushBottom(v T) {
 	b := d.bottom.Load()
-	if t := d.reuseFloor(); len(d.buf) == 0 || b-t >= int64(len(d.buf)-1) {
-		d.mu.Lock()
-		d.grow(1)
-		d.mu.Unlock()
+	if b-d.floor >= int64(len(d.buf)-1) {
+		d.floor = d.reuseFloor()
+		if b-d.floor >= int64(len(d.buf)-1) {
+			d.mu.Lock()
+			d.grow(1)
+			d.mu.Unlock()
+		}
 	}
 	d.buf[b&int64(len(d.buf)-1)] = v
 	d.bottom.Store(b + 1)
@@ -228,16 +257,20 @@ func (d *OwnerDeque[T]) PushBottomAll(vs []T) {
 		return
 	}
 	b := d.bottom.Load()
-	if t := d.reuseFloor(); len(d.buf) == 0 || b-t+int64(len(vs)) > int64(len(d.buf)-1) {
-		d.mu.Lock()
-		d.grow(len(vs))
-		d.mu.Unlock()
+	end := b + int64(len(vs))
+	if end-d.floor > int64(len(d.buf)-1) {
+		d.floor = d.reuseFloor()
+		if end-d.floor > int64(len(d.buf)-1) {
+			d.mu.Lock()
+			d.grow(len(vs))
+			d.mu.Unlock()
+		}
 	}
 	mask := int64(len(d.buf) - 1)
 	for i, v := range vs {
 		d.buf[(b+int64(i))&mask] = v
 	}
-	d.bottom.Store(b + int64(len(vs)))
+	d.bottom.Store(end)
 }
 
 // PopBottom removes the most recently pushed element (LIFO, preserving

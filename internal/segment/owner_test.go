@@ -590,29 +590,140 @@ func TestOwnerDequeLenNoFalseEmptyDuringMigration(t *testing.T) {
 }
 
 // TestOwnerDequeLayout is the false-sharing audit for the deque header:
-// the owner-hot bottom/buf line, the thief-written top, and the shared
-// lock tail must each sit at least a cache line apart, and the struct
-// must tile cleanly so adjacent segments in a slice never share a line
-// between one deque's tail and the next deque's bottom.
+// each cache line has one class of writer. The owner line holds what
+// the owner writes or alone polls on every push (bottom, buf, the
+// rarely written fcount, the cached floor); top, which thieves and the
+// owner's last-element CAS write, has a line to itself; the steal line
+// holds what only a steal section writes (mu, claimFrom, the overflow).
+// The struct tiles to whole lines, and the trailing pad keeps the next
+// segment's bottom (segments sit in one slice) off the steal line.
 func TestOwnerDequeLayout(t *testing.T) {
 	var d OwnerDeque[int]
 	const line = 64
-	offBottom := unsafe.Offsetof(d.bottom)
-	offTop := unsafe.Offsetof(d.top)
-	offMu := unsafe.Offsetof(d.mu)
-	if offTop-offBottom < line {
-		t.Errorf("top is %d bytes from bottom, want >= %d", offTop-offBottom, line)
+	lineOf := func(off uintptr) uintptr { return off / line }
+	end := func(off, size uintptr) uintptr { return off + size - 1 }
+	for name, f := range map[string][2]uintptr{
+		"bottom": {unsafe.Offsetof(d.bottom), unsafe.Sizeof(d.bottom)},
+		"buf":    {unsafe.Offsetof(d.buf), unsafe.Sizeof(d.buf)},
+		"fcount": {unsafe.Offsetof(d.fcount), unsafe.Sizeof(d.fcount)},
+		"floor":  {unsafe.Offsetof(d.floor), unsafe.Sizeof(d.floor)},
+	} {
+		if end(f[0], f[1]) >= line {
+			t.Errorf("%s ends at byte %d, want it in the owner line [0, %d)", name, end(f[0], f[1]), line)
+		}
 	}
+	offTop := unsafe.Offsetof(d.top)
+	if offTop%line != 0 {
+		t.Errorf("top at byte %d, want it to start a line", offTop)
+	}
+	offMu := unsafe.Offsetof(d.mu)
 	if offMu-offTop < line {
-		t.Errorf("mu is %d bytes from top, want >= %d", offMu-offTop, line)
+		t.Errorf("mu is %d bytes after top, want >= %d: top must be alone on its line", offMu-offTop, line)
+	}
+	steal := lineOf(offMu)
+	for name, f := range map[string][2]uintptr{
+		"mu":        {offMu, unsafe.Sizeof(d.mu)},
+		"claimFrom": {unsafe.Offsetof(d.claimFrom), unsafe.Sizeof(d.claimFrom)},
+		"foreign":   {unsafe.Offsetof(d.foreign), unsafe.Sizeof(d.foreign)},
+	} {
+		if lineOf(f[0]) != steal || lineOf(end(f[0], f[1])) != steal {
+			t.Errorf("%s spans bytes [%d, %d], want it on the steal line %d", name, f[0], end(f[0], f[1]), steal)
+		}
 	}
 	size := unsafe.Sizeof(d)
-	if size%line != 0 {
-		t.Errorf("Sizeof(OwnerDeque) = %d, not a multiple of %d", size, line)
+	if size != 4*line {
+		t.Errorf("Sizeof(OwnerDeque) = %d, want %d (four whole lines)", size, 4*line)
 	}
-	offFcount := unsafe.Offsetof(d.fcount)
-	if size-offFcount < line {
-		t.Errorf("fcount is %d bytes from the struct end, want >= %d (neighbor's bottom)", size-offFcount, line)
+	stealEnd := end(unsafe.Offsetof(d.foreign), unsafe.Sizeof(d.foreign))
+	if size-stealEnd <= line {
+		t.Errorf("the steal line ends %d bytes before the struct end, want > %d (neighbor's bottom)", size-stealEnd, line)
+	}
+}
+
+// TestOwnerDequeStaleFloorGrows pins the cached reuse floor. The owner
+// laps an 8-slot ring several times while synchronous steals raise top,
+// so its cached floor falls behind. Then a thief's take blocks, holding
+// a claim section open with claimFrom set: the owner may fill only up to
+// the margin above the section's start, lock-free. Once the thief
+// resumes and its batch CAS is visible (the owner sees it through Len,
+// which orders the CAS but not the slot reads after it), the owner
+// pushes past capacity. A floor of top alone would put those pushes on
+// the slots the thief is still reading, which -race reports and which
+// shows here as a zero, a duplicate or a loss; the reuse floor sends
+// the push to refresh and then to grow under mu.
+func TestOwnerDequeStaleFloorGrows(t *testing.T) {
+	const keep = ownerMinCap - 2
+	var d OwnerDeque[uint32]
+	var delivered []uint32
+	next := uint32(1)
+	push := func() { d.PushBottom(next); next++ }
+	half := func(n int) int { return (n + 1) / 2 }
+	for lap := 0; lap < 4*ownerMinCap; lap++ {
+		for d.Len() < keep {
+			push()
+		}
+		delivered = d.StealInto(delivered, half)
+	}
+	if got := len(d.buf); got != ownerMinCap {
+		t.Fatalf("ring grew to %d while lapping at cap-2", got)
+	}
+	t0 := d.top.Load()
+	if d.floor >= t0 {
+		t.Fatalf("cached floor %d is not behind top %d; the test needs a stale floor", d.floor, t0)
+	}
+	n0 := d.Len()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	stolen := make(chan []uint32, 1)
+	go func() {
+		stolen <- d.StealInto(nil, func(n int) int {
+			close(entered)
+			<-release
+			return half(n)
+		})
+	}()
+	<-entered
+	// The section is open at t0 and top has not moved: the owner fills
+	// to the margin, refreshing the stale floor to t0 on the way, with
+	// no lock and no growth.
+	for d.Len() < ownerMinCap-1 {
+		push()
+	}
+	if got := d.floor; got != t0 {
+		t.Errorf("refreshed floor = %d with a section open at %d", got, t0)
+	}
+	if got := len(d.buf); got != ownerMinCap {
+		t.Errorf("ring grew to %d below the margin", got)
+	}
+	close(release)
+	for d.Len() > ownerMinCap-1-half(n0) {
+		runtime.Gosched()
+	}
+	for i := 0; i < 3*ownerMinCap; i++ {
+		push()
+	}
+	if got := len(d.buf); got <= ownerMinCap {
+		t.Fatalf("ring stayed at %d slots after pushing past capacity", got)
+	}
+	delivered = append(delivered, <-stolen...)
+	for {
+		v, ok := d.PopBottom()
+		if !ok {
+			break
+		}
+		delivered = append(delivered, v)
+	}
+	seen := make([]int, next)
+	for _, v := range delivered {
+		if v == 0 {
+			t.Fatal("zero value delivered: a slot was overwritten mid-claim")
+		}
+		seen[v]++
+	}
+	for v := uint32(1); v < next; v++ {
+		if seen[v] != 1 {
+			t.Fatalf("value %d delivered %d times, want 1", v, seen[v])
+		}
 	}
 }
 
@@ -624,18 +735,46 @@ func TestOwnerDequeLayout(t *testing.T) {
 // it brought.
 func BenchmarkOwnerDequeStealContended(b *testing.B) {
 	const backlog = 64
+	fill := make([]int, backlog)
+	benchStealHalf(b, backlog, func(d *OwnerDeque[int]) {
+		if n := d.Len(); n < backlog {
+			d.PushBottomAll(fill[:backlog-n])
+		} else {
+			runtime.Gosched()
+		}
+	})
+}
+
+// BenchmarkOwnerDequeStealSpinningOwner is the same row in handoff's
+// shape: the owner keeps a backlog of 16 by spinning on Len and pushing
+// one element at a time, so it re-reads its own indices between every
+// two steal-side writes. The spin yields every 256 full iterations so
+// the benchmark finishes at GOMAXPROCS=1.
+func BenchmarkOwnerDequeStealSpinningOwner(b *testing.B) {
+	const backlog = 16
+	spins := 0
+	benchStealHalf(b, backlog, func(d *OwnerDeque[int]) {
+		if d.Len() < backlog {
+			d.PushBottom(spins)
+			return
+		}
+		if spins++; spins%256 == 0 {
+			runtime.Gosched()
+		}
+	})
+}
+
+// benchStealHalf times b.N nonempty StealInto calls, each taking half,
+// while an owner goroutine calls step in a loop to keep the deque
+// stocked with up to backlog elements.
+func benchStealHalf(b *testing.B, backlog int, step func(d *OwnerDeque[int])) {
 	var d OwnerDeque[int]
 	var stop atomic.Bool
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		fill := make([]int, backlog)
 		for !stop.Load() {
-			if n := d.Len(); n < backlog {
-				d.PushBottomAll(fill[:backlog-n])
-			} else {
-				runtime.Gosched()
-			}
+			step(&d)
 		}
 	}()
 	half := func(n int) int { return (n + 1) / 2 }
