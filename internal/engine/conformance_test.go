@@ -80,9 +80,9 @@ var memberRows = []struct {
 	}},
 	{"sim", func(t *testing.T, script func(memberPool)) {
 		p := sim.NewPool[int](sim.PoolConfig{Procs: confSegs, Costs: numa.ButterflyCosts(), EventBuf: 4096})
-		s := sim.New(confSegs)
-		for id := 0; id < confSegs; id++ {
-			s.Spawn(id, func(env *sim.Env) {
+		bodies := make([]func(*sim.Env), confSegs)
+		for id := range bodies {
+			bodies[id] = func(env *sim.Env) {
 				pr := p.Proc(env) // binds (and attaches) every recorder
 				if id != 1 {
 					return
@@ -99,15 +99,15 @@ var memberRows = []struct {
 					segLen:    p.SegmentLen,
 					timelines: p.Timelines,
 				})
-			})
+			}
 		}
-		s.Run()
+		sim.RunProcs(bodies...)
 	}},
 }
 
 // TestMembershipConformance runs the membership script on every
 // substrate. Checks use Errorf and return, never Fatal: the sim row's
-// script runs on a processor goroutine.
+// script runs on a processor's coroutine, not the test goroutine.
 func TestMembershipConformance(t *testing.T) {
 	for _, row := range memberRows {
 		t.Run(row.name, func(t *testing.T) {

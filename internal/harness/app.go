@@ -124,17 +124,17 @@ func App(cfg Config, appCosts AppCosts, depth int, procsList []int, impls []AppI
 // runApp executes one simulated expansion and returns (makespan, root
 // value, leaves evaluated).
 func runApp(c Config, ac AppCosts, impl AppImpl, board ttt.Board, depth, procs int) (int64, int, int64) {
-	s := sim.New(procs)
+	bodies := make([]func(*sim.Env), procs)
 	var eng *ttt.Engine
 	switch impl {
 	case ImplStack:
 		stack := &simStack{cost: ac.StackAccess}
 		eng = ttt.NewEngine(board, ttt.X, depth, preSeed{stack: stack})
 		for id := 0; id < procs; id++ {
-			s.Spawn(id, func(env *sim.Env) {
+			bodies[id] = func(env *sim.Env) {
 				src := &simStackSource{env: env, stack: stack}
 				appWorker(env, eng, src, ac, nil)
-			})
+			}
 		}
 	default:
 		pool := sim.NewPool[*ttt.Node](sim.PoolConfig{
@@ -145,13 +145,13 @@ func runApp(c Config, ac AppCosts, impl AppImpl, board ttt.Board, depth, procs i
 		})
 		eng = ttt.NewEngine(board, ttt.X, depth, preSeed{pool: pool})
 		for id := 0; id < procs; id++ {
-			s.Spawn(id, func(env *sim.Env) {
+			bodies[id] = func(env *sim.Env) {
 				src := simPoolSource{pr: pool.Proc(env)}
 				appWorker(env, eng, src, ac, pool.AbortAll)
-			})
+			}
 		}
 	}
-	makespan := s.Run()
+	makespan := sim.RunProcs(bodies...)
 	return makespan, eng.RootValue(), eng.Evaluated()
 }
 

@@ -36,14 +36,22 @@ func HierOrderNames() []string {
 	return []string{"linear", "random", "locality", "hier", "hier-adaptive", "hier-place"}
 }
 
-// hierSet builds a fresh policy set for one hierarchical-sweep
-// configuration under the given cost model and topology.
-func hierSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
+// orderSet builds a fresh policy set for one named sweep configuration
+// under the given cost model and topology. The hierarchical, locality and
+// keyed-locality sweeps share it; each one's …OrderNames list chooses its
+// rows. Note that LocalityOrder ranks by the cost model, so at zero added
+// delay (a victim-uniform model) it degenerates to its fallback, while
+// HierarchicalOrder ranks by the topology's rings regardless of scale.
+func orderSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
 	switch name {
+	case "ring":
+		return policy.Set{} // the keyed pool's default sweep
 	case "linear":
 		return policy.Set{Order: search.Linear}
 	case "random":
 		return policy.Set{Order: search.Random}
+	case "tree":
+		return policy.Set{Order: search.Tree}
 	case "locality":
 		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
 	case "hier":
@@ -59,7 +67,7 @@ func hierSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
 			Place: policy.GiftToNearestEmptiest{Model: costs},
 		}
 	default:
-		panic(fmt.Sprintf("harness: unknown hierarchical configuration %q", name))
+		panic(fmt.Sprintf("harness: unknown sweep configuration %q", name))
 	}
 }
 
@@ -120,7 +128,7 @@ func hierSweepOn(cfg Config, scales []int64, topo numa.Topology) []HierRow {
 				w.AddFraction = LocalityMix
 				return sim.Run(sim.RunConfig{
 					Workload: w, Costs: costs,
-					Seed: seed, Policies: hierSet(name, costs, topo),
+					Seed: seed, Policies: orderSet(name, costs, topo),
 				})
 			})
 			out = append(out, HierRow{Order: name, Topo: topo.Name(), DelayUS: d, Point: pt})

@@ -6,7 +6,6 @@ import (
 	"pools/internal/keyed"
 	"pools/internal/numa"
 	"pools/internal/plot"
-	"pools/internal/policy"
 	"pools/internal/rng"
 )
 
@@ -23,23 +22,6 @@ import (
 // KeyedLocOrderNames lists the sweep orders compared: the default ring
 // walk, the cost-ranked order, and cluster-first hierarchical rings.
 func KeyedLocOrderNames() []string { return []string{"ring", "locality", "hier"} }
-
-// keyedLocSet builds the policy set for one keyed sweep order. Note that
-// LocalityOrder ranks by the cost model, so at zero added delay (a
-// victim-uniform model) it degenerates to the ring walk, while
-// HierarchicalOrder ranks by the topology's rings regardless of scale.
-func keyedLocSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set {
-	switch name {
-	case "ring":
-		return policy.Set{}
-	case "locality":
-		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
-	case "hier":
-		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}
-	default:
-		panic(fmt.Sprintf("harness: unknown keyed sweep order %q", name))
-	}
-}
 
 // KeyedLocRow is one (sweep order, delay scale) measurement.
 type KeyedLocRow struct {
@@ -72,7 +54,7 @@ func KeyedLocalitySweep(cfg Config, scales []int64) []KeyedLocRow {
 			costs := c.Costs.WithTopology(topo).WithExtraDelay(d)
 			p, err := keyed.New[int, int](keyed.Options{
 				Segments: c.Procs,
-				Policies: keyedLocSet(name, costs, topo),
+				Policies: orderSet(name, costs, topo),
 				Topology: topo,
 			})
 			if err != nil {

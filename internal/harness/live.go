@@ -13,16 +13,16 @@ import (
 // timelines without racing the workers. Per-handle stats are
 // unsynchronized by design (the 0-alloc hot path), so Live never touches
 // them directly — each worker publishes a copy of its own collector
-// under the Live mutex every few operations (RealRunConfig.Publish), and
-// Stats merges those copies. Recorder dumps need no such indirection:
-// trace.Recorder snapshots are internally locked.
+// under the Live mutex every publishEvery operations, and Stats merges
+// those copies. Recorder dumps need no such indirection: trace.Recorder
+// snapshots are internally locked.
 //
 // The introspection endpoint (internal/introspect, poolbench
 // -debug-addr) is the primary consumer.
 type Live struct {
 	mu    sync.Mutex
 	stats []metrics.PoolStats // workers' published per-handle snapshots
-	pool  *core.Pool[int]     // set by onPool before any worker starts
+	pool  *core.Pool[int]     // set by setPool before any worker starts
 	res   RealRunResult
 	err   error
 	done  chan struct{}
@@ -30,25 +30,13 @@ type Live struct {
 
 // StartLive launches RealRun(cfg) in the background and returns
 // immediately. The returned Live serves race-safe mid-run snapshots;
-// Result blocks for the final measurements. cfg.Publish is overridden —
-// Live owns the publishing channel.
+// Result blocks for the final measurements.
 func StartLive(cfg RealRunConfig) *Live {
 	l := &Live{done: make(chan struct{})}
 	if n := cfg.Workload.Procs; n > 0 {
 		l.stats = make([]metrics.PoolStats, n)
 	}
-	cfg.Publish = func(worker int, s metrics.PoolStats) {
-		l.mu.Lock()
-		if worker >= 0 && worker < len(l.stats) {
-			l.stats[worker] = s
-		}
-		l.mu.Unlock()
-	}
-	cfg.onPool = func(p *core.Pool[int]) {
-		l.mu.Lock()
-		l.pool = p
-		l.mu.Unlock()
-	}
+	cfg.live = l
 	go func() {
 		res, err := RealRun(cfg)
 		l.mu.Lock()
@@ -57,6 +45,23 @@ func StartLive(cfg RealRunConfig) *Live {
 		close(l.done)
 	}()
 	return l
+}
+
+// setPool hands Live the run's pool, for mid-run recorder dumps.
+func (l *Live) setPool(p *core.Pool[int]) {
+	l.mu.Lock()
+	l.pool = p
+	l.mu.Unlock()
+}
+
+// publish stores worker's latest statistics snapshot. It runs on the
+// worker goroutine, so it only copies under the mutex.
+func (l *Live) publish(worker int, s metrics.PoolStats) {
+	l.mu.Lock()
+	if worker >= 0 && worker < len(l.stats) {
+		l.stats[worker] = s
+	}
+	l.mu.Unlock()
 }
 
 // Done is closed when the run has finished.

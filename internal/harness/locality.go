@@ -40,23 +40,6 @@ func LocalityOrderNames() []string {
 	return []string{"linear", "random", "tree", "locality"}
 }
 
-// localitySet builds a fresh policy set for one victim-order name under
-// the given cost model.
-func localitySet(name string, costs numa.CostModel) policy.Set {
-	switch name {
-	case "locality":
-		return policy.Set{Order: policy.LocalityOrder{Model: costs}}
-	case "linear":
-		return policy.Set{Order: search.Linear}
-	case "random":
-		return policy.Set{Order: search.Random}
-	case "tree":
-		return policy.Set{Order: search.Tree}
-	default:
-		panic(fmt.Sprintf("harness: unknown victim order %q", name))
-	}
-}
-
 // LocalityRow is one (victim order, delay scale) measurement.
 type LocalityRow struct {
 	Order   string
@@ -83,7 +66,8 @@ const LocalityMix = 0.3
 // and its curve pulls away below the blind orders.
 func LocalitySweep(cfg Config, scales []int64) []LocalityRow {
 	c := cfg.withDefaults()
-	base := c.Costs.WithTopology(numa.Clusters{Size: LocalityClusterSize})
+	topo := numa.Clusters{Size: LocalityClusterSize}
+	base := c.Costs.WithTopology(topo)
 	var out []LocalityRow
 	for _, name := range LocalityOrderNames() {
 		for _, d := range scales {
@@ -96,7 +80,7 @@ func LocalitySweep(cfg Config, scales []int64) []LocalityRow {
 				w.AddFraction = LocalityMix
 				return sim.Run(sim.RunConfig{
 					Workload: w, Costs: costs,
-					Seed: seed, Policies: localitySet(name, costs),
+					Seed: seed, Policies: orderSet(name, costs, topo),
 				})
 			})
 			out = append(out, LocalityRow{Order: name, DelayUS: d, Point: pt})

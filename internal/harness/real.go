@@ -54,22 +54,16 @@ type RealRunConfig struct {
 	// after the workers finish. Not supported under the OpenLoop model,
 	// whose arrival streams assume a fixed worker set.
 	Churn workload.Churn
-	// Publish, when non-nil, is called by each worker with a copy of its
-	// own handle's statistics every publishEvery operations and once as
-	// it exits. Per-handle stats are unsynchronized — only the owning
-	// worker may read them mid-run — so this callback is the race-safe
-	// window a live observer (harness.StartLive, the introspection
-	// endpoint) gets into an in-flight run. The callback runs on the
-	// worker goroutine: keep it short.
-	Publish func(worker int, s metrics.PoolStats)
-	// onPool hands the constructed pool to a same-package observer
-	// (StartLive) before any worker starts, for mid-run recorder dumps.
-	onPool func(p *core.Pool[int])
+	// live, set only by StartLive, observes the run: it receives the pool
+	// before any worker starts, and each worker's statistics every
+	// publishEvery operations and once as the worker exits.
+	live *Live
 }
 
-// publishEvery is the operation interval between RealRunConfig.Publish
-// snapshots. Coarse enough to stay off the hot path, fine enough that a
-// live dashboard never lags the run by more than a few hundred µs.
+// publishEvery is the operation interval between the statistics
+// snapshots a worker hands to RealRunConfig.live. Coarse enough to stay
+// off the hot path, fine enough that a live dashboard never lags the run
+// by more than a few hundred µs.
 const publishEvery = 64
 
 // RealRunResult carries the measurements of one wall-clock trial.
@@ -118,8 +112,8 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 	if err != nil {
 		return RealRunResult{}, err
 	}
-	if cfg.onPool != nil {
-		cfg.onPool(p)
+	if cfg.live != nil {
+		cfg.live.setPool(p)
 	}
 	seed := make([]int, wl.InitialElements)
 	p.SeedEvenly(seed)
@@ -146,16 +140,16 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 			ch := workload.NewChooser(wl, id, cfg.Seed)
 			ticks := 0
 			tick := func() {
-				if cfg.Publish == nil {
+				if cfg.live == nil {
 					return
 				}
 				if ticks++; ticks%publishEvery == 0 {
-					cfg.Publish(id, h.Stats())
+					cfg.live.publish(id, h.Stats())
 				}
 			}
 			defer func() {
-				if cfg.Publish != nil {
-					cfg.Publish(id, h.Stats())
+				if cfg.live != nil {
+					cfg.live.publish(id, h.Stats())
 				}
 			}()
 			if wl.Model == workload.OpenLoop {

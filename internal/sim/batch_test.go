@@ -15,11 +15,9 @@ func TestProcBatchCharging(t *testing.T) {
 	costs := numa.ButterflyCosts()
 	run := func(body func(pr *Proc[Token])) int64 {
 		p := NewPool[Token](PoolConfig{Procs: 1, Costs: costs})
-		s := New(1)
-		s.Spawn(0, func(env *Env) {
+		return RunProcs(func(env *Env) {
 			body(p.Proc(env))
 		})
-		return s.Run()
 	}
 	single := run(func(pr *Proc[Token]) { pr.Put(Token{}) })
 	batch := run(func(pr *Proc[Token]) { pr.PutAll(make([]Token, 64)) })
@@ -45,18 +43,15 @@ func TestProcBatchCharging(t *testing.T) {
 func TestProcGetNStealBatch(t *testing.T) {
 	p := NewPool[Token](PoolConfig{Procs: 2, Costs: numa.ButterflyCosts()})
 	p.Seed(40, func(int) Token { return Token{} }) // 20 in each segment
-	s := New(2)
 	var got []Token
-	s.Spawn(0, func(env *Env) {
+	RunProcs(func(env *Env) {
 		pr := p.Proc(env)
 		pr.GetN(40) // drain local 20 first
 		got = pr.GetN(40)
 		pr.Retire()
-	})
-	s.Spawn(1, func(env *Env) {
+	}, func(env *Env) {
 		p.Proc(env).Retire()
 	})
-	s.Run()
 	// Steal-half of the remote 20 moves 10; all should return at once.
 	if len(got) != 10 {
 		t.Fatalf("GetN across steal returned %d, want 10", len(got))

@@ -149,15 +149,15 @@ func Run(cfg RunConfig) RunResult {
 	})
 	pool.Seed(wl.InitialElements, func(int) Token { return Token{} })
 
-	// The chaos driver, when churn is on, is one extra scheduler process
-	// with the highest id: at equal clocks the scheduler grants lower
-	// ids first, so every worker binds its Proc before the driver's
-	// first tick can kill one.
+	// The chaos driver, when churn is on, is one extra processor with the
+	// highest index: at equal clocks RunProcs resumes lower indices
+	// first, so every worker binds its Proc before the driver's first
+	// tick can kill one.
 	nprocs := wl.Procs
 	if churnOn {
 		nprocs++
 	}
-	s := New(nprocs)
+	bodies := make([]func(*Env), nprocs)
 	// The shared operation counter is a real shared-memory location in the
 	// paper's driver ("the processes performed operations until the
 	// combined total number of operations reached the desired amount"):
@@ -174,8 +174,7 @@ func Run(cfg RunConfig) RunResult {
 		sojourns = make([]metrics.LatencyHist, wl.Procs)
 	}
 	for id := 0; id < wl.Procs; id++ {
-		id := id
-		s.Spawn(id, func(env *Env) {
+		bodies[id] = func(env *Env) {
 			pr := pool.Proc(env)
 			procs[id] = pr
 			ch := workload.NewChooser(wl, id, cfg.Seed)
@@ -276,12 +275,12 @@ func Run(cfg RunConfig) RunResult {
 				}
 				sample()
 			}
-		})
+		}
 	}
 	var opsTrace metrics.Trace
 	var churnEvents []ChurnEvent
 	if churnOn {
-		s.Spawn(wl.Procs, func(env *Env) {
+		bodies[wl.Procs] = func(env *Env) {
 			gen := churn.Gen(cfg.Seed)
 			victim := -1
 			var nextRevive int64
@@ -318,9 +317,9 @@ func Run(cfg RunConfig) RunResult {
 					}
 				}
 			}
-		})
+		}
 	}
-	makespan := s.Run()
+	makespan := RunProcs(bodies...)
 
 	res := RunResult{
 		Makespan:      makespan,

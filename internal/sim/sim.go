@@ -8,10 +8,11 @@
 // is (local vs remote), and how much queueing it suffers at contended
 // objects. This simulator models exactly that:
 //
-//   - each virtual processor is a goroutine with its own virtual clock
+//   - each virtual processor is a coroutine with its own virtual clock
 //     (microseconds);
-//   - a central scheduler always runs the processor with the smallest
-//     clock, so execution is deterministic given a seed;
+//   - one loop (RunProcs) always resumes the processor with the smallest
+//     clock, the lowest index first at equal clocks, so execution is
+//     deterministic given a seed;
 //   - shared objects (segments, tree nodes, shared counters) are
 //     Resources with a busy-until time: accessing one queues behind the
 //     previous holder, charging queueing delay exactly like a contended
@@ -19,13 +20,13 @@
 //   - access costs come from internal/numa's CostModel (remote = 4x
 //     local, plus the Section 4.3 additive delay sweep).
 //
-// Between two Charge calls a processor's Go code runs exclusively (the
-// scheduler grants one processor at a time), so simulation state needs no
-// locks and real Go data structures (deques, game boards) can serve as
-// the simulated memory contents.
+// Between two Charge calls a processor's Go code runs exclusively (only
+// one coroutine runs at a time, and RunProcs' caller waits while it
+// does), so simulation state needs no locks and real Go data structures
+// (deques, game boards) can serve as the simulated memory contents.
 package sim
 
-import "fmt"
+import "iter"
 
 // Resource is a shared object in the simulated machine: a pool segment, a
 // tree node, or a shared counter. Accesses serialize: a processor arriving
@@ -47,111 +48,66 @@ func (r *Resource) Waited() int64 { return r.waited }
 // Accesses returns the number of charged accesses.
 func (r *Resource) Accesses() int64 { return r.accesses }
 
-// proc is one virtual processor.
-type proc struct {
-	id    int
-	clock int64
-	grant chan struct{}
-	park  chan struct{}
-	done  bool
-}
-
-// Sim is a virtual-time multiprocessor. Create with New, provide one body
-// per processor with Spawn, then call Run.
-type Sim struct {
-	procs   []*proc
-	bodies  []func(*Env)
-	started bool
-}
-
-// New returns a simulator with n virtual processors.
-func New(n int) *Sim {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: %d processors", n))
+// RunProcs runs one virtual processor per body, processor i executing
+// bodies[i], until every body has returned, and returns the final virtual
+// time (the makespan: the largest processor clock). Each body runs as a
+// coroutine that suspends itself at every Charge; one loop resumes the
+// unfinished processor with the smallest clock, the lowest index first at
+// equal clocks. A panic in a body reaches RunProcs' caller; the suspended
+// peers of such a run are abandoned, never resumed.
+func RunProcs(bodies ...func(*Env)) int64 {
+	if len(bodies) == 0 {
+		panic("sim: RunProcs with no bodies")
 	}
-	s := &Sim{
-		procs:  make([]*proc, n),
-		bodies: make([]func(*Env), n),
-	}
-	for i := range s.procs {
-		s.procs[i] = &proc{
-			id:    i,
-			grant: make(chan struct{}),
-			park:  make(chan struct{}),
-		}
-	}
-	return s
-}
-
-// Procs returns the number of virtual processors.
-func (s *Sim) Procs() int { return len(s.procs) }
-
-// Spawn sets the body executed by virtual processor id. The body runs
-// inside the simulation: every Charge call may suspend it while other
-// processors catch up in virtual time.
-func (s *Sim) Spawn(id int, body func(*Env)) {
-	if s.started {
-		panic("sim: Spawn after Run")
-	}
-	s.bodies[id] = body
-}
-
-// Run executes all processor bodies to completion and returns the final
-// virtual time (the makespan: the largest processor clock).
-func (s *Sim) Run() int64 {
-	if s.started {
-		panic("sim: Run called twice")
-	}
-	s.started = true
-	for i, p := range s.procs {
-		body := s.bodies[i]
-		env := &Env{sim: s, p: p}
-		go func(p *proc) {
-			<-p.grant
-			if body != nil {
-				body(env)
-			}
-			p.done = true
-			p.park <- struct{}{}
-		}(p)
+	envs := make([]Env, len(bodies))
+	resume := make([]func() (struct{}, bool), len(bodies))
+	for i, body := range bodies {
+		e := &envs[i]
+		e.id = i
+		// The stop half of the pair is never called: a body that returned
+		// needs none, and stopping a suspended peer would make its yield
+		// return false and run the rest of its body unscheduled.
+		resume[i], _ = iter.Pull(func(yield func(struct{}) bool) {
+			e.yield = yield
+			body(e)
+		})
 	}
 	for {
-		var next *proc
-		for _, p := range s.procs {
-			if p.done {
-				continue
-			}
-			if next == nil || p.clock < next.clock {
-				next = p
+		next := -1
+		for i := range envs {
+			if resume[i] != nil && (next < 0 || envs[i].clock < envs[next].clock) {
+				next = i
 			}
 		}
-		if next == nil {
+		if next < 0 {
 			break
 		}
-		next.grant <- struct{}{}
-		<-next.park
+		if _, ok := resume[next](); !ok {
+			resume[next] = nil // the body returned
+		}
 	}
 	var makespan int64
-	for _, p := range s.procs {
-		if p.clock > makespan {
-			makespan = p.clock
-		}
+	for i := range envs {
+		makespan = max(makespan, envs[i].clock)
 	}
 	return makespan
 }
 
-// Env is a virtual processor's interface to the simulation. Each body
-// receives its own Env; it must not be shared across goroutines.
+// Env is one virtual processor as its body sees it: its index, its
+// virtual clock, and the coroutine yield that hands control back to
+// RunProcs' loop. Each body receives its own Env and must use it only
+// from within that body.
 type Env struct {
-	sim *Sim
-	p   *proc
+	id    int
+	clock int64
+	yield func(struct{}) bool
 }
 
 // ID returns the virtual processor's index.
-func (e *Env) ID() int { return e.p.id }
+func (e *Env) ID() int { return e.id }
 
 // Now returns the processor's current virtual time (µs).
-func (e *Env) Now() int64 { return e.p.clock }
+func (e *Env) Now() int64 { return e.clock }
 
 // Charge spends cost virtual µs accessing r. If r is busy the processor
 // first waits for it to free (queueing). A nil resource models private
@@ -161,9 +117,8 @@ func (e *Env) Charge(r *Resource, cost int64) {
 	if cost < 0 {
 		cost = 0
 	}
-	e.yield()
-	p := e.p
-	start := p.clock
+	e.yield(struct{}{})
+	start := e.clock
 	if r != nil {
 		if r.busyUntil > start {
 			r.waited += r.busyUntil - start
@@ -171,18 +126,11 @@ func (e *Env) Charge(r *Resource, cost int64) {
 		}
 		r.accesses++
 	}
-	p.clock = start + cost
+	e.clock = start + cost
 	if r != nil {
-		r.busyUntil = p.clock
+		r.busyUntil = e.clock
 	}
 }
 
 // Compute spends cost virtual µs of private computation.
 func (e *Env) Compute(cost int64) { e.Charge(nil, cost) }
-
-// yield parks the processor until the scheduler grants it the floor
-// (i.e., until it holds the minimum virtual clock).
-func (e *Env) yield() {
-	e.p.park <- struct{}{}
-	<-e.p.grant
-}

@@ -10,14 +10,13 @@ import (
 )
 
 func TestSimSingleProcClock(t *testing.T) {
-	s := New(1)
 	var r Resource
-	s.Spawn(0, func(e *Env) {
+	makespan := RunProcs(func(e *Env) {
 		e.Charge(&r, 10)
 		e.Compute(5)
 		e.Charge(&r, 20)
 	})
-	if makespan := s.Run(); makespan != 35 {
+	if makespan != 35 {
 		t.Fatalf("makespan = %d, want 35", makespan)
 	}
 	if r.Accesses() != 2 || r.Waited() != 0 {
@@ -29,16 +28,13 @@ func TestSimResourceContentionSerializes(t *testing.T) {
 	// Two processors hammer one resource with equal-cost accesses: the
 	// makespan must be the *sum* of costs (full serialization), and the
 	// waiting time must be charged.
-	s := New(2)
 	var r Resource
 	body := func(e *Env) {
 		for i := 0; i < 10; i++ {
 			e.Charge(&r, 10)
 		}
 	}
-	s.Spawn(0, body)
-	s.Spawn(1, body)
-	if makespan := s.Run(); makespan != 200 {
+	if makespan := RunProcs(body, body); makespan != 200 {
 		t.Fatalf("makespan = %d, want 200 (20 serialized accesses)", makespan)
 	}
 	if r.Waited() == 0 {
@@ -48,38 +44,35 @@ func TestSimResourceContentionSerializes(t *testing.T) {
 
 func TestSimIndependentResourcesParallel(t *testing.T) {
 	// Two processors on private resources run fully in parallel.
-	s := New(2)
 	var r0, r1 Resource
-	s.Spawn(0, func(e *Env) {
+	makespan := RunProcs(func(e *Env) {
 		for i := 0; i < 10; i++ {
 			e.Charge(&r0, 10)
 		}
-	})
-	s.Spawn(1, func(e *Env) {
+	}, func(e *Env) {
 		for i := 0; i < 10; i++ {
 			e.Charge(&r1, 10)
 		}
 	})
-	if makespan := s.Run(); makespan != 100 {
+	if makespan != 100 {
 		t.Fatalf("makespan = %d, want 100 (perfect overlap)", makespan)
 	}
 }
 
 func TestSimDeterministicInterleaving(t *testing.T) {
 	run := func() []int {
-		s := New(4)
 		var r Resource
 		var order []int
-		for id := 0; id < 4; id++ {
-			id := id
-			s.Spawn(id, func(e *Env) {
+		bodies := make([]func(*Env), 4)
+		for id := range bodies {
+			bodies[id] = func(e *Env) {
 				for i := 0; i < 5; i++ {
 					e.Charge(&r, int64(id+1))
 					order = append(order, id)
 				}
-			})
+			}
 		}
-		s.Run()
+		RunProcs(bodies...)
 		return order
 	}
 	a, b := run(), run()
@@ -94,52 +87,52 @@ func TestSimDeterministicInterleaving(t *testing.T) {
 }
 
 func TestSimClocksMonotonePerProc(t *testing.T) {
-	s := New(3)
 	var r Resource
-	for id := 0; id < 3; id++ {
-		s.Spawn(id, func(e *Env) {
-			prev := e.Now()
-			for i := 0; i < 20; i++ {
-				e.Charge(&r, 7)
-				if e.Now() < prev {
-					t.Errorf("clock went backwards: %d -> %d", prev, e.Now())
-				}
-				prev = e.Now()
+	body := func(e *Env) {
+		prev := e.Now()
+		for i := 0; i < 20; i++ {
+			e.Charge(&r, 7)
+			if e.Now() < prev {
+				t.Errorf("clock went backwards: %d -> %d", prev, e.Now())
 			}
-		})
+			prev = e.Now()
+		}
 	}
-	s.Run()
+	RunProcs(body, body, body)
 }
 
 func TestSimPanicsOnBadUse(t *testing.T) {
-	for i, f := range []func(){
-		func() { New(0) },
-		func() {
-			s := New(1)
-			s.Run()
-			s.Run()
-		},
-		func() {
-			s := New(1)
-			s.Run()
-			s.Spawn(0, func(*Env) {})
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RunProcs with no bodies did not panic")
+		}
+	}()
+	RunProcs()
+}
+
+// TestRunProcsPanicReachesCaller: a panic in one body surfaces in
+// RunProcs' caller even while a peer is suspended mid-loop; the peer,
+// which would run forever, is never resumed.
+func TestRunProcsPanicReachesCaller(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+	}()
+	RunProcs(func(e *Env) {
+		for {
+			e.Compute(1)
+		}
+	}, func(e *Env) {
+		e.Compute(5)
+		panic("boom")
+	})
+	t.Fatal("RunProcs returned")
 }
 
 func TestSimPoolLocalOps(t *testing.T) {
 	pool := NewPool[int](PoolConfig{Procs: 4, Costs: numa.ButterflyCosts()})
-	s := New(4)
-	s.Spawn(0, func(e *Env) {
+	RunProcs(func(e *Env) {
 		pr := pool.Proc(e)
 		pr.Put(11)
 		pr.Put(22)
@@ -147,7 +140,6 @@ func TestSimPoolLocalOps(t *testing.T) {
 			t.Errorf("Get = (%d,%v)", v, ok)
 		}
 	})
-	s.Run()
 	if pool.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", pool.Len())
 	}
@@ -158,11 +150,10 @@ func TestSimPoolStealAcrossProcs(t *testing.T) {
 	for _, kind := range search.Kinds() {
 		pool := NewPool[int](PoolConfig{Procs: 4, Policies: policy.Set{Order: kind}, Costs: numa.ButterflyCosts(), Seed: 5})
 		pool.Seed(8, func(i int) int { return i }) // 2 per segment
-		s := New(4)
 		got := make([][]int, 4)
-		for id := 0; id < 4; id++ {
-			id := id
-			s.Spawn(id, func(e *Env) {
+		bodies := make([]func(*Env), 4)
+		for id := range bodies {
+			bodies[id] = func(e *Env) {
 				pr := pool.Proc(e)
 				for {
 					v, ok := pr.Get()
@@ -171,9 +162,9 @@ func TestSimPoolStealAcrossProcs(t *testing.T) {
 					}
 					got[id] = append(got[id], v)
 				}
-			})
+			}
 		}
-		s.Run()
+		RunProcs(bodies...)
 		seen := map[int]bool{}
 		total := 0
 		for _, g := range got {
@@ -194,17 +185,14 @@ func TestSimPoolStealAcrossProcs(t *testing.T) {
 func TestSimPoolAbortsWhenAllSearching(t *testing.T) {
 	// Empty pool, all consumers: every Get must abort (not hang).
 	pool := NewPool[Token](PoolConfig{Procs: 4, Costs: numa.ButterflyCosts()})
-	s := New(4)
 	aborted := 0
-	for id := 0; id < 4; id++ {
-		s.Spawn(id, func(e *Env) {
-			pr := pool.Proc(e)
-			if _, ok := pr.Get(); !ok {
-				aborted++
-			}
-		})
+	body := func(e *Env) {
+		pr := pool.Proc(e)
+		if _, ok := pr.Get(); !ok {
+			aborted++
+		}
 	}
-	s.Run()
+	RunProcs(body, body, body, body)
 	if aborted != 4 {
 		t.Fatalf("aborted = %d, want 4", aborted)
 	}
@@ -359,16 +347,14 @@ func TestSimPoolRetireAllowsRemainingToAbort(t *testing.T) {
 	// must still reach the all-searching abort against the reduced
 	// participant count rather than searching forever.
 	pool := NewPool[Token](PoolConfig{Procs: 2, Costs: numa.ButterflyCosts()})
-	s := New(2)
 	aborted := make([]bool, 2)
-	s.Spawn(0, func(e *Env) {
+	RunProcs(func(e *Env) {
 		pr := pool.Proc(e)
 		if _, ok := pr.Get(); !ok {
 			aborted[0] = true
 		}
 		pr.Retire()
-	})
-	s.Spawn(1, func(e *Env) {
+	}, func(e *Env) {
 		pr := pool.Proc(e)
 		for i := 0; i < 3; i++ {
 			if _, ok := pr.Get(); !ok {
@@ -377,7 +363,6 @@ func TestSimPoolRetireAllowsRemainingToAbort(t *testing.T) {
 		}
 		pr.Retire()
 	})
-	s.Run()
 	if !aborted[0] || !aborted[1] {
 		t.Fatalf("aborts = %v, want both", aborted)
 	}
@@ -389,21 +374,18 @@ func TestSimPoolInjectSeedsSegmentZero(t *testing.T) {
 	if pool.SegmentLen(0) != 1 || pool.Len() != 1 {
 		t.Fatalf("Inject misplaced: seg0=%d len=%d", pool.SegmentLen(0), pool.Len())
 	}
-	s := New(4)
-	s.Spawn(0, func(e *Env) {
+	RunProcs(func(e *Env) {
 		pr := pool.Proc(e)
 		if v, ok := pr.Get(); !ok || v != 7 {
 			t.Errorf("Get = (%d,%v)", v, ok)
 		}
 	})
-	s.Run()
 }
 
 func TestSimPoolEmptyAbortLatchClearsOnPut(t *testing.T) {
 	pool := NewPool[Token](PoolConfig{Procs: 2, Costs: numa.ButterflyCosts()})
-	s := New(2)
 	var firstAborted, secondOK bool
-	s.Spawn(0, func(e *Env) {
+	RunProcs(func(e *Env) {
 		pr := pool.Proc(e)
 		if _, ok := pr.Get(); !ok {
 			firstAborted = true // latches emptyAbort
@@ -417,15 +399,13 @@ func TestSimPoolEmptyAbortLatchClearsOnPut(t *testing.T) {
 				return
 			}
 		}
-	})
-	s.Spawn(1, func(e *Env) {
+	}, func(e *Env) {
 		pr := pool.Proc(e)
 		pr.Get() // joins the all-searching abort
 		e.Compute(100000)
 		pr.Put(Token{})
 		pr.Retire()
 	})
-	s.Run()
 	if !firstAborted {
 		t.Fatal("first Get should have aborted on the empty pool")
 	}
@@ -458,13 +438,12 @@ func TestRunDynamicRolesWorkload(t *testing.T) {
 }
 
 func TestResourceChargeNegativeClamped(t *testing.T) {
-	s := New(1)
 	var r Resource
-	s.Spawn(0, func(e *Env) {
+	makespan := RunProcs(func(e *Env) {
 		e.Charge(&r, -50)
 		e.Compute(10)
 	})
-	if makespan := s.Run(); makespan != 10 {
+	if makespan != 10 {
 		t.Fatalf("makespan = %d, want 10 (negative cost clamps to 0)", makespan)
 	}
 }
