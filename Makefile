@@ -48,8 +48,9 @@ race:
 
 # Deque/steal stress: the raced concurrency suites (owner-path deque,
 # steal, churn, kill/revive, conservation, and the membership
-# conformance table over core, keyed and sim) repeated STRESS_COUNT times
-# at several GOMAXPROCS shapes. The shape sweep matters more than the
+# conformance table over core, keyed and sim, and RealRun under churn,
+# burst batches included) repeated STRESS_COUNT times at several
+# GOMAXPROCS shapes. The shape sweep matters more than the
 # core count of the machine running it: GOMAXPROCS above the physical
 # cores forces preemption inside the lock-free owner/thief windows that
 # a matched count rarely interleaves.
@@ -61,6 +62,7 @@ stress:
 	@for procs in $(STRESS_PROCS); do \
 		echo "== stress: GOMAXPROCS=$$procs -race -count=$(STRESS_COUNT) =="; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run '$(STRESS_RUN)' ./internal/segment ./internal/core ./internal/keyed ./internal/engine || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run 'RealRunChurn' ./internal/harness || exit 1; \
 	done
 
 fuzz-smoke:

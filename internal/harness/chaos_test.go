@@ -126,6 +126,38 @@ func TestRealRunChurnStealOnly(t *testing.T) {
 	}
 }
 
+// Burst batches under churn: a worker killed mid-batch refunds what its
+// GetN could not move, so the run must still conserve elements, revive
+// every kill, and finish even when the refund lands after every other
+// worker has left on the exhausted budget.
+func TestRealRunChurnBurst(t *testing.T) {
+	for _, drain := range []bool{true, false} {
+		res, err := RealRun(RealRunConfig{
+			Workload: workload.Config{
+				Procs:           4,
+				Model:           workload.Burst,
+				Producers:       2,
+				Arrangement:     workload.Balanced,
+				BatchSize:       8,
+				TotalOps:        3000,
+				InitialElements: 32,
+			},
+			Seed:  44,
+			Churn: workload.Churn{KillEvery: 150, ReviveAfter: 400, Drain: drain},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Kills == 0 || res.Kills != res.Revives {
+			t.Errorf("drain=%v: kills = %d, revives = %d, want equal and nonzero", drain, res.Kills, res.Revives)
+		}
+		want := 32 + res.Stats.Adds - res.Stats.Removes
+		if int64(res.Remaining) != want {
+			t.Errorf("drain=%v: conservation violated: remaining = %d, want fill+adds-removes = %d", drain, res.Remaining, want)
+		}
+	}
+}
+
 func TestRealRunChurnValidation(t *testing.T) {
 	churn := workload.Churn{KillEvery: 100, ReviveAfter: 50}
 	if _, err := RealRun(RealRunConfig{

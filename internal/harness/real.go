@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -50,9 +49,11 @@ type RealRunConfig struct {
 	// own operation. So the schedule fires at the same point in the work
 	// on any machine and at any speed. A killed worker idles without
 	// claiming budget until revived (its next operation re-registers the
-	// handle); a handle still down when the budget runs out is revived
-	// after the workers finish. Not supported under the OpenLoop model,
-	// whose arrival streams assume a fixed worker set.
+	// handle), until the budget runs out, or until every other worker
+	// has left: units its cut-short batch refunded after the others
+	// exited then stay unspent (workload.Drive). A handle still down at
+	// the end is revived after the workers finish. Not supported under
+	// the OpenLoop model, whose arrival streams assume a fixed worker set.
 	Churn workload.Churn
 	// live, set only by StartLive, observes the run: it receives the pool
 	// before any worker starts, and each worker's statistics every
@@ -87,18 +88,8 @@ type RealRunResult struct {
 // measurements.
 func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 	wl := cfg.Workload
-	if err := wl.Validate(); err != nil {
+	if err := wl.ValidateChurn(cfg.Churn); err != nil {
 		return RealRunResult{}, err
-	}
-	if err := cfg.Churn.Validate(); err != nil {
-		return RealRunResult{}, err
-	}
-	churnOn := cfg.Churn.Enabled()
-	if churnOn && wl.Model == workload.OpenLoop {
-		return RealRunResult{}, fmt.Errorf("harness: churn is not supported under the OpenLoop model")
-	}
-	if churnOn && wl.Procs < 2 {
-		return RealRunResult{}, fmt.Errorf("harness: churn needs Procs >= 2, got %d", wl.Procs)
 	}
 	p, err := core.New[int](core.Options{
 		Segments:     wl.Procs,
@@ -122,9 +113,11 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 	}
 
 	budget := workload.NewBudget(wl.TotalOps)
+	var claimer workload.Claimer = budget
 	var churn *opChurn
-	if churnOn {
-		churn = newOpChurn(p, cfg.Churn, wl.Procs, cfg.Seed)
+	if cfg.Churn.Enabled() {
+		churn = newOpChurn(p, cfg.Churn, wl.Procs, cfg.Seed, budget)
+		claimer = churn
 	}
 	var sojourns []metrics.LatencyHist
 	if wl.Model == workload.OpenLoop {
@@ -136,122 +129,8 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			h := p.Handle(id)
-			ch := workload.NewChooser(wl, id, cfg.Seed)
-			ticks := 0
-			tick := func() {
-				if cfg.live == nil {
-					return
-				}
-				if ticks++; ticks%publishEvery == 0 {
-					cfg.live.publish(id, h.Stats())
-				}
-			}
-			defer func() {
-				if cfg.live != nil {
-					cfg.live.publish(id, h.Stats())
-				}
-			}()
-			if wl.Model == workload.OpenLoop {
-				// Open loop on the wall clock: claim the budget first (so
-				// exhaustion never waits out one more arrival gap), spin to
-				// the scheduled arrival, run the op, then busy-spin the
-				// drawn service time. Sojourn is measured from the
-				// scheduled arrival, so a backlogged worker accrues its
-				// queueing delay.
-				gen := wl.ArrivalsFor(id).Gen(id, cfg.Seed)
-				var arrival int64
-				for budget.TryClaim() {
-					gap, svc := gen.Next()
-					arrival += gap
-					for time.Since(start).Microseconds() < arrival {
-						runtime.Gosched()
-					}
-					if ch.Next() == metrics.OpAdd {
-						h.Put(0)
-					} else {
-						h.Get()
-					}
-					if svc > 0 {
-						until := arrival + svc
-						if now := time.Since(start).Microseconds(); now > arrival {
-							until = now + svc
-						}
-						for time.Since(start).Microseconds() < until {
-							runtime.Gosched()
-						}
-					}
-					sojourns[id].Record(time.Since(start).Microseconds() - arrival)
-					tick()
-				}
-				h.Close()
-				return
-			}
-			// A killed worker idles off the budget until revived (or the
-			// budget runs out); its next operation re-registers the handle.
-			downWait := func() bool {
-				if !churnOn || p.Alive(id) {
-					return false
-				}
-				runtime.Gosched()
-				return !budget.Exhausted()
-			}
-			if wl.Model == workload.Burst {
-				batch := make([]int, wl.BatchSize)
-				for {
-					if downWait() {
-						continue
-					}
-					// An online controller (adaptive policy) may retune
-					// the batch between operations, exactly as in the
-					// simulator's burst loop.
-					want := h.BatchSize(wl.BatchSize)
-					if want > len(batch) {
-						batch = make([]int, want)
-					}
-					take := budget.TryClaimN(want)
-					if take == 0 {
-						break
-					}
-					churn.tick(budget.Used())
-					if ch.NextBatch(take) == metrics.OpAdd {
-						h.PutAll(batch[:take])
-					} else {
-						consumed := len(h.GetN(take))
-						if consumed == 0 {
-							consumed = 1 // an abort costs one unit
-						}
-						budget.Refund(take - consumed)
-					}
-					tick()
-					runtime.Gosched()
-				}
-				h.Close()
-				return
-			}
-			for {
-				if downWait() {
-					continue
-				}
-				if !budget.TryClaim() {
-					break
-				}
-				churn.tick(budget.Used())
-				if ch.Next() == metrics.OpAdd {
-					h.Put(0)
-				} else {
-					h.Get()
-				}
-				// Yield between operations so the shared budget is
-				// spread across all workers even on GOMAXPROCS=1 (the
-				// paper's processes each ran on their own processor;
-				// without this, one goroutine's cheap aborted removes
-				// can burn the whole budget before producers run).
-				tick()
-				runtime.Gosched()
-			}
-			// Withdraw so stragglers stuck searching can abort.
-			h.Close()
+			w := &realWorker{p: p, h: p.Handle(id), id: id, live: cfg.live, start: start}
+			workload.Drive(wl, id, cfg.Seed, w, claimer, sojourns)
 		}(id)
 	}
 	wg.Wait()
@@ -273,11 +152,12 @@ func RealRun(cfg RealRunConfig) (RealRunResult, error) {
 }
 
 // opChurn runs a churn schedule on RealRun's operation clock: the budget's
-// used count. Workers call tick after each successful claim; the first
-// claim to reach the next event's position performs it, so kills and
-// revives land at fixed points in the work instead of at wall-clock times
-// a fast run may never reach.
+// used count. It is the workers' Claimer: each successful claim ticks
+// the schedule, and the first claim to reach the next event's position
+// performs it, so kills and revives land at fixed points in the work
+// instead of at wall-clock times a fast run may never reach.
 type opChurn struct {
+	*workload.Budget
 	p     *core.Pool[int]
 	churn workload.Churn
 	procs int
@@ -289,10 +169,20 @@ type opChurn struct {
 	kills, revives int
 }
 
-func newOpChurn(p *core.Pool[int], c workload.Churn, procs int, seed uint64) *opChurn {
-	oc := &opChurn{p: p, churn: c, procs: procs, gen: c.Gen(seed), down: -1}
+func newOpChurn(p *core.Pool[int], c workload.Churn, procs int, seed uint64, b *workload.Budget) *opChurn {
+	oc := &opChurn{Budget: b, p: p, churn: c, procs: procs, gen: c.Gen(seed), down: -1}
 	oc.schedule(0)
 	return oc
+}
+
+// TryClaimN claims from the budget and, when the claim took anything,
+// advances the schedule to the budget's new count.
+func (c *opChurn) TryClaimN(k int) int {
+	n := c.Budget.TryClaimN(k)
+	if n > 0 {
+		c.tick(c.Used())
+	}
+	return n
 }
 
 // schedule draws the gap to the next kill, counted from used.
@@ -305,11 +195,10 @@ func (c *opChurn) schedule(used int64) {
 	c.next.Store(used + gap)
 }
 
-// tick advances the schedule to used, the budget's count after the
-// caller's claim. It is a no-op on a nil receiver (churn disabled) and,
-// short of the next event, costs one atomic load.
+// tick advances the schedule to used, the budget's count after a
+// claim. Short of the next event it costs one atomic load.
 func (c *opChurn) tick(used int) {
-	if c == nil || int64(used) < c.next.Load() {
+	if int64(used) < c.next.Load() {
 		return
 	}
 	c.mu.Lock()
@@ -343,4 +232,60 @@ func (c *opChurn) finish() (kills, revives int) {
 	}
 	c.down = -1
 	return c.kills, c.revives
+}
+
+// realWorker is one goroutine's workload.Worker on the wall clock. Turn
+// is free (the budget's atomics are the shared access); After publishes
+// to the live observer every publishEvery operations and yields, so the
+// budget spreads across all workers even at GOMAXPROCS=1 (without the
+// yield, one goroutine's cheap aborted removes can burn the whole budget
+// before the producers run).
+type realWorker struct {
+	p     *core.Pool[int]
+	h     *core.Handle[int]
+	id    int
+	live  *Live
+	start time.Time
+	ops   int
+	batch []int
+}
+
+func (w *realWorker) Put()                { w.h.Put(0) }
+func (w *realWorker) Get()                { w.h.Get() }
+func (w *realWorker) GetN(n int) int      { return len(w.h.GetN(n)) }
+func (w *realWorker) BatchSize(c int) int { return w.h.BatchSize(c) }
+func (w *realWorker) Alive() bool         { return w.p.Alive(w.id) }
+func (w *realWorker) Turn()               {}
+func (w *realWorker) Now() int64          { return time.Since(w.start).Microseconds() }
+func (w *realWorker) Idle()               { runtime.Gosched() }
+
+func (w *realWorker) PutN(n int) {
+	if n > len(w.batch) {
+		w.batch = make([]int, n)
+	}
+	w.h.PutAll(w.batch[:n])
+}
+
+func (w *realWorker) WaitUntil(t int64) {
+	for w.Now() < t {
+		runtime.Gosched()
+	}
+}
+
+func (w *realWorker) After() {
+	if w.live != nil {
+		if w.ops++; w.ops%publishEvery == 0 {
+			w.live.publish(w.id, w.h.Stats())
+		}
+	}
+	runtime.Gosched()
+}
+
+// Done withdraws the handle, so stragglers stuck searching can abort,
+// and publishes the worker's final statistics.
+func (w *realWorker) Done() {
+	w.h.Close()
+	if w.live != nil {
+		w.live.publish(w.id, w.h.Stats())
+	}
 }

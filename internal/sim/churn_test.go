@@ -28,20 +28,38 @@ func churnRunConfig(drain bool) RunConfig {
 // TestSimChurnConservation checks the chaos layer's conservation
 // invariant end to end on the simulated substrate: whatever the
 // kill/revive schedule did, every element put is either taken or still
-// in the pool at the end.
+// in the pool at the end, and every budget unit went to a completed or
+// an aborted operation. The burst row adds refunds: a batch claims
+// BatchSize units and returns what its GetN could not move.
 func TestSimChurnConservation(t *testing.T) {
+	burst := func(drain bool) RunConfig {
+		cfg := churnRunConfig(drain)
+		cfg.Workload.Model = workload.Burst
+		cfg.Workload.Producers = 4
+		cfg.Workload.Arrangement = workload.Balanced
+		cfg.Workload.BatchSize = 8
+		return cfg
+	}
 	for _, mode := range []struct {
-		name  string
-		drain bool
-	}{{"drain", true}, {"steal-only", false}} {
+		name string
+		cfg  RunConfig
+	}{
+		{"drain", churnRunConfig(true)},
+		{"steal-only", churnRunConfig(false)},
+		{"burst-drain", burst(true)},
+		{"burst-steal-only", burst(false)},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
-			res := Run(churnRunConfig(mode.drain))
+			res := Run(mode.cfg)
 			if len(res.Churn) == 0 {
 				t.Fatal("schedule performed no transitions; config too gentle")
 			}
-			fill := int64(churnRunConfig(mode.drain).Workload.InitialElements)
+			fill := int64(mode.cfg.Workload.InitialElements)
 			if got, want := int64(res.Remaining), fill+res.Stats.Adds-res.Stats.Removes; got != want {
 				t.Errorf("conservation violated: remaining = %d, fill+adds-removes = %d", got, want)
+			}
+			if got := res.Stats.Ops() + res.Stats.Aborts; got != int64(mode.cfg.Workload.TotalOps) {
+				t.Errorf("ops+aborts = %d, want the budget %d", got, mode.cfg.Workload.TotalOps)
 			}
 			if res.Stats.Ops() == 0 {
 				t.Error("no operations completed under churn")

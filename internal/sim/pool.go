@@ -113,17 +113,6 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 // a Proc contribute no timeline.
 func (p *Pool[T]) Timelines() []trace.Timeline { return p.members.Timelines() }
 
-// BatchSize returns the batch size the pool-wide controller recommends
-// for a workload configured at current, or current itself without one.
-// Per-handle controllers recommend through Proc.BatchSize instead, which
-// the burst driver consults before every batched operation.
-func (p *Pool[T]) BatchSize(current int) int {
-	if p.pol.Control == nil {
-		return current
-	}
-	return p.pol.Control.BatchSize(current)
-}
-
 // Seed deposits n elements round-robin across the segments before the run
 // ("a pool initialized with only 320 elements"), charging no virtual time.
 // gen supplies element values; for Token pools use func(int) Token.

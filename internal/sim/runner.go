@@ -34,9 +34,11 @@ type RunConfig struct {
 	// configured downtime, and samples cumulative completed operations
 	// into RunResult.OpsTrace so throughput dip and recovery are
 	// measurable. Killed processors idle (consuming virtual time but no
-	// budget) until revived. Not supported under the OpenLoop model,
-	// whose arrival streams assume a fixed processor set. A disabled
-	// schedule leaves the run byte-identical to a config without it.
+	// budget) until revived, until the budget is spent, or until every
+	// other processor has left (workload.Drive). Not supported under the
+	// OpenLoop model, whose arrival streams assume a fixed processor set.
+	// A disabled schedule leaves the run byte-identical to a config
+	// without it.
 	Churn workload.Churn
 }
 
@@ -114,22 +116,11 @@ const (
 // given RunConfig (including Seed).
 func Run(cfg RunConfig) RunResult {
 	wl := cfg.Workload
-	if err := wl.Validate(); err != nil {
+	if err := wl.ValidateChurn(cfg.Churn); err != nil {
 		panic(err) // programmer error: harness configs are static
 	}
 	churn := cfg.Churn
-	if err := churn.Validate(); err != nil {
-		panic(err)
-	}
 	churnOn := churn.Enabled()
-	if churnOn && wl.Model == workload.OpenLoop {
-		// The open-loop arrival streams assume a fixed processor set; a
-		// killed processor's arrivals have nowhere to go.
-		panic("sim: Churn is not supported under the OpenLoop model")
-	}
-	if churnOn && wl.Procs < 2 {
-		panic("sim: Churn needs at least 2 processors (the last live member cannot be killed)")
-	}
 	searchLaps := 0
 	if wl.Model == workload.OpenLoop {
 		// Bounded search instead of the all-searching livelock rule: under
@@ -162,7 +153,7 @@ func Run(cfg RunConfig) RunResult {
 	// paper's driver ("the processes performed operations until the
 	// combined total number of operations reached the desired amount"):
 	// claiming an operation charges a remote shared access.
-	budget := wl.TotalOps
+	budget := workload.NewBudget(wl.TotalOps)
 	budgetRes := Resource{Name: "op-budget"}
 	procs := make([]*Proc[Token], wl.Procs)
 	var controls []ControllerTrace
@@ -177,104 +168,11 @@ func Run(cfg RunConfig) RunResult {
 		bodies[id] = func(env *Env) {
 			pr := pool.Proc(env)
 			procs[id] = pr
-			ch := workload.NewChooser(wl, id, cfg.Seed)
-			// sample records the controller's operating point after an
-			// operation, building the trajectory traces.
-			sample := func() {
-				if controls == nil {
-					return
-				}
-				if frac, batch, ok := pr.ControlSample(wl.BatchSize); ok {
-					controls[id].FracPermil.Record(env.Now(), frac)
-					controls[id].Batch.Record(env.Now(), batch)
-					cross := int64(pr.Stats().CrossProbeFraction()*1000 + 0.5)
-					controls[id].CrossPermil.Record(env.Now(), cross)
-				}
+			w := &simWorker{env: env, pr: pr, res: &budgetRes, cost: cfg.Costs.Cost(numa.AccessShared, id, -1), batch: wl.BatchSize}
+			if controls != nil {
+				w.control = &controls[id]
 			}
-			if wl.Model == workload.OpenLoop {
-				// Open loop: operations arrive on the external clock, not
-				// when the previous one finishes. A processor behind on its
-				// arrival schedule starts the next operation immediately —
-				// the backlog is what inflates sojourn time under overload.
-				gen := wl.ArrivalsFor(id).Gen(id, cfg.Seed)
-				var arrival int64
-				for {
-					env.Charge(&budgetRes, cfg.Costs.Cost(numa.AccessShared, id, -1))
-					if budget <= 0 {
-						pool.AbortAll()
-						return
-					}
-					budget--
-					gap, svc := gen.Next()
-					arrival += gap
-					if wait := arrival - env.Now(); wait > 0 {
-						env.Compute(wait) // idle until the arrival
-					}
-					if ch.Next() == metrics.OpAdd {
-						pr.Put(Token{})
-					} else {
-						pr.Get()
-					}
-					if svc > 0 {
-						env.Compute(svc)
-					}
-					sojourns[id].Record(env.Now() - arrival)
-					sample()
-				}
-			}
-			for {
-				if churnOn && !pool.Alive(id) {
-					// Killed: idle on the virtual clock — no budget
-					// claims, no pool accesses — until revived or the
-					// run ends. (Zero-churn runs never reach this check,
-					// so their schedules are untouched.)
-					if budget <= 0 {
-						pool.AbortAll()
-						return
-					}
-					env.Compute(churnIdleTick)
-					continue
-				}
-				env.Charge(&budgetRes, cfg.Costs.Cost(numa.AccessShared, id, -1))
-				if budget <= 0 {
-					// Run over: release any processors stuck searching.
-					pool.AbortAll()
-					return
-				}
-				if wl.Model == workload.Burst {
-					// One budget unit per element moved, or one per aborted
-					// operation (as in the single-element model): a batch
-					// claims up to BatchSize units in one shared-counter
-					// access and refunds what it could not move, so
-					// Ops()+Aborts == TotalOps holds at every batch size.
-					// An online controller (adaptive or per-handle) may
-					// retune the batch between operations; each processor
-					// asks its own controller instance.
-					take := pr.BatchSize(wl.BatchSize)
-					if take > budget {
-						take = budget
-					}
-					budget -= take
-					if ch.NextBatch(take) == metrics.OpAdd {
-						pr.PutAll(make([]Token, take))
-					} else {
-						consumed := len(pr.GetN(take))
-						if consumed == 0 {
-							consumed = 1 // an abort costs one unit
-						}
-						budget += take - consumed
-					}
-					sample()
-					continue
-				}
-				budget--
-				if ch.Next() == metrics.OpAdd {
-					pr.Put(Token{})
-				} else {
-					pr.Get()
-				}
-				sample()
-			}
+			workload.Drive(wl, id, cfg.Seed, w, budget, sojourns)
 		}
 	}
 	var opsTrace metrics.Trace
@@ -287,7 +185,7 @@ func Run(cfg RunConfig) RunResult {
 			nextKill := gen.NextGap() // schedule the first kill from t=0
 			for {
 				env.Compute(churnSampleEvery)
-				if budget <= 0 {
+				if budget.Exhausted() || budget.Left() == wl.Procs {
 					return
 				}
 				ops := int64(0)
@@ -339,4 +237,45 @@ func Run(cfg RunConfig) RunResult {
 		res.SegmentWaited[id] = pool.SegmentWaited(id)
 	}
 	return res
+}
+
+// simWorker is one processor's workload.Worker on the virtual clock.
+// Turn charges the shared budget's resource, Done releases any
+// processors stuck searching, and After samples the controller
+// trajectory when RunConfig.ControlTrace asks for it.
+type simWorker struct {
+	env     *Env
+	pr      *Proc[Token]
+	res     *Resource // the shared budget's counter
+	cost    int64
+	batch   int // the configured batch size, for ControlSample
+	control *ControllerTrace
+}
+
+func (w *simWorker) Put()                { w.pr.Put(Token{}) }
+func (w *simWorker) Get()                { w.pr.Get() }
+func (w *simWorker) PutN(n int)          { w.pr.PutAll(make([]Token, n)) }
+func (w *simWorker) GetN(n int) int      { return len(w.pr.GetN(n)) }
+func (w *simWorker) BatchSize(c int) int { return w.pr.BatchSize(c) }
+func (w *simWorker) Alive() bool         { return w.pr.pool.Alive(w.env.id) }
+func (w *simWorker) Turn()               { w.env.Charge(w.res, w.cost) }
+func (w *simWorker) Done()               { w.pr.pool.AbortAll() }
+func (w *simWorker) Now() int64          { return w.env.Now() }
+func (w *simWorker) Idle()               { w.env.Compute(churnIdleTick) }
+func (w *simWorker) WaitUntil(t int64) {
+	if wait := t - w.env.Now(); wait > 0 {
+		w.env.Compute(wait)
+	}
+}
+
+func (w *simWorker) After() {
+	if w.control == nil {
+		return
+	}
+	if frac, batch, ok := w.pr.ControlSample(w.batch); ok {
+		now := w.env.Now()
+		w.control.FracPermil.Record(now, frac)
+		w.control.Batch.Record(now, batch)
+		w.control.CrossPermil.Record(now, int64(w.pr.Stats().CrossProbeFraction()*1000+0.5))
+	}
 }

@@ -208,6 +208,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ValidateChurn reports errors in the workload and in a churn schedule
+// layered over it. Churn needs at least two processes (the last live
+// member cannot be killed) and a closed-loop model: the OpenLoop arrival
+// streams assume a fixed process set, so a killed process's arrivals
+// would have nowhere to go.
+func (c Config) ValidateChurn(ch Churn) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if err := ch.Validate(); err != nil || !ch.Enabled() {
+		return err
+	}
+	if c.Model == OpenLoop {
+		return fmt.Errorf("workload: churn is not supported under the OpenLoop model")
+	}
+	if c.Procs < 2 {
+		return fmt.Errorf("workload: churn needs Procs >= 2, got %d", c.Procs)
+	}
+	return nil
+}
+
 // ProducerPositions returns the processor indices holding producer roles.
 func ProducerPositions(procs, producers int, arr Arrangement) []int {
 	pos := make([]int, 0, producers)
@@ -256,30 +277,12 @@ func NewChooser(cfg Config, proc int, trialSeed uint64) *Chooser {
 	}
 }
 
-// Next returns the next operation kind for this process. The role-flip
-// clock advances per element the operation intends to move: one for the
-// single-element models, BatchSize for Burst. Burst drivers whose actual
-// batch differs from the configured size (an adaptive controller may
-// raise it) should use NextBatch instead so the cadence stays honest.
-func (ch *Chooser) Next() metrics.OpKind {
-	step := 1
-	if ch.cfg.Model == Burst && ch.cfg.BatchSize > 1 {
-		step = ch.cfg.BatchSize
-	}
-	return ch.next(step)
-}
+// Next returns the next operation kind for a single-element operation,
+// advancing the role-flip clock by one.
+func (ch *Chooser) Next() metrics.OpKind { return ch.next(1) }
 
-// NextBatch returns the next operation kind for a batched operation about
-// to move up to take elements, advancing the role-flip clock by take.
-func (ch *Chooser) NextBatch(take int) metrics.OpKind {
-	if take < 1 {
-		take = 1
-	}
-	return ch.next(take)
-}
-
-// next advances the role-flip clock by step elements and draws the
-// operation kind.
+// next advances the role-flip clock by step elements (Drive passes a
+// burst batch's claimed size) and draws the operation kind.
 func (ch *Chooser) next(step int) metrics.OpKind {
 	ch.ops += step
 	switch ch.cfg.Model {
@@ -313,18 +316,13 @@ func (ch *Chooser) next(step int) metrics.OpKind {
 type Budget struct {
 	limit int64
 	used  atomic.Int64
+	left  atomic.Int64 // workers that have stopped claiming
 }
 
 // NewBudget returns a budget of n operations.
 func NewBudget(n int) *Budget {
 	b := &Budget{limit: int64(n)}
 	return b
-}
-
-// TryClaim consumes one operation from the budget, reporting false when
-// the budget is exhausted.
-func (b *Budget) TryClaim() bool {
-	return b.TryClaimN(1) == 1
 }
 
 // TryClaimN consumes up to k operations from the budget, returning how
@@ -355,12 +353,21 @@ func (b *Budget) TryClaimN(k int) int {
 // BatchSize units up front and refunds the ones its GetN could not move.
 // A refund may briefly revive a budget another worker already observed as
 // exhausted; workers that exited on that observation simply leave the
-// refunded units unspent.
+// refunded units unspent. So does a killed worker that made the refund:
+// Drive stops it once every other worker has left, since no live worker
+// remains to claim the units (or to tick the revive it waits for).
 func (b *Budget) Refund(n int) {
 	if n > 0 {
 		b.used.Add(int64(-n))
 	}
 }
+
+// Leave records that one worker has stopped claiming; Drive calls it as
+// the worker returns.
+func (b *Budget) Leave() { b.left.Add(1) }
+
+// Left returns the number of workers that have called Leave.
+func (b *Budget) Left() int { return int(b.left.Load()) }
 
 // Used returns the number of operations claimed so far.
 func (b *Budget) Used() int { return int(b.used.Load()) }

@@ -224,7 +224,7 @@ func TestDynamicRolesRotate(t *testing.T) {
 func TestBudgetExactLimit(t *testing.T) {
 	b := NewBudget(100)
 	claimed := 0
-	for b.TryClaim() {
+	for b.TryClaimN(1) == 1 {
 		claimed++
 	}
 	if claimed != 100 {
@@ -243,7 +243,7 @@ func TestBudgetConcurrentExact(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			for b.TryClaim() {
+			for b.TryClaimN(1) == 1 {
 				counts[id]++
 			}
 		}(i)
