@@ -210,7 +210,7 @@ func BenchmarkGetHotPathTraced(b *testing.B) {
 // BenchmarkGetHotPathHist measures the same stats-on fast path while
 // confirming what the stats kept: identical loop to BenchmarkGetHotPath,
 // then a check that every operation was counted and that the timed sample
-// (about one operation in sixteen, the handle's first among them) reached
+// (about one operation in 64, the handle's first among them) reached
 // the per-op latency histogram. Recording a sample is three atomic adds —
 // still 0 allocs/op; percentile math happens only at report time.
 func BenchmarkGetHotPathHist(b *testing.B) {
@@ -240,6 +240,25 @@ func BenchmarkGetHotPathHist(b *testing.B) {
 	}
 	if st.OpLat.N() == 0 {
 		b.Fatal("no per-op latencies recorded")
+	}
+}
+
+// BenchmarkNewObserved measures building a pool in the always-on
+// observability configuration (stats, cluster topology and a 1024-event
+// flight recorder per handle on 16 segments) — the set-up cost a
+// per-request or per-task pool pays. B/op is the memory it commits up
+// front; the recorder rings are not part of it, since a ring is
+// allocated by its first event.
+func BenchmarkNewObserved(b *testing.B) {
+	opts := pools.Options{
+		Segments: 16, CollectStats: true, Topology: pools.ClusterTopology{Size: 2},
+		TraceBuf: 1024,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := pools.New[int](opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

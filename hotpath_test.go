@@ -54,7 +54,7 @@ func TestHotPathAllocFree(t *testing.T) {
 		hs.Put(1)
 		hs.Get()
 	})
-	// Every stats-on operation is counted; about one in sixteen is timed
+	// Every stats-on operation is counted; about one in 64 is timed
 	// and lands in the per-op latency histogram (three atomic adds into a
 	// fixed bucket array — covered by the 0 allocs/op assertion above).
 	// Confirm both are visible on the merged pool stats.

@@ -150,7 +150,7 @@ func (h *Handle[T]) Stats() metrics.PoolStats { return h.stats }
 // between timed operations is drawn uniformly from [1, 2*sampleSpan-1],
 // so a periodic operation pattern (strict Put/Get alternation, say)
 // cannot alias with the sampler and leave one kind never timed.
-const sampleSpan = 16
+const sampleSpan = 64
 
 // sampler picks which stats-on operations a handle times.
 type sampler struct {
@@ -371,7 +371,7 @@ func (h *Handle[T]) Get() (T, bool) {
 		if p.opts.CollectStats {
 			h.stats.RecordLocalRemove(h.sample.since(start))
 		}
-		h.observe(policy.Feedback{Got: 1})
+		h.eng.ObserveLocal(1)
 		return v, true
 	}
 
@@ -481,7 +481,7 @@ func (h *Handle[T]) GetN(max int) []T {
 		if p.opts.CollectStats {
 			h.stats.RecordBatchLocalRemove(h.sample.since(start), len(out))
 		}
-		h.observe(policy.Feedback{Got: len(out)})
+		h.eng.ObserveLocal(len(out))
 		return out
 	}
 

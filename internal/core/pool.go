@@ -93,9 +93,10 @@ type Options struct {
 	// TraceBuf, when positive, attaches a flight recorder of that many
 	// events to every handle (internal/trace): searches, probes, ring
 	// escalations, reserve/transfer edges, gift traffic, and termination
-	// verdicts, timestamped in microseconds since pool creation. Zero
-	// disables tracing; the disabled hot path stays 0 allocs/op and pays
-	// only a nil check per emission site.
+	// verdicts, timestamped in microseconds since pool creation. A
+	// handle's ring is allocated by its first event. Zero disables
+	// tracing; the disabled hot path stays 0 allocs/op and pays only a
+	// nil check per emission site.
 	TraceBuf int
 }
 
@@ -199,6 +200,12 @@ func New[T any](opts Options) (*Pool[T], error) {
 			p.giftOrder = giftOrders(opts.Segments, topo)
 		}
 	}
+	var clock func() int64
+	if opts.TraceBuf > 0 {
+		// Microseconds since p.base: the op stats' monotonic time zero.
+		// One closure serves every handle's recorder.
+		clock = func() int64 { return time.Since(p.base).Microseconds() }
+	}
 	p.handles = make([]*Handle[T], opts.Segments)
 	for i := range p.handles {
 		h := &Handle[T]{pool: p, id: i, sample: sampler{
@@ -212,8 +219,7 @@ func New[T any](opts Options) (*Pool[T], error) {
 			stats = &h.stats
 		}
 		if opts.TraceBuf > 0 {
-			// Microseconds since p.base: the op stats' monotonic time zero.
-			h.tr = trace.NewRecorder(i, opts.TraceBuf, func() int64 { return time.Since(p.base).Microseconds() })
+			h.tr = trace.NewRecorder(i, opts.TraceBuf, clock)
 			p.members.Attach(i, h.tr)
 		}
 		h.eng = engine.New(engine.Config{

@@ -11,16 +11,19 @@ import (
 // stats-on pool — strict Put/Get alternation, PutAll/GetN pairs, forced
 // steals (single and batch) and one abort — and checks the sampled
 // accounting: every counter, OpCount and StealFraction equal the script's
-// exact values, while each timing summary holds a sample of between 1/32
-// and 1/8 of its calls. The alternation phases have an even period, so a
-// fixed even sampling interval would time only one of Put/Get and fail
-// the sample bounds.
+// exact values, while each timing summary holds a sample of between
+// 1/(2·sampleSpan) and 2/sampleSpan of its calls. The alternation phases
+// have an even period, so a fixed even sampling interval would time only
+// one of Put/Get and fail the sample bounds. The phase counts scale with
+// sampleSpan, so each summary expects the same number of timed samples
+// at any sampling rate.
 func TestSampledStatsExactCounts(t *testing.T) {
 	const (
-		alternations = 4096 // A.Put; A.Get
-		batchPairs   = 256  // A.PutAll(8); A.GetN(8)
-		steals       = 512  // A.Put; B.Get (B's segment is empty: it steals A's one element)
-		batchSteals  = 64   // A.PutAll(4); B.GetN(4) steals 2; A.GetN(4) takes the other 2
+		scale        = sampleSpan / 16
+		alternations = 4096 * scale // A.Put; A.Get
+		batchPairs   = 256 * scale  // A.PutAll(8); A.GetN(8)
+		steals       = 512 * scale  // A.Put; B.Get (B's segment is empty: it steals A's one element)
+		batchSteals  = 64 * scale   // A.PutAll(4); B.GetN(4) steals 2; A.GetN(4) takes the other 2
 	)
 	p := newTestPool(t, Options{Segments: 2, CollectStats: true})
 	a, b := p.Handle(0), p.Handle(1)
@@ -103,8 +106,9 @@ func TestSampledStatsExactCounts(t *testing.T) {
 		{"RemoveTime", st.RemoveTime, removeCalls},
 		{"StealTime", st.StealTime, allSteals},
 	} {
-		if n := c.sum.N(); n < c.calls/32 || n > c.calls/8 {
-			t.Errorf("%s timed %d of %d calls, want within [calls/32, calls/8]", c.name, n, c.calls)
+		if n := c.sum.N(); n < c.calls/(2*sampleSpan) || n > 2*c.calls/sampleSpan {
+			t.Errorf("%s timed %d of %d calls, want within [calls/%d, calls/%d]",
+				c.name, n, c.calls, 2*sampleSpan, sampleSpan/2)
 		}
 		// Owner-path operations take well under a µs: the samples keep
 		// the fraction instead of truncating it to zero.

@@ -239,6 +239,16 @@ func (e *Engine) Observe(fb policy.Feedback) {
 	e.observe(fb)
 }
 
+// ObserveLocal feeds a local hit of n elements to the handle's controller,
+// if any: Observe(policy.Feedback{Got: n}), which never records a local
+// hit, so the recorder needs no test. Without a controller the call is
+// one inlined test even on a traced pool.
+func (e *Engine) ObserveLocal(n int) {
+	if e.ctl != nil {
+		e.ctl.Observe(policy.Feedback{Got: n})
+	}
+}
+
 // observe is Observe's out-of-line half.
 func (e *Engine) observe(fb policy.Feedback) {
 	if e.tr != nil && (fb.Stole || fb.Aborted || fb.Examined > 0) {

@@ -77,7 +77,6 @@ type Pool[K comparable, V any] struct {
 	segs    []seg[K, V]
 	handles []*Handle[K, V]
 	members *engine.Membership // dynamic membership: alive/victim bits + epoch
-	epoch   time.Time          // flight-recorder time zero (tracing only)
 }
 
 type seg[K comparable, V any] struct {
@@ -138,6 +137,13 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 	for i := range p.segs {
 		p.segs[i].buckets = make(map[K]*segment.Deque[V])
 	}
+	var clock func() int64
+	if opts.TraceBuf > 0 {
+		// Microseconds since the pool's creation; one closure serves
+		// every handle's recorder.
+		epoch := time.Now()
+		clock = func() int64 { return time.Since(epoch).Microseconds() }
+	}
 	p.handles = make([]*Handle[K, V], opts.Segments)
 	for i := range p.handles {
 		h := &Handle[K, V]{pool: p, id: i}
@@ -159,10 +165,7 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 			srch = search.NewLinearSearcher(i)
 		}
 		if opts.TraceBuf > 0 {
-			if p.epoch.IsZero() {
-				p.epoch = time.Now()
-			}
-			h.tr = trace.NewRecorder(i, opts.TraceBuf, func() int64 { return time.Since(p.epoch).Microseconds() })
+			h.tr = trace.NewRecorder(i, opts.TraceBuf, clock)
 			p.members.Attach(i, h.tr)
 		}
 		h.eng = engine.New(engine.Config{
@@ -386,7 +389,7 @@ func (h *Handle[K, V]) GetN(k K, max int) []V {
 		return nil
 	}
 	if out := h.takeLocalN(k, max); len(out) > 0 {
-		h.observe(policy.Feedback{Got: len(out)})
+		h.eng.ObserveLocal(len(out))
 		return out
 	}
 	var out []V
@@ -411,7 +414,7 @@ func (h *Handle[K, V]) GetN(k K, max int) []V {
 func (h *Handle[K, V]) Get(k K) (V, bool) {
 	// Local fast path.
 	if v, ok := h.takeLocal(k); ok {
-		h.observe(policy.Feedback{Got: 1})
+		h.eng.ObserveLocal(1)
 		return v, true
 	}
 	// Search from where elements were last found (or in the victim
@@ -444,7 +447,7 @@ func (h *Handle[K, V]) Get(k K) (V, bool) {
 // returns false when the pool appears empty after the configured sweeps.
 func (h *Handle[K, V]) GetAny() (K, V, bool) {
 	if k, v, ok := h.takeLocalAny(); ok {
-		h.observe(policy.Feedback{Got: 1})
+		h.eng.ObserveLocal(1)
 		return k, v, ok
 	}
 	var outK K

@@ -35,7 +35,7 @@ func (k OpKind) String() string {
 // only when they are non-negative: a caller passes Untimed for an
 // operation it counted without reading the clock. The simulator times
 // every operation on its virtual clock; the real pool (internal/core)
-// times a random sample of about one operation in sixteen per handle, so
+// times a random sample of about one operation in 64 per handle, so
 // there a timing summary's N() is a sample count and the exact call counts
 // are AddCalls, RemoveCalls and Aborts.
 type PoolStats struct {
@@ -123,11 +123,12 @@ func (s *PoolStats) CrossProbeFraction() float64 {
 const Untimed = -1.0
 
 // timed folds one timed operation of d µs into a duration summary and the
-// latency histogram; an Untimed (negative) d is skipped.
+// latency histogram. Each Record method tests d >= 0 itself before the
+// call, so an Untimed operation — most of them on the real pool — pays
+// no call once the Record method inlines into its caller; with the test
+// behind a helper, the local-path Record methods would exceed the
+// compiler's inlining budget.
 func (s *PoolStats) timed(sum *Summary, d float64) {
-	if d < 0 {
-		return
-	}
 	sum.Add(d)
 	s.OpLat.Record(int64(d))
 }
@@ -137,7 +138,9 @@ func (s *PoolStats) timed(sum *Summary, d float64) {
 func (s *PoolStats) RecordAdd(d float64) {
 	s.Adds++
 	s.AddCalls++
-	s.timed(&s.AddTime, d)
+	if d >= 0 {
+		s.timed(&s.AddTime, d)
+	}
 }
 
 // RecordLocalRemove records a remove satisfied locally.
@@ -145,7 +148,9 @@ func (s *PoolStats) RecordLocalRemove(d float64) {
 	s.Removes++
 	s.RemoveCalls++
 	s.LocalRemoves++
-	s.timed(&s.RemoveTime, d)
+	if d >= 0 {
+		s.timed(&s.RemoveTime, d)
+	}
 }
 
 // RecordStealRemove records a remove that needed a steal: total duration d,
@@ -155,7 +160,9 @@ func (s *PoolStats) RecordStealRemove(d, sd float64, examined, stolen int) {
 	s.Removes++
 	s.RemoveCalls++
 	s.recordSteal(sd, examined, stolen)
-	s.timed(&s.RemoveTime, d)
+	if d >= 0 {
+		s.timed(&s.RemoveTime, d)
+	}
 }
 
 // recordSteal counts one successful steal and, when timed, its search+steal
@@ -174,7 +181,9 @@ func (s *PoolStats) RecordBatchAdd(d float64, n int) {
 	s.BatchAdds++
 	s.Adds += int64(n)
 	s.AddCalls++
-	s.timed(&s.AddTime, d)
+	if d >= 0 {
+		s.timed(&s.AddTime, d)
+	}
 }
 
 // RecordBatchLocalRemove records one GetN satisfied by the local segment:
@@ -184,7 +193,9 @@ func (s *PoolStats) RecordBatchLocalRemove(d float64, n int) {
 	s.Removes += int64(n)
 	s.LocalRemoves += int64(n)
 	s.RemoveCalls++
-	s.timed(&s.RemoveTime, d)
+	if d >= 0 {
+		s.timed(&s.RemoveTime, d)
+	}
 }
 
 // RecordBatchStealRemove records one GetN that needed a steal: total
@@ -195,7 +206,9 @@ func (s *PoolStats) RecordBatchStealRemove(d, sd float64, examined, stolen, n in
 	s.Removes += int64(n)
 	s.RemoveCalls++
 	s.recordSteal(sd, examined, stolen)
-	s.timed(&s.RemoveTime, d)
+	if d >= 0 {
+		s.timed(&s.RemoveTime, d)
+	}
 }
 
 // RecordAbort records a remove aborted because every participant was
@@ -203,7 +216,9 @@ func (s *PoolStats) RecordBatchStealRemove(d, sd float64, examined, stolen, n in
 // the abort was detected.
 func (s *PoolStats) RecordAbort(d float64) {
 	s.Aborts++
-	s.timed(&s.AbortTime, d)
+	if d >= 0 {
+		s.timed(&s.AbortTime, d)
+	}
 }
 
 // RecordStealVictim classifies one successful remote steal against the

@@ -2,13 +2,13 @@
 // feature with one inlined field test rather than a call. Each check for
 // an optional feature on Put/Get (the NUMA delay, the Director
 // placement, the controller and recorder feedback, the membership
-// redirect, the stats sampler) is a small method whose fast test the
-// compiler inlines and whose work sits in an out-of-line half. A change
-// that grows one of those methods past the inlining budget still passes
-// every test; it only makes each operation a few ns slower. This command
-// turns that into a build failure: it reads the compiler's -m
-// diagnostics and fails unless each listed call site reports "inlining
-// call to" each listed method.
+// redirect, the stats sampler and the stats timing fold) is a small
+// method whose fast test the compiler inlines and whose work sits in an
+// out-of-line half. A change that grows one of those methods past the
+// inlining budget still passes every test; it only makes each operation
+// a few ns slower. This command turns that into a build failure: it
+// reads the compiler's -m diagnostics and fails unless each listed call
+// site reports "inlining call to" each listed method.
 //
 // Usage, from the module root:
 //
@@ -32,12 +32,20 @@ import (
 )
 
 // The methods that must inline, as the compiler's -m output names them.
+// The stats Record methods hold their counters and the d >= 0 test in
+// front of the timing fold, so an inlined one costs an untimed operation
+// no call. RecordBatchLocalRemove is absent: its four counters put it
+// past the budget, so GetN's local hit keeps one call.
 const (
-	delay   = "numa.(*Delayer).Delay"
-	direct  = "engine.(*Engine).DirectTarget"
-	observe = "engine.(*Engine).Observe"
-	place   = "engine.(*Membership).Place"
-	begin   = "(*sampler).begin"
+	delay       = "numa.(*Delayer).Delay"
+	direct      = "engine.(*Engine).DirectTarget"
+	observe     = "engine.(*Engine).Observe"
+	local       = "engine.(*Engine).ObserveLocal"
+	place       = "engine.(*Membership).Place"
+	begin       = "(*sampler).begin"
+	add         = "metrics.(*PoolStats).RecordAdd"
+	batchAdd    = "metrics.(*PoolStats).RecordBatchAdd"
+	localRemove = "metrics.(*PoolStats).RecordLocalRemove"
 )
 
 // rule names one function and the calls that must inline inside it.
@@ -49,18 +57,18 @@ type rule struct {
 
 // rules are the owner-path call sites.
 var rules = []rule{
-	{"internal/core/handle.go", "Handle.Put", []string{begin, direct, place, delay}},
-	{"internal/core/handle.go", "Handle.PutAll", []string{begin, direct, place, delay}},
-	{"internal/core/handle.go", "Handle.TryPut", []string{begin, delay}},
-	{"internal/core/handle.go", "Handle.TryGetLocal", []string{begin, delay}},
-	{"internal/core/handle.go", "Handle.Get", []string{begin, delay, observe}},
-	{"internal/core/handle.go", "Handle.GetN", []string{begin, delay, observe}},
+	{"internal/core/handle.go", "Handle.Put", []string{begin, direct, place, delay, add}},
+	{"internal/core/handle.go", "Handle.PutAll", []string{begin, direct, place, delay, batchAdd}},
+	{"internal/core/handle.go", "Handle.TryPut", []string{begin, delay, add}},
+	{"internal/core/handle.go", "Handle.TryGetLocal", []string{begin, delay, localRemove}},
+	{"internal/core/handle.go", "Handle.Get", []string{begin, delay, localRemove, local, observe}},
+	{"internal/core/handle.go", "Handle.GetN", []string{begin, delay, local, observe}},
 	{"internal/core/handle.go", "Handle.parkLocal", []string{place}},
 	{"internal/core/handle.go", "substrate.Probe", []string{delay, place}},
 	{"internal/keyed/keyed.go", "Handle.Put", []string{direct, place}},
 	{"internal/keyed/keyed.go", "Handle.PutAll", []string{direct, place}},
-	{"internal/keyed/keyed.go", "Handle.Get", []string{observe}},
-	{"internal/keyed/keyed.go", "Handle.GetN", []string{observe}},
+	{"internal/keyed/keyed.go", "Handle.Get", []string{local, observe}},
+	{"internal/keyed/keyed.go", "Handle.GetN", []string{local, observe}},
 }
 
 // inlined is one "inlining call to" diagnostic.

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -89,5 +90,33 @@ func TestRulesNameRealFunctions(t *testing.T) {
 		if !strings.Contains(e, "is not inlined") {
 			t.Error(e)
 		}
+	}
+}
+
+// TestRulesCoverOwnerPathStats pins the rows that keep stats and local
+// feedback off the call path: every core add and local remove inlines
+// its stats Record method, and every core and keyed Get/GetN inlines
+// ObserveLocal for its local hit.
+func TestRulesCoverOwnerPathStats(t *testing.T) {
+	want := map[string][]string{
+		"internal/core/handle.go Handle.Put":         {add},
+		"internal/core/handle.go Handle.PutAll":      {batchAdd},
+		"internal/core/handle.go Handle.TryPut":      {add},
+		"internal/core/handle.go Handle.TryGetLocal": {localRemove},
+		"internal/core/handle.go Handle.Get":         {localRemove, local},
+		"internal/core/handle.go Handle.GetN":        {local},
+		"internal/keyed/keyed.go Handle.Get":         {local},
+		"internal/keyed/keyed.go Handle.GetN":        {local},
+	}
+	for _, r := range rules {
+		for _, c := range want[r.file+" "+r.fn] {
+			if !slices.Contains(r.calls, c) {
+				t.Errorf("%s %s: rule does not require %s", r.file, r.fn, c)
+			}
+		}
+		delete(want, r.file+" "+r.fn)
+	}
+	for k := range want {
+		t.Errorf("no rule for %s", k)
 	}
 }

@@ -12,12 +12,14 @@
 //     that is nil unless tracing was requested; every emission site is
 //     a nil check in front of a method call, so the hot path stays
 //     0 allocs/op and `make bench-check` arbitrates the residual cost.
-//  2. Record is allocation-free. An Event is four scalar fields, the
-//     ring is a preallocated array, and the clock closures used by the
-//     substrates (wall-time-since-epoch, sim virtual clock) do not
-//     allocate. The only lock is the recorder's own mutex, which is
-//     per-handle and therefore uncontended except against a concurrent
-//     dump from the introspection endpoint.
+//  2. Record is allocation-free once warm. An Event is four scalar
+//     fields, the ring is one array allocated by a recorder's first
+//     Record (a handle that never emits an event never pays for it), and
+//     the clock closures used by the substrates (wall-time-since-epoch,
+//     sim virtual clock) do not allocate. The only lock is the
+//     recorder's own mutex, which is per-handle and therefore
+//     uncontended except against a concurrent dump from the
+//     introspection endpoint.
 //  3. Dumping is safe while the pool runs. Events() snapshots under
 //     the same mutex, so the live /trace endpoint can read a recorder
 //     that its handle is still writing (exercised under -race).
@@ -155,15 +157,19 @@ type Event struct {
 
 // Recorder is a fixed-capacity ring buffer of Events for one handle.
 // Record overwrites the oldest event once the ring is full — a flight
-// recorder keeps the recent past, not the whole run. All methods are
-// safe for concurrent use; the expected pattern is one writer (the
-// owning handle) and occasional readers (the dump endpoints).
+// recorder keeps the recent past, not the whole run. The ring is
+// allocated by the first Record, so a handle whose path never emits an
+// event (an owner that only ever hits its local segment) costs no ring
+// memory. All methods are safe for concurrent use; the expected pattern
+// is one writer (the owning handle) and occasional readers (the dump
+// endpoints).
 type Recorder struct {
 	mu     sync.Mutex
 	clock  func() int64
 	handle int
-	buf    []Event
-	next   uint64 // events ever recorded; next % cap is the write slot
+	size   int     // ring capacity; buf is allocated to it on the first Record
+	buf    []Event // nil until the first Record
+	next   uint64  // events ever recorded; next % size is the write slot
 }
 
 // NewRecorder returns a recorder for the given handle with room for
@@ -176,14 +182,17 @@ func NewRecorder(handle, capacity int, clock func() int64) *Recorder {
 	if clock == nil {
 		clock = func() int64 { return 0 }
 	}
-	return &Recorder{clock: clock, handle: handle, buf: make([]Event, capacity)}
+	return &Recorder{clock: clock, handle: handle, size: capacity}
 }
 
 // Record appends one event, overwriting the oldest if the ring is
-// full. It performs no heap allocations.
+// full. Only the first call allocates (the ring itself).
 func (r *Recorder) Record(k Kind, arg1, arg2 int32) {
 	ts := r.clock()
 	r.mu.Lock()
+	if r.buf == nil {
+		r.buf = make([]Event, r.size)
+	}
 	r.buf[r.next%uint64(len(r.buf))] = Event{TS: ts, Kind: k, Arg1: arg1, Arg2: arg2}
 	r.next++
 	r.mu.Unlock()
@@ -223,8 +232,15 @@ func (r *Recorder) dropped() uint64 {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.events()
+}
+
+// events copies the retained events, oldest first; r.mu must be held. A
+// ring that has not wrapped — including one not yet allocated — is
+// copied from its start.
+func (r *Recorder) events() []Event {
 	n := uint64(len(r.buf))
-	if r.next < n {
+	if r.next <= n {
 		out := make([]Event, r.next)
 		copy(out, r.buf[:r.next])
 		return out
@@ -236,24 +252,12 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Timeline snapshots the recorder into an exportable Timeline.
+// Timeline snapshots the recorder into an exportable Timeline, its
+// events and dropped count taken under one lock hold.
 func (r *Recorder) Timeline() Timeline {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Inline Events() under the held lock so Events and Dropped come
-	// from the same instant.
-	n := uint64(len(r.buf))
-	var out []Event
-	if r.next < n {
-		out = make([]Event, r.next)
-		copy(out, r.buf[:r.next])
-	} else {
-		out = make([]Event, n)
-		start := r.next % n
-		copy(out, r.buf[start:])
-		copy(out[n-start:], r.buf[:start])
-	}
-	return Timeline{Handle: r.handle, Events: out, Dropped: r.dropped()}
+	return Timeline{Handle: r.handle, Events: r.events(), Dropped: r.dropped()}
 }
 
 // Timeline is one handle's exportable slice of the flight recorder: a

@@ -171,13 +171,44 @@ func TestRecorderConcurrentRecordDump(t *testing.T) {
 	writer.Wait()
 }
 
-// TestRecordAllocFree pins the recorder's own contract: Record on a
-// warm ring performs zero heap allocations.
+// TestRecordAllocFree pins the recorder's own contract: the first Record
+// allocates the ring, once, and Record on a warm ring performs zero heap
+// allocations.
 func TestRecordAllocFree(t *testing.T) {
-	r := NewRecorder(0, 256, func() int64 { return 7 })
+	// AllocsPerRun warms up with one untimed call, so the first Record is
+	// measured on a recorder built inside the run, net of building one.
+	var fresh *Recorder
+	clock := func() int64 { return 7 }
+	built := testing.AllocsPerRun(10, func() { fresh = NewRecorder(0, 256, clock) })
+	first := testing.AllocsPerRun(10, func() {
+		fresh = NewRecorder(0, 256, clock)
+		fresh.Record(ProbeNear, 1, 1)
+	})
+	if first-built != 1 {
+		t.Errorf("first Record: %.2f allocs, want 1 (the ring)", first-built)
+	}
+	r := NewRecorder(0, 256, clock)
 	r.Record(ProbeNear, 1, 1)
 	if avg := testing.AllocsPerRun(200, func() { r.Record(ProbeCross, 2, 3) }); avg != 0 {
 		t.Errorf("Record: %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestRecorderEmptyRing pins the lazily allocated ring's empty state: a
+// recorder that never recorded reports nothing and snapshots empty.
+func TestRecorderEmptyRing(t *testing.T) {
+	r := NewRecorder(5, 64, nil)
+	if n, d := r.Len(), r.Dropped(); n != 0 || d != 0 {
+		t.Fatalf("Len = %d, Dropped = %d, want 0, 0", n, d)
+	}
+	if evs := r.Events(); len(evs) != 0 {
+		t.Fatalf("Events = %+v, want none", evs)
+	}
+	if tl := r.Timeline(); tl.Handle != 5 || len(tl.Events) != 0 || tl.Dropped != 0 {
+		t.Fatalf("Timeline = %+v, want handle 5 and nothing recorded", tl)
+	}
+	if tls := Collect(r); len(tls) != 1 || len(tls[0].Events) != 0 {
+		t.Fatalf("Collect = %+v, want one empty timeline", tls)
 	}
 }
 

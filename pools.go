@@ -251,9 +251,10 @@ const (
 // Flight-recorder types, so callers can name what Options.TraceBuf turns
 // on and Pool.Timelines/Pool.Tracer return. The recorder is a per-handle
 // fixed-size ring of typed protocol events (probes, reserve/transfer
-// edges, gifts, escalations, termination verdicts); recording is
-// allocation-free and disabled entirely when TraceBuf is 0. See
-// internal/trace and docs/OBSERVABILITY.md.
+// edges, gifts, escalations, termination verdicts), allocated by the
+// handle's first event; recording after that is allocation-free, and
+// tracing is disabled entirely when TraceBuf is 0. See internal/trace
+// and docs/OBSERVABILITY.md.
 type (
 	// TraceEvent is one recorded protocol event.
 	TraceEvent = trace.Event
