@@ -157,7 +157,8 @@ docs-check:
 	grep -q '`chaos`' docs/EXPERIMENTS.md
 	grep -q "workload.Churn" docs/WORKLOADS.md
 	grep -q "member_leave" docs/OBSERVABILITY.md
-	$(GO) run ./internal/tools/doclint ./internal/policy ./internal/numa ./internal/engine ./internal/workload ./internal/trace ./internal/introspect
+	$(GO) run ./internal/tools/doclint ./internal/policy ./internal/numa ./internal/engine ./internal/workload ./internal/trace ./internal/introspect \
+		./internal/metrics ./internal/baseline ./internal/rng ./internal/ttt ./internal/search ./internal/keyed ./internal/core ./internal/segment
 	$(GO) build -tags docsexamples ./internal/docexamples
 
 # Owner-path inlining gate: a disabled feature must cost Put/Get one

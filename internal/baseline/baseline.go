@@ -1,23 +1,12 @@
-// Package baseline provides the centralized work-list structures the paper
-// compares concurrent pools against, plus a modern channel-based
-// alternative used as an ablation.
+// Package baseline provides the centralized work list the paper compares
+// concurrent pools against.
 //
 // Section 4.4: "The original version that used a stack with a global lock
 // for the work list was 40% slower and had worse speedup (only 10.7 for 16
-// processors)." GlobalStack is that comparator. GlobalQueue is the FIFO
-// variant, and ChanPool is what idiomatic Go would reach for today.
+// processors)." GlobalStack is that comparator.
 package baseline
 
 import "sync"
-
-// WorkList is the minimal interface shared by the pool and the baselines
-// when used as a task work list: unordered put/get with a false return
-// when no element can be obtained.
-type WorkList[T any] interface {
-	Put(v T)
-	Get() (T, bool)
-	Len() int
-}
 
 // GlobalStack is a LIFO work list protected by a single global mutex —
 // the paper's original tic-tac-toe work list.
@@ -28,8 +17,6 @@ type GlobalStack[T any] struct {
 
 // NewGlobalStack returns an empty stack.
 func NewGlobalStack[T any]() *GlobalStack[T] { return &GlobalStack[T]{} }
-
-var _ WorkList[int] = (*GlobalStack[int])(nil)
 
 // Put pushes an element.
 func (s *GlobalStack[T]) Put(v T) {
@@ -58,133 +45,4 @@ func (s *GlobalStack[T]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.items)
-}
-
-// GlobalQueue is a FIFO work list protected by a single global mutex,
-// backed by a ring buffer.
-type GlobalQueue[T any] struct {
-	mu   sync.Mutex
-	buf  []T
-	head int
-	n    int
-}
-
-// NewGlobalQueue returns an empty queue.
-func NewGlobalQueue[T any]() *GlobalQueue[T] { return &GlobalQueue[T]{} }
-
-var _ WorkList[int] = (*GlobalQueue[int])(nil)
-
-// Put enqueues an element.
-func (q *GlobalQueue[T]) Put(v T) {
-	q.mu.Lock()
-	if q.n == len(q.buf) {
-		newCap := len(q.buf) * 2
-		if newCap < 8 {
-			newCap = 8
-		}
-		buf := make([]T, newCap)
-		for i := 0; i < q.n; i++ {
-			buf[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = buf
-		q.head = 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = v
-	q.n++
-	q.mu.Unlock()
-}
-
-// Get dequeues the oldest element.
-func (q *GlobalQueue[T]) Get() (T, bool) {
-	var zero T
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.n == 0 {
-		return zero, false
-	}
-	v := q.buf[q.head]
-	q.buf[q.head] = zero
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	if q.n == 0 {
-		q.head = 0
-	}
-	return v, true
-}
-
-// Len returns the current size.
-func (q *GlobalQueue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}
-
-// ChanPool adapts a buffered channel to the WorkList interface: the
-// idiomatic Go answer to work distribution, measured as an ablation. Put
-// on a full channel falls back to a mutex-protected overflow list so that
-// it never blocks (a work list must accept unbounded production).
-type ChanPool[T any] struct {
-	ch       chan T
-	mu       sync.Mutex
-	overflow []T
-}
-
-// NewChanPool returns a channel pool with the given buffer capacity
-// (minimum 1).
-func NewChanPool[T any](capacity int) *ChanPool[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ChanPool[T]{ch: make(chan T, capacity)}
-}
-
-var _ WorkList[int] = (*ChanPool[int])(nil)
-
-// Put delivers to the channel, spilling to the overflow list if full.
-func (c *ChanPool[T]) Put(v T) {
-	// Drain overflow opportunistically to preserve rough ordering.
-	c.mu.Lock()
-	for len(c.overflow) > 0 {
-		select {
-		case c.ch <- c.overflow[0]:
-			c.overflow = c.overflow[1:]
-			continue
-		default:
-		}
-		break
-	}
-	c.mu.Unlock()
-	select {
-	case c.ch <- v:
-	default:
-		c.mu.Lock()
-		c.overflow = append(c.overflow, v)
-		c.mu.Unlock()
-	}
-}
-
-// Get receives without blocking; it checks the overflow list first.
-func (c *ChanPool[T]) Get() (T, bool) {
-	c.mu.Lock()
-	if len(c.overflow) > 0 {
-		v := c.overflow[0]
-		c.overflow = c.overflow[1:]
-		c.mu.Unlock()
-		return v, true
-	}
-	c.mu.Unlock()
-	select {
-	case v := <-c.ch:
-		return v, true
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
-// Len returns the approximate current size.
-func (c *ChanPool[T]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.ch) + len(c.overflow)
 }

@@ -3,7 +3,6 @@ package baseline
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestGlobalStackLIFO(t *testing.T) {
@@ -25,160 +24,50 @@ func TestGlobalStackLIFO(t *testing.T) {
 	}
 }
 
-func TestGlobalQueueFIFO(t *testing.T) {
-	q := NewGlobalQueue[int]()
-	if _, ok := q.Get(); ok {
-		t.Fatal("empty queue Get should fail")
-	}
-	for i := 0; i < 100; i++ {
-		q.Put(i)
-	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	for i := 0; i < 100; i++ {
-		v, ok := q.Get()
-		if !ok || v != i {
-			t.Fatalf("Get = (%d,%v), want (%d,true)", v, ok, i)
-		}
-	}
-}
-
-func TestGlobalQueueWrapAndRegrow(t *testing.T) {
-	q := NewGlobalQueue[int]()
-	next, expect := 0, 0
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 7; i++ {
-			q.Put(next)
-			next++
-		}
-		for i := 0; i < 5; i++ {
-			v, ok := q.Get()
-			if !ok || v != expect {
-				t.Fatalf("round %d: Get = (%d,%v), want (%d,true)", round, v, ok, expect)
-			}
-			expect++
-		}
-	}
-	if q.Len() != next-expect {
-		t.Fatalf("Len = %d, want %d", q.Len(), next-expect)
-	}
-}
-
-func TestChanPoolBasics(t *testing.T) {
-	c := NewChanPool[int](4)
-	if _, ok := c.Get(); ok {
-		t.Fatal("empty ChanPool Get should fail")
-	}
-	// Exceed channel capacity to exercise the overflow path.
-	for i := 0; i < 20; i++ {
-		c.Put(i)
-	}
-	if c.Len() != 20 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 20; i++ {
-		v, ok := c.Get()
-		if !ok || seen[v] {
-			t.Fatalf("Get %d = (%d,%v)", i, v, ok)
-		}
-		seen[v] = true
-	}
-	if _, ok := c.Get(); ok {
-		t.Fatal("drained ChanPool Get should fail")
-	}
-}
-
-func TestChanPoolMinCapacity(t *testing.T) {
-	c := NewChanPool[int](0)
-	c.Put(1)
-	if v, ok := c.Get(); !ok || v != 1 {
-		t.Fatal("capacity-clamped pool broken")
-	}
-}
-
 func TestAllBaselinesConserveConcurrently(t *testing.T) {
-	impls := map[string]WorkList[int]{
-		"stack": NewGlobalStack[int](),
-		"queue": NewGlobalQueue[int](),
-		"chan":  NewChanPool[int](64),
-	}
-	for name, w := range impls {
-		w := w
-		t.Run(name, func(t *testing.T) {
-			const workers = 8
-			const perWorker = 5000
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			seen := map[int]bool{}
-			for i := 0; i < workers; i++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					for j := 0; j < perWorker; j++ {
-						w.Put(id*perWorker + j)
-						if v, ok := w.Get(); ok {
-							mu.Lock()
-							if seen[v] {
-								mu.Unlock()
-								t.Errorf("element %d delivered twice", v)
-								return
-							}
-							seen[v] = true
+	t.Run("stack", func(t *testing.T) {
+		w := NewGlobalStack[int]()
+		const workers = 8
+		const perWorker = 5000
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				for j := 0; j < perWorker; j++ {
+					w.Put(id*perWorker + j)
+					if v, ok := w.Get(); ok {
+						mu.Lock()
+						if seen[v] {
 							mu.Unlock()
+							t.Errorf("element %d delivered twice", v)
+							return
 						}
+						seen[v] = true
+						mu.Unlock()
 					}
-				}(i)
-			}
-			wg.Wait()
-			remaining := 0
-			for {
-				v, ok := w.Get()
-				if !ok {
-					break
 				}
-				if seen[v] {
-					t.Fatalf("element %d delivered twice at drain", v)
-				}
-				seen[v] = true
-				remaining++
-			}
-			if len(seen) != workers*perWorker {
-				t.Fatalf("conserved %d, want %d", len(seen), workers*perWorker)
-			}
-		})
-	}
-}
-
-func TestStackQueueEquivalentMultiset(t *testing.T) {
-	f := func(ops []uint8) bool {
-		s := NewGlobalStack[int]()
-		q := NewGlobalQueue[int]()
-		next := 0
-		sCount, qCount := 0, 0
-		for _, op := range ops {
-			if op%2 == 0 {
-				s.Put(next)
-				q.Put(next)
-				next++
-			} else {
-				_, okS := s.Get()
-				_, okQ := q.Get()
-				if okS != okQ {
-					return false
-				}
-				if okS {
-					sCount++
-					qCount++
-				}
-			}
+			}(i)
 		}
-		return s.Len() == q.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+		wg.Wait()
+		remaining := 0
+		for {
+			v, ok := w.Get()
+			if !ok {
+				break
+			}
+			if seen[v] {
+				t.Fatalf("element %d delivered twice at drain", v)
+			}
+			seen[v] = true
+			remaining++
+		}
+		if len(seen) != workers*perWorker {
+			t.Fatalf("conserved %d, want %d", len(seen), workers*perWorker)
+		}
+	})
 }
 
 func BenchmarkGlobalStackPutGet(b *testing.B) {
@@ -186,21 +75,5 @@ func BenchmarkGlobalStackPutGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Put(i)
 		s.Get()
-	}
-}
-
-func BenchmarkGlobalQueuePutGet(b *testing.B) {
-	q := NewGlobalQueue[int]()
-	for i := 0; i < b.N; i++ {
-		q.Put(i)
-		q.Get()
-	}
-}
-
-func BenchmarkChanPoolPutGet(b *testing.B) {
-	c := NewChanPool[int](1024)
-	for i := 0; i < b.N; i++ {
-		c.Put(i)
-		c.Get()
 	}
 }

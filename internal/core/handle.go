@@ -535,7 +535,6 @@ func (h *Handle[T]) GetN(max int) []T {
 type substrate[T any] struct {
 	h        *Handle[T]
 	reserved T
-	has      bool
 }
 
 var _ engine.TreeSubstrate = (*substrate[int])(nil)
@@ -544,7 +543,6 @@ func (w *substrate[T]) takeReserved() T {
 	var zero T
 	v := w.reserved
 	w.reserved = zero
-	w.has = false
 	return v
 }
 
@@ -606,7 +604,6 @@ func (w *substrate[T]) Probe(sIdx, want int) int {
 				return 0
 			}
 			w.reserved = v
-			w.has = true
 		}
 		return n
 	}
@@ -638,7 +635,6 @@ func (w *substrate[T]) Probe(sIdx, want int) int {
 		return 0
 	}
 	w.reserved = buf[moved-1]
-	w.has = true
 	if moved > 1 {
 		// A kill can drain this thief's own segment between the search's
 		// start and this deposit; Place reads the victim bit after

@@ -7,8 +7,6 @@ import (
 	"pools/internal/plot"
 	"pools/internal/policy"
 	"pools/internal/search"
-	"pools/internal/sim"
-	"pools/internal/workload"
 )
 
 // This file measures the hierarchical-steal extension. The locality sweep
@@ -71,16 +69,6 @@ func orderSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set 
 	}
 }
 
-// HierRow is one (configuration, delay scale) measurement. Topo names
-// the hop topology the sweep ran on, so the two-level and three-level
-// sweeps' CSV rows stay distinguishable when concatenated.
-type HierRow struct {
-	Order   string
-	Topo    string
-	DelayUS int64
-	Point   Point
-}
-
 // HierSweep runs the sparse random-operations workload on the clustered
 // machine at each added remote delay under each configuration. Expected
 // shape: the hierarchical orders hold a structurally lower cross-cluster
@@ -89,8 +77,8 @@ type HierRow struct {
 // discipline compounds — each avoided crossing is worth Far hops of
 // RemoteExtra — so their operation-time curves pull below the flat
 // orders' alongside (and then past) the merely-ranked locality order.
-func HierSweep(cfg Config, scales []int64) []HierRow {
-	return hierSweepOn(cfg, scales, numa.Clusters{Size: LocalityClusterSize})
+func HierSweep(cfg Config, scales []int64) []OrderRow {
+	return orderSweep(cfg, scales, HierOrderNames(), numa.Clusters{Size: LocalityClusterSize})
 }
 
 // DeepTopology is the three-level machine the deep hierarchical sweep
@@ -108,36 +96,9 @@ func DeepTopology() numa.Topology { return numa.NestedClusters{Inner: 2, Outer: 
 // hierarchical orders start from a higher flat baseline here (any
 // off-board probe is "cross") and the discipline of climbing board →
 // cabinet → machine shows up as a larger relative reduction.
-func HierDeepSweep(cfg Config, scales []int64) []HierRow {
-	return hierSweepOn(cfg, scales, DeepTopology())
+func HierDeepSweep(cfg Config, scales []int64) []OrderRow {
+	return orderSweep(cfg, scales, HierOrderNames(), DeepTopology())
 }
-
-// hierSweepOn runs the hierarchical sweep on one hop topology.
-func hierSweepOn(cfg Config, scales []int64, topo numa.Topology) []HierRow {
-	c := cfg.withDefaults()
-	base := c.Costs.WithTopology(topo)
-	var out []HierRow
-	for _, name := range HierOrderNames() {
-		for _, d := range scales {
-			name, d := name, d
-			costs := base.WithExtraDelay(d)
-			cd := c
-			cd.Costs = costs
-			pt := cd.average(float64(d), func(seed uint64) sim.RunResult {
-				w := cd.workloadFor(workload.RandomOps)
-				w.AddFraction = LocalityMix
-				return sim.Run(sim.RunConfig{
-					Workload: w, Costs: costs,
-					Seed: seed, Policies: orderSet(name, costs, topo),
-				})
-			})
-			out = append(out, HierRow{Order: name, Topo: topo.Name(), DelayUS: d, Point: pt})
-		}
-	}
-	return out
-}
-
-func hierPt(r HierRow) Point { return r.Point }
 
 // hierReport draws one hierarchical sweep, labelling the charts with the
 // topology description: the cross-cluster probe fraction per
@@ -147,20 +108,20 @@ func hierPt(r HierRow) Point { return r.Point }
 // escalation beat every flat order at that delay). The CSV's topology
 // column keeps rows from the two-level and three-level sweeps
 // distinguishable when both blocks appear in one output.
-func hierReport(rows []HierRow, label string) (text, csv string) {
-	order := func(r HierRow) string { return r.Order }
-	delay := func(r HierRow) float64 { return float64(r.DelayUS) }
+func hierReport(rows []OrderRow, label string) (text, csv string) {
+	order := func(r OrderRow) string { return r.Order }
+	delay := func(r OrderRow) float64 { return float64(r.DelayUS) }
 	fracChart := plot.LineChart(
 		fmt.Sprintf("Hierarchical sweep: cross-cluster probe fraction vs added remote delay (%s)", label),
 		"added delay per remote op (virt µs)", "cross-cluster probe fraction",
 		70, 14,
-		seriesBy(rows, order, delay, func(r HierRow) float64 { return r.Point.CrossProbeFrac }),
+		seriesBy(rows, order, delay, func(r OrderRow) float64 { return r.Point.CrossProbeFrac }),
 	)
 	timeChart := plot.LineChart(
 		fmt.Sprintf("Hierarchical sweep: avg operation time vs added remote delay (%s)", label),
 		"added delay per remote op (virt µs)", "avg op time (virt µs)",
 		70, 14,
-		seriesBy(rows, order, delay, func(r HierRow) float64 { return r.Point.AvgOpTime }),
+		seriesBy(rows, order, delay, func(r OrderRow) float64 { return r.Point.AvgOpTime }),
 	)
 	// Best flat (locality-blind, non-hierarchical) time per delay for the
 	// ratio column.
@@ -173,16 +134,16 @@ func hierReport(rows []HierRow, label string) (text, csv string) {
 			bestFlat[r.DelayUS] = r.Point.AvgOpTime
 		}
 	}
-	cols := []col[HierRow]{
+	cols := []col[OrderRow]{
 		str("order", "order", order),
-		str("", "topology", func(r HierRow) string { return r.Topo }),
-		count("delay (µs)", "delay_us", func(r HierRow) int64 { return r.DelayUS }),
-		dec("cross-frac", 3, "cross_probe_frac", 4, func(r HierRow) float64 { return r.Point.CrossProbeFrac }),
-		at(hierPt, opUS), at(hierPt, segs), at(hierPt, stealsOp), at(hierPt, abortsOp),
-		str("vs best flat", "", func(r HierRow) string {
+		str("", "topology", func(r OrderRow) string { return r.Topo }),
+		count("delay (µs)", "delay_us", func(r OrderRow) int64 { return r.DelayUS }),
+		dec("cross-frac", 3, "cross_probe_frac", 4, func(r OrderRow) float64 { return r.Point.CrossProbeFrac }),
+		at(orderPt, opUS), at(orderPt, segs), at(orderPt, stealsOp), at(orderPt, abortsOp),
+		str("vs best flat", "", func(r OrderRow) string {
 			return ratioTo(r.Order == "hier", r.Point.AvgOpTime, bestFlat[r.DelayUS])
 		}),
-		at(hierPt, makespanMS.csvOnly()),
+		at(orderPt, makespanMS.csvOnly()),
 	}
 	return fracChart + "\n" + timeChart + "\n" + table(cols, rows), csvOf(cols, rows)
 }

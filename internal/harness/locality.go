@@ -40,13 +40,6 @@ func LocalityOrderNames() []string {
 	return []string{"linear", "random", "tree", "locality"}
 }
 
-// LocalityRow is one (victim order, delay scale) measurement.
-type LocalityRow struct {
-	Order   string
-	DelayUS int64
-	Point   Point
-}
-
 // LocalityMix is the job mix of the locality sweep: the paper's sparse
 // 30%-adds random-operations workload (the same scenario its own delay
 // experiment stresses), chosen because every process both adds and
@@ -64,14 +57,31 @@ const LocalityMix = 0.3
 // cluster boundaries, and the tree's round counters are remote besides)
 // while the locality order exhausts its cheap in-cluster victims first
 // and its curve pulls away below the blind orders.
-func LocalitySweep(cfg Config, scales []int64) []LocalityRow {
+func LocalitySweep(cfg Config, scales []int64) []OrderRow {
+	return orderSweep(cfg, scales, LocalityOrderNames(), numa.Clusters{Size: LocalityClusterSize})
+}
+
+// OrderRow is one (configuration, delay scale) measurement of an order
+// sweep. Topo names the hop topology the sweep ran on, so the two-level
+// and three-level hierarchical sweeps' CSV rows stay distinguishable when
+// concatenated.
+type OrderRow struct {
+	Order   string
+	Topo    string
+	DelayUS int64
+	Point   Point
+}
+
+// orderSweep runs the sparse random-operations workload (LocalityMix) on
+// topo at each added remote delay under each named configuration
+// (orderSet). The locality and hierarchical sweeps differ only in names
+// and topology.
+func orderSweep(cfg Config, scales []int64, names []string, topo numa.Topology) []OrderRow {
 	c := cfg.withDefaults()
-	topo := numa.Clusters{Size: LocalityClusterSize}
 	base := c.Costs.WithTopology(topo)
-	var out []LocalityRow
-	for _, name := range LocalityOrderNames() {
+	var out []OrderRow
+	for _, name := range names {
 		for _, d := range scales {
-			name, d := name, d
 			costs := base.WithExtraDelay(d)
 			cd := c
 			cd.Costs = costs
@@ -83,27 +93,27 @@ func LocalitySweep(cfg Config, scales []int64) []LocalityRow {
 					Seed: seed, Policies: orderSet(name, costs, topo),
 				})
 			})
-			out = append(out, LocalityRow{Order: name, DelayUS: d, Point: pt})
+			out = append(out, OrderRow{Order: name, Topo: topo.Name(), DelayUS: d, Point: pt})
 		}
 	}
 	return out
 }
 
-func localityPt(r LocalityRow) Point { return r.Point }
+func orderPt(r OrderRow) Point { return r.Point }
 
 // localityReport draws the locality sweep — one average-operation-time
 // series per victim order across the delay scales (the paper's Figure 2
 // metric) — and its table with a locality/best-blind ratio column (< 1.0
 // means the cost-ranked order beat every blind order at that delay), and
 // the sweep as CSV.
-func localityReport(rows []LocalityRow) (text, csv string) {
+func localityReport(rows []OrderRow) (text, csv string) {
 	chart := plot.LineChart(
 		fmt.Sprintf("Locality sweep: avg operation time vs added remote delay (clustered topology, %d-proc clusters)", LocalityClusterSize),
 		"added delay per remote op (virt µs)", "avg op time (virt µs)",
 		70, 16,
-		seriesBy(rows, func(r LocalityRow) string { return r.Order },
-			func(r LocalityRow) float64 { return float64(r.DelayUS) },
-			func(r LocalityRow) float64 { return r.Point.AvgOpTime }),
+		seriesBy(rows, func(r OrderRow) string { return r.Order },
+			func(r OrderRow) float64 { return float64(r.DelayUS) },
+			func(r OrderRow) float64 { return r.Point.AvgOpTime }),
 	)
 	best := map[int64]float64{}
 	for _, r := range rows {
@@ -114,15 +124,15 @@ func localityReport(rows []LocalityRow) (text, csv string) {
 			best[r.DelayUS] = r.Point.AvgOpTime
 		}
 	}
-	cols := []col[LocalityRow]{
-		str("order", "order", func(r LocalityRow) string { return r.Order }),
-		count("delay (µs)", "delay_us", func(r LocalityRow) int64 { return r.DelayUS }),
-		at(localityPt, opUS), at(localityPt, removeUS), at(localityPt, segs),
-		at(localityPt, stealsOp), at(localityPt, abortsOp),
-		str("vs best blind", "", func(r LocalityRow) string {
+	cols := []col[OrderRow]{
+		str("order", "order", func(r OrderRow) string { return r.Order }),
+		count("delay (µs)", "delay_us", func(r OrderRow) int64 { return r.DelayUS }),
+		at(orderPt, opUS), at(orderPt, removeUS), at(orderPt, segs),
+		at(orderPt, stealsOp), at(orderPt, abortsOp),
+		str("vs best blind", "", func(r OrderRow) string {
 			return ratioTo(r.Order == "locality", r.Point.AvgOpTime, best[r.DelayUS])
 		}),
-		at(localityPt, makespanMS.csvOnly()),
+		at(orderPt, makespanMS.csvOnly()),
 	}
 	return chart + "\n" + table(cols, rows), csvOf(cols, rows)
 }

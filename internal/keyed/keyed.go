@@ -73,7 +73,6 @@ type Options struct {
 // Pool is a concurrent pool of key-classed elements. Create with New.
 type Pool[K comparable, V any] struct {
 	opts    Options
-	pol     policy.Set // resolved policies (no nil slots)
 	segs    []seg[K, V]
 	handles []*Handle[K, V]
 	members *engine.Membership // dynamic membership: alive/victim bits + epoch
@@ -128,7 +127,7 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 		return nil, fmt.Errorf("keyed: TraceBuf = %d, need >= 0", opts.TraceBuf)
 	}
 	pol := opts.Policies.WithDefaults()
-	p := &Pool[K, V]{opts: opts, pol: pol, segs: make([]seg[K, V], opts.Segments)}
+	p := &Pool[K, V]{opts: opts, segs: make([]seg[K, V], opts.Segments)}
 	p.members = engine.NewMembership(opts.Segments)
 	var ranker policy.Ranker
 	if r, ok := pol.Order.(policy.Ranker); ok {

@@ -1,6 +1,7 @@
 // Package metrics provides the measurement primitives used by the
-// experiment harness: streaming summaries (Welford), counters, log-bucket
-// histograms, and timestamped traces.
+// experiment harness: streaming summaries (Welford), the per-operation
+// pool counters (PoolStats), a log-bucket latency histogram (LatencyHist),
+// and timestamped traces.
 //
 // The paper reports, for every workload: average operation time, segments
 // examined per steal, elements stolen per steal, the fraction of removes
@@ -98,85 +99,6 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f (n=%d)", s.Mean(), s.Std(), s.n)
 }
 
-// Histogram is a base-2 log-bucket histogram of non-negative int64 values.
-// Bucket i counts values v with 2^(i-1) <= v < 2^i (bucket 0 counts v == 0).
-// The zero value is ready to use.
-type Histogram struct {
-	buckets [65]int64
-	n       int64
-	sum     int64
-}
-
-// Add records one observation. Negative values are clamped to zero.
-func (h *Histogram) Add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.n++
-	h.sum += v
-	h.buckets[bucketOf(v)]++
-}
-
-func bucketOf(v int64) int {
-	if v == 0 {
-		return 0
-	}
-	b := 1
-	for x := uint64(v); x > 1; x >>= 1 {
-		b++
-	}
-	return b
-}
-
-// Merge folds another histogram into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.n += o.n
-	h.sum += o.sum
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int64 { return h.n }
-
-// Mean returns the arithmetic mean of recorded values.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) using
-// bucket upper edges; it is exact to within a factor of two.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(h.n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, c := range h.buckets {
-		seen += c
-		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			return int64(1)<<uint(i) - 1
-		}
-	}
-	return math.MaxInt64
-}
-
 // TracePoint is one sample in a timestamped series: the size of a segment
 // at a virtual (or real) time.
 type TracePoint struct {
@@ -235,17 +157,6 @@ func (t *Trace) MaxTime() int64 {
 	for _, p := range t.points {
 		if p.Time > m {
 			m = p.Time
-		}
-	}
-	return m
-}
-
-// MaxValue returns the largest value in the trace, or 0 if empty.
-func (t *Trace) MaxValue() int64 {
-	var m int64
-	for _, p := range t.points {
-		if p.Value > m {
-			m = p.Value
 		}
 	}
 	return m

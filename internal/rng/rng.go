@@ -133,16 +133,3 @@ func (x *Xoshiro256) Bool(p float64) bool {
 	}
 	return x.Float64() < p
 }
-
-// Perm returns a pseudo-random permutation of [0, n) using Fisher-Yates.
-func (x *Xoshiro256) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := x.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -174,23 +174,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	x := NewXoshiro256(11)
-	for _, n := range []int{0, 1, 2, 5, 16, 64} {
-		p := x.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSeedResetsSequence(t *testing.T) {
 	x := NewXoshiro256(123)
 	first := make([]uint64, 10)

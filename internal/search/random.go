@@ -5,15 +5,14 @@ import "pools/internal/rng"
 // RandomSearcher implements the paper's random algorithm: "chooses segments
 // at random until it finds a non-empty segment to split."
 type RandomSearcher struct {
-	self int
 	seed uint64
 	rng  *rng.Xoshiro256
 }
 
-// NewRandomSearcher returns a random searcher for the process owning
-// segment self, with a private deterministic PRNG derived from seed.
-func NewRandomSearcher(self int, seed uint64) *RandomSearcher {
-	return &RandomSearcher{self: self, seed: seed, rng: rng.NewXoshiro256(seed)}
+// NewRandomSearcher returns a random searcher with a private deterministic
+// PRNG derived from seed.
+func NewRandomSearcher(seed uint64) *RandomSearcher {
+	return &RandomSearcher{seed: seed, rng: rng.NewXoshiro256(seed)}
 }
 
 var _ Searcher = (*RandomSearcher)(nil)

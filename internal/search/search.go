@@ -141,7 +141,7 @@ func New(kind Kind, self, segments int, seed uint64) Searcher {
 	case Linear:
 		return NewLinearSearcher(self)
 	case Random:
-		return NewRandomSearcher(self, seed)
+		return NewRandomSearcher(seed)
 	case Tree:
 		return NewTreeSearcher(self, segments)
 	default:

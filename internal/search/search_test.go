@@ -165,7 +165,7 @@ func TestLinearReset(t *testing.T) {
 func TestRandomFindsElement(t *testing.T) {
 	w := newFakeWorld(0, 16)
 	w.fill(map[int]int{9: 8})
-	s := NewRandomSearcher(0, 42)
+	s := NewRandomSearcher(42)
 	res := s.Search(w)
 	if res.Aborted() || res.FoundAt != 9 {
 		t.Fatalf("unexpected result %+v", res)
@@ -182,7 +182,7 @@ func TestRandomDeterministicAfterReset(t *testing.T) {
 		s.Search(w)
 		return w.probeLog
 	}
-	s := NewRandomSearcher(0, 7)
+	s := NewRandomSearcher(7)
 	first := run(s)
 	s.Reset()
 	second := run(s)
@@ -199,7 +199,7 @@ func TestRandomDeterministicAfterReset(t *testing.T) {
 func TestRandomAborts(t *testing.T) {
 	w := newFakeWorld(0, 8)
 	w.probeBudget = 50
-	s := NewRandomSearcher(0, 1)
+	s := NewRandomSearcher(1)
 	res := s.Search(w)
 	if !res.Aborted() {
 		t.Fatal("expected abort on empty pool")
@@ -211,7 +211,7 @@ func TestRandomProbesCoverAllSegments(t *testing.T) {
 	// segment (uniformity smoke test).
 	w := newFakeWorld(0, 16)
 	w.probeBudget = 4000
-	s := NewRandomSearcher(0, 99)
+	s := NewRandomSearcher(99)
 	s.Search(w)
 	seen := map[int]bool{}
 	for _, p := range w.probeLog {
@@ -520,7 +520,7 @@ func BenchmarkLinearSearch16(b *testing.B) {
 
 func BenchmarkRandomSearch16(b *testing.B) {
 	w := newFakeWorld(0, 16)
-	s := NewRandomSearcher(0, 1)
+	s := NewRandomSearcher(1)
 	for i := 0; i < b.N; i++ {
 		w.fill(map[int]int{15: 2})
 		s.Search(w)

@@ -88,19 +88,12 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 		leaves:       leaves,
 		segs:         make([]segment.Deque[T], cfg.Procs),
 		segRes:       make([]Resource, cfg.Procs),
-		counter:      Resource{Name: "lookers"},
 		participants: cfg.Procs,
 		members:      engine.NewMembership(cfg.Procs),
-	}
-	for i := range p.segRes {
-		p.segRes[i].Name = fmt.Sprintf("segment-%d", i)
 	}
 	if policy.KindOf(pol.Order) == search.Tree {
 		p.rounds = make([]uint64, 2*leaves)
 		p.nodeRes = make([]Resource, 2*leaves)
-		for i := range p.nodeRes {
-			p.nodeRes[i].Name = fmt.Sprintf("tree-node-%d", i)
-		}
 	}
 	if cfg.Trace {
 		p.traces = make([]metrics.Trace, cfg.Procs)
@@ -413,7 +406,6 @@ func (pr *Proc[T]) Get() (T, bool) {
 type simSubstrate[T any] struct {
 	proc     *Proc[T]
 	reserved T
-	has      bool
 }
 
 var _ engine.TreeSubstrate = (*simSubstrate[Token])(nil)
@@ -422,7 +414,6 @@ func (w *simSubstrate[T]) takeReserved() T {
 	var zero T
 	v := w.reserved
 	w.reserved = zero
-	w.has = false
 	return v
 }
 
@@ -465,7 +456,6 @@ func (w *simSubstrate[T]) Probe(s, want int) int {
 		n := p.segs[s].Len()
 		if n > 0 {
 			w.reserved, _ = p.segs[s].Remove()
-			w.has = true
 			p.recordTrace(env, s)
 		}
 		return n
@@ -486,7 +476,6 @@ func (w *simSubstrate[T]) Probe(s, want int) int {
 		return 0
 	}
 	w.reserved, _ = p.segs[pr.id].Remove()
-	w.has = true
 	p.recordTrace(env, s)
 	p.recordTrace(env, pr.id)
 	if pr.tr != nil {

@@ -154,7 +154,7 @@ func Run(cfg RunConfig) RunResult {
 	// combined total number of operations reached the desired amount"):
 	// claiming an operation charges a remote shared access.
 	budget := workload.NewBudget(wl.TotalOps)
-	budgetRes := Resource{Name: "op-budget"}
+	var budgetRes Resource
 	procs := make([]*Proc[Token], wl.Procs)
 	var controls []ControllerTrace
 	if cfg.ControlTrace {

@@ -33,10 +33,8 @@ import "iter"
 // while the resource is busy waits until it frees, accumulating queueing
 // delay (the simulated analogue of lock contention).
 type Resource struct {
-	Name      string
 	busyUntil int64
 	waited    int64 // total queueing delay suffered at this resource
-	accesses  int64
 }
 
 // Waited returns the total queueing delay (virtual µs) suffered by all
@@ -44,9 +42,6 @@ type Resource struct {
 // "increased interference between the processes as they collide at the
 // producers' segments".
 func (r *Resource) Waited() int64 { return r.waited }
-
-// Accesses returns the number of charged accesses.
-func (r *Resource) Accesses() int64 { return r.accesses }
 
 // RunProcs runs one virtual processor per body, processor i executing
 // bodies[i], until every body has returned, and returns the final virtual
@@ -124,7 +119,6 @@ func (e *Env) Charge(r *Resource, cost int64) {
 			r.waited += r.busyUntil - start
 			start = r.busyUntil
 		}
-		r.accesses++
 	}
 	e.clock = start + cost
 	if r != nil {

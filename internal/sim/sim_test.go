@@ -19,8 +19,8 @@ func TestSimSingleProcClock(t *testing.T) {
 	if makespan != 35 {
 		t.Fatalf("makespan = %d, want 35", makespan)
 	}
-	if r.Accesses() != 2 || r.Waited() != 0 {
-		t.Fatalf("resource stats: accesses=%d waited=%d", r.Accesses(), r.Waited())
+	if r.Waited() != 0 {
+		t.Fatalf("uncontended resource waited %d", r.Waited())
 	}
 }
 
