@@ -47,8 +47,9 @@ race:
 	$(GO) test -race ./...
 
 # Deque/steal stress: the raced concurrency suites (owner-path deque,
-# steal, churn, kill/revive, conservation, and the membership
-# conformance table over core, keyed and sim, and RealRun under churn,
+# steal, churn, kill/revive, conservation, and the substrate
+# conformance table over core, keyed and sim, whose raced rows and churn
+# script run here, and RealRun under churn,
 # burst batches included) repeated STRESS_COUNT times at several
 # GOMAXPROCS shapes. The shape sweep matters more than the
 # core count of the machine running it: GOMAXPROCS above the physical
@@ -158,7 +159,8 @@ docs-check:
 	grep -q "workload.Churn" docs/WORKLOADS.md
 	grep -q "member_leave" docs/OBSERVABILITY.md
 	$(GO) run ./internal/tools/doclint ./internal/policy ./internal/numa ./internal/engine ./internal/workload ./internal/trace ./internal/introspect \
-		./internal/metrics ./internal/baseline ./internal/rng ./internal/ttt ./internal/search ./internal/keyed ./internal/core ./internal/segment
+		./internal/metrics ./internal/baseline ./internal/rng ./internal/ttt ./internal/search ./internal/keyed ./internal/core ./internal/segment \
+		./internal/plot ./cmd/poolbench ./internal/tools/benchdiff ./internal/tools/doclint ./internal/tools/inlinecheck ./internal/tools/tracecheck .
 	$(GO) build -tags docsexamples ./internal/docexamples
 
 # Owner-path inlining gate: a disabled feature must cost Put/Get one

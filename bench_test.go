@@ -462,33 +462,28 @@ func BenchmarkPoolContended(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeRounds compares the paper's locked round counters with the
-// atomic-max variant (the real substrate's "Tree rounds" row in
+// BenchmarkTreeRounds measures a producer/consumer handoff under the
+// tree search, whose steals read and raise the pool's atomic round
+// counters (the real substrate's "Tree rounds" row in
 // docs/ARCHITECTURE.md).
 func BenchmarkTreeRounds(b *testing.B) {
-	for _, locked := range []bool{false, true} {
-		name := "atomic"
-		if locked {
-			name = "locked"
-		}
-		b.Run(name, func(b *testing.B) {
-			p, err := pools.New[int](pools.Options{
-				Segments: 16, Policies: pools.PolicySet{Order: pools.SearchTree}, TreeLocking: locked,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			producer := p.Handle(15)
-			consumer := p.Handle(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				producer.Put(i)
-				if _, ok := consumer.Get(); !ok {
-					b.Fatal("get failed")
-				}
-			}
+	b.Run("atomic", func(b *testing.B) {
+		p, err := pools.New[int](pools.Options{
+			Segments: 16, Policies: pools.PolicySet{Order: pools.SearchTree},
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		producer := p.Handle(15)
+		consumer := p.Handle(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			producer.Put(i)
+			if _, ok := consumer.Get(); !ok {
+				b.Fatal("get failed")
+			}
+		}
+	})
 }
 
 // BenchmarkDirectedAdds compares the Section 5 hint extension against the

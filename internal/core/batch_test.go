@@ -6,48 +6,10 @@ import (
 	"testing"
 
 	"pools/internal/policy"
-	"pools/internal/search"
 )
 
-func newBatchPool(t testing.TB, opts Options) *Pool[int] {
-	t.Helper()
-	p, err := New[int](opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestPutAllGetNLocal(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 4, CollectStats: true})
-	h := p.Handle(0)
-	h.PutAll(nil)
-	h.PutAll([]int{})
-	if p.Len() != 0 {
-		t.Fatalf("empty PutAll grew pool to %d", p.Len())
-	}
-	h.PutAll([]int{1, 2, 3, 4, 5})
-	if got := p.SegmentLen(0); got != 5 {
-		t.Fatalf("segment 0 has %d elements, want 5", got)
-	}
-	out := h.GetN(3)
-	if len(out) != 3 {
-		t.Fatalf("GetN(3) returned %d elements", len(out))
-	}
-	if out2 := h.GetN(10); len(out2) != 2 {
-		t.Fatalf("GetN(10) returned %d elements, want the remaining 2", len(out2))
-	}
-	st := h.Stats()
-	if st.BatchAdds != 1 || st.BatchRemoves != 2 {
-		t.Fatalf("batch counters = %d/%d, want 1/2", st.BatchAdds, st.BatchRemoves)
-	}
-	if st.Adds != 5 || st.Removes != 5 {
-		t.Fatalf("element counters = %d/%d, want 5/5", st.Adds, st.Removes)
-	}
-}
-
 func TestPutAllHuge(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 2})
+	p := newTestPool(t, Options{Segments: 2})
 	h := p.Handle(1)
 	big := make([]int, 100_000)
 	for i := range big {
@@ -77,69 +39,8 @@ func TestPutAllHuge(t *testing.T) {
 	}
 }
 
-// TestGetNAcrossSteal is the tentpole's contract: a GetN on a dry local
-// segment that steals half of a remote segment returns the stolen batch,
-// not a single element.
-func TestGetNAcrossSteal(t *testing.T) {
-	for _, kind := range search.Kinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			p := newBatchPool(t, Options{Segments: 8, Policies: policy.Set{Order: kind}, Seed: 7, CollectStats: true})
-			producer := p.Handle(5)
-			consumer := p.Handle(0)
-			items := make([]int, 40)
-			for i := range items {
-				items[i] = i
-			}
-			producer.PutAll(items)
-
-			out := consumer.GetN(64)
-			// Steal-half takes ceil(40/2) = 20 elements; all of them should
-			// come back in the one batch.
-			if len(out) != 20 {
-				t.Fatalf("GetN across steal returned %d elements, want 20", len(out))
-			}
-			seen := map[int]bool{}
-			for _, v := range out {
-				if v < 0 || v >= 40 || seen[v] {
-					t.Fatalf("element %d duplicated or unknown", v)
-				}
-				seen[v] = true
-			}
-			st := consumer.Stats()
-			if st.Steals != 1 || st.BatchRemoves != 1 {
-				t.Fatalf("steals=%d batchRemoves=%d, want 1/1", st.Steals, st.BatchRemoves)
-			}
-			if p.Len() != 20 {
-				t.Fatalf("pool left with %d elements, want 20", p.Len())
-			}
-		})
-	}
-}
-
-// TestGetNCapsBelowSteal checks that a GetN with max smaller than the
-// stolen batch returns exactly max and leaves the rest in the local
-// segment for the next (now local and cheap) operation.
-func TestGetNCapsBelowSteal(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 4, Seed: 3})
-	producer := p.Handle(2)
-	consumer := p.Handle(0)
-	producer.PutAll(make([]int, 32))
-
-	out := consumer.GetN(4)
-	if len(out) != 4 {
-		t.Fatalf("GetN(4) returned %d elements", len(out))
-	}
-	// ceil(32/2) = 16 stolen, 4 returned, 12 parked locally.
-	if got := p.SegmentLen(0); got != 12 {
-		t.Fatalf("local segment holds %d, want 12", got)
-	}
-	if out = consumer.GetN(100); len(out) != 12 {
-		t.Fatalf("follow-up GetN returned %d, want 12", len(out))
-	}
-}
-
 func TestGetNClosedAndEmpty(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 2})
+	p := newTestPool(t, Options{Segments: 2})
 	h := p.Handle(0)
 	if out := h.GetN(0); out != nil {
 		t.Fatalf("GetN(0) = %v, want nil", out)
@@ -162,7 +63,7 @@ func TestGetNClosedAndEmpty(t *testing.T) {
 // searcher: the consumer blocked in a search receives a gift from the
 // producer's PutAll and completes its GetN with it.
 func TestPutAllDirectedAdds(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 2, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true})
+	p := newTestPool(t, Options{Segments: 2, Policies: policy.Set{Place: policy.GiftAll{}}, CollectStats: true})
 	producer := p.Handle(1)
 	consumer := p.Handle(0)
 	consumer.Register()
@@ -203,7 +104,7 @@ func TestPutAllGetNConcurrent(t *testing.T) {
 		batches = 200
 		batch   = 16
 	)
-	p := newBatchPool(t, Options{Segments: workers, Seed: 11})
+	p := newTestPool(t, Options{Segments: workers, Seed: 11})
 	for i := 0; i < workers; i++ {
 		p.Handle(i).Register()
 	}

@@ -32,121 +32,6 @@ func liveCount(p *Pool[int]) int {
 	return n
 }
 
-func TestKillDrainRedistributes(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, Seed: 3})
-	h0 := p.Handle(0)
-	for i := 0; i < 40; i++ {
-		h0.Put(i)
-	}
-	epoch := p.Epoch()
-	if !p.Kill(0, true) {
-		t.Fatal("kill refused")
-	}
-	if p.Alive(0) || p.Victim(0) {
-		t.Error("drain-killed segment should leave both the alive and victim sets")
-	}
-	if p.Epoch() <= epoch {
-		t.Error("kill must bump the membership epoch")
-	}
-	if got := p.Len(); got != 40 {
-		t.Errorf("redistribution lost elements: Len = %d, want 40", got)
-	}
-	n0 := p.segs[0].dq.Len()
-	if n0 != 0 {
-		t.Errorf("drained segment still holds %d elements", n0)
-	}
-	// Every element is reachable by the survivors.
-	h1 := p.Handle(1)
-	for i := 0; i < 40; i++ {
-		if _, ok := h1.Get(); !ok {
-			t.Fatalf("element %d unreachable after drain kill", i)
-		}
-	}
-	// A deposit aimed at the dead segment redirects to a victim.
-	h0.Put(99)
-	n0 = p.segs[0].dq.Len()
-	if n0 != 0 {
-		t.Error("deposit landed in a non-victim segment")
-	}
-	if _, ok := h1.Get(); !ok {
-		t.Error("redirected deposit unreachable")
-	}
-}
-
-func TestKillStealOnlyDrainsViaSteals(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 4, Seed: 5})
-	h0 := p.Handle(0)
-	for i := 0; i < 30; i++ {
-		h0.Put(i)
-	}
-	if !p.Kill(0, false) {
-		t.Fatal("kill refused")
-	}
-	if p.Alive(0) {
-		t.Error("killed handle still alive")
-	}
-	if !p.Victim(0) {
-		t.Error("steal-only kill must keep the segment in the victim set")
-	}
-	h2 := p.Handle(2)
-	for i := 0; i < 30; i++ {
-		if _, ok := h2.Get(); !ok {
-			t.Fatalf("reserve element %d did not drain via steals", i)
-		}
-	}
-	if p.Len() != 0 {
-		t.Errorf("Len = %d after draining the reserve, want 0", p.Len())
-	}
-}
-
-func TestKillLastAliveRefused(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 2})
-	if !p.Kill(0, true) {
-		t.Fatal("first kill refused")
-	}
-	if p.Kill(1, true) {
-		t.Fatal("killing the last live member must be refused")
-	}
-	if !p.Alive(1) {
-		t.Error("refused kill still removed the member")
-	}
-	if p.Kill(0, true) {
-		t.Error("killing a dead member must be refused")
-	}
-	if !p.Revive(0) {
-		t.Fatal("revive failed")
-	}
-	if !p.Kill(1, false) {
-		t.Error("kill after revive should succeed")
-	}
-}
-
-func TestReviveRestoresOperation(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 3, Policies: policy.Set{Order: search.Tree}, Seed: 8})
-	h1 := p.Handle(1)
-	h1.Put(7)
-	if !p.Kill(1, true) {
-		t.Fatal("kill refused")
-	}
-	if v, ok := h1.Get(); ok {
-		t.Errorf("killed handle's Get succeeded with %d", v)
-	}
-	if p.Revive(1) != true {
-		t.Fatal("revive failed")
-	}
-	if p.Revive(1) {
-		t.Error("reviving a live member must report false")
-	}
-	if !p.Alive(1) || !p.Victim(1) {
-		t.Error("revived member not fully re-admitted")
-	}
-	// The revived handle operates again (auto re-registers).
-	h1.Put(8)
-	if _, ok := h1.Get(); !ok {
-		t.Error("revived handle cannot operate")
-	}
-}
-
 // The tentpole invariant, serially: across at least 1000 random seeded
 // kill/revive transitions interleaved with operations, no element is
 // ever lost (Len tracks the model count exactly) and the coverage rule

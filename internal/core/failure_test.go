@@ -155,24 +155,21 @@ func TestStealOneConcurrentConservation(t *testing.T) {
 	}
 }
 
-// Tree round counters in the pool never decrease (monotonicity invariant)
-// even under the locked variant.
+// Tree round counters in the pool never decrease (monotonicity invariant).
 func TestPoolTreeRoundsMonotone(t *testing.T) {
-	for _, locked := range []bool{false, true} {
-		p := newTestPool(t, Options{Segments: 8, Policies: policy.Set{Order: search.Tree}, TreeLocking: locked})
-		producer := p.Handle(3)
-		consumer := p.Handle(6)
-		prev := make([]uint64, len(p.nodes))
-		for round := 0; round < 50; round++ {
-			producer.Put(round)
-			consumer.Get()
-			for i := range p.nodes {
-				cur := p.nodes[i].round.Load()
-				if cur < prev[i] {
-					t.Fatalf("locked=%v node %d round decreased %d -> %d", locked, i, prev[i], cur)
-				}
-				prev[i] = cur
+	p := newTestPool(t, Options{Segments: 8, Policies: policy.Set{Order: search.Tree}})
+	producer := p.Handle(3)
+	consumer := p.Handle(6)
+	prev := make([]uint64, len(p.nodes))
+	for round := 0; round < 50; round++ {
+		producer.Put(round)
+		consumer.Get()
+		for i := range p.nodes {
+			cur := p.nodes[i].round.Load()
+			if cur < prev[i] {
+				t.Fatalf("node %d round decreased %d -> %d", i, prev[i], cur)
 			}
+			prev[i] = cur
 		}
 	}
 }

@@ -12,216 +12,6 @@ import (
 // hierarchical tests run on: clusters {0..3} and {4..7}.
 var hierTopo = numa.Clusters{Size: 4}
 
-// TestHierarchicalOrderOnRealPool checks the real pool runs the
-// cluster-first searcher: with victims in the near and the far cluster,
-// the steal takes the cluster mate even when the far victim is closer in
-// ring distance, and the cross-probe accounting sees no crossing.
-func TestHierarchicalOrderOnRealPool(t *testing.T) {
-	p, err := New[int](Options{
-		Segments:     8,
-		Topology:     hierTopo,
-		Policies:     policy.Set{Order: policy.HierarchicalOrder{Topo: hierTopo}},
-		CollectStats: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consumer owns segment 3 (cluster {0..3}). Segment 4 is its ring
-	// neighbor but across the cluster boundary; segment 0 is in-cluster.
-	p.Handle(4).PutAll(make([]int, 10))
-	p.Handle(0).PutAll(make([]int, 10))
-	consumer := p.Handle(3)
-	for i := 0; i < 8; i++ {
-		p.Handle(i).Register()
-	}
-	if _, ok := consumer.Get(); !ok {
-		t.Fatal("Get failed with 20 elements pooled")
-	}
-	if got := p.SegmentLen(0); got != 5 {
-		t.Fatalf("in-cluster victim left with %d elements, want 5", got)
-	}
-	if got := p.SegmentLen(4); got != 10 {
-		t.Fatalf("cross-cluster victim lost elements (left %d), want untouched 10", got)
-	}
-	st := consumer.Stats()
-	if st.RemoteProbes == 0 {
-		t.Fatal("no remote probes recorded with stats on")
-	}
-	if st.CrossProbes != 0 {
-		t.Fatalf("%d cross-cluster probes recorded, want 0 (near victim available)", st.CrossProbes)
-	}
-}
-
-// TestHierarchicalEscalatesAcrossClusters checks the searcher does cross
-// once its own cluster is dry — and that the crossing is visible in the
-// cross-probe accounting.
-func TestHierarchicalEscalatesAcrossClusters(t *testing.T) {
-	p, err := New[int](Options{
-		Segments:     8,
-		Topology:     hierTopo,
-		Policies:     policy.Set{Order: policy.HierarchicalOrder{Topo: hierTopo}},
-		CollectStats: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Handle(6).PutAll(make([]int, 10)) // only the far cluster has elements
-	consumer := p.Handle(0)
-	for i := 0; i < 8; i++ {
-		p.Handle(i).Register()
-	}
-	if _, ok := consumer.Get(); !ok {
-		t.Fatal("Get failed with 10 elements pooled")
-	}
-	if got := p.SegmentLen(6); got != 5 {
-		t.Fatalf("far victim left with %d elements, want 5", got)
-	}
-	st := consumer.Stats()
-	if st.CrossProbes == 0 {
-		t.Fatal("steal crossed clusters but no cross probe was recorded")
-	}
-	if st.CrossProbes >= st.RemoteProbes {
-		t.Fatalf("cross %d >= remote %d: the near ring was never probed first", st.CrossProbes, st.RemoteProbes)
-	}
-}
-
-// TestHierarchicalThresholdEdgesTerminate drives the escalation-threshold
-// edge cases on the real pool: the structural default (0), a threshold
-// far larger than the cluster (the searcher laps its cluster before
-// crossing), and the negative immediate-escalation ablation. Each must
-// steal successfully from a far cluster and — the part a broken
-// escalation would hang on — certify emptiness and abort once the pool
-// drains.
-func TestHierarchicalThresholdEdgesTerminate(t *testing.T) {
-	for _, threshold := range []int{0, 64, -1} {
-		p, err := New[int](Options{
-			Segments: 8,
-			Topology: hierTopo,
-			Policies: policy.Set{Order: policy.HierarchicalOrder{Topo: hierTopo, Threshold: threshold}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Handle(5).PutAll(make([]int, 4))
-		consumer := p.Handle(0)
-		consumer.Register()
-		for i := 0; i < 4; i++ {
-			if _, ok := consumer.Get(); !ok {
-				t.Fatalf("threshold %d: Get %d failed with elements pooled", threshold, i)
-			}
-		}
-		// Drained: the search must cover every ring and abort, not spin
-		// inside the near frontier forever.
-		if _, ok := consumer.Get(); ok {
-			t.Fatalf("threshold %d: Get succeeded on a drained pool", threshold)
-		}
-	}
-}
-
-// TestHierarchicalOrderUnderRace hammers a hierarchical-order pool with
-// the per-handle adaptive set — so each goroutine's searcher consults its
-// own spawned controller as an escalation tuner while feedback streams in
-// concurrently — and checks conservation plus the probe accounting's
-// internal consistency. The race detector guards the Escalator path.
-func TestHierarchicalOrderUnderRace(t *testing.T) {
-	const segs = 8
-	const perWorker = 250
-	set, err := policy.Named("per-handle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	set.Order = policy.HierarchicalOrder{Topo: hierTopo}
-	p, err := New[int](Options{
-		Segments:     segs,
-		Topology:     hierTopo,
-		Policies:     set,
-		CollectStats: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < segs; i++ {
-		p.Handle(i).Register()
-	}
-	var wg sync.WaitGroup
-	var consumed [segs / 2]int
-	for w := 0; w < segs/2; w++ {
-		wg.Add(2)
-		go func(w int) {
-			defer wg.Done()
-			h := p.Handle(w) // producers live in cluster {0..3}
-			for i := 0; i < perWorker; i++ {
-				h.Put(i)
-			}
-		}(w)
-		go func(w int) {
-			defer wg.Done()
-			h := p.Handle(4 + w) // consumers in cluster {4..7}: every Get crosses
-			for i := 0; i < perWorker/2; i++ {
-				if _, ok := h.Get(); ok {
-					consumed[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := p.Len()
-	for w := range consumed {
-		total += consumed[w]
-	}
-	if want := (segs / 2) * perWorker; total != want {
-		t.Fatalf("conservation violated: %d pooled + consumed, want %d", total, want)
-	}
-	st := p.Stats()
-	if st.CrossProbes > st.RemoteProbes {
-		t.Fatalf("cross probes %d exceed remote probes %d", st.CrossProbes, st.RemoteProbes)
-	}
-	if st.Steals > 0 && st.CrossProbes == 0 {
-		t.Fatal("consumers stole across clusters yet no cross probe was recorded")
-	}
-}
-
-// TestNearestEmptiestPlacementOnRealPool checks the topology-aware
-// placement stays inside the adder's cluster under a heavy per-hop delay
-// even when a far segment is emptier, and crosses when hops are free.
-func TestNearestEmptiestPlacementOnRealPool(t *testing.T) {
-	costly := numa.ButterflyCosts().WithTopology(hierTopo).WithExtraDelay(5000)
-	p, err := New[int](Options{
-		Segments: 8,
-		Topology: hierTopo,
-		Policies: policy.Set{Place: policy.GiftToNearestEmptiest{Model: costly, Probes: -1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adder's cluster lightly loaded, far cluster empty: the far
-	// segments' emptiness cannot buy back four hops at this delay.
-	p.Handle(0).PutAll(make([]int, 2))
-	p.Handle(1).PutAll(make([]int, 2))
-	p.Handle(2).PutAll(make([]int, 2))
-	p.Handle(3).PutAll(make([]int, 2))
-	if p.SegmentLen(4)+p.SegmentLen(5)+p.SegmentLen(6)+p.SegmentLen(7) != 0 {
-		t.Fatal("adds crossed the cluster boundary under a heavy hop cost")
-	}
-
-	cheap := numa.ButterflyCosts().WithTopology(hierTopo)
-	q, err := New[int](Options{
-		Segments: 8,
-		Policies: policy.Set{Place: policy.GiftToNearestEmptiest{Model: cheap, Probes: -1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Handle(0).PutAll(make([]int, 4)) // all empty: stays local
-	if got := q.SegmentLen(0); got != 4 {
-		t.Fatalf("first batch left %d on segment 0, want 4", got)
-	}
-	q.Handle(0).Put(9) // everything else empty, hops nearly free: gift away
-	if got := q.SegmentLen(0); got != 4 {
-		t.Fatalf("add stayed on the loaded segment (len %d) with empty segments a cheap hop away", got)
-	}
-}
-
 // TestNearestEmptiestUnderRace races producers placing through the
 // topology-aware director against consumers, with conservation as the
 // oracle; the race detector guards the probe path.

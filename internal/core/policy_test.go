@@ -9,63 +9,6 @@ import (
 	"pools/internal/search"
 )
 
-// TestProportionalStealOnRealPool checks the real pool consults a
-// non-default StealAmount: a GetN(4) against a remote victim of 40 steals
-// exactly 4 under the proportional policy (steal-half would take 20).
-func TestProportionalStealOnRealPool(t *testing.T) {
-	p, err := New[int](Options{
-		Segments: 4,
-		Policies: policy.Set{Steal: policy.Proportional{}},
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	producer := p.Handle(2)
-	consumer := p.Handle(0)
-	producer.PutAll(make([]int, 40))
-
-	out := consumer.GetN(4)
-	if len(out) != 4 {
-		t.Fatalf("GetN(4) returned %d elements", len(out))
-	}
-	if got := p.SegmentLen(0); got != 0 {
-		t.Fatalf("proportional steal parked %d elements locally, want 0", got)
-	}
-	if got := p.SegmentLen(2); got != 36 {
-		t.Fatalf("victim left with %d elements, want 36", got)
-	}
-}
-
-// TestAdaptiveControllerOnRealPool checks a pool wired with an adaptive
-// set runs a produce/consume cycle and feeds the controller (the fraction
-// moves off its starting point under sustained stealing).
-func TestAdaptiveControllerOnRealPool(t *testing.T) {
-	set, err := policy.Named("adaptive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New[int](Options{Segments: 2, Policies: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	producer := p.Handle(1)
-	consumer := p.Handle(0)
-	producer.Register()
-	consumer.Register()
-	// Alternate a remote deposit with a consumer remove: every consumer
-	// Get steals, which is maximal steal pressure on the controller.
-	for i := 0; i < 200; i++ {
-		producer.Put(i)
-		if _, ok := consumer.Get(); !ok {
-			t.Fatalf("Get %d failed with elements available", i)
-		}
-	}
-	if f := set.Control.StealFraction(); f <= 0.5 {
-		t.Fatalf("controller fraction = %v after sustained steal pressure, want > 0.5", f)
-	}
-}
-
 // TestGiftOutPlacements checks the Placement policies split batches among
 // hungry mailboxes as specified: gift-one delivers one element per hungry
 // searcher, gift-all splits the whole batch across them.

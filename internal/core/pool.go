@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,10 +77,6 @@ type Options struct {
 	// model inherits this one so busy-wait delays scale with hop distance.
 	// Nil falls back to Delay.Model.Topo (uniform when that is nil too).
 	Topology numa.Topology
-	// TreeLocking, when true, protects tree round counters with mutexes as
-	// the paper describes; the default uses lock-free atomic max, a modern
-	// equivalent measured as an ablation.
-	TreeLocking bool
 	// CollectStats enables per-operation timing and steal accounting
 	// (small overhead; required by the benchmarks and harness).
 	CollectStats bool
@@ -115,9 +110,10 @@ type seg[T any] struct {
 	dq segment.OwnerDeque[T]
 }
 
+// treeNode is one tree round counter, padded so that no two counters
+// share a cache line.
 type treeNode struct {
 	round atomic.Uint64
-	mu    sync.Mutex // used only when Options.TreeLocking
 	_     pad
 }
 
@@ -459,27 +455,12 @@ func (p *Pool[T]) Stats() metrics.PoolStats {
 }
 
 // roundOf reads tree node n's round counter.
-func (p *Pool[T]) roundOf(n int) uint64 {
-	if p.opts.TreeLocking {
-		nd := &p.nodes[n]
-		nd.mu.Lock()
-		defer nd.mu.Unlock()
-		return nd.round.Load()
-	}
-	return p.nodes[n].round.Load()
-}
+func (p *Pool[T]) roundOf(n int) uint64 { return p.nodes[n].round.Load() }
 
-// maxRound raises node n's counter to r if greater.
+// maxRound raises node n's counter to r if greater (an atomic max: the
+// paper locks each counter; a CAS loop gives the same monotone result).
 func (p *Pool[T]) maxRound(n int, r uint64) {
 	nd := &p.nodes[n]
-	if p.opts.TreeLocking {
-		nd.mu.Lock()
-		if nd.round.Load() < r {
-			nd.round.Store(r)
-		}
-		nd.mu.Unlock()
-		return
-	}
 	for {
 		cur := nd.round.Load()
 		if cur >= r || nd.round.CompareAndSwap(cur, r) {

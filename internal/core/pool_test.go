@@ -389,23 +389,6 @@ func TestProducerConsumerDelivery(t *testing.T) {
 	}
 }
 
-func TestTreeLockingVariant(t *testing.T) {
-	p := newTestPool(t, Options{Segments: 8, Policies: policy.Set{Order: search.Tree}, TreeLocking: true})
-	producer := p.Handle(7)
-	for i := 0; i < 20; i++ {
-		producer.Put(i)
-	}
-	consumer := p.Handle(0)
-	for i := 0; i < 20; i++ {
-		if _, ok := consumer.Get(); !ok {
-			t.Fatalf("Get %d failed", i)
-		}
-	}
-	if p.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", p.Len())
-	}
-}
-
 // Property: any single-threaded op sequence conserves elements exactly.
 func TestSequentialConservationProperty(t *testing.T) {
 	f := func(ops []uint8, segsRaw uint8, kindRaw uint8) bool {

@@ -2,33 +2,18 @@ package keyed
 
 import "testing"
 
-func newBatchPool(t *testing.T, opts Options) *Pool[string, int] {
-	t.Helper()
-	p, err := New[string, int](opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
+// TestKeyedPutAllGetNLocal checks batches stay inside their class: a
+// local GetN drains its own class's bucket and leaves the other's.
 func TestKeyedPutAllGetNLocal(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 4})
+	p := newPool(t, 4)
 	h := p.Handle(0)
-	h.PutAll("a", nil)
-	if p.Len() != 0 {
-		t.Fatalf("empty PutAll grew pool to %d", p.Len())
-	}
 	h.PutAll("a", []int{1, 2, 3, 4})
 	h.PutAll("b", []int{10})
 	if p.LenKey("a") != 4 || p.LenKey("b") != 1 {
 		t.Fatalf("LenKey = %d/%d, want 4/1", p.LenKey("a"), p.LenKey("b"))
 	}
-	out := h.GetN("a", 3)
-	if len(out) != 3 {
-		t.Fatalf("GetN(a,3) returned %d elements", len(out))
-	}
-	if out = h.GetN("a", 10); len(out) != 1 {
-		t.Fatalf("GetN(a,10) returned %d, want the remaining 1", len(out))
+	if out := h.GetN("a", 10); len(out) != 4 {
+		t.Fatalf("GetN(a,10) returned %d, want class a's 4", len(out))
 	}
 	if p.LenKey("a") != 0 || p.Len() != 1 {
 		t.Fatalf("pool left with LenKey(a)=%d Len=%d", p.LenKey("a"), p.Len())
@@ -39,7 +24,10 @@ func TestKeyedPutAllGetNLocal(t *testing.T) {
 // class completes its sweeps and returns nil without disturbing other
 // classes.
 func TestKeyedGetNKeyMiss(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 4, Sweeps: 2})
+	p, err := New[string, int](Options{Segments: 4, Sweeps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	producer := p.Handle(2)
 	producer.PutAll("present", []int{1, 2, 3})
 	consumer := p.Handle(0)
@@ -51,50 +39,5 @@ func TestKeyedGetNKeyMiss(t *testing.T) {
 	}
 	if out := consumer.GetN("present", 5); len(out) == 0 {
 		t.Fatal("GetN of present class found nothing")
-	}
-}
-
-// TestKeyedGetNAcrossSteal checks the batch surfaces through a bucket
-// steal: a dry local segment steals half the remote bucket and returns it
-// as one batch.
-func TestKeyedGetNAcrossSteal(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 8})
-	producer := p.Handle(5)
-	items := make([]int, 40)
-	for i := range items {
-		items[i] = i
-	}
-	producer.PutAll("k", items)
-
-	consumer := p.Handle(0)
-	out := consumer.GetN("k", 64)
-	// Steal-half transfers ceil(40/2) = 20; all should come back at once.
-	if len(out) != 20 {
-		t.Fatalf("GetN across steal returned %d, want 20", len(out))
-	}
-	seen := map[int]bool{}
-	for _, v := range out {
-		if v < 0 || v >= 40 || seen[v] {
-			t.Fatalf("element %d duplicated or unknown", v)
-		}
-		seen[v] = true
-	}
-	if p.LenKey("k") != 20 {
-		t.Fatalf("pool left with %d elements of class k, want 20", p.LenKey("k"))
-	}
-}
-
-// TestKeyedGetNCapsBelowSteal: max below the stolen batch parks the rest
-// locally for the next (local) GetN.
-func TestKeyedGetNCapsBelowSteal(t *testing.T) {
-	p := newBatchPool(t, Options{Segments: 4})
-	p.Handle(2).PutAll("k", make([]int, 32))
-	consumer := p.Handle(0)
-	if out := consumer.GetN("k", 4); len(out) != 4 {
-		t.Fatalf("GetN(k,4) returned %d", len(out))
-	}
-	// 16 stolen, 4 returned, 12 parked in the local bucket.
-	if out := consumer.GetN("k", 100); len(out) != 12 {
-		t.Fatalf("follow-up GetN returned %d, want 12", len(out))
 	}
 }

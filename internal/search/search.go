@@ -106,9 +106,6 @@ type Result struct {
 	// Examined is the number of segment probes performed, including the
 	// final successful one ("the number of segments examined per steal").
 	Examined int
-	// NodeAccesses counts tree round-counter reads and writes (zero for
-	// the linear and random algorithms).
-	NodeAccesses int
 }
 
 // Aborted reports whether the search failed to obtain elements.

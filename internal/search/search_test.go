@@ -294,9 +294,6 @@ func TestTreeFindsDistantSegment(t *testing.T) {
 	if res.Got != 20 {
 		t.Fatalf("Got = %d, want 20", res.Got)
 	}
-	if res.NodeAccesses == 0 {
-		t.Fatal("tree search should touch round counters")
-	}
 }
 
 func TestTreeExaminesFewerSegmentsThanLinearWhenMarked(t *testing.T) {

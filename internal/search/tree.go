@@ -121,7 +121,6 @@ func (t *TreeSearcher) Search(w World) Result {
 		left, right := 2*node, 2*node+1
 		rl := tw.RoundOf(left)
 		rr := tw.RoundOf(right)
-		res.NodeAccesses += 2
 		maxr := rl
 		if rr > maxr {
 			maxr = rr
@@ -136,7 +135,6 @@ func (t *TreeSearcher) Search(w World) Result {
 
 		// Mark the exhausted child empty as of our round.
 		tw.MaxRound(child, t.myRound)
-		res.NodeAccesses++
 
 		sibling := child ^ 1
 		var siblingRound uint64

@@ -38,29 +38,6 @@ func TestProcBatchCharging(t *testing.T) {
 	}
 }
 
-// TestProcGetNStealBatch: a dry local segment steals and returns the
-// transferred batch in one operation.
-func TestProcGetNStealBatch(t *testing.T) {
-	p := NewPool[Token](PoolConfig{Procs: 2, Costs: numa.ButterflyCosts()})
-	p.Seed(40, func(int) Token { return Token{} }) // 20 in each segment
-	var got []Token
-	RunProcs(func(env *Env) {
-		pr := p.Proc(env)
-		pr.GetN(40) // drain local 20 first
-		got = pr.GetN(40)
-		pr.Retire()
-	}, func(env *Env) {
-		p.Proc(env).Retire()
-	})
-	// Steal-half of the remote 20 moves 10; all should return at once.
-	if len(got) != 10 {
-		t.Fatalf("GetN across steal returned %d, want 10", len(got))
-	}
-	if p.Len() != 10 {
-		t.Fatalf("pool left with %d, want 10", p.Len())
-	}
-}
-
 // TestRunBurstConservation runs the burst model end-to-end on the
 // simulator and checks element conservation and batch accounting.
 func TestRunBurstConservation(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"pools/internal/numa"
 	"pools/internal/policy"
-	"pools/internal/search"
 	"pools/internal/workload"
 )
 
@@ -23,25 +22,6 @@ func hierRun(t *testing.T, set policy.Set, costs numa.CostModel, seed uint64) Ru
 		InitialElements: 96,
 	}
 	return Run(RunConfig{Workload: w, Costs: costs, Seed: seed, Policies: set})
-}
-
-// TestSimHierarchicalReducesCrossProbes runs the clustered workload under
-// the flat linear order and the hierarchical order and compares the
-// cross-cluster probe accounting: the hierarchical searcher must cross on
-// a smaller fraction of its probes.
-func TestSimHierarchicalReducesCrossProbes(t *testing.T) {
-	topo := numa.Clusters{Size: 4}
-	costs := numa.ButterflyCosts().WithTopology(topo).WithExtraDelay(1000)
-	flat := hierRun(t, policy.Set{Order: search.Linear}, costs, 11)
-	hier := hierRun(t, policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}, costs, 11)
-	if flat.Stats.RemoteProbes == 0 || hier.Stats.RemoteProbes == 0 {
-		t.Fatalf("no remote probes recorded: flat %+v hier %+v", flat.Stats.RemoteProbes, hier.Stats.RemoteProbes)
-	}
-	ff := flat.Stats.CrossProbeFraction()
-	hf := hier.Stats.CrossProbeFraction()
-	if hf >= ff {
-		t.Fatalf("hierarchical cross fraction %.3f >= flat %.3f", hf, ff)
-	}
 }
 
 // TestSimHierarchicalDeterministic replays the same seed twice and
@@ -62,25 +42,5 @@ func TestSimHierarchicalDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Fatalf("stats differ across identical seeds:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-}
-
-// TestSimNearestEmptiestPlacement checks the topology-aware director is
-// honored by the simulated pool and its probes are classified.
-func TestSimNearestEmptiestPlacement(t *testing.T) {
-	topo := numa.Clusters{Size: 4}
-	costs := numa.ButterflyCosts().WithTopology(topo).WithExtraDelay(1000)
-	res := hierRun(t, policy.Set{
-		Order: policy.HierarchicalOrder{Topo: topo},
-		Place: policy.GiftToNearestEmptiest{Model: costs},
-	}, costs, 11)
-	if res.Stats.RemoteProbes == 0 {
-		t.Fatal("director placed without probing")
-	}
-	if res.Stats.CrossProbes > res.Stats.RemoteProbes {
-		t.Fatalf("cross probes %d exceed remote probes %d", res.Stats.CrossProbes, res.Stats.RemoteProbes)
-	}
-	if res.Stats.Ops() == 0 {
-		t.Fatal("run completed no operations")
 	}
 }
