@@ -41,7 +41,7 @@ test:
 # The wall-clock suites on a single P: one proc is the shape where a test
 # that spins without yielding starves the goroutines it waits on.
 test-procs1:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/harness ./internal/core
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/harness ./internal/core ./internal/engine ./internal/keyed
 
 race:
 	$(GO) test -race ./...

@@ -173,7 +173,7 @@ func TestTreeNodesFollowOrder(t *testing.T) {
 		if len(p.nodes) != wantNodes {
 			t.Errorf("%s: %d tree nodes, want %d", c.name, len(p.nodes), wantNodes)
 		}
-		if k := p.handles[0].eng.Searcher().Kind(); k != c.kind {
+		if k := p.handles[0].eng.Plan().Searcher.Kind(); k != c.kind {
 			t.Errorf("%s: searcher kind = %v, want %v", c.name, k, c.kind)
 		}
 		producer := p.Handle(3)

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -152,11 +151,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 	}
 	// Resolve the policy set: nil slots take paper defaults.
 	pol := opts.Policies.WithDefaults()
-	// Only the paper's three algorithms are orders; custom orders report 0.
-	kind := policy.KindOf(pol.Order)
-	if pol.Order == search.Kind(0) || kind != 0 && !slices.Contains(search.Kinds(), kind) {
-		return nil, fmt.Errorf("%w: unknown search kind %d in order %s", ErrBadOptions, int(kind), pol.Order.Name())
-	}
 	// Mailboxes exist only under a placement that can actually gift:
 	// an explicit policy.Local (the no-op placement) gets the same
 	// zero-overhead pool as the zero-value configuration.
@@ -179,9 +173,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 		leaves:  search.NumLeavesFor(opts.Segments),
 		members: engine.NewMembership(opts.Segments),
 		base:    time.Now(),
-	}
-	if kind == search.Tree {
-		p.nodes = make([]treeNode, 2*p.leaves)
 	}
 	if directed {
 		p.boxes = make([]mailbox[T], opts.Segments)
@@ -229,6 +220,14 @@ func New[T any](opts Options) (*Pool[T], error) {
 			Tracer:    h.tr,
 			Members:   p.members,
 		}, &h.sub, engine.NewCoverage(opts.Segments, coverageState[T]{p}))
+		// An unknown search kind plans no searcher.
+		plan := h.eng.Plan()
+		if plan.Searcher == nil {
+			return nil, fmt.Errorf("%w: order %s plans no search", ErrBadOptions, pol.Order.Name())
+		}
+		if plan.Tree && p.nodes == nil {
+			p.nodes = make([]treeNode, 2*p.leaves)
+		}
 		h.steal = h.eng.StealAmount()
 		p.handles[i] = h
 	}

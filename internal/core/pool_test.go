@@ -48,7 +48,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaultSearchIsLinear(t *testing.T) {
 	p := newTestPool(t, Options{Segments: 4})
-	if k := p.handles[0].eng.Searcher().Kind(); k != search.Linear {
+	if k := p.handles[0].eng.Plan().Searcher.Kind(); k != search.Linear {
 		t.Fatalf("default search = %v, want linear", k)
 	}
 }

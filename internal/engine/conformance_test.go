@@ -67,6 +67,10 @@ type confPool struct {
 	victim    func(i int) bool
 	epoch     func() uint64
 	stats     func(h int) metrics.PoolStats
+	// controller and batchSize read handle h's resolved controller and
+	// its batch recommendation.
+	controller func(h int) policy.Controller
+	batchSize  func(h, current int) int
 	// probes sums the remote and cross-cluster probes of every handle;
 	// read it only while no operation is in flight.
 	probes    func() (remote, cross int64)
@@ -100,21 +104,23 @@ var confRows = []confRow{
 			p.Handle(i).PutAll(c.fillValues(i))
 		}
 		act(confPool{
-			put:       func(h, v int) { p.Handle(h).Put(v) },
-			putAll:    func(h int, vs []int) { p.Handle(h).PutAll(vs) },
-			get:       func(h int) (int, bool) { return p.Handle(h).Get() },
-			getN:      func(h, max int) []int { return p.Handle(h).GetN(max) },
-			fill0:     p.Handle(0).Put,
-			length:    p.Len,
-			segLen:    p.SegmentLen,
-			kill:      p.Kill,
-			revive:    p.Revive,
-			alive:     p.Alive,
-			victim:    p.Victim,
-			epoch:     p.Epoch,
-			stats:     func(h int) metrics.PoolStats { return p.Handle(h).Stats() },
-			probes:    func() (int64, int64) { st := p.Stats(); return st.RemoteProbes, st.CrossProbes },
-			timelines: p.Timelines,
+			put:        func(h, v int) { p.Handle(h).Put(v) },
+			putAll:     func(h int, vs []int) { p.Handle(h).PutAll(vs) },
+			get:        func(h int) (int, bool) { return p.Handle(h).Get() },
+			getN:       func(h, max int) []int { return p.Handle(h).GetN(max) },
+			fill0:      p.Handle(0).Put,
+			length:     p.Len,
+			segLen:     p.SegmentLen,
+			kill:       p.Kill,
+			revive:     p.Revive,
+			alive:      p.Alive,
+			victim:     p.Victim,
+			epoch:      p.Epoch,
+			stats:      func(h int) metrics.PoolStats { return p.Handle(h).Stats() },
+			controller: func(h int) policy.Controller { return p.Handle(h).Controller() },
+			batchSize:  func(h, current int) int { return p.Handle(h).BatchSize(current) },
+			probes:     func() (int64, int64) { st := p.Stats(); return st.RemoteProbes, st.CrossProbes },
+			timelines:  p.Timelines,
 		})
 	}},
 	{name: "keyed", build: func(t *testing.T, c confCase, act func(confPool)) {
@@ -134,6 +140,7 @@ var confRows = []confRow{
 			getN:      func(h, max int) []int { return p.Handle(h).GetN(confKey, max) },
 			fill0:     func(v int) { p.Handle(0).Put(confKey, v) },
 			length:    p.Len,
+			segLen:    p.SegmentLen,
 			kill:      p.Kill,
 			revive:    p.Revive,
 			alive:     p.Alive,
@@ -466,6 +473,29 @@ func hierarchyScript(t *testing.T, r confRow) {
 		}
 	})
 
+	// The cost-ranked order takes the near victim where the ring walk
+	// crosses (flat-crosses), and its ranked plan runs no tree: a tree
+	// searcher over counters the plan did not ask the pool for would
+	// index out of range.
+	locality := near
+	locality.pol = policy.Set{Order: policy.LocalityOrder{Model: model, Fallback: search.Tree}}
+	r.run(t, "locality", locality, func(t *testing.T, p confPool) {
+		if _, ok := p.get(3); !ok {
+			t.Error("Get failed with 20 elements pooled")
+			return
+		}
+		if moved := recorded(p, 3, trace.ReserveTransfer); !maps.Equal(moved, map[int]int{0: 5}) {
+			t.Errorf("steals moved %v, want {0: 5} from the in-cluster victim", moved)
+		}
+		checkSegLens(t, p, map[int]int{0: 5, 4: 10})
+		if n := p.length(); n != 19 {
+			t.Errorf("Len = %d, want 19", n)
+		}
+		if _, cross := p.probes(); cross != 0 {
+			t.Errorf("%d cross-cluster probes with a near victim available", cross)
+		}
+	})
+
 	// The structural default, a threshold that laps the cluster before
 	// crossing, and the immediate-escalation ablation.
 	for _, th := range []int{0, 64, -1} {
@@ -575,8 +605,24 @@ func controllersScript(t *testing.T, r confRow) {
 			}
 		}
 		ph := set.Control.(*policy.PerHandle)
-		if tf, lf := ph.Handle(0).StealFraction(), ph.Handle(1).StealFraction(); tf <= 0.5 || lf >= 0.5 {
+		thief, local, producer := ph.Handle(0), ph.Handle(1), ph.Handle(2)
+		if tf, lf := thief.StealFraction(), local.StealFraction(); tf <= 0.5 || lf >= 0.5 {
 			t.Errorf("per-handle fractions thief=%v local=%v, want >0.5 and <0.5", tf, lf)
+		}
+		if producer == nil || producer == thief || producer == local {
+			t.Error("two handles share one controller under the per-handle set")
+		}
+		if p.controller != nil {
+			for h, want := range []policy.Controller{thief, local, producer} {
+				if got := p.controller(h); got != want {
+					t.Errorf("handle %d consults %p, want its spawned controller %p", h, got, want)
+				}
+			}
+		}
+		if p.batchSize != nil {
+			if b := p.batchSize(0, 4); b < 4 {
+				t.Errorf("thief BatchSize(4) = %d, want >= 4", b)
+			}
 		}
 	})
 
@@ -604,7 +650,7 @@ func controllersScript(t *testing.T, r confRow) {
 // the cluster-first order and per-handle controllers, each consulted as
 // an escalation tuner while feedback streams in. Elements are conserved
 // and the probe accounting stays consistent; the race detector guards
-// the Escalator path and the per-handle counters.
+// the escalation hook and the per-handle counters.
 func raceScript(t *testing.T, r confRow) {
 	const segs, perWorker = 8, 250
 	topo := numa.Clusters{Size: 4}

@@ -14,9 +14,10 @@
 // duplicate:
 //
 //   - policy resolution: the handle's Controller and StealAmount via
-//     policy.Set.ForHandle, and its search strategy via
-//     policy.BuildSearcher, so ControlAware orders (HierarchicalOrder)
-//     receive the very controller their escalation threshold tunes from;
+//     policy.Set.ForHandle, and its search.Plan from the VictimOrder,
+//     handed the controller's EscalationThreshold so that escalating
+//     orders (HierarchicalOrder) tune from the very controller their
+//     searches feed;
 //   - the search loop: bracket the searcher run with the substrate's
 //     Enter/Exit bookkeeping (lookers counters, hungry flags, shared-
 //     counter charges) and adapt the Substrate to search.World;
@@ -94,7 +95,7 @@ type Config struct {
 	Self, Segments int
 	// Policies is the pool's resolved policy set (WithDefaults applied).
 	// The engine resolves the handle's controller and steal amount from
-	// it (Set.ForHandle) and builds the search strategy from its Order.
+	// it (Set.ForHandle) and plans the search from its Order.
 	Policies policy.Set
 	// Seed drives randomized search orders. Pools pass a per-handle
 	// sub-seed (rng.SubSeed), not the pool seed.
@@ -105,9 +106,9 @@ type Config struct {
 	// Stats receives the probe classification (RecordProbe). Nil disables
 	// probe accounting entirely — the real pool's CollectStats=false mode.
 	Stats *metrics.PoolStats
-	// Searcher, when non-nil, overrides the Policies.Order searcher. The
-	// keyed pool supplies its ranked or ring sweep here; everyone else
-	// leaves it nil and gets policy.BuildSearcher's result.
+	// Searcher, when non-nil, overrides the planned searcher. The keyed
+	// pool supplies its ranked or ring sweep here; everyone else leaves it
+	// nil and gets the Policies.Order plan's.
 	Searcher search.Searcher
 	// SizeProbe reports a segment's current size for Director placements,
 	// charging one probe access. Supplied once at construction so the add
@@ -137,7 +138,7 @@ type Engine struct {
 	segments int
 	ctl      policy.Controller
 	steal    policy.StealAmount
-	searcher search.Searcher
+	plan     search.Plan
 	dir      policy.Director
 	sizeFn   func(s int) int
 	stats    *metrics.PoolStats
@@ -150,21 +151,27 @@ type Engine struct {
 }
 
 // New builds a handle's engine: resolve the controller and steal amount
-// (per-handle sets spawn their instance here), build the search strategy
-// through the ControlAware path, precompute the hop-distance
-// classification, and bind the substrate and termination rule.
+// (per-handle sets spawn their instance here), plan the search with the
+// controller's escalation hook, precompute the hop-distance
+// classification, and bind the substrate and termination rule. An order
+// that plans no searcher leaves Plan().Searcher nil for the pool to
+// reject.
 func New(cfg Config, sub Substrate, term Termination) *Engine {
 	ctl, steal := cfg.Policies.ForHandle(cfg.Self)
-	srch := cfg.Searcher
-	if srch == nil {
-		srch = policy.BuildSearcher(cfg.Policies.Order, cfg.Self, cfg.Segments, cfg.Seed, ctl)
+	plan := search.Plan{Searcher: cfg.Searcher}
+	if plan.Searcher == nil {
+		var escalate func(base int) int
+		if ctl != nil {
+			escalate = ctl.EscalationThreshold
+		}
+		plan = cfg.Policies.Order.Plan(cfg.Self, cfg.Segments, cfg.Seed, escalate)
 	}
 	e := &Engine{
 		self:     cfg.Self,
 		segments: cfg.Segments,
 		ctl:      ctl,
 		steal:    steal,
-		searcher: srch,
+		plan:     plan,
 		sizeFn:   cfg.SizeProbe,
 		stats:    cfg.Stats,
 		tr:       cfg.Tracer,
@@ -182,7 +189,11 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 			e.hops[s] = int32(d)
 		}
 	}
-	if m := groupedOf(cfg.Policies); m != nil {
+	var m policy.TenantMap // the tenant partition; only a placement carries one
+	if g, ok := cfg.Policies.Place.(policy.Grouped); ok {
+		m = g.Partition()
+	}
+	if m != nil {
 		mine := m.TenantOf(cfg.Self)
 		e.foreign = make([]bool, cfg.Segments)
 		for s := 0; s < cfg.Segments; s++ {
@@ -196,26 +207,14 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 	return e
 }
 
-// groupedOf extracts a tenant partition from the policy set, consulting
-// the Placement first and the VictimOrder second (either slot may carry
-// policy.Grouped). Nil when the set is tenant-blind.
-func groupedOf(set policy.Set) policy.TenantMap {
-	if g, ok := set.Place.(policy.Grouped); ok {
-		return g.Partition()
-	}
-	if g, ok := set.Order.(policy.Grouped); ok {
-		return g.Partition()
-	}
-	return nil
-}
-
 // Controller returns the controller resolved for this handle (nil when the
 // policy set has none), for observability and trajectory traces.
 func (e *Engine) Controller() policy.Controller { return e.ctl }
 
-// Searcher returns the handle's search strategy, for observability and
-// tests.
-func (e *Engine) Searcher() search.Searcher { return e.searcher }
+// Plan returns the handle's search plan. Pools read it once, when they are
+// built: a nil Searcher is an order they reject, and Tree asks them for
+// the round-counter tree.
+func (e *Engine) Plan() search.Plan { return e.plan }
 
 // StealAmount returns the handle's resolved steal amount — the spawned
 // per-handle instance under policy.PerHandle sets.
@@ -341,7 +340,7 @@ func (e *Engine) Search(want int) search.Result {
 	}
 	e.w.term.Begin(want)
 	e.w.sub.Enter(want)
-	res := e.searcher.Search(&e.w)
+	res := e.plan.Searcher.Search(&e.w)
 	e.w.sub.Exit()
 	if e.tr != nil {
 		if res.Got == 0 {

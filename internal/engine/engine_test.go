@@ -341,9 +341,9 @@ func TestDirectTarget(t *testing.T) {
 }
 
 // TestControlAwareWiring checks the engine resolves per-handle
-// controllers and threads them into ControlAware orders: two handles get
-// distinct spawned controllers, and a hierarchical order's searcher is
-// built through SearcherFor.
+// controllers before it plans the search: two handles get distinct
+// spawned controllers, and a hierarchical order plans its escalating
+// searcher and its cluster-first rank.
 func TestControlAwareWiring(t *testing.T) {
 	ph := policy.NewPerHandle()
 	pol := policy.Set{
@@ -362,8 +362,9 @@ func TestControlAwareWiring(t *testing.T) {
 	if e0.StealAmount() == nil || policy.StealAmount(ph) == e0.StealAmount() {
 		t.Fatal("spawned controller must also become the handle's steal amount")
 	}
-	if k := e0.Searcher().Kind(); k != search.Hierarchical {
-		t.Fatalf("searcher kind = %v, want hierarchical (ControlAware path)", k)
+	if plan := e0.Plan(); plan.Searcher.Kind() != search.Hierarchical || plan.Rank == nil || plan.Tree {
+		t.Fatalf("plan = %v searcher, rank %v, tree %v; want hierarchical, ranked, no tree",
+			plan.Searcher.Kind(), plan.Rank, plan.Tree)
 	}
 }
 

@@ -52,6 +52,11 @@ func TestRenderBurst(t *testing.T) {
 	}
 }
 
+// TestRealRunBurst checks conservation on the real pool's burst loop.
+// Batch adds are asserted on the same workload on the simulator
+// (sim.TestRunBurstConservation/default-4): here, whether a producer
+// claims an op before the consumers spend the budget is up to the
+// scheduler.
 func TestRealRunBurst(t *testing.T) {
 	wl := workload.Config{
 		Procs:           4,
@@ -67,9 +72,6 @@ func TestRealRunBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Stats
-	if st.BatchAdds == 0 {
-		t.Fatal("burst run recorded no batch adds")
-	}
 	// Conservation: everything added (by seed or batch) is either removed
 	// or still pooled.
 	total := int64(wl.InitialElements) + st.Adds

@@ -56,7 +56,7 @@ func orderSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set 
 		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}
 	case "hier-adaptive":
 		// Fresh per trial: each handle's spawned controller is both its
-		// steal amount and its escalation tuner (policy.Escalator).
+		// steal amount and its escalation tuner (EscalationThreshold).
 		p := policy.NewPerHandle()
 		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Steal: p, Control: p}
 	case "hier-place":

@@ -11,7 +11,7 @@ import (
 
 // This file measures the keyed pool's topology-aware sweep. The keyed
 // pool (internal/keyed) walks the segment ring when a class misses
-// locally; a VictimOrder that implements policy.Ranker reorders that walk.
+// locally; a VictimOrder whose plan ranks the victims reorders that walk.
 // On a clustered machine the question is the same one the hierarchical
 // sweep asks of the plain pool: how many of those probes cross a cluster
 // boundary? The keyed pool has no virtual clock, so the experiment counts

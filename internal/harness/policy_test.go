@@ -122,6 +122,9 @@ func TestRenderPolicy(t *testing.T) {
 // TestRealRunBurstAdaptive runs the adaptive policy set on the real-pool
 // substrate's burst loop (which consults the controller's batch
 // recommendation, mirroring the simulator) and checks conservation.
+// Whether a producer claims an op before the consumers spend the budget
+// is up to the scheduler, so batch adds are asserted on the simulator
+// (sim.TestRunBurstConservation/adaptive-4) instead.
 func TestRealRunBurstAdaptive(t *testing.T) {
 	set, err := policy.Named("adaptive")
 	if err != nil {
@@ -141,9 +144,6 @@ func TestRealRunBurstAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Stats
-	if st.BatchAdds == 0 {
-		t.Fatal("adaptive burst run recorded no batch adds")
-	}
 	total := int64(wl.InitialElements) + st.Adds
 	if st.Removes+int64(res.Remaining) != total {
 		t.Fatalf("conservation violated: removes=%d remaining=%d added=%d",

@@ -21,7 +21,7 @@
 //
 // The keyed pool consults the same policy.Set as the plain pool
 // (Options.Policies): the StealAmount sizes bucket steals, a VictimOrder
-// that implements policy.Ranker (policy.LocalityOrder,
+// whose plan ranks the victims (policy.LocalityOrder,
 // policy.HierarchicalOrder) reorders the ring sweep cheapest-victim-
 // first, a policy.Director placement steers adds toward the emptiest
 // segment, and a Controller — per-handle or pool-wide — tunes from each
@@ -52,15 +52,15 @@ type Options struct {
 	// Policies selects the pool's tunable decisions, exactly as
 	// core.Options.Policies does for the plain pool; nil slots take paper
 	// defaults (steal-half, ring sweep order, local placement, no
-	// control). Victim orders apply when they implement policy.Ranker;
-	// mailbox placements are ignored (the keyed pool has no directed-add
-	// mailboxes) but policy.Director placements are honored.
+	// control). Victim orders apply through their plan's rank (see
+	// search.Plan); mailbox placements are ignored (the keyed pool has no
+	// directed-add mailboxes) but policy.Director placements are honored.
 	Policies policy.Set
 	// Topology assigns hop distances to segment pairs. When set, every
 	// remote probe a sweep performs is classified as near or cross-cluster
 	// (see Pool.ProbeStats) — the measure the keyed locality experiments
 	// report. It does not change the sweep order by itself; pair it with a
-	// topology-aware Ranker order (policy.HierarchicalOrder or
+	// topology-aware ranking order (policy.HierarchicalOrder or
 	// policy.LocalityOrder) to make sweeps cluster-first.
 	Topology numa.Topology
 	// TraceBuf, when positive, attaches a flight recorder of that many
@@ -129,10 +129,6 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 	pol := opts.Policies.WithDefaults()
 	p := &Pool[K, V]{opts: opts, segs: make([]seg[K, V], opts.Segments)}
 	p.members = engine.NewMembership(opts.Segments)
-	var ranker policy.Ranker
-	if r, ok := pol.Order.(policy.Ranker); ok {
-		ranker = r
-	}
 	for i := range p.segs {
 		p.segs[i].buckets = make(map[K]*segment.Deque[V])
 	}
@@ -149,18 +145,15 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 		h.sub.members = p.members
 		h.sub.id = i
 		// The sweep is a search.Searcher like every other substrate's:
-		// the ranked preference when the victim order offers one, the
-		// ring from where elements were last found otherwise. Rank
-		// returns nil under victim-uniform costs: the handle keeps the
-		// ring sweep, matching the plain pool's fallback to a paper
-		// algorithm.
+		// the victim order's plan's rank when it has one, the ring from
+		// where elements were last found otherwise. The rank is nil
+		// under victim-uniform costs and for the paper's algorithms: the
+		// handle keeps the ring sweep, matching the plain pool's fallback
+		// to a paper algorithm.
 		var srch search.Searcher
-		if ranker != nil {
-			if rank := ranker.Rank(i, opts.Segments); rank != nil {
-				srch = search.NewOrderedSearcher(rank)
-			}
-		}
-		if srch == nil {
+		if rank := pol.Order.Plan(i, opts.Segments, 0, nil).Rank; rank != nil {
+			srch = search.NewOrderedSearcher(rank)
+		} else {
 			srch = search.NewLinearSearcher(i)
 		}
 		if opts.TraceBuf > 0 {
@@ -202,12 +195,17 @@ func (p *Pool[K, V]) Handle(i int) *Handle[K, V] { return p.handles[i] }
 func (p *Pool[K, V]) Len() int {
 	total := 0
 	for i := range p.segs {
-		s := &p.segs[i]
-		s.mu.Lock()
-		total += s.total
-		s.mu.Unlock()
+		total += p.SegmentLen(i)
 	}
 	return total
+}
+
+// SegmentLen returns the number of elements in segment i, of every class.
+func (p *Pool[K, V]) SegmentLen(i int) int {
+	s := &p.segs[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.total
 }
 
 // LenKey returns the number of elements of class k.

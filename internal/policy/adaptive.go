@@ -155,5 +155,19 @@ func (a *Adaptive) StealFraction() float64 {
 	return float64(a.frac.Load()) / fracUnit
 }
 
+// EscalationThreshold implements Controller: the structural base shrinks
+// by the same power-of-two shift that grows the batch recommendation. The
+// shift rises when searches average many probes per steal — exactly the
+// signal that the cheap rings are dry and persistence there is wasted —
+// and falls back when aborts show the whole pool draining (crossing
+// clusters cannot help an empty machine). Never below one probe.
+func (a *Adaptive) EscalationThreshold(base int) int {
+	return max(base>>uint(a.shift.Load()), 1)
+}
+
+// Spawn implements Controller: an Adaptive is pool-wide, so every handle
+// consults it.
+func (a *Adaptive) Spawn(int) Controller { return a }
+
 // Name implements StealAmount and Controller.
 func (a *Adaptive) Name() string { return "adaptive" }

@@ -8,69 +8,6 @@ import (
 	"pools/internal/search"
 )
 
-// ControlAware is an optional VictimOrder extension: orders whose
-// searchers consult the handle's Controller while they run. Substrates
-// resolve the handle's controller first (Set.ForHandle) and then build the
-// searcher through BuildSearcher, so a per-handle controller tunes the
-// very search that feeds it — HierarchicalOrder's escalation threshold is
-// the in-repo case.
-type ControlAware interface {
-	VictimOrder
-	// SearcherFor is Searcher with the handle's resolved controller (nil
-	// when the policy set has none).
-	SearcherFor(self, segments int, seed uint64, ctl Controller) search.Searcher
-}
-
-// BuildSearcher constructs the search strategy for one handle: orders that
-// are ControlAware receive the handle's controller, every other order gets
-// the plain Searcher call. Both substrates (internal/core and
-// internal/sim) build their per-handle searchers through this helper.
-func BuildSearcher(o VictimOrder, self, segments int, seed uint64, ctl Controller) search.Searcher {
-	if ca, ok := o.(ControlAware); ok {
-		return ca.SearcherFor(self, segments, seed, ctl)
-	}
-	return o.Searcher(self, segments, seed)
-}
-
-// Escalator is an optional Controller extension consulted by hierarchical
-// searchers: it tunes how many consecutive fruitless probes a searcher
-// invests in its current hop frontier before escalating to the next ring.
-// Adaptive implements it from the same feedback window that drives its
-// batch recommendation: when searches run long relative to steals the
-// local rings are evidently dry, so the threshold drops and the searcher
-// crosses sooner.
-type Escalator interface {
-	// EscalationThreshold returns the tuned threshold for a frontier whose
-	// untuned (structural) threshold is base (>= 1). Implementations must
-	// return a value >= 1: a searcher must always invest at least one probe
-	// per frontier, or escalation degenerates into a flat search.
-	EscalationThreshold(base int) int
-}
-
-// EscalationThreshold implements Escalator: the structural base shrinks by
-// the same power-of-two shift that grows the batch recommendation. The
-// shift rises when searches average many probes per steal — exactly the
-// signal that the cheap rings are dry and persistence there is wasted —
-// and falls back when aborts show the whole pool draining (crossing
-// clusters cannot help an empty machine). Never below one probe.
-func (a *Adaptive) EscalationThreshold(base int) int {
-	t := base >> uint(a.shift.Load())
-	if t < 1 {
-		return 1
-	}
-	return t
-}
-
-// EscalationThreshold implements Escalator on the aggregate: the
-// structural base, untuned. Handle-level searchers built via Set.ForHandle
-// consult their spawned Adaptive instance instead.
-func (p *PerHandle) EscalationThreshold(base int) int {
-	if base < 1 {
-		return 1
-	}
-	return base
-}
-
 // HierarchicalOrder is the cluster-first VictimOrder for machines whose
 // numa.Topology groups processors into hop rings: a searching process
 // exhausts every victim in its own cluster — repeatedly, in the Inner
@@ -83,9 +20,9 @@ func (p *PerHandle) EscalationThreshold(base int) int {
 //
 // Escalation is governed by a threshold of consecutive fruitless probes
 // within the current frontier. The structural default (Threshold == 0) is
-// one full fruitless pass over the frontier; when the handle's Controller
-// implements Escalator (the adaptive policies do), the threshold is tuned
-// online from the same feedback window that drives batch recommendations.
+// one full fruitless pass over the frontier; when the handle has a
+// Controller, the threshold is tuned online by its EscalationThreshold,
+// from the same feedback window that drives batch recommendations.
 //
 // Under a nil or victim-uniform Topology there are no rings to climb and
 // the order delegates to Inner entirely, mirroring LocalityOrder's
@@ -95,8 +32,8 @@ type HierarchicalOrder struct {
 	// remote ring), which delegates everything to Inner.
 	Topo numa.Topology
 	// Inner orders victims within each ring: a paper search algorithm
-	// (a search.Kind) or LocalityOrder. Rankers (LocalityOrder) contribute
-	// their preference; search.Random shuffles each ring with the
+	// (a search.Kind) or LocalityOrder. An inner plan's rank contributes
+	// its preference; search.Random shuffles each ring with the
 	// searcher's seed; every other order visits rings clockwise from
 	// self. Nil means search.Linear.
 	Inner VictimOrder
@@ -109,10 +46,7 @@ type HierarchicalOrder struct {
 	Threshold int
 }
 
-var (
-	_ ControlAware = HierarchicalOrder{}
-	_ Ranker       = HierarchicalOrder{}
-)
+var _ VictimOrder = HierarchicalOrder{}
 
 // inner returns the within-ring order, defaulting to linear.
 func (o HierarchicalOrder) inner() VictimOrder {
@@ -121,11 +55,6 @@ func (o HierarchicalOrder) inner() VictimOrder {
 	}
 	return o.Inner
 }
-
-// SearchKind reports the algorithm the order delegates to under a
-// ring-less topology, so pools allocate tree round-counter nodes when the
-// inner order needs them.
-func (o HierarchicalOrder) SearchKind() search.Kind { return KindOf(o.inner()) }
 
 // Name implements VictimOrder.
 func (o HierarchicalOrder) Name() string { return "hier-" + o.inner().Name() }
@@ -159,20 +88,17 @@ func (o HierarchicalOrder) distances(self, segments int) (dist []int, uniform bo
 }
 
 // innerPositions returns each segment's preference index under the inner
-// order: a Ranker's explicit rank when it offers one, a seeded shuffle for
-// the random order, ring offset from self otherwise. Smaller is preferred.
-func (o HierarchicalOrder) innerPositions(self, segments int, seed uint64) []int {
+// order: the inner plan's rank when it has one, a seeded shuffle for the
+// random order, ring offset from self otherwise. Smaller is preferred.
+func (o HierarchicalOrder) innerPositions(self, segments int, seed uint64, rank []int) []int {
 	pos := make([]int, segments)
-	in := o.inner()
-	if r, ok := in.(Ranker); ok {
-		if rank := r.Rank(self, segments); rank != nil {
-			for i, s := range rank {
-				pos[s] = i
-			}
-			return pos
+	if rank != nil {
+		for i, s := range rank {
+			pos[s] = i
 		}
+		return pos
 	}
-	if in == search.Random {
+	if o.inner() == search.Random {
 		perm := make([]int, segments)
 		for i := range perm {
 			perm[i] = i
@@ -194,13 +120,14 @@ func (o HierarchicalOrder) innerPositions(self, segments int, seed uint64) []int
 	return pos
 }
 
-// plan builds the full visit order (self first, then rings outward, inner
-// preference within each ring) and the frontier prefix lengths, one per
-// distinct hop distance: levels[0] covers self plus the nearest ring (the
-// searcher's own cluster), each subsequent level admits the next ring.
-func (o HierarchicalOrder) plan(self, segments int, seed uint64) (order, levels []int) {
-	dist, _ := o.distances(self, segments)
-	pos := o.innerPositions(self, segments, seed)
+// ladder builds the full visit order (self first, then rings outward,
+// inner preference within each ring) and the frontier prefix lengths, one
+// per distinct hop distance: levels[0] covers self plus the nearest ring
+// (the searcher's own cluster), each subsequent level admits the next
+// ring.
+func (o HierarchicalOrder) ladder(dist []int, self int, seed uint64, rank []int) (order, levels []int) {
+	segments := len(dist)
+	pos := o.innerPositions(self, segments, seed, rank)
 	order = make([]int, segments)
 	for i := range order {
 		order[i] = i
@@ -239,41 +166,23 @@ func (o HierarchicalOrder) plan(self, segments int, seed uint64) (order, levels 
 	return order, levels
 }
 
-// Rank implements Ranker: rings outward from self, inner preference within
-// each ring — the sweep order the keyed pool walks. Under a ring-less
-// topology it delegates to the inner order's Ranker (nil when the inner
-// order has no ranking to offer, keeping the caller's default sweep).
-func (o HierarchicalOrder) Rank(self, segments int) []int {
-	if _, uniform := o.distances(self, segments); uniform {
-		if r, ok := o.inner().(Ranker); ok {
-			return r.Rank(self, segments)
-		}
-		return nil
+// Plan implements VictimOrder: the escalating cluster-first searcher,
+// its threshold tuned by escalate when the handle has a controller, and
+// its visit order as the rank the keyed pool sweeps. Under a ring-less
+// topology there is nothing to escalate through, and the inner order's
+// plan is returned unchanged. So is an inner plan with no searcher,
+// which pools reject.
+func (o HierarchicalOrder) Plan(self, segments int, seed uint64, escalate func(base int) int) search.Plan {
+	in := o.inner().Plan(self, segments, seed, escalate)
+	dist, uniform := o.distances(self, segments)
+	if uniform || in.Searcher == nil {
+		return in
 	}
-	order, _ := o.plan(self, segments, 0)
-	return order
-}
-
-// Searcher implements VictimOrder: SearcherFor without a controller (the
-// structural threshold applies untuned).
-func (o HierarchicalOrder) Searcher(self, segments int, seed uint64) search.Searcher {
-	return o.SearcherFor(self, segments, seed, nil)
-}
-
-// SearcherFor implements ControlAware: the escalating cluster-first
-// searcher, with its threshold tuned by ctl when ctl is an Escalator.
-// Under a ring-less topology the inner order's searcher is returned
-// unchanged (there is nothing to escalate through).
-func (o HierarchicalOrder) SearcherFor(self, segments int, seed uint64, ctl Controller) search.Searcher {
-	if _, uniform := o.distances(self, segments); uniform {
-		return BuildSearcher(o.inner(), self, segments, seed, ctl)
+	order, levels := o.ladder(dist, self, seed, in.Rank)
+	return search.Plan{
+		Searcher: &hierSearcher{order: order, levels: levels, threshold: o.Threshold, esc: escalate},
+		Rank:     order,
 	}
-	order, levels := o.plan(self, segments, seed)
-	h := &hierSearcher{order: order, levels: levels, threshold: o.Threshold}
-	if esc, ok := ctl.(Escalator); ok {
-		h.esc = esc
-	}
-	return h
 }
 
 // hierSearcher probes an expanding frontier of hop rings: cycle the
@@ -285,9 +194,9 @@ func (o HierarchicalOrder) SearcherFor(self, segments int, seed uint64, ctl Cont
 // lap rule in sim) terminate a search on a genuinely empty pool.
 type hierSearcher struct {
 	order     []int
-	levels    []int // frontier prefix lengths, innermost first
-	threshold int   // configured HierarchicalOrder.Threshold
-	esc       Escalator
+	levels    []int              // frontier prefix lengths, innermost first
+	threshold int                // configured HierarchicalOrder.Threshold
+	esc       func(base int) int // the controller's EscalationThreshold; nil untuned
 }
 
 var _ search.Searcher = (*hierSearcher)(nil)
@@ -311,10 +220,7 @@ func (h *hierSearcher) thresholdFor(base int) int {
 		return 0
 	}
 	if h.esc != nil {
-		t = h.esc.EscalationThreshold(t)
-		if t < 1 {
-			t = 1
-		}
+		t = max(h.esc(t), 1)
 	}
 	return t
 }

@@ -32,31 +32,31 @@ var clustered2 = numa.Clusters{Size: 2}
 
 func TestHierarchicalRankClusterFirst(t *testing.T) {
 	o := HierarchicalOrder{Topo: clustered2}
-	got := o.Rank(3, 6)
+	got := o.Plan(3, 6, 0, nil).Rank
 	// Cluster of 3 is {2,3}: self first, cluster mate next, then the far
 	// ring clockwise from self.
 	want := []int{3, 2, 4, 5, 0, 1}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Rank(3,6) = %v, want %v", got, want)
+		t.Fatalf("rank(3,6) = %v, want %v", got, want)
 	}
 }
 
 func TestHierarchicalRankUniformDelegates(t *testing.T) {
-	if got := (HierarchicalOrder{Topo: numa.Uniform{}}).Rank(0, 6); got != nil {
+	if got := (HierarchicalOrder{Topo: numa.Uniform{}}).Plan(0, 6, 0, nil).Rank; got != nil {
 		t.Fatalf("uniform topology ranked %v, want nil (keep default sweep)", got)
 	}
 	// A ranking inner order still contributes under a ring-less topology.
 	costs := numa.ButterflyCosts().WithTopology(clustered2).WithExtraDelay(10)
 	o := HierarchicalOrder{Topo: numa.Uniform{}, Inner: LocalityOrder{Model: costs}}
-	inner := LocalityOrder{Model: costs}.Rank(0, 6)
-	if got := o.Rank(0, 6); !reflect.DeepEqual(got, inner) {
+	inner := LocalityOrder{Model: costs}.Plan(0, 6, 0, nil).Rank
+	if got := o.Plan(0, 6, 0, nil).Rank; !reflect.DeepEqual(got, inner) {
 		t.Fatalf("uniform-topology rank = %v, want inner locality rank %v", got, inner)
 	}
 }
 
 func TestHierarchicalSearcherExhaustsClusterBeforeCrossing(t *testing.T) {
 	o := HierarchicalOrder{Topo: clustered2}
-	s := o.Searcher(0, 6, 1)
+	s := o.Plan(0, 6, 1, nil).Searcher
 	if s.Kind() != search.Hierarchical {
 		t.Fatalf("Kind = %v, want Hierarchical", s.Kind())
 	}
@@ -72,7 +72,7 @@ func TestHierarchicalSearcherExhaustsClusterBeforeCrossing(t *testing.T) {
 
 func TestHierarchicalSearcherFindsLocalWithoutCrossing(t *testing.T) {
 	o := HierarchicalOrder{Topo: clustered2}
-	s := o.Searcher(4, 6, 1)
+	s := o.Plan(4, 6, 1, nil).Searcher
 	w := &probeWorld{self: 4, sizes: []int{9, 9, 9, 9, 0, 2}, max: 100}
 	res := s.Search(w)
 	if res.FoundAt != 5 || res.Examined != 2 {
@@ -89,7 +89,7 @@ func TestHierarchicalThresholdLargerThanCluster(t *testing.T) {
 	// Threshold 5 over a 2-segment frontier: the searcher laps its own
 	// cluster before admitting the far ring.
 	o := HierarchicalOrder{Topo: clustered2, Threshold: 5}
-	s := o.Searcher(0, 6, 1)
+	s := o.Plan(0, 6, 1, nil).Searcher
 	w := &probeWorld{self: 0, sizes: make([]int, 6), max: 7}
 	s.Search(w)
 	want := []int{0, 1, 0, 1, 0, 2, 3}
@@ -102,7 +102,7 @@ func TestHierarchicalThresholdNegativeEscalatesImmediately(t *testing.T) {
 	// The flat ablation: every fruitless probe admits the next ring, so
 	// the searcher reaches the far ring after a single local probe.
 	o := HierarchicalOrder{Topo: clustered2, Threshold: -1}
-	s := o.Searcher(0, 6, 1)
+	s := o.Plan(0, 6, 1, nil).Searcher
 	w := &probeWorld{self: 0, sizes: make([]int, 6), max: 6}
 	s.Search(w)
 	if w.visited[1] != 2 {
@@ -125,12 +125,12 @@ func TestHierarchicalThresholdNegativeEscalatesImmediately(t *testing.T) {
 
 func TestHierarchicalUniformDelegatesToInner(t *testing.T) {
 	o := HierarchicalOrder{Inner: search.Linear}
-	s := o.Searcher(0, 4, 1)
+	s := o.Plan(0, 4, 1, nil).Searcher
 	if s.Kind() != search.Linear {
 		t.Fatalf("nil-topology searcher kind = %v, want delegation to linear", s.Kind())
 	}
-	if k := o.SearchKind(); k != search.Linear {
-		t.Fatalf("SearchKind = %v, want linear", k)
+	if !(HierarchicalOrder{Inner: search.Tree}).Plan(0, 4, 1, nil).Tree {
+		t.Fatal("nil-topology plan over a tree inner order asks for no tree")
 	}
 	if name := o.Name(); name != "hier-linear" {
 		t.Fatalf("Name = %q", name)
@@ -139,37 +139,28 @@ func TestHierarchicalUniformDelegatesToInner(t *testing.T) {
 
 func TestHierarchicalRandomInnerIsSeededPermutation(t *testing.T) {
 	o := HierarchicalOrder{Topo: clustered2, Inner: search.Random}
-	a := o.SearcherFor(0, 6, 7, nil).(*hierSearcher)
-	b := o.SearcherFor(0, 6, 7, nil).(*hierSearcher)
-	c := o.SearcherFor(0, 6, 8, nil).(*hierSearcher)
-	if !reflect.DeepEqual(a.order, b.order) {
-		t.Fatalf("same seed gave different orders: %v vs %v", a.order, b.order)
+	a := o.Plan(0, 6, 7, nil).Rank
+	b := o.Plan(0, 6, 7, nil).Rank
+	c := o.Plan(0, 6, 8, nil).Rank
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed gave different orders: %v vs %v", a, b)
 	}
-	if reflect.DeepEqual(a.order, c.order) {
-		t.Logf("distinct seeds coincided (possible but unlikely): %v", a.order)
+	if reflect.DeepEqual(a, c) {
+		t.Logf("distinct seeds coincided (possible but unlikely): %v", a)
 	}
-	if a.order[0] != 0 {
-		t.Fatalf("self not first: %v", a.order)
+	if a[0] != 0 {
+		t.Fatalf("self not first: %v", a)
 	}
 	// Ring structure must survive the shuffle: cluster mate before any
 	// far segment.
-	if a.order[1] != 1 {
-		t.Fatalf("cluster mate not in the first frontier: %v", a.order)
+	if a[1] != 1 {
+		t.Fatalf("cluster mate not in the first frontier: %v", a)
 	}
 }
 
-// fixedEscalator pins the tuned threshold for testing ControlAware wiring.
-type fixedEscalator struct{ t int }
-
-func (f fixedEscalator) Observe(Feedback)            {}
-func (f fixedEscalator) BatchSize(c int) int         { return c }
-func (f fixedEscalator) StealFraction() float64      { return 0.5 }
-func (f fixedEscalator) Name() string                { return "fixed" }
-func (f fixedEscalator) EscalationThreshold(int) int { return f.t }
-
 func TestHierarchicalControllerTunesThreshold(t *testing.T) {
 	o := HierarchicalOrder{Topo: clustered2}
-	s := BuildSearcher(o, 0, 6, 1, fixedEscalator{t: 1})
+	s := o.Plan(0, 6, 1, func(int) int { return 1 }).Searcher
 	w := &probeWorld{self: 0, sizes: make([]int, 6), max: 3}
 	s.Search(w)
 	// Tuned threshold 1: one fruitless probe escalates, so the far ring

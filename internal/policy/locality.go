@@ -7,20 +7,6 @@ import (
 	"pools/internal/search"
 )
 
-// Ranker is an optional VictimOrder extension: orders that can express
-// their preference as an explicit visit sequence. Substrates that do not
-// run a search.Searcher — the keyed pool's ring sweep is the in-repo case
-// — consult it to walk victims in the order's preference instead of raw
-// ring order.
-type Ranker interface {
-	// Rank returns the victim visit order for the process owning segment
-	// self in a pool of segments segments, or nil when ranking adds
-	// nothing (victim-uniform costs) and the caller should keep its own
-	// default order. In a non-nil order the first entry is conventionally
-	// self (the cheapest probe) and every segment appears exactly once.
-	Rank(self, segments int) []int
-}
-
 // LocalityOrder is the latency-aware VictimOrder: it consults a
 // numa.CostModel and visits victims cheapest-first, so a searching
 // process exhausts its near neighborhood before paying for far
@@ -45,10 +31,7 @@ type LocalityOrder struct {
 	Fallback search.Kind
 }
 
-var (
-	_ VictimOrder = LocalityOrder{}
-	_ Ranker      = LocalityOrder{}
-)
+var _ VictimOrder = LocalityOrder{}
 
 // fallbackKind returns the fallback algorithm, defaulting to Linear.
 func (o LocalityOrder) fallbackKind() search.Kind {
@@ -57,10 +40,6 @@ func (o LocalityOrder) fallbackKind() search.Kind {
 	}
 	return o.Fallback
 }
-
-// SearchKind reports the search.Kind run under a victim-uniform model, so
-// pools allocate tree round counters when the fallback is search.Tree.
-func (o LocalityOrder) SearchKind() search.Kind { return o.fallbackKind() }
 
 // probeCosts returns the model's probe cost from self to every segment.
 func (o LocalityOrder) probeCosts(self, segments int) []int64 {
@@ -90,16 +69,17 @@ func uniform(self int, costs []int64) bool {
 	return true
 }
 
-// Rank implements Ranker: segments in ascending probe-cost order, ties
-// broken by ring distance from self (so the local segment — the only
+// Plan implements VictimOrder: segments in ascending probe-cost order,
+// ties broken by ring distance from self (so the local segment — the only
 // non-remote probe — always ranks first, and equal-cost victims are
-// visited in the paper's linear order). Under a victim-uniform model it
-// returns nil — there is nothing to rank, and callers (the keyed pool's
-// sweep) keep their own default order, mirroring Searcher's fallback.
-func (o LocalityOrder) Rank(self, segments int) []int {
+// visited in the paper's linear order), searched by an ordered searcher
+// and swept in that order by the keyed pool. Under a victim-uniform model
+// there is nothing to rank: the plan is the fallback algorithm's, whose
+// nil rank keeps the keyed pool's ring sweep.
+func (o LocalityOrder) Plan(self, segments int, seed uint64, escalate func(base int) int) search.Plan {
 	costs := o.probeCosts(self, segments)
 	if uniform(self, costs) {
-		return nil
+		return o.fallbackKind().Plan(self, segments, seed, escalate)
 	}
 	order := make([]int, segments)
 	for i := range order {
@@ -108,16 +88,7 @@ func (o LocalityOrder) Rank(self, segments int) []int {
 	sort.SliceStable(order, func(i, j int) bool {
 		return costs[order[i]] < costs[order[j]]
 	})
-	return order
-}
-
-// Searcher implements VictimOrder: a cost-ranked ordered searcher, or the
-// fallback algorithm when the model is victim-uniform (Rank returns nil).
-func (o LocalityOrder) Searcher(self, segments int, seed uint64) search.Searcher {
-	if rank := o.Rank(self, segments); rank != nil {
-		return search.NewOrderedSearcher(rank)
-	}
-	return search.New(o.fallbackKind(), self, segments, seed)
+	return search.Plan{Searcher: search.NewOrderedSearcher(order), Rank: order}
 }
 
 // Name implements VictimOrder.

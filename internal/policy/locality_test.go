@@ -19,7 +19,7 @@ func clusteredModel() numa.CostModel {
 // the far clusters.
 func TestLocalityOrderRankSkewed(t *testing.T) {
 	o := LocalityOrder{Model: clusteredModel()}
-	rank := o.Rank(5, 16)
+	rank := o.Plan(5, 16, 0, nil).Rank
 	if len(rank) != 16 {
 		t.Fatalf("rank has %d entries, want 16", len(rank))
 	}
@@ -50,39 +50,39 @@ func TestLocalityOrderRankSkewed(t *testing.T) {
 	}
 }
 
-// TestLocalityOrderSearcher checks the constructed searcher: ordered
-// under a skewed model, the fallback algorithm under a victim-uniform one
-// (the flat Butterfly), and tree-node allocation via KindOf.
+// TestLocalityOrderSearcher checks the planned searcher: ordered under a
+// skewed model, the fallback algorithm under a victim-uniform one (the
+// flat Butterfly), and tree-node allocation via the plan's Tree.
 func TestLocalityOrderSearcher(t *testing.T) {
 	skewed := LocalityOrder{Model: clusteredModel()}
-	if s := skewed.Searcher(2, 16, 1); s.Kind() != search.Ordered {
+	if s := skewed.Plan(2, 16, 1, nil).Searcher; s.Kind() != search.Ordered {
 		t.Fatalf("skewed model searcher kind = %v, want ordered", s.Kind())
 	}
 	flat := LocalityOrder{Model: numa.ButterflyCosts().WithExtraDelay(500)}
-	if s := flat.Searcher(2, 16, 1); s.Kind() != search.Linear {
+	if s := flat.Plan(2, 16, 1, nil).Searcher; s.Kind() != search.Linear {
 		t.Fatalf("flat model searcher kind = %v, want the linear fallback", s.Kind())
 	}
 	tree := LocalityOrder{Model: numa.ButterflyCosts(), Fallback: search.Tree}
-	if s := tree.Searcher(2, 16, 1); s.Kind() != search.Tree {
+	if s := tree.Plan(2, 16, 1, nil).Searcher; s.Kind() != search.Tree {
 		t.Fatalf("fallback searcher kind = %v, want tree", s.Kind())
 	}
-	if KindOf(tree) != search.Tree {
-		t.Fatalf("KindOf(LocalityOrder{Fallback: Tree}) = %v, want tree (nodes must be allocated)", KindOf(tree))
+	if !tree.Plan(2, 16, 1, nil).Tree {
+		t.Fatal("LocalityOrder{Fallback: Tree} plan asks for no tree (nodes must be allocated)")
 	}
-	if skewed.Name() != "locality" || skewed.SearchKind() != search.Linear {
-		t.Fatalf("Name/SearchKind drifted: %q, %v", skewed.Name(), skewed.SearchKind())
+	if skewed.Name() != "locality" || (LocalityOrder{Model: clusteredModel(), Fallback: search.Tree}).Plan(2, 16, 1, nil).Tree {
+		t.Fatal("Name drifted, or a ranked plan asks for the fallback's tree")
 	}
 	// Two segments: the single remote victim is trivially uniform.
-	if s := skewed.Searcher(0, 2, 1); s.Kind() != search.Linear {
+	if s := skewed.Plan(0, 2, 1, nil).Searcher; s.Kind() != search.Linear {
 		t.Fatalf("two-segment searcher kind = %v, want linear fallback", s.Kind())
 	}
-	// Rank mirrors the fallback: nil under victim-uniform costs, so
+	// The rank mirrors the fallback: nil under victim-uniform costs, so
 	// ranked-sweep consumers (the keyed pool) keep their default order.
-	if r := flat.Rank(2, 16); r != nil {
-		t.Fatalf("flat model Rank = %v, want nil", r)
+	if r := flat.Plan(2, 16, 1, nil).Rank; r != nil {
+		t.Fatalf("flat model rank = %v, want nil", r)
 	}
-	if r := skewed.Rank(2, 16); r == nil {
-		t.Fatal("skewed model Rank = nil, want an order")
+	if r := skewed.Plan(2, 16, 1, nil).Rank; r == nil {
+		t.Fatal("skewed model rank = nil, want an order")
 	}
 }
 

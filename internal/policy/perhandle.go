@@ -5,27 +5,14 @@ import (
 	"sync"
 )
 
-// Spawner is an optional Controller extension: a pool consults it once per
-// handle at construction time so that every handle tunes from its own
-// feedback stream. The paper's processes are heterogeneous — its
+// PerHandle is the per-handle adaptive policy: a Controller/StealAmount
+// pair whose Spawn hands every pool handle its own independent Adaptive
+// instance. The paper's processes are heterogeneous — its
 // producer/consumer workloads (Section 3.3) give half the processes a
 // steal rate of zero and the other half a steal rate near one — and a
 // single pool-wide controller averages those opposing signals into a
-// fraction that suits neither; per-handle controllers let each process
-// converge on its own operating point.
-type Spawner interface {
-	// Spawn returns the controller for the handle owning segment handle.
-	// Repeated calls with the same index return the same instance, so a
-	// pool and a tracer observing it see one trajectory per handle.
-	Spawn(handle int) Controller
-}
-
-// PerHandle is the per-handle adaptive policy: a Controller/StealAmount
-// pair whose Spawn hands every pool handle its own independent Adaptive
-// instance. Two handles with opposite steal rates (a pure producer and a
-// pure consumer, say) converge to different steal fractions instead of
-// fighting over one shared window — the ROADMAP's "per-handle
-// controllers" follow-on to the pool-wide adaptive policy.
+// fraction that suits neither. Under PerHandle the two converge to
+// different steal fractions instead of fighting over one shared window.
 //
 // The PerHandle value itself implements Controller and StealAmount as the
 // aggregate view: StealFraction reports the mean across spawned handles
@@ -44,7 +31,6 @@ type PerHandle struct {
 var (
 	_ Controller  = (*PerHandle)(nil)
 	_ StealAmount = (*PerHandle)(nil)
-	_ Spawner     = (*PerHandle)(nil)
 )
 
 // NewPerHandle returns a per-handle adaptive policy with no spawned
@@ -54,7 +40,7 @@ func NewPerHandle() *PerHandle {
 	return &PerHandle{subs: map[int]*Adaptive{}}
 }
 
-// Spawn implements Spawner: the handle's own Adaptive, created on first
+// Spawn implements Controller: the handle's own Adaptive, created on first
 // request and remembered so trajectories can be read back per handle.
 func (p *PerHandle) Spawn(handle int) Controller {
 	p.mu.Lock()
@@ -110,6 +96,11 @@ func (p *PerHandle) BatchSize(current int) int {
 // StealFraction implements Controller on the aggregate: the mean fraction
 // across spawned handles, for tables and observability.
 func (p *PerHandle) StealFraction() float64 { return p.meanFraction() }
+
+// EscalationThreshold implements Controller on the aggregate: the
+// structural base, untuned. Handles consult their spawned Adaptive
+// instead.
+func (p *PerHandle) EscalationThreshold(base int) int { return max(base, 1) }
 
 // Amount implements StealAmount on the aggregate, applying the mean
 // fraction with Adaptive's law (floored at the requester's appetite).

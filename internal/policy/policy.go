@@ -14,7 +14,11 @@
 //     in what order — the three internal/search algorithms, plus
 //     LocalityOrder, which ranks victims by a numa.CostModel so near
 //     victims are probed first (the policy the paper's Section 4.3
-//     delayed-architecture experiments motivate but could not test);
+//     delayed-architecture experiments motivate but could not test), and
+//     HierarchicalOrder, which exhausts each hop ring before the next.
+//     An order answers one call, Plan, with one handle's search.Plan: its
+//     searcher, its victim rank for sweeping substrates, and whether the
+//     pool must allocate the tree's round counters;
 //   - Placement: where added elements land — the local segment, gifted
 //     (whole or split) to hungry searchers via directed-add mailboxes
 //     (the paper's Section 5 hint extension, batch-aware), or directed
@@ -22,9 +26,10 @@
 //     Director extension of the paper's symmetric remote-add footnote);
 //   - Controller: an online tuner fed per-remove feedback (steal rate,
 //     search length, haul size, operation time) that adjusts the steal
-//     fraction and the recommended batch size while a run executes;
-//     Spawner controllers (PerHandle) mint one instance per handle so
-//     heterogeneous processes tune independently.
+//     fraction, the recommended batch size and the hierarchical
+//     searchers' escalation threshold while a run executes; PerHandle
+//     spawns one instance per handle so heterogeneous processes tune
+//     independently.
 //
 // A Set bundles one choice per decision point. Both execution substrates
 // — the real pool (internal/core) and the virtual-time Butterfly
@@ -58,15 +63,18 @@ type StealAmount interface {
 }
 
 // VictimOrder decides which remote segments a searching process visits,
-// and in what order, by supplying the search strategy it runs. It layers
+// and in what order, by planning the search each handle runs. It layers
 // over internal/search: the three paper algorithms are orderings (ring,
 // shuffled, tree-guided), and search.Kind itself implements VictimOrder,
 // so search.Tree is a complete order. Custom orders plug in the same way.
 type VictimOrder interface {
-	// Searcher returns the search strategy for the process owning segment
-	// self in a pool of segments segments. The seed feeds randomized
-	// orders; deterministic orders ignore it.
-	Searcher(self, segments int, seed uint64) search.Searcher
+	// Plan resolves the order for the process owning segment self in a
+	// pool of segments segments. The seed feeds randomized orders;
+	// deterministic orders ignore it. escalate is the handle's
+	// Controller.EscalationThreshold, nil when the set has no controller;
+	// escalating orders tune their searcher with it. Pools call Plan once
+	// per handle, when they are built.
+	Plan(self, segments int, seed uint64, escalate func(base int) int) search.Plan
 	// Name identifies the order in tables and CSV output.
 	Name() string
 }
@@ -110,6 +118,18 @@ type Controller interface {
 	// StealFraction reports the currently tuned steal fraction in (0, 1],
 	// for observability and rendering.
 	StealFraction() float64
+	// EscalationThreshold tunes how many consecutive fruitless probes a
+	// hierarchical searcher invests in its current hop frontier, whose
+	// untuned (structural) threshold is base (>= 1), before escalating to
+	// the next ring. It must return a value >= 1: a searcher always
+	// invests at least one probe per frontier, or escalation degenerates
+	// into a flat search.
+	EscalationThreshold(base int) int
+	// Spawn returns the controller the handle owning segment handle
+	// consults, so that every handle can tune from its own feedback
+	// stream. Pool-wide controllers return themselves; PerHandle returns
+	// the handle's own instance, the same one on every call.
+	Spawn(handle int) Controller
 	// Name identifies the controller in tables and CSV output.
 	Name() string
 }
@@ -190,39 +210,24 @@ func Named(name string) (Set, error) {
 }
 
 // ForHandle resolves the controller and steal amount one handle should
-// consult. When the set's controller is a Spawner (the per-handle
-// adaptive pattern), the handle receives its own spawned instance — and
-// when the set's steal amount is that same controller object, the spawned
-// instance also becomes the handle's steal amount, so each handle steals
-// by its own tuned fraction. Pool-wide controllers and static steal
-// amounts pass through unchanged. Both substrates (internal/core and
-// internal/sim) and the keyed pool call this once per handle at
-// construction, which is what makes a policy measured in simulation
-// exactly the policy the library executes.
+// consult: the controller the set's Controller spawns for the handle —
+// and when the set's steal amount is that same controller object, the
+// spawned instance also becomes the handle's steal amount, so under
+// PerHandle each handle steals by its own tuned fraction. Pool-wide
+// controllers and static steal amounts pass through unchanged. Both
+// substrates (internal/core and internal/sim) and the keyed pool call
+// this once per handle at construction, which is what makes a policy
+// measured in simulation exactly the policy the library executes.
 func (s Set) ForHandle(handle int) (Controller, StealAmount) {
 	ctl, steal := s.Control, s.Steal
-	if sp, ok := ctl.(Spawner); ok {
-		sub := sp.Spawn(handle)
+	if ctl != nil {
+		sub := ctl.Spawn(handle)
 		if sa, ok := sub.(StealAmount); ok && any(steal) == any(ctl) {
 			steal = sa
 		}
 		ctl = sub
 	}
 	return ctl, steal
-}
-
-// KindOf returns the search algorithm behind a VictimOrder, or 0 for
-// custom orders. The pools use it to decide whether the tree search's
-// round-counter nodes must be allocated. Every order that runs or may
-// delegate to a paper algorithm reports it through a SearchKind method:
-// search.Kind returns itself, LocalityOrder its uniform-cost fallback,
-// HierarchicalOrder its inner order's kind. Custom orders that need the
-// tree should embed search.Tree or expose the same method.
-func KindOf(o VictimOrder) search.Kind {
-	if v, ok := o.(interface{ SearchKind() search.Kind }); ok {
-		return v.SearchKind()
-	}
-	return 0
 }
 
 // clamp bounds a steal amount to [1, n] (n >= 1).

@@ -225,14 +225,14 @@ func TestSetDefaultsAndName(t *testing.T) {
 	if got := ad.Name(); got != "adaptive" {
 		t.Fatalf("adaptive Set.Name() = %q", got)
 	}
-	if w := search.Random.Searcher(2, 8, 42); w.Kind() != search.Random {
-		t.Fatalf("Kind.Searcher kind = %v", w.Kind())
+	if w := search.Random.Plan(2, 8, 42, nil).Searcher; w.Kind() != search.Random {
+		t.Fatalf("Kind.Plan searcher kind = %v", w.Kind())
 	}
 }
 
 // TestKindOrderNames pins the names the paper's algorithms carry as
 // victim orders, bare and as a hierarchical inner order: the CSVs and
-// traces print them. KindOf must see through both to the kind.
+// traces print them. Both must plan the kind's searcher.
 func TestKindOrderNames(t *testing.T) {
 	want := map[search.Kind]string{search.Linear: "linear", search.Random: "random", search.Tree: "tree"}
 	for _, k := range search.Kinds() {
@@ -243,8 +243,9 @@ func TestKindOrderNames(t *testing.T) {
 		if got := hier.Name(); got != "hier-"+want[k] {
 			t.Errorf("HierarchicalOrder{Inner: %v}.Name() = %q, want %q", k, got, "hier-"+want[k])
 		}
-		if KindOf(k) != k || KindOf(hier) != k {
-			t.Errorf("KindOf(%v) = %v, KindOf(hier) = %v", k, KindOf(k), KindOf(hier))
+		bare, wrapped := k.Plan(0, 4, 1, nil), hier.Plan(0, 4, 1, nil)
+		if bare.Searcher.Kind() != k || wrapped.Searcher.Kind() != k || bare.Tree != (k == search.Tree) || wrapped.Tree != bare.Tree {
+			t.Errorf("%v plans %v (tree %v), hier plans %v (tree %v)", k, bare.Searcher.Kind(), bare.Tree, wrapped.Searcher.Kind(), wrapped.Tree)
 		}
 	}
 }

@@ -45,15 +45,33 @@ func (k Kind) String() string {
 	}
 }
 
-// Searcher implements policy.VictimOrder: a Kind is itself a victim
-// order, so the paper's algorithms need no wrapper.
-func (k Kind) Searcher(self, segments int, seed uint64) Searcher { return New(k, self, segments, seed) }
+// Plan is one handle's victim order, resolved when its pool is built:
+// what policy.VictimOrder.Plan returns.
+type Plan struct {
+	// Searcher runs the handle's searches. It is nil when the order names
+	// no search algorithm (an unknown Kind), which pools reject.
+	Searcher Searcher
+	// Rank is the victim visit order, self first and every segment once,
+	// for substrates that sweep rather than search (the keyed pool). It is
+	// nil when ranking adds nothing and the sweep keeps its ring order.
+	Rank []int
+	// Tree reports that Searcher descends the round-counter tree, which
+	// the pool must then allocate.
+	Tree bool
+}
+
+// Plan implements policy.VictimOrder: a Kind is itself a victim order, so
+// the paper's algorithms need no wrapper. It ignores escalate. An unknown
+// kind plans no searcher instead of panicking, so pools can reject it.
+func (k Kind) Plan(self, segments int, seed uint64, escalate func(base int) int) Plan {
+	if k < Linear || k > Tree {
+		return Plan{}
+	}
+	return Plan{Searcher: New(k, self, segments, seed), Tree: k == Tree}
+}
 
 // Name implements policy.VictimOrder.
 func (k Kind) Name() string { return k.String() }
-
-// SearchKind returns k; policy.KindOf reads it to decide tree allocation.
-func (k Kind) SearchKind() Kind { return k }
 
 // Kinds lists all algorithms in presentation order (the order the paper
 // introduces them is tree, linear, random; we sweep in enum order).

@@ -39,33 +39,65 @@ func TestProcBatchCharging(t *testing.T) {
 }
 
 // TestRunBurstConservation runs the burst model end-to-end on the
-// simulator and checks element conservation and batch accounting.
+// simulator and checks element conservation and batch accounting: on
+// eight processors under the tree search, and on the four-processor
+// workload the harness's real-pool burst tests run, under the default and
+// the adaptive set. Whether a real run's producers claim an op before its
+// consumers spend the budget is up to the scheduler; here it is decided
+// by the seed, so the batch counts are asserted here.
 func TestRunBurstConservation(t *testing.T) {
-	wl := workload.Config{
-		Procs:           8,
+	small := workload.Config{
+		Procs:           4,
 		Model:           workload.Burst,
-		Producers:       3,
+		Producers:       2,
 		Arrangement:     workload.Balanced,
-		BatchSize:       16,
-		TotalOps:        2000,
-		InitialElements: 64,
+		BatchSize:       8,
+		TotalOps:        400,
+		InitialElements: 32,
 	}
-	res := Run(RunConfig{Workload: wl, Policies: policy.Set{Order: search.Tree}, Costs: numa.ButterflyCosts(), Seed: 5})
-	st := res.Stats
-	if st.BatchAdds == 0 || st.BatchRemoves == 0 {
-		t.Fatalf("burst run recorded no batch ops: adds=%d removes=%d", st.BatchAdds, st.BatchRemoves)
+	adaptive, err := policy.Named("adaptive")
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := int64(wl.InitialElements) + st.Adds
-	if st.Removes+int64(res.Remaining) != total {
-		t.Fatalf("conservation violated: removes=%d remaining=%d added=%d", st.Removes, res.Remaining, total)
-	}
-	// Budget accounting: one unit per element moved plus one per abort,
-	// exactly as in the single-element protocol (short batches refund).
-	if got := st.Ops() + st.Aborts; got != int64(wl.TotalOps) {
-		t.Fatalf("ops+aborts = %d, want the full budget %d", got, wl.TotalOps)
-	}
-	// The achieved add batch size should approach the configured one.
-	if avg := float64(st.Adds) / float64(st.BatchAdds); avg < 8 {
-		t.Fatalf("average add batch %.1f, want near %d", avg, wl.BatchSize)
+	for _, c := range []struct {
+		name string
+		wl   workload.Config
+		pol  policy.Set
+		seed uint64
+	}{
+		{"tree-8", workload.Config{
+			Procs:           8,
+			Model:           workload.Burst,
+			Producers:       3,
+			Arrangement:     workload.Balanced,
+			BatchSize:       16,
+			TotalOps:        2000,
+			InitialElements: 64,
+		}, policy.Set{Order: search.Tree}, 5},
+		{"default-4", small, policy.Set{}, 9},
+		{"adaptive-4", small, adaptive, 9},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			wl := c.wl
+			res := Run(RunConfig{Workload: wl, Policies: c.pol, Costs: numa.ButterflyCosts(), Seed: c.seed})
+			st := res.Stats
+			if st.BatchAdds == 0 || st.BatchRemoves == 0 {
+				t.Fatalf("burst run recorded no batch ops: adds=%d removes=%d", st.BatchAdds, st.BatchRemoves)
+			}
+			total := int64(wl.InitialElements) + st.Adds
+			if st.Removes+int64(res.Remaining) != total {
+				t.Fatalf("conservation violated: removes=%d remaining=%d added=%d", st.Removes, res.Remaining, total)
+			}
+			// Budget accounting: one unit per element moved plus one per
+			// abort, exactly as in the single-element protocol (short
+			// batches refund).
+			if got := st.Ops() + st.Aborts; got != int64(wl.TotalOps) {
+				t.Fatalf("ops+aborts = %d, want the full budget %d", got, wl.TotalOps)
+			}
+			// The achieved add batch size should approach the configured one.
+			if avg := float64(st.Adds) / float64(st.BatchAdds); avg < float64(wl.BatchSize)/2 {
+				t.Fatalf("average add batch %.1f, want near %d", avg, wl.BatchSize)
+			}
+		})
 	}
 }

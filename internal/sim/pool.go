@@ -91,10 +91,6 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 		participants: cfg.Procs,
 		members:      engine.NewMembership(cfg.Procs),
 	}
-	if policy.KindOf(pol.Order) == search.Tree {
-		p.rounds = make([]uint64, 2*leaves)
-		p.nodeRes = make([]Resource, 2*leaves)
-	}
 	if cfg.Trace {
 		p.traces = make([]metrics.Trace, cfg.Procs)
 	}
@@ -247,6 +243,14 @@ func (p *Pool[T]) Proc(env *Env) *Proc[T] {
 		Tracer:    rec,
 		Members:   p.members,
 	}, &pr.sub, term)
+	plan := pr.eng.Plan()
+	if plan.Searcher == nil {
+		panic(fmt.Sprintf("sim: order %s plans no search", p.pol.Order.Name()))
+	}
+	if plan.Tree && p.rounds == nil {
+		p.rounds = make([]uint64, 2*p.leaves)
+		p.nodeRes = make([]Resource, 2*p.leaves)
+	}
 	pr.steal = pr.eng.StealAmount()
 	return pr
 }

@@ -142,7 +142,8 @@ type (
 	// Placement decides how much of an added batch is gifted to hungry
 	// searchers rather than kept local.
 	Placement = policy.Placement
-	// Controller retunes steal fraction and batch size from feedback.
+	// Controller retunes steal fraction, batch size and escalation
+	// threshold from feedback.
 	Controller = policy.Controller
 )
 
