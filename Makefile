@@ -165,7 +165,7 @@ docs-check:
 
 # Owner-path inlining gate: a disabled feature must cost Put/Get one
 # inlined field test. The compiler's -m report must show each feature
-# check (NUMA delay, Director placement, controller/recorder feedback,
+# check (NUMA delay, placement candidates, controller/recorder feedback,
 # membership redirect, stats sampler) inlined at every owner-path call
 # site in core and keyed; internal/tools/inlinecheck holds the list.
 inline-check:

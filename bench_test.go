@@ -514,6 +514,44 @@ func BenchmarkDirectedAdds(b *testing.B) {
 	}
 }
 
+// BenchmarkPlacedPut measures one Put under each size-aware placement
+// on a 16-segment pool: the candidates the handle's plan fixed when the
+// pool was built, one size probe each, and the add to the best-scored
+// segment. near-emptiest runs a clustered cost model with its default
+// probe budget; tenant-fair runs four tenants. The pool is drained with
+// the timer stopped every 4096 adds, so segment sizes stay bounded.
+func BenchmarkPlacedPut(b *testing.B) {
+	costs := pools.ButterflyCosts().WithTopology(pools.ClusterTopology{Size: 4}).WithExtraDelay(10)
+	for _, c := range []struct {
+		name  string
+		place pools.Placement
+	}{
+		{"emptiest", pools.EmptiestPlacement{}},
+		{"near-emptiest", pools.NearestEmptiestPlacement{Model: costs}},
+		{"tenant-fair", pools.TenantFairPlacement{Map: pools.EvenTenants(16, 4)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := pools.New[int](pools.Options{
+				Segments: 16, Policies: pools.PolicySet{Place: c.place},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := p.Handle(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Put(i)
+				if i%4096 == 4095 {
+					b.StopTimer()
+					p.Drain()
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkKeyedPool measures the distinguishable-elements extension.
 func BenchmarkKeyedPool(b *testing.B) {
 	p, err := pools.NewKeyed[int, int](pools.KeyedOptions{Segments: 8})

@@ -3,7 +3,7 @@ package pools_test
 // Hot-path allocation guarantees: the local Put/Get fast path — and the
 // steal path once its reusable buffers are warm — performs zero heap
 // allocations per operation, across the configurations that decorate the
-// hot path (stats + topology accounting, Director placements, keyed
+// hot path (stats + topology accounting, directed placements, keyed
 // buckets). BenchmarkGetHotPath in bench_test.go reports the same paths
 // under the benchmark gate; these tests make the 0 allocs/op contract a
 // hard failure instead of a number to eyeball.
@@ -70,23 +70,35 @@ func TestHotPathAllocFree(t *testing.T) {
 		v <<= 1
 	})
 
-	// A Director placement probes sizes through the engine's cached
-	// closure: no per-Put closure allocation.
-	pd, err := pools.New[int](pools.Options{
-		Segments: 4, Policies: pools.PolicySet{Place: pools.EmptiestPlacement{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hd := pd.Handle(0)
-	requireZeroAllocs(t, "core director Put/Get", func() {
-		hd.Put(1)
-		for {
-			if _, ok := hd.Get(); !ok {
-				break
-			}
+	// A directed placement probes sizes through the engine's cached
+	// closure and scores the candidates its plan fixed when the pool was
+	// built: no per-Put closure, candidate or cost allocation.
+	costs := pools.ButterflyCosts().WithTopology(pools.ClusterTopology{Size: 4}).WithExtraDelay(10)
+	for _, c := range []struct {
+		name     string
+		segments int
+		place    pools.Placement
+	}{
+		{"core director Put/Get", 4, pools.EmptiestPlacement{}},
+		{"core near-emptiest Put/Get", 16, pools.NearestEmptiestPlacement{Model: costs}},
+		{"core tenant-fair Put/Get", 16, pools.TenantFairPlacement{Map: pools.EvenTenants(16, 4)}},
+	} {
+		pd, err := pools.New[int](pools.Options{
+			Segments: c.segments, Policies: pools.PolicySet{Place: c.place},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		hd := pd.Handle(0)
+		requireZeroAllocs(t, c.name, func() {
+			hd.Put(1)
+			for {
+				if _, ok := hd.Get(); !ok {
+					break
+				}
+			}
+		})
+	}
 
 	// The steal path: the victim's share is reserved into the handle's
 	// reusable buffer, so a warm Get-with-steal does not allocate either.

@@ -38,7 +38,8 @@ type Handle[T any] struct {
 	pool     *Pool[T]
 	id       int
 	eng      *engine.Engine
-	steal    policy.StealAmount // resolved steal amount, cached off the engine for the probe loop
+	steal    policy.StealAmount      // resolved steal amount, cached off the engine for the probe loop
+	gift     func(n, hungry int) int // the placement's mailbox split law (nil = never gifts)
 	sub      substrate[T]
 	stealBuf []T // reused steal-transfer buffer (reserve under the victim's lock, deposit outside)
 	stats    metrics.PoolStats
@@ -199,8 +200,8 @@ func (s *sampler) since(start int64) float64 {
 }
 
 // Put adds an element to the pool: into a hungry searcher's mailbox when
-// the Placement policy directs it there, into the segment a Director
-// placement (e.g. policy.GiftToEmptiest) selects, otherwise into the
+// the placement's Gift law directs it there, into the segment its plan's
+// candidates score best (e.g. policy.GiftToEmptiest), otherwise into the
 // local segment. It never fails and never blocks on other segments'
 // operations beyond the placement's own probes. A segment add touches the
 // pool-wide version only while some handle is searching (noteAdd), so
@@ -209,7 +210,7 @@ func (h *Handle[T]) Put(v T) {
 	h.Register()
 	p := h.pool
 	start := h.sample.begin()
-	if p.boxes != nil && p.giftOut(h.id, []T{v}) == 1 {
+	if h.gift != nil && p.giftOut(h.id, []T{v}) == 1 {
 		p.version.Add(1)
 		if p.opts.CollectStats {
 			h.stats.DirectedGives++
@@ -226,7 +227,7 @@ func (h *Handle[T]) Put(v T) {
 		// The owner's lock-free bottom: no lock on the local add path.
 		p.segs[target].dq.PushBottom(v)
 	} else {
-		// A Director placement aimed elsewhere: only the owner may touch
+		// A directed placement aimed elsewhere: only the owner may touch
 		// a segment's bottom, so the add goes through the target's
 		// lock-guarded foreign overflow.
 		p.segs[target].dq.AddForeign(v)
@@ -243,7 +244,7 @@ func (h *Handle[T]) Put(v T) {
 // — the Placement policy's choice, by default the whole slice — is gifted
 // to hungry searchers first, split evenly among them, so a batch arrival
 // can hand each starving consumer an entire reserve; the remainder lands
-// on the segment a Director placement selects (the local segment
+// on the segment the placement plan selects (the local segment
 // otherwise), published to searches as Put's is (noteAdd). PutAll of an
 // empty slice is a no-op. The items slice is not retained.
 func (h *Handle[T]) PutAll(items []T) {
@@ -254,7 +255,7 @@ func (h *Handle[T]) PutAll(items []T) {
 	p := h.pool
 	start := h.sample.begin()
 	gifted := 0
-	if p.boxes != nil {
+	if h.gift != nil {
 		gifted = p.giftOut(h.id, items)
 		if p.opts.CollectStats {
 			h.stats.DirectedGives += int64(gifted)

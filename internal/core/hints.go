@@ -23,10 +23,10 @@ package core
 // it the last resort rather than a ring-position accident.
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"pools/internal/numa"
+	"pools/internal/policy"
 )
 
 // gift is a mailbox delivery: either a single element (batch nil — the
@@ -117,29 +117,20 @@ func (m *mailbox[T]) tryTake() (gift[T], bool) {
 // deliveries last), with ring order from the giver's successor as the
 // tiebreak so equal-distance gifts still spread around the ring instead
 // of piling onto one consumer. Computed once at pool construction
-// (directed placements on pools with a topology only — the topology-less
+// (gifting placements on pools with a topology only — the topology-less
 // ring scan needs no table), so deliveries walk a precomputed slice
-// instead of consulting the topology per probe.
+// instead of consulting the topology per probe. The giver itself ranks
+// first (Distance(g, g) == 0) and is dropped.
 func giftOrders(n int, topo numa.Topology) [][]int {
-	flat := make([]int, 0, n*(n-1))
 	orders := make([][]int, n)
-	for g := 0; g < n; g++ {
-		start := len(flat)
-		for off := 1; off < n; off++ {
-			flat = append(flat, (g+off)%n)
-		}
-		row := flat[start:]
-		g := g
-		sort.SliceStable(row, func(i, j int) bool {
-			return topo.Distance(g, row[i]) < topo.Distance(g, row[j])
-		})
-		orders[g] = row
+	for g := range orders {
+		orders[g] = policy.RingRank(g, n, func(s int) int64 { return int64(topo.Distance(g, s)) })[1:]
 	}
 	return orders
 }
 
-// giftOut offers items to hungry searchers per the pool's Placement
-// policy: the policy picks how many elements to gift given the batch size
+// giftOut offers items to hungry searchers per the giver's placement
+// plan: its Gift law picks how many elements to gift given the batch size
 // and the number of currently-hungry processes, and the quota is split
 // into near-even chunks delivered in the giver's hop-ranked order
 // (giftOrders) — hungry searchers in the giver's own cluster are fed
@@ -150,6 +141,7 @@ func giftOrders(n int, topo numa.Topology) [][]int {
 // retained.
 func (p *Pool[T]) giftOut(giver int, items []T) int {
 	n := len(p.boxes)
+	split := p.handles[giver].gift
 	// Delivery order: the hop-ranked table when the pool has a topology,
 	// otherwise the ring from the giver's successor, computed with
 	// modular arithmetic (no table needed for the uniform case).
@@ -177,7 +169,7 @@ func (p *Pool[T]) giftOut(giver int, items []T) int {
 			if !b.hungry.Load() || !p.members.Alive(t) {
 				continue
 			}
-			if p.pol.Place.GiftSplit(1, 1) < 1 {
+			if split(1, 1) < 1 {
 				return 0 // placement keeps single adds local
 			}
 			if b.tryGive(gift[T]{one: items[0]}) {
@@ -195,7 +187,7 @@ func (p *Pool[T]) giftOut(giver int, items []T) int {
 	if hungry == 0 {
 		return 0
 	}
-	quota := p.pol.Place.GiftSplit(len(items), hungry)
+	quota := split(len(items), hungry)
 	if quota <= 0 {
 		return 0
 	}

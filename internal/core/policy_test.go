@@ -117,6 +117,7 @@ func TestPolicyResolution(t *testing.T) {
 		{"zero value", policy.Set{}, "steal-half", "local", false},
 		{"explicit local", policy.Set{Place: policy.Local{}}, "steal-half", "local", false},
 		{"gift-all", policy.Set{Place: policy.GiftAll{}}, "steal-half", "gift-all", true},
+		{"tenant-fair", policy.Set{Place: policy.TenantFair{Map: policy.EvenTenants(3, 3)}}, "steal-half", "tenant-fair", false},
 		{"steal-one", policy.Set{Steal: policy.One{}}, "steal-one", "local", false},
 	}
 	for _, c := range cases {

@@ -124,7 +124,7 @@ type Pool[T any] struct {
 	topo      numa.Topology // resolved hop distances (nil = uniform)
 	segs      []seg[T]
 	nodes     []treeNode   // heap-indexed tree round counters (tree search only)
-	boxes     []mailbox[T] // directed-add mailboxes (directed placement only)
+	boxes     []mailbox[T] // directed-add mailboxes (gifting placements only)
 	giftOrder [][]int      // per-giver mailbox delivery order (hop-cost ranked under a topology)
 	leaves    int
 	handles   []*Handle[T]
@@ -151,11 +151,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 	}
 	// Resolve the policy set: nil slots take paper defaults.
 	pol := opts.Policies.WithDefaults()
-	// Mailboxes exist only under a placement that can actually gift:
-	// an explicit policy.Local (the no-op placement) gets the same
-	// zero-overhead pool as the zero-value configuration.
-	_, localPlace := pol.Place.(policy.Local)
-	directed := !localPlace
 	// Resolve the hop topology: an explicit Options.Topology wins and is
 	// threaded into an active Delayer that has none, so the same rings
 	// drive both the injected delays and the cross-probe accounting.
@@ -173,19 +168,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 		leaves:  search.NumLeavesFor(opts.Segments),
 		members: engine.NewMembership(opts.Segments),
 		base:    time.Now(),
-	}
-	if directed {
-		p.boxes = make([]mailbox[T], opts.Segments)
-		for i := range p.boxes {
-			p.boxes[i].init()
-		}
-		if topo != nil {
-			// Without a topology the delivery order is the plain ring
-			// scan, which giftOut computes with modular arithmetic for
-			// free; the O(n²) precompute pays off only when there are
-			// hop distances to rank by.
-			p.giftOrder = giftOrders(opts.Segments, topo)
-		}
 	}
 	var clock func() int64
 	if opts.TraceBuf > 0 {
@@ -228,6 +210,12 @@ func New[T any](opts Options) (*Pool[T], error) {
 		if plan.Tree && p.nodes == nil {
 			p.nodes = make([]treeNode, 2*p.leaves)
 		}
+		// Mailboxes exist only under a placement that can actually gift,
+		// so a non-gifting one gets the zero-overhead pool of the
+		// zero-value configuration.
+		if h.gift = h.eng.Gift(); h.gift != nil && p.boxes == nil {
+			p.allocBoxes()
+		}
 		h.steal = h.eng.StealAmount()
 		p.handles[i] = h
 	}
@@ -244,7 +232,22 @@ func (p *Pool[T]) Tracer(i int) *trace.Recorder { return p.handles[i].tr }
 // disabled.
 func (p *Pool[T]) Timelines() []trace.Timeline { return p.members.Timelines() }
 
-// sizeProbe builds the handle's Director size-probe closure once, so the
+// allocBoxes allocates the directed-add mailboxes and, under a topology,
+// every giver's hop-ranked delivery order. Without a topology the order
+// is the plain ring scan, which giftOut computes with modular arithmetic
+// for free; the O(n²) precompute pays off only when there are hop
+// distances to rank by.
+func (p *Pool[T]) allocBoxes() {
+	p.boxes = make([]mailbox[T], len(p.segs))
+	for i := range p.boxes {
+		p.boxes[i].init()
+	}
+	if p.topo != nil {
+		p.giftOrder = giftOrders(len(p.segs), p.topo)
+	}
+}
+
+// sizeProbe builds the handle's placement size-probe closure once, so the
 // add hot path under a size-aware placement does not allocate a closure
 // per Put. Each call charges one probe delay and counts in the
 // cross-probe accounting — probing is not free, exactly as in the
@@ -387,7 +390,7 @@ func (p *Pool[T]) redistribute(i int) {
 // Revive re-admits a killed (or closed) handle i: the handle returns to
 // its pre-Register idle state — its owner's next operation re-registers
 // it — and segment i rejoins the victim set, re-entering victim orders,
-// gift deliveries, and Director placements. The epoch bump re-arms
+// gift deliveries, and directed placements. The epoch bump re-arms
 // in-flight searches so the rejoined (possibly refilled) segment is
 // probed before any emptiness certificate. Revive reports whether the
 // handle was in fact dead.

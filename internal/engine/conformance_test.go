@@ -456,18 +456,19 @@ func hierarchyScript(t *testing.T, r confRow) {
 	})
 
 	model := numa.ButterflyCosts().WithTopology(topo).WithExtraDelay(100)
-	ranked := confCase{segs: 8, pol: policy.Set{Order: policy.LocalityOrder{Model: model}}, topo: topo,
-		fill: map[int]int{3: 10, 4: 10}, actor: 1}
+	ranked := near
+	ranked.pol = policy.Set{Order: policy.LocalityOrder{Model: model}}
 	r.run(t, "ranked", ranked, func(t *testing.T, p confPool) {
-		// Segment 4 is one ring hop beyond 3 but in the far cluster.
-		if out := p.getN(1, 2); len(out) != 2 {
+		// The ring walk from 3 would cross to segment 4 first
+		// (flat-crosses); the ranked GetN takes the cluster mate 0.
+		if out := p.getN(3, 2); len(out) != 2 {
 			t.Errorf("GetN(2) returned %d elements", len(out))
 			return
 		}
-		if moved := recorded(p, 1, trace.ReserveTransfer); !maps.Equal(moved, map[int]int{3: 5}) {
-			t.Errorf("steals moved %v, want {3: 5} from the in-cluster victim", moved)
+		if moved := recorded(p, 3, trace.ReserveTransfer); !maps.Equal(moved, map[int]int{0: 5}) {
+			t.Errorf("steals moved %v, want {0: 5} from the in-cluster victim", moved)
 		}
-		checkSegLens(t, p, map[int]int{3: 5, 4: 10})
+		checkSegLens(t, p, map[int]int{0: 5, 4: 10})
 		if _, cross := p.probes(); cross != 0 {
 			t.Errorf("%d cross-cluster probes with a near victim available", cross)
 		}
@@ -522,8 +523,10 @@ func hierarchyScript(t *testing.T, r confRow) {
 	}
 }
 
-// placementScript: a Director placement picks where an add lands, and
-// only the topology-aware one weighs the hop cost against emptiness.
+// placementScript: a placement plan picks where an add lands, only the
+// topology-aware one weighs the hop cost against emptiness, its probe
+// budget keeps to the cheapest segments, and the tenant-fair plan keeps
+// adds inside the tenant while classifying steals across it.
 func placementScript(t *testing.T, r confRow) {
 	r.run(t, "emptiest", confCase{segs: 4, pol: policy.Set{Place: policy.GiftToEmptiest{}}}, func(t *testing.T, p confPool) {
 		p.putAll(0, make([]int, 5)) // all segments empty: the tie keeps the batch local
@@ -577,6 +580,57 @@ func placementScript(t *testing.T, r confRow) {
 			t.Errorf("placed %d elements away from segment 0, want the one add", away)
 		}
 		checkSegLens(t, p, map[int]int{0: 4})
+	})
+
+	// From segment 3 the ring's next three segments lie in the far
+	// cluster; the default budget probes the cluster mates instead.
+	budget := confCase{segs: 8, topo: topo, pol: policy.Set{Place: policy.GiftToNearestEmptiest{Model: costly}},
+		fill: map[int]int{0: 4, 1: 4, 2: 4, 3: 4}, actor: 3}
+	r.run(t, "nearest-budget", budget, func(t *testing.T, p confPool) {
+		for i := range 8 {
+			p.put(3, i)
+		}
+		for s := range recorded(p, 3, trace.DirectPlace) {
+			if s >= 4 {
+				t.Errorf("an add crossed to segment %d outside the probe budget", s)
+			}
+		}
+		checkSegLens(t, p, map[int]int{4: 0, 5: 0, 6: 0, 7: 0})
+		if remote, cross := p.probes(); remote == 0 || cross != 0 {
+			t.Errorf("remote/cross probes = %d/%d, want some remote and no cross", remote, cross)
+		}
+	})
+
+	fair := confCase{segs: 8, pol: policy.Set{Place: policy.TenantFair{Map: policy.EvenTenants(8, 2)}},
+		fill: map[int]int{0: 2, 1: 2, 2: 2, 3: 2, 5: 1}, actor: 2}
+	r.run(t, "tenant-fair", fair, func(t *testing.T, p confPool) {
+		// Tenant 1's segments 4, 6 and 7 stay the emptiest, and the ring
+		// from 2 reaches 4 and 5 within the probe budget, but every add
+		// spreads over tenant 0's own.
+		for i := range 8 {
+			p.put(2, i)
+		}
+		for s := range recorded(p, 2, trace.DirectPlace) {
+			if s >= 4 {
+				t.Errorf("an add left the tenant for segment %d", s)
+			}
+		}
+		checkSegLens(t, p, map[int]int{0: 4, 1: 4, 2: 4, 3: 4, 4: 0, 5: 1, 6: 0, 7: 0})
+		// Draining the pool steals the one element in foreign segment 5.
+		for i := range 17 {
+			if _, ok := p.get(2); !ok {
+				t.Errorf("Get %d failed with elements pooled", i)
+				return
+			}
+		}
+		if moved := recorded(p, 2, trace.ReserveTransfer); moved[5] != 1 {
+			t.Errorf("steals moved %v, want one element from segment 5", moved)
+		}
+		if p.stats != nil {
+			if st := p.stats(2); st.ForeignSteals != 1 || st.TenantSteals <= st.ForeignSteals {
+				t.Errorf("foreign/classified steals = %d/%d, want 1 and more", st.ForeignSteals, st.TenantSteals)
+			}
+		}
 	})
 }
 

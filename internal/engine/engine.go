@@ -29,10 +29,11 @@
 //     cross-cluster against a numa.Topology, with the hop distances
 //     precomputed per handle so the inner probe loop performs an array
 //     load instead of an interface call;
-//   - placement: Director placements (gift-to-emptiest and friends) are
-//     consulted through DirectTarget with a size-probe closure the
+//   - placement: the handle's policy.PlacePlan from the Placement, whose
+//     candidates DirectTarget scores with a size-probe closure the
 //     substrate supplies once at construction, so the Put hot path does
-//     not allocate a closure per call;
+//     not allocate a closure per call, and whose tenant mask classifies
+//     steals as same- or cross-tenant;
 //   - feedback: Observe/BatchSize/Controller plumbing to the handle's
 //     controller.
 //
@@ -110,10 +111,10 @@ type Config struct {
 	// pool supplies its ranked or ring sweep here; everyone else leaves it
 	// nil and gets the Policies.Order plan's.
 	Searcher search.Searcher
-	// SizeProbe reports a segment's current size for Director placements,
-	// charging one probe access. Supplied once at construction so the add
-	// hot path does not allocate a closure per call. Required only when
-	// Policies.Place is a policy.Director.
+	// SizeProbe reports a segment's current size for the placement plan's
+	// candidates, charging one probe access. Supplied once at construction
+	// so the add hot path does not allocate a closure per call. Required
+	// only when the plan has candidates.
 	SizeProbe func(s int) int
 	// Tracer, when non-nil, receives the handle's flight-recorder events:
 	// the engine emits the protocol edges (searches, probe classification,
@@ -124,7 +125,7 @@ type Config struct {
 	Tracer *trace.Recorder
 	// Members, when non-nil, is the pool's dynamic membership: searches
 	// skip non-victim segments (counting them as seen-empty, which the
-	// deposit redirects keep true) and Director placements are clamped to
+	// deposit redirects keep true) and directed placements are clamped to
 	// victim segments so no element lands where searches no longer look.
 	// Nil means fixed membership — the paper's model — with zero overhead.
 	Members *Membership
@@ -139,7 +140,8 @@ type Engine struct {
 	ctl      policy.Controller
 	steal    policy.StealAmount
 	plan     search.Plan
-	dir      policy.Director
+	place    *policy.PlacePlan       // the placement plan, nil when it has no candidates
+	gift     func(n, hungry int) int // the plan's mailbox split law
 	sizeFn   func(s int) int
 	stats    *metrics.PoolStats
 	tr       *trace.Recorder
@@ -152,10 +154,10 @@ type Engine struct {
 
 // New builds a handle's engine: resolve the controller and steal amount
 // (per-handle sets spawn their instance here), plan the search with the
-// controller's escalation hook, precompute the hop-distance
-// classification, and bind the substrate and termination rule. An order
-// that plans no searcher leaves Plan().Searcher nil for the pool to
-// reject.
+// controller's escalation hook and the placement, precompute the
+// hop-distance classification, and bind the substrate and termination
+// rule. An order that plans no searcher leaves Plan().Searcher nil for
+// the pool to reject.
 func New(cfg Config, sub Substrate, term Termination) *Engine {
 	ctl, steal := cfg.Policies.ForHandle(cfg.Self)
 	plan := search.Plan{Searcher: cfg.Searcher}
@@ -166,19 +168,30 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 		}
 		plan = cfg.Policies.Order.Plan(cfg.Self, cfg.Segments, cfg.Seed, escalate)
 	}
+	place := cfg.Policies.Place.Plan(cfg.Self, cfg.Segments)
+	// A custom placement's plan is input from outside: no candidate, one
+	// the pool lacks, or one without a cost keeps every add local instead
+	// of probing out of range.
+	ok := len(place.Candidates) > 0 && (place.Cost == nil || len(place.Cost) >= len(place.Candidates))
+	for _, s := range place.Candidates {
+		ok = ok && s >= 0 && s < cfg.Segments
+	}
 	e := &Engine{
 		self:     cfg.Self,
 		segments: cfg.Segments,
 		ctl:      ctl,
 		steal:    steal,
 		plan:     plan,
+		gift:     place.Gift,
+		foreign:  place.Foreign,
 		sizeFn:   cfg.SizeProbe,
 		stats:    cfg.Stats,
 		tr:       cfg.Tracer,
 		members:  cfg.Members,
 	}
-	if d, ok := cfg.Policies.Place.(policy.Director); ok {
-		e.dir = d
+	if ok {
+		direct := place // a copy, so only a kept plan moves to the heap
+		e.place = &direct
 	}
 	if cfg.Topology != nil {
 		e.cross = make([]bool, cfg.Segments)
@@ -187,17 +200,6 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 			d := cfg.Topology.Distance(cfg.Self, s)
 			e.cross[s] = s != cfg.Self && d > 1
 			e.hops[s] = int32(d)
-		}
-	}
-	var m policy.TenantMap // the tenant partition; only a placement carries one
-	if g, ok := cfg.Policies.Place.(policy.Grouped); ok {
-		m = g.Partition()
-	}
-	if m != nil {
-		mine := m.TenantOf(cfg.Self)
-		e.foreign = make([]bool, cfg.Segments)
-		for s := 0; s < cfg.Segments; s++ {
-			e.foreign[s] = m.TenantOf(s) != mine
 		}
 	}
 	e.w = world{e: e, sub: sub, term: term}
@@ -215,6 +217,11 @@ func (e *Engine) Controller() policy.Controller { return e.ctl }
 // built: a nil Searcher is an order they reject, and Tree asks them for
 // the round-counter tree.
 func (e *Engine) Plan() search.Plan { return e.plan }
+
+// Gift returns the handle's placement's mailbox split law, nil when the
+// placement never gifts. The real pool reads it once, when it is built,
+// and allocates mailboxes only for a non-nil law.
+func (e *Engine) Gift() func(n, hungry int) int { return e.gift }
 
 // StealAmount returns the handle's resolved steal amount — the spawned
 // per-handle instance under policy.PerHandle sets.
@@ -274,8 +281,8 @@ func (e *Engine) BatchSize(current int) int {
 // NoteProbe classifies one segment probe against the precomputed hop
 // distances: local probes are no-ops; remote probes count as near or
 // cross-cluster on the stats and the flight recorder. Substrates call
-// it for Director placement sweeps; search probes are classified by
-// the engine itself.
+// it for placement size probes; search probes are classified by the
+// engine itself.
 func (e *Engine) NoteProbe(s int) { e.noteProbe(s, 0) }
 
 // noteProbe is NoteProbe with the steal outcome attached, used by the
@@ -297,26 +304,24 @@ func (e *Engine) noteProbe(s, got int) {
 	}
 }
 
-// DirectTarget consults the Director placement (when the policy set has
-// one) for where an add of n elements should land, probing segment sizes
-// through the substrate's SizeProbe. Out-of-range answers keep the add
-// local, as does the absence of a Director, which costs one inlined test.
+// DirectTarget scores the placement plan's candidates (when it has any)
+// for where an add of n elements should land, probing segment sizes
+// through the substrate's SizeProbe. A plan without candidates keeps the
+// add local at the cost of one inlined test.
 func (e *Engine) DirectTarget(n int) int {
-	if e.dir == nil {
+	if e.place == nil {
 		return e.self
 	}
 	return e.directTarget(n)
 }
 
-// directTarget is DirectTarget's out-of-line half, under a Director.
+// directTarget is DirectTarget's out-of-line half, under a plan with
+// candidates.
 func (e *Engine) directTarget(n int) int {
-	t := e.dir.Direct(e.self, e.segments, n, e.sizeFn)
-	if t < 0 || t >= e.segments {
-		return e.self
-	}
+	t := e.place.Direct(e.sizeFn)
 	if e.members != nil && t != e.self && !e.members.Victim(t) {
-		// The director picked a departed drain-mode segment: elements
-		// there would be invisible to searches. Keep the add local.
+		// The plan picked a departed drain-mode segment: elements there
+		// would be invisible to searches. Keep the add local.
 		return e.self
 	}
 	if e.tr != nil && t != e.self {
@@ -411,11 +416,11 @@ func (w *world) TrySteal(s int) int {
 		}
 	}
 	if got > 0 {
-		if s != w.e.self && w.e.foreign != nil {
+		if foreign := w.e.foreign; s != w.e.self && s < len(foreign) {
 			if w.e.stats != nil {
-				w.e.stats.RecordStealVictim(w.e.foreign[s])
+				w.e.stats.RecordStealVictim(foreign[s])
 			}
-			if w.e.foreign[s] && w.e.tr != nil {
+			if foreign[s] && w.e.tr != nil {
 				w.e.tr.Record(trace.TenantForeignSteal, int32(s), int32(got))
 			}
 		}

@@ -299,44 +299,55 @@ func TestNoteProbeClassification(t *testing.T) {
 	e2.NoteProbe(2) // must not panic or record
 }
 
-// clampDir is a Director returning a scripted target.
-type clampDir struct{ target int }
-
-func (clampDir) GiftSplit(int, int) int { return 0 }
-func (clampDir) Name() string           { return "clamp" }
-func (d clampDir) Direct(self, segments, n int, size func(int) int) int {
-	size(0)
-	return d.target
+// clampPlace is a placement whose plan scripts its candidates and costs.
+type clampPlace struct {
+	cand []int
+	cost []int64
 }
 
-// TestDirectTarget checks Director consultation and out-of-range
-// clamping.
+func (clampPlace) Name() string { return "clamp" }
+func (c clampPlace) Plan(int, int) policy.PlacePlan {
+	return policy.PlacePlan{Candidates: c.cand, Cost: c.cost}
+}
+
+// TestDirectTarget checks plan consultation and that a plan naming a
+// segment the pool lacks, or a candidate without a cost, keeps every add
+// local without probing.
 func TestDirectTarget(t *testing.T) {
 	probed := 0
-	mk := func(target int) *Engine {
+	mk := func(c clampPlace) *Engine {
 		sub := &fakeSub{segs: make([]int, 4), self: 1}
 		return New(Config{
 			Self: 1, Segments: 4,
-			Policies:  policy.Set{Place: clampDir{target: target}}.WithDefaults(),
+			Policies:  policy.Set{Place: c}.WithDefaults(),
 			SizeProbe: func(int) int { probed++; return 0 },
 		}, sub, NewBounded(4))
 	}
-	if got := mk(3).DirectTarget(1); got != 3 {
-		t.Fatalf("DirectTarget = %d, want the director's 3", got)
+	if got := mk(clampPlace{cand: []int{3}}).DirectTarget(1); got != 3 {
+		t.Fatalf("DirectTarget = %d, want the plan's 3", got)
 	}
-	if got := mk(7).DirectTarget(1); got != 1 {
-		t.Fatalf("out-of-range direct = %d, want clamp to self 1", got)
+	if got := mk(clampPlace{cand: []int{2, 0}, cost: []int64{5, 1}}).DirectTarget(1); got != 0 {
+		t.Fatalf("DirectTarget = %d, want the cheaper candidate 0", got)
 	}
-	if got := mk(-2).DirectTarget(1); got != 1 {
-		t.Fatalf("negative direct = %d, want clamp to self 1", got)
+	if got := mk(clampPlace{cand: []int{3, 7}}).DirectTarget(1); got != 1 {
+		t.Fatalf("out-of-range candidate: DirectTarget = %d, want self 1", got)
+	}
+	if got := mk(clampPlace{cand: []int{-2}}).DirectTarget(1); got != 1 {
+		t.Fatalf("negative candidate: DirectTarget = %d, want self 1", got)
+	}
+	if got := mk(clampPlace{cand: []int{2, 3}, cost: []int64{0}}).DirectTarget(1); got != 1 {
+		t.Fatalf("uncosted candidate: DirectTarget = %d, want self 1", got)
+	}
+	if got := mk(clampPlace{cand: []int{}}).DirectTarget(1); got != 1 {
+		t.Fatalf("empty candidates: DirectTarget = %d, want self 1", got)
 	}
 	if probed != 3 {
-		t.Fatalf("size probes = %d, want one per Direct call", probed)
+		t.Fatalf("size probes = %d, want one per valid candidate", probed)
 	}
-	// Without a Director every add stays local, no probes.
+	// Without candidates every add stays local, no probes.
 	e, _ := newFakeEngine(t, make([]int, 4), 2, Config{}, NewBounded(4))
 	if got := e.DirectTarget(5); got != 2 {
-		t.Fatalf("no-director DirectTarget = %d, want self", got)
+		t.Fatalf("no-candidate DirectTarget = %d, want self", got)
 	}
 }
 

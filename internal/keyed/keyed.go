@@ -23,8 +23,8 @@
 // (Options.Policies): the StealAmount sizes bucket steals, a VictimOrder
 // whose plan ranks the victims (policy.LocalityOrder,
 // policy.HierarchicalOrder) reorders the ring sweep cheapest-victim-
-// first, a policy.Director placement steers adds toward the emptiest
-// segment, and a Controller — per-handle or pool-wide — tunes from each
+// first, a placement plan's candidates steer adds toward the emptiest
+// segment (policy.PlacePlan), and a Controller — per-handle or pool-wide — tunes from each
 // remove's outcome.
 package keyed
 
@@ -53,8 +53,9 @@ type Options struct {
 	// core.Options.Policies does for the plain pool; nil slots take paper
 	// defaults (steal-half, ring sweep order, local placement, no
 	// control). Victim orders apply through their plan's rank (see
-	// search.Plan); mailbox placements are ignored (the keyed pool has no
-	// directed-add mailboxes) but policy.Director placements are honored.
+	// search.Plan); a placement applies through its plan's candidates (see
+	// policy.PlacePlan), and its Gift law is ignored (the keyed pool has no
+	// directed-add mailboxes).
 	Policies policy.Set
 	// Topology assigns hop distances to segment pairs. When set, every
 	// remote probe a sweep performs is classified as near or cross-cluster
@@ -327,7 +328,7 @@ func (h *Handle[K, V]) ID() int { return h.id }
 // per-handle policies tune identically on the keyed pool.
 func (h *Handle[K, V]) observe(fb policy.Feedback) { h.eng.Observe(fb) }
 
-// sizeProbe builds the Director size-probe closure once per handle, so
+// sizeProbe builds the placement size-probe closure once per handle, so
 // the add hot path under a size-aware placement does not allocate a
 // closure per Put.
 func (h *Handle[K, V]) sizeProbe() func(s int) int {
@@ -342,7 +343,7 @@ func (h *Handle[K, V]) sizeProbe() func(s int) int {
 }
 
 // Put adds an element of class k to the local segment — or to the
-// segment a Director placement selects. O(1) without a Director.
+// segment the placement plan selects. O(1) for a plan without candidates.
 func (h *Handle[K, V]) Put(k K, v V) {
 	s := &h.pool.segs[h.pool.members.Place(h.eng.DirectTarget(1))]
 	s.mu.Lock()
@@ -352,7 +353,7 @@ func (h *Handle[K, V]) Put(k K, v V) {
 }
 
 // PutAll adds every element of vs to one segment's class-k bucket (the
-// local segment, or a Director placement's choice) under a single lock
+// local segment, or the placement plan's choice) under a single lock
 // acquisition. PutAll of an empty slice is a no-op.
 func (h *Handle[K, V]) PutAll(k K, vs []V) {
 	if len(vs) == 0 {

@@ -73,7 +73,7 @@ type PoolStats struct {
 	BatchRemoves int64 // GetN calls that obtained at least one element
 
 	// Topology accounting (hierarchical-steal extension): every remote
-	// segment probe — steal searches and Director placement sweeps alike —
+	// segment probe — steal searches and placement size probes alike —
 	// is classified by the pool's numa.Topology. A probe is "cross" when
 	// its hop distance exceeds 1 (it left the prober's cluster), the
 	// dominant cost on loosely-coupled machines.
@@ -81,7 +81,8 @@ type PoolStats struct {
 	CrossProbes  int64 // remote probes that crossed a cluster boundary
 
 	// Tenant accounting (multi-tenant extension): when the policy set
-	// carries a tenant partition (policy.Grouped), the engine classifies
+	// carries a tenant partition (a placement plan's Foreign mask, as
+	// policy.TenantFair plans), the engine classifies
 	// every successful steal from a remote segment by whether the victim
 	// belonged to another tenant. ForeignSteals/TenantSteals is the
 	// steal-interference measure of `poolbench -exp tenants`.
@@ -224,7 +225,8 @@ func (s *PoolStats) RecordAbort(d float64) {
 // RecordStealVictim classifies one successful remote steal against the
 // pool's tenant partition: foreign reports whether the victim segment
 // belonged to a different tenant than the thief. Called by the engine
-// only when the policy set carries a partition (policy.Grouped).
+// only when the handle's placement plan carries a partition
+// (policy.PlacePlan.Foreign).
 func (s *PoolStats) RecordStealVictim(foreign bool) {
 	s.TenantSteals++
 	if foreign {

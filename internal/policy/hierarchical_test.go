@@ -199,7 +199,7 @@ func TestAdaptiveEscalationThreshold(t *testing.T) {
 func TestNearestEmptiestZeroModelActsLikeEmptiest(t *testing.T) {
 	g := GiftToNearestEmptiest{}
 	sizes := []int{5, 3, 0, 7}
-	got := g.Direct(0, 4, 1, func(s int) int { return sizes[s] })
+	got := g.Plan(0, 4).Direct(func(s int) int { return sizes[s] })
 	if got != 2 {
 		t.Fatalf("Direct = %d, want emptiest segment 2", got)
 	}
@@ -214,7 +214,7 @@ func TestNearestEmptiestPrefersNearUnderHopCost(t *testing.T) {
 	g := GiftToNearestEmptiest{Model: costs, Probes: -1}
 	sizes := []int{3, 2, 9, 9, 0, 9}
 	probed := 0
-	got := g.Direct(0, 6, 1, func(s int) int { probed++; return sizes[s] })
+	got := g.Plan(0, 6).Direct(func(s int) int { probed++; return sizes[s] })
 	if got != 1 {
 		t.Fatalf("Direct = %d, want near segment 1 despite far empty segment", got)
 	}
@@ -228,7 +228,7 @@ func TestNearestEmptiestCrossesWhenWorthIt(t *testing.T) {
 	costs := numa.ButterflyCosts().WithTopology(clustered2)
 	g := GiftToNearestEmptiest{Model: costs, Probes: -1}
 	sizes := []int{3, 2, 9, 9, 0, 9}
-	got := g.Direct(0, 6, 1, func(s int) int { return sizes[s] })
+	got := g.Plan(0, 6).Direct(func(s int) int { return sizes[s] })
 	if got != 4 {
 		t.Fatalf("Direct = %d, want far empty segment 4 under cheap hops", got)
 	}
@@ -240,20 +240,31 @@ func TestNearestEmptiestProbeBudgetStaysNear(t *testing.T) {
 	costs := numa.ButterflyCosts().WithTopology(clustered2).WithExtraDelay(10)
 	g := GiftToNearestEmptiest{Model: costs, Probes: 2}
 	var probedSegs []int
-	g.Direct(0, 6, 1, func(s int) int { probedSegs = append(probedSegs, s); return 0 })
+	g.Plan(0, 6).Direct(func(s int) int { probedSegs = append(probedSegs, s); return 0 })
 	if !reflect.DeepEqual(probedSegs, []int{0, 1}) {
 		t.Fatalf("probed %v, want only the near cluster [0 1]", probedSegs)
+	}
+	// The default budget ranks by add cost with ring order breaking ties:
+	// from segment 5 in clusters of 4, its own cluster in ring order. An
+	// exhaustive budget probes the plain ring.
+	c4 := numa.ButterflyCosts().WithTopology(numa.Clusters{Size: 4}).WithExtraDelay(10)
+	if got := (GiftToNearestEmptiest{Model: c4}).Plan(5, 8).Candidates; !reflect.DeepEqual(got, []int{5, 6, 7, 4}) {
+		t.Fatalf("default candidates from 5 = %v, want [5 6 7 4]", got)
+	}
+	if got := (GiftToNearestEmptiest{Model: c4, Probes: -1}).Plan(5, 8).Candidates; !reflect.DeepEqual(got, []int{5, 6, 7, 0, 1, 2, 3, 4}) {
+		t.Fatalf("exhaustive candidates from 5 = %v, want the ring", got)
 	}
 }
 
 func TestNearestEmptiestGiftSplit(t *testing.T) {
+	gift := GiftToNearestEmptiest{}.Plan(0, 4).Gift
+	if got := gift(8, 0); got != 0 {
+		t.Fatalf("Gift(8,0) = %d, want 0", got)
+	}
+	if got := gift(8, 3); got != 8 {
+		t.Fatalf("Gift(8,3) = %d, want whole batch", got)
+	}
 	g := GiftToNearestEmptiest{}
-	if got := g.GiftSplit(8, 0); got != 0 {
-		t.Fatalf("GiftSplit(8,0) = %d, want 0", got)
-	}
-	if got := g.GiftSplit(8, 3); got != 8 {
-		t.Fatalf("GiftSplit(8,3) = %d, want whole batch", got)
-	}
 	if g.Name() != "near-emptiest" {
 		t.Fatalf("Name = %q", g.Name())
 	}

@@ -81,14 +81,18 @@ func (o LocalityOrder) Plan(self, segments int, seed uint64, escalate func(base 
 	if uniform(self, costs) {
 		return o.fallbackKind().Plan(self, segments, seed, escalate)
 	}
-	order := make([]int, segments)
-	for i := range order {
-		order[i] = (self + i) % segments // ring order from self = tiebreak
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return costs[order[i]] < costs[order[j]]
-	})
+	order := RingRank(self, segments, func(v int) int64 { return costs[v] })
 	return search.Plan{Searcher: search.NewOrderedSearcher(order), Rank: order}
+}
+
+// RingRank returns every segment in ring order from self, stably sorted
+// by cost: the cheapest first, equal costs in ring order. It ranks
+// LocalityOrder's victims, GiftToNearestEmptiest's budgeted candidates
+// and the real pool's mailbox delivery order.
+func RingRank(self, segments int, cost func(s int) int64) []int {
+	order := ring(self, segments, segments)
+	sort.SliceStable(order, func(i, j int) bool { return cost(order[i]) < cost(order[j]) })
+	return order
 }
 
 // Name implements VictimOrder.

@@ -197,42 +197,42 @@ func TestForHandle(t *testing.T) {
 
 // TestGiftToEmptiest checks the Director law: the emptiest probed segment
 // wins, ties keep the nearest, the probe budget is honored, and
-// GiftSplit mirrors GiftAll.
+// the Gift law mirrors GiftAll.
 func TestGiftToEmptiest(t *testing.T) {
 	sizes := []int{5, 3, 9, 0, 7, 2}
 	size := func(s int) int { return sizes[s] }
 	g := GiftToEmptiest{}
 	// The zero value probes DefaultProbes (4) segments: from 0 it sees
 	// {0,1,2,3} and finds the empty segment 3.
-	if got := g.Direct(0, 6, 4, size); got != 3 {
+	if got := g.Plan(0, 6).Direct(size); got != 3 {
 		t.Fatalf("Direct chose %d, want 3 (the empty segment)", got)
 	}
 	// From segment 4 the default window {4,5,0,1} misses segment 3; the
 	// exhaustive variant (negative Probes) finds it.
-	if got := g.Direct(4, 6, 1, size); got != 5 {
+	if got := g.Plan(4, 6).Direct(size); got != 5 {
 		t.Fatalf("default-window Direct chose %d, want 5", got)
 	}
-	if got := (GiftToEmptiest{Probes: -1}).Direct(4, 6, 1, size); got != 3 {
+	if got := (GiftToEmptiest{Probes: -1}).Plan(4, 6).Direct(size); got != 3 {
 		t.Fatalf("exhaustive Direct chose %d, want 3", got)
 	}
 	// Probe budget: from segment 4, probing 2 segments sees only {4, 5}.
 	lim := GiftToEmptiest{Probes: 2}
-	if got := lim.Direct(4, 6, 1, size); got != 5 {
+	if got := lim.Plan(4, 6).Direct(size); got != 5 {
 		t.Fatalf("limited Direct chose %d, want 5", got)
 	}
 	// All-equal sizes: the adder's own segment wins the tie.
 	flat := func(int) int { return 4 }
-	if got := g.Direct(2, 6, 1, flat); got != 2 {
+	if got := g.Plan(2, 6).Direct(flat); got != 2 {
 		t.Fatalf("tie broke to %d, want self (2)", got)
 	}
 	probes := 0
 	counting := func(s int) int { probes++; return sizes[s] }
-	lim.Direct(0, 6, 1, counting)
+	lim.Plan(0, 6).Direct(counting)
 	if probes != 2 {
 		t.Fatalf("limited Direct probed %d segments, want 2", probes)
 	}
-	if g.GiftSplit(7, 0) != 0 || g.GiftSplit(7, 2) != 7 {
-		t.Fatal("GiftToEmptiest.GiftSplit must mirror GiftAll")
+	if gift := g.Plan(0, 6).Gift; gift(7, 0) != 0 || gift(7, 2) != 7 {
+		t.Fatal("GiftToEmptiest's Gift law must mirror GiftAll")
 	}
 	if g.Name() != "emptiest" {
 		t.Fatalf("Name = %q", g.Name())

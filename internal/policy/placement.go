@@ -4,12 +4,56 @@ import (
 	"pools/internal/numa"
 )
 
+// PlacePlan is one handle's placement, resolved once when the pool is
+// built (Placement.Plan). The zero value keeps every add local and never
+// gifts.
+type PlacePlan struct {
+	// Gift is the mailbox split law: how many of a batch of n added
+	// elements (n >= 1) go to hungry searchers, of which there are
+	// currently hungry (>= 0). Callers clamp the result to [0, n]; for
+	// single-element adds they may report hungry as 1 once any hungry
+	// searcher is found. Nil means the placement never gifts, and pools
+	// allocate no mailboxes.
+	Gift func(n, hungry int) int
+	// Candidates are the segments an add probes, in probe order. Nil
+	// keeps every add in the adder's own segment without a probe.
+	Candidates []int
+	// Cost is the fixed score of each candidate (Cost[i] for
+	// Candidates[i]); nil scores every candidate 0.
+	Cost []int64
+	// Weight is the score of each element already queued at a candidate.
+	Weight int64
+	// Foreign marks the segments of other tenants (Foreign[s]); nil
+	// without a tenant partition. Pools classify every steal against it.
+	Foreign []bool
+}
+
+// Direct probes every candidate's size and returns the one with the
+// lowest Cost[i] + Weight × size; ties keep the earliest candidate. size
+// reports a segment's current length, and substrates charge each call as
+// one numa.AccessProbe: under the Section 4.3 delay models a wide probe
+// sweep can cost more than it saves. Direct returns -1 without
+// candidates.
+func (p PlacePlan) Direct(size func(seg int) int) int {
+	best, bestScore := -1, int64(0)
+	for i, s := range p.Candidates {
+		score := p.Weight * int64(size(s))
+		if p.Cost != nil {
+			score += p.Cost[i]
+		}
+		if best < 0 || score < bestScore {
+			best, bestScore = s, score
+		}
+	}
+	return best
+}
+
 // Local keeps every added element in the adder's own segment — the
 // paper's base pool, no directed adds.
 type Local struct{}
 
-// GiftSplit implements Placement.
-func (Local) GiftSplit(int, int) int { return 0 }
+// Plan implements Placement: the empty plan.
+func (Local) Plan(int, int) PlacePlan { return PlacePlan{} }
 
 // Name implements Placement.
 func (Local) Name() string { return "local" }
@@ -19,13 +63,10 @@ func (Local) Name() string { return "local" }
 // per-element: a batch arrival feeds each starving consumer one element.
 type GiftOne struct{}
 
-// GiftSplit implements Placement.
-func (GiftOne) GiftSplit(n, hungry int) int {
-	if hungry < n {
-		return hungry
-	}
-	return n
-}
+// Plan implements Placement: gift min(n, hungry).
+func (GiftOne) Plan(int, int) PlacePlan { return PlacePlan{Gift: giftOne} }
+
+func giftOne(n, hungry int) int { return min(n, hungry) }
 
 // Name implements Placement.
 func (GiftOne) Name() string { return "gift-one" }
@@ -35,8 +76,10 @@ func (GiftOne) Name() string { return "gift-one" }
 // balance reserves between the producer and the starving consumers.
 type GiftHalf struct{}
 
-// GiftSplit implements Placement.
-func (GiftHalf) GiftSplit(n, hungry int) int {
+// Plan implements Placement.
+func (GiftHalf) Plan(int, int) PlacePlan { return PlacePlan{Gift: giftHalf} }
+
+func giftHalf(n, hungry int) int {
 	if hungry == 0 {
 		return 0
 	}
@@ -52,8 +95,10 @@ func (GiftHalf) Name() string { return "gift-half" }
 // search instead of a single element's worth.
 type GiftAll struct{}
 
-// GiftSplit implements Placement.
-func (GiftAll) GiftSplit(n, hungry int) int {
+// Plan implements Placement.
+func (GiftAll) Plan(int, int) PlacePlan { return PlacePlan{Gift: giftAll} }
+
+func giftAll(n, hungry int) int {
 	if hungry == 0 {
 		return 0
 	}
@@ -63,35 +108,19 @@ func (GiftAll) GiftSplit(n, hungry int) int {
 // Name implements Placement.
 func (GiftAll) Name() string { return "gift-all" }
 
-// Director is an optional Placement extension: size-aware placements that
-// pick the destination segment for an add by probing segment sizes. It
-// generalizes the paper's symmetric remote-add footnote ("an add
-// operation encountering a full segment ... could be handled in a
-// symmetric fashion, adding remotely to a segment with sufficient
-// capacity") from a capacity escape hatch into a placement policy: the
-// producer spends probe accesses to steer reserves toward starving
-// consumers before they must search.
-type Director interface {
-	Placement
-	// Direct returns the segment that should receive an add of n elements
-	// (n >= 1) by the process owning segment self in a pool of segments
-	// segments. size reports a segment's current length; every call is
-	// charged as one numa.AccessProbe by the substrate, so probing is not
-	// free — under the Section 4.3 delay models a wide probe sweep can
-	// cost more than it saves. Returning self (or an out-of-range index,
-	// which callers clamp to self) keeps the add local.
-	Direct(self, segments, n int, size func(seg int) int) int
-}
-
 // GiftToEmptiest is the size-aware placement the ROADMAP calls "gift
 // toward the emptiest": each add probes segment sizes (walking the ring
 // from the adder's own segment) and lands on the emptiest segment probed.
-// It attacks the imbalance behind the paper's Section 4.2 bunching result
-// — producers' segments overflow while consumers' run dry and "the
+// It generalizes the paper's symmetric remote-add footnote ("an add
+// operation encountering a full segment ... could be handled in a
+// symmetric fashion, adding remotely to a segment with sufficient
+// capacity") from a capacity escape hatch into a placement policy, and
+// attacks the imbalance behind the paper's Section 4.2 bunching result —
+// producers' segments overflow while consumers' run dry and "the
 // consumers bunch up behind the producers" — from the add side: instead
 // of rebalancing via steals after the fact, reserves are placed where
 // they are scarcest. Hungry searchers are the extreme of an empty
-// segment, so GiftSplit gifts to them first, exactly like GiftAll.
+// segment, so it gifts to them first, exactly like GiftAll.
 type GiftToEmptiest struct {
 	// Probes bounds how many segments each add examines, walking the ring
 	// from the adder's own segment. 0 means DefaultProbes: on the real
@@ -108,44 +137,40 @@ type GiftToEmptiest struct {
 // effect) at a fixed, segment-count-independent cost per add.
 const DefaultProbes = 4
 
-var _ Director = GiftToEmptiest{}
-
-// GiftSplit implements Placement: like GiftAll, the whole batch goes to
-// hungry searchers when any exist (a mailbox delivery beats even an
-// empty-segment placement — it spares the consumer its whole search).
-func (GiftToEmptiest) GiftSplit(n, hungry int) int {
-	if hungry == 0 {
-		return 0
-	}
-	return n
-}
-
-// Direct implements Director: probe up to Probes segments from self
-// around the ring and return the one with the fewest elements. Ties keep
-// the earliest (nearest) probed segment, so an all-empty pool places
-// locally.
-func (g GiftToEmptiest) Direct(self, segments, _ int, size func(seg int) int) int {
-	probes := g.Probes
+// budget resolves a Probes field against the pool size: 0 means
+// DefaultProbes, and a negative or oversized budget probes every segment.
+func budget(probes, segments int) int {
 	if probes == 0 {
 		probes = DefaultProbes
 	}
 	if probes < 0 || probes > segments {
-		probes = segments
+		return segments
 	}
-	best, bestLen := self, -1
-	for off := 0; off < probes; off++ {
-		s := (self + off) % segments
-		if l := size(s); bestLen < 0 || l < bestLen {
-			best, bestLen = s, l
-		}
+	return probes
+}
+
+// ring returns the first k segments of the ring from self.
+func ring(self, segments, k int) []int {
+	r := make([]int, k)
+	for i := range r {
+		r[i] = (self + i) % segments
 	}
-	return best
+	return r
+}
+
+// Plan implements Placement: gift like GiftAll (a mailbox delivery beats
+// even an empty-segment placement — it spares the consumer its whole
+// search), otherwise probe up to Probes segments around the ring from
+// self and land on the emptiest. Ties keep the nearest, so an all-empty
+// pool places locally.
+func (g GiftToEmptiest) Plan(self, segments int) PlacePlan {
+	return PlacePlan{Gift: giftAll, Candidates: ring(self, segments, budget(g.Probes, segments)), Weight: 1}
 }
 
 // Name implements Placement.
 func (GiftToEmptiest) Name() string { return "emptiest" }
 
-// GiftToNearestEmptiest is the topology-aware Director: where
+// GiftToNearestEmptiest is the topology-aware GiftToEmptiest: where
 // GiftToEmptiest chases pure emptiness — paying a far cluster's add cost
 // whenever a far segment happens to be emptiest — this placement weighs a
 // candidate's emptiness against the hop cost of reaching it. Each add
@@ -174,18 +199,6 @@ type GiftToNearestEmptiest struct {
 	Weight int64
 }
 
-var _ Director = GiftToNearestEmptiest{}
-
-// GiftSplit implements Placement: like GiftToEmptiest, hungry searchers
-// get the whole batch first (a mailbox delivery spares a search — no hop
-// cost competes with that).
-func (GiftToNearestEmptiest) GiftSplit(n, hungry int) int {
-	if hungry == 0 {
-		return 0
-	}
-	return n
-}
-
 // weight resolves the per-queued-element penalty: one near-remote add
 // under the model, or 1 for a zero-valued model.
 func (g GiftToNearestEmptiest) weight() int64 {
@@ -202,64 +215,25 @@ func (g GiftToNearestEmptiest) weight() int64 {
 	return 1
 }
 
-// Direct implements Director: probe the Probes cheapest candidates and
-// return the one with the lowest transfer-plus-queue score. Candidates are
-// ordered by ascending add cost with ring order from self as the tiebreak,
-// so the local segment is always probed and equal-cost ties stay near.
-// This runs on the Put hot path, so the cheapest-candidate selection is a
-// single bounded insertion pass (two probes-sized buffers), not a
-// segments-sized sort.
-func (g GiftToNearestEmptiest) Direct(self, segments, _ int, size func(seg int) int) int {
-	probes := g.Probes
-	if probes == 0 {
-		probes = DefaultProbes
+// Plan implements Placement: gift like GiftToEmptiest (a mailbox delivery
+// spares a search — no hop cost competes with that), otherwise score the
+// candidates by transfer plus queue cost. An exhaustive budget probes the
+// ring from self; a smaller one probes the Probes cheapest segments by add
+// cost, ring order breaking ties, so the local segment is always probed
+// and equal-cost ties stay near.
+func (g GiftToNearestEmptiest) Plan(self, segments int) PlacePlan {
+	add := func(s int) int64 { return g.Model.Cost(numa.AccessAdd, self, s) }
+	var cand []int
+	if k := budget(g.Probes, segments); k == segments {
+		cand = ring(self, segments, k)
+	} else {
+		cand = RingRank(self, segments, add)[:k]
 	}
-	if probes < 0 || probes > segments {
-		probes = segments
-	}
-	w := g.weight()
-	if probes == segments {
-		// Exhaustive: every segment is probed, no selection needed.
-		best, bestScore := self, int64(-1)
-		for off := 0; off < segments; off++ {
-			s := (self + off) % segments // ring order = score tiebreak
-			score := g.Model.Cost(numa.AccessAdd, self, s) + w*int64(size(s))
-			if bestScore < 0 || score < bestScore {
-				best, bestScore = s, score
-			}
-		}
-		return best
-	}
-	// Keep the probes cheapest segments, walking the ring from self so
-	// equal-cost ties stay near (strict > below preserves that order).
-	cand := make([]int, 0, probes)
-	cost := make([]int64, 0, probes)
-	for off := 0; off < segments; off++ {
-		s := (self + off) % segments
-		c := g.Model.Cost(numa.AccessAdd, self, s)
-		if len(cand) == probes && c >= cost[probes-1] {
-			continue
-		}
-		i := len(cand)
-		if i < probes {
-			cand = append(cand, 0)
-			cost = append(cost, 0)
-		} else {
-			i--
-		}
-		for ; i > 0 && cost[i-1] > c; i-- {
-			cand[i], cost[i] = cand[i-1], cost[i-1]
-		}
-		cand[i], cost[i] = s, c
-	}
-	best, bestScore := self, int64(-1)
+	cost := make([]int64, len(cand))
 	for i, s := range cand {
-		score := cost[i] + w*int64(size(s))
-		if bestScore < 0 || score < bestScore {
-			best, bestScore = s, score
-		}
+		cost[i] = add(s)
 	}
-	return best
+	return PlacePlan{Gift: giftAll, Candidates: cand, Cost: cost, Weight: g.weight()}
 }
 
 // Name implements Placement.

@@ -22,8 +22,10 @@
 //   - Placement: where added elements land — the local segment, gifted
 //     (whole or split) to hungry searchers via directed-add mailboxes
 //     (the paper's Section 5 hint extension, batch-aware), or directed
-//     to the emptiest segment by probing sizes (GiftToEmptiest, the
-//     Director extension of the paper's symmetric remote-add footnote);
+//     to the best-scored of a few probed segments (GiftToEmptiest and
+//     friends, the paper's symmetric remote-add footnote). A placement
+//     answers one call, Plan, with one handle's PlacePlan: its gift split
+//     law, its probe candidates and their scores, and its tenant mask;
 //   - Controller: an online tuner fed per-remove feedback (steal rate,
 //     search length, haul size, operation time) that adjusts the steal
 //     fraction, the recommended batch size and the hierarchical
@@ -80,16 +82,14 @@ type VictimOrder interface {
 }
 
 // Placement decides where a Put or PutAll lands: how many of the added
-// elements are offered to hungry searchers through directed-add mailboxes
-// (the rest go to the adder's local segment).
+// elements are offered to hungry searchers through directed-add mailboxes,
+// and which segment takes the rest — the adder's own, or the best of the
+// candidates its plan probes (the paper's symmetric remote-add footnote).
 type Placement interface {
-	// GiftSplit returns how many of a batch of n added elements (n >= 1)
-	// should be gifted to hungry searchers, of which there are currently
-	// hungry (>= 0). The result is clamped by the caller to [0, n];
-	// returning 0 keeps the whole batch local. For single-element adds
-	// the decision is binary, and callers may report hungry as 1 once any
-	// hungry searcher is found rather than counting them all.
-	GiftSplit(n, hungry int) int
+	// Plan resolves the placement for the process owning segment self in
+	// a pool of segments segments. Pools call Plan once per handle, when
+	// they are built.
+	Plan(self, segments int) PlacePlan
 	// Name identifies the placement in tables and CSV output.
 	Name() string
 }

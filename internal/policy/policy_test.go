@@ -59,8 +59,8 @@ func TestStealAmountBounds(t *testing.T) {
 	}
 }
 
-// TestPlacementGiftSplit checks each Placement's split law on a grid of
-// batch sizes and hungry-searcher counts.
+// TestPlacementGiftSplit checks each Placement's Gift split law on a grid
+// of batch sizes and hungry-searcher counts.
 func TestPlacementGiftSplit(t *testing.T) {
 	impls := []struct {
 		name string
@@ -89,14 +89,23 @@ func TestPlacementGiftSplit(t *testing.T) {
 	}
 	for _, im := range impls {
 		t.Run(im.name, func(t *testing.T) {
+			// A nil law never gifts, and pools allocate no mailboxes
+			// for it: Local's plan must be the empty one.
+			plan := im.p.Plan(0, 4)
+			if (plan.Gift == nil) != (im.name == "local") || plan.Candidates != nil {
+				t.Fatalf("%s plan = %+v", im.name, plan)
+			}
 			for n := 1; n <= 65; n++ {
 				for hungry := 0; hungry <= 17; hungry++ {
-					got := im.p.GiftSplit(n, hungry)
+					got := 0
+					if plan.Gift != nil {
+						got = plan.Gift(n, hungry)
+					}
 					if exp := im.want(n, hungry); got != exp {
-						t.Fatalf("%s.GiftSplit(%d, %d) = %d, want %d", im.name, n, hungry, got, exp)
+						t.Fatalf("%s Gift(%d, %d) = %d, want %d", im.name, n, hungry, got, exp)
 					}
 					if got < 0 || got > n {
-						t.Fatalf("%s.GiftSplit(%d, %d) = %d, outside [0, %d]", im.name, n, hungry, got, n)
+						t.Fatalf("%s Gift(%d, %d) = %d, outside [0, %d]", im.name, n, hungry, got, n)
 					}
 				}
 			}

@@ -44,29 +44,20 @@ func EvenTenants(segments, tenants int) TenantMap {
 	return m
 }
 
-// Grouped is implemented by policies that carry a tenant partition. The
-// engine looks for it on the policy set's Placement (then VictimOrder) at
-// construction time; when found, it precomputes a foreign-segment mask
-// and classifies every successful steal as same-tenant or cross-tenant
-// (PoolStats.RecordStealVictim), which is what `poolbench -exp tenants`
-// reports as steal interference.
-type Grouped interface {
-	// Partition returns the tenant map. Called once at engine
-	// construction; the map must not change afterwards.
-	Partition() TenantMap
-}
-
-// TenantFair is the tenant-aware fairness placement: a Director that
-// confines each add to segments of the adder's own tenant, walking them
-// emptiest-first under a probe budget (GiftToEmptiest restricted to the
-// partition). It attacks multi-tenant interference from the add side — a
-// hot tenant's surplus is spread across that tenant's own segments
-// instead of piling onto one, so its neighbors steal within the tenant
-// before plundering a stranger's reserve.
+// TenantFair is the tenant-aware fairness placement: it confines each
+// add to segments of the adder's own tenant, walking them emptiest-first
+// under a probe budget (GiftToEmptiest restricted to the partition). It
+// attacks multi-tenant interference from the add side — a hot tenant's
+// surplus is spread across that tenant's own segments instead of piling
+// onto one, so its neighbors steal within the tenant before plundering a
+// stranger's reserve. Its plan also carries the partition (the Foreign
+// mask), so the engine classifies every successful steal as same-tenant
+// or cross-tenant (PoolStats.RecordStealVictim), which is what
+// `poolbench -exp tenants` reports as steal interference.
 //
 // Mailbox gifts are anonymous — a hungry searcher from any tenant could
-// receive one — so GiftSplit keeps every batch out of the mailboxes;
-// fairness placement never donates across the partition.
+// receive one — so the plan never gifts: fairness placement never
+// donates across the partition, and pools allocate no mailboxes for it.
 type TenantFair struct {
 	// Map is the tenant partition. A nil map means one tenant, which
 	// degenerates to GiftToEmptiest's ring sweep.
@@ -77,44 +68,25 @@ type TenantFair struct {
 	Probes int
 }
 
-var (
-	_ Director = TenantFair{}
-	_ Grouped  = TenantFair{}
-)
-
-// GiftSplit implements Placement: nothing is gifted to mailboxes, because
-// a gift cannot be routed by tenant (see the type comment).
-func (TenantFair) GiftSplit(int, int) int { return 0 }
-
-// Partition implements Grouped.
-func (t TenantFair) Partition() TenantMap { return t.Map }
-
-// Direct implements Director: probe up to Probes segments of the adder's
-// own tenant, walking the ring from self, and return the emptiest one
-// probed. Ties keep the earliest (nearest) probed segment, so an
-// all-empty tenant places locally.
-func (t TenantFair) Direct(self, segments, _ int, size func(seg int) int) int {
-	probes := t.Probes
-	if probes == 0 {
-		probes = DefaultProbes
-	}
-	if probes < 0 || probes > segments {
-		probes = segments
-	}
+// Plan implements Placement: probe up to Probes segments of the adder's
+// own tenant, walking the ring from self, and land on the emptiest. Ties
+// keep the nearest, so an all-empty tenant places locally.
+func (t TenantFair) Plan(self, segments int) PlacePlan {
+	k := budget(t.Probes, segments)
 	mine := t.Map.TenantOf(self)
-	best, bestLen := self, -1
-	probed := 0
-	for off := 0; off < segments && probed < probes; off++ {
-		s := (self + off) % segments
-		if t.Map.TenantOf(s) != mine {
-			continue
-		}
-		probed++
-		if l := size(s); bestLen < 0 || l < bestLen {
-			best, bestLen = s, l
+	p := PlacePlan{Candidates: make([]int, 0, k), Weight: 1}
+	for off := 0; off < segments && len(p.Candidates) < k; off++ {
+		if s := (self + off) % segments; t.Map.TenantOf(s) == mine {
+			p.Candidates = append(p.Candidates, s)
 		}
 	}
-	return best
+	if t.Map != nil {
+		p.Foreign = make([]bool, segments)
+		for s := range p.Foreign {
+			p.Foreign[s] = t.Map.TenantOf(s) != mine
+		}
+	}
+	return p
 }
 
 // Name implements Placement.

@@ -1,6 +1,9 @@
 package policy
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestEvenTenants(t *testing.T) {
 	m := EvenTenants(16, 4)
@@ -54,10 +57,10 @@ func TestTenantFairStaysInPartition(t *testing.T) {
 	}
 	sizes[6] = 0 // tenant 1's segment, tempting but off-limits to tenant 0
 	sizes[2] = 3 // tenant 0's emptiest
-	if got := tf.Direct(0, 8, 1, size); got != 2 {
+	if got := tf.Plan(0, 8).Direct(size); got != 2 {
 		t.Errorf("Direct(0) = %d, want 2 (own tenant's emptiest)", got)
 	}
-	if got := tf.Direct(5, 8, 1, size); got != 6 {
+	if got := tf.Plan(5, 8).Direct(size); got != 6 {
 		t.Errorf("Direct(5) = %d, want 6 (tenant 1's emptiest)", got)
 	}
 
@@ -66,7 +69,7 @@ func TestTenantFairStaysInPartition(t *testing.T) {
 	for s := range sizes {
 		sizes[s] = 7
 	}
-	if got := tf.Direct(3, 8, 1, size); got != 3 {
+	if got := tf.Plan(3, 8).Direct(size); got != 3 {
 		t.Errorf("Direct(3) on uniform sizes = %d, want self", got)
 	}
 }
@@ -78,21 +81,24 @@ func TestTenantFairProbeBudget(t *testing.T) {
 	size := func(s int) int { return sizes[s] }
 	// Only segments 0 and 1 are probed under the budget; the empty ones
 	// beyond are never seen.
-	if got := tf.Direct(0, 8, 1, size); got != 1 {
+	if got := tf.Plan(0, 8).Direct(size); got != 1 {
 		t.Errorf("Direct with Probes=2 = %d, want 1", got)
 	}
 }
 
 func TestTenantFairPlacementContract(t *testing.T) {
 	tf := TenantFair{Map: EvenTenants(4, 2)}
-	if got := tf.GiftSplit(8, 3); got != 0 {
-		t.Errorf("GiftSplit = %d, want 0 (mailbox gifts cannot be routed by tenant)", got)
+	plan := tf.Plan(1, 4)
+	if plan.Gift != nil {
+		t.Error("Gift law set: mailbox gifts cannot be routed by tenant")
 	}
 	if tf.Name() == "" {
 		t.Error("Name must be non-empty")
 	}
-	var g Grouped = tf
-	if got := g.Partition().NumTenants(); got != 2 {
-		t.Errorf("Partition().NumTenants = %d, want 2", got)
+	if want := []bool{false, false, true, true}; !reflect.DeepEqual(plan.Foreign, want) {
+		t.Errorf("Foreign = %v, want %v", plan.Foreign, want)
+	}
+	if got := (TenantFair{}).Plan(1, 4).Foreign; got != nil {
+		t.Errorf("Foreign without a partition = %v, want nil", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // serialize on the segment lock and claim a whole batch at the top with
 // one compare-and-swap: the lock IS the steal path, exactly the lock +
 // TakeOut reserve-transfer discipline the pools already use, now paid
-// only by thieves. Non-owner adds (Director placements, kill-time
+// only by thieves. Non-owner adds (directed placements, kill-time
 // redistribution, seeding) land in a lock-guarded overflow Deque that
 // the owner migrates into its ring when the ring runs dry, so a foreign
 // add never touches the owner's bottom index.
@@ -402,7 +402,7 @@ func (d *OwnerDeque[T]) PopBottomN(k int) []T {
 }
 
 // AddForeign adds an element from a goroutine that does not own the
-// segment: Director placements, kill-time redistribution, seeding. It
+// segment: directed placements, kill-time redistribution, seeding. It
 // lands in the lock-guarded overflow; the owner's bottom is untouched.
 func (d *OwnerDeque[T]) AddForeign(v T) {
 	d.mu.Lock()

@@ -21,11 +21,11 @@ type PoolConfig struct {
 	// Policies selects the pool's tunable decisions (steal amount, victim
 	// order, size-aware placement, online control), exactly as
 	// core.Options.Policies does for the real pool; nil slots take paper
-	// defaults (Order: search.Linear). Mailbox placements (GiftAll and
-	// friends) are ignored — the simulated pool has no directed-add
-	// mailboxes — but Director placements (policy.GiftToEmptiest) are
-	// honored, with every size probe charged at the cost model's
-	// AccessProbe rate.
+	// defaults (Order: search.Linear). A placement applies through its
+	// plan's candidates (policy.PlacePlan; GiftToEmptiest and friends),
+	// with every size probe charged at the cost model's AccessProbe rate;
+	// its Gift law is ignored — the simulated pool has no directed-add
+	// mailboxes.
 	Policies policy.Set
 	// Trace enables per-segment size traces (Figures 3-6).
 	Trace bool
@@ -255,7 +255,7 @@ func (p *Pool[T]) Proc(env *Env) *Proc[T] {
 	return pr
 }
 
-// sizeProbe builds the Director size-probe closure once per processor: on
+// sizeProbe builds the placement size-probe closure once per processor: on
 // the simulated machine, probing for the emptiest segment visibly costs
 // virtual time, which is the trade-off the locality experiments measure.
 func (pr *Proc[T]) sizeProbe() func(s int) int {
@@ -305,7 +305,7 @@ func (pr *Proc[T]) Retire() {
 func (pr *Proc[T]) since(start int64) float64 { return float64(pr.env.Now() - start) }
 
 // Put adds an element to the local segment — or to the segment a
-// Director placement selects — charging the add cost at the local or
+// placement plan selects — charging the add cost at the local or
 // remote rate accordingly.
 func (pr *Proc[T]) Put(v T) {
 	p := pr.pool
@@ -319,7 +319,7 @@ func (pr *Proc[T]) Put(v T) {
 }
 
 // PutAll adds every element of vs to one segment (the local one, or a
-// Director placement's choice), charging a single add access for the
+// placement plan's choice), charging a single add access for the
 // whole batch — the amortization the batch API exists to measure: one
 // segment acquisition (and one queueing exposure at a contended segment)
 // covers k elements.

@@ -1,7 +1,7 @@
 // Command inlinecheck verifies that the owner path pays for a disabled
 // feature with one inlined field test rather than a call. Each check for
-// an optional feature on Put/Get (the NUMA delay, the Director
-// placement, the controller and recorder feedback, the membership
+// an optional feature on Put/Get (the NUMA delay, the placement plan's
+// candidates, the controller and recorder feedback, the membership
 // redirect, the stats sampler and the stats timing fold) is a small
 // method whose fast test the compiler inlines and whose work sits in an
 // out-of-line half. A change that grows one of those methods past the

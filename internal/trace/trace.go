@@ -81,8 +81,8 @@ const (
 	// tenant — the interference edge. Arg1 = victim segment,
 	// Arg2 = elements moved.
 	TenantForeignSteal
-	// DirectPlace records the Director routing an add away from the
-	// local segment. Arg1 = target segment, Arg2 = batch size.
+	// DirectPlace records the placement plan routing an add away from
+	// the local segment. Arg1 = target segment, Arg2 = batch size.
 	DirectPlace
 	// Feedback is the post-search Observe edge feeding the adaptive
 	// controller. Arg1 = elements obtained (-1 when aborted),

@@ -139,9 +139,15 @@ type (
 	StealAmount = policy.StealAmount
 	// VictimOrder decides which segments a search visits, in what order.
 	VictimOrder = policy.VictimOrder
-	// Placement decides how much of an added batch is gifted to hungry
-	// searchers rather than kept local.
+	// Placement decides where adds land. It answers one call, Plan, with
+	// one handle's placement plan: how much of an added batch is gifted
+	// to hungry searchers, which segments an add probes and how each is
+	// scored, and the tenant mask. Plan replaced the former GiftSplit
+	// method and the optional Director and Grouped interfaces, so a
+	// custom Placement written against those no longer compiles.
 	Placement = policy.Placement
+	// PlacePlan is one handle's placement, as Placement.Plan returns it.
+	PlacePlan = policy.PlacePlan
 	// Controller retunes steal fraction, batch size and escalation
 	// threshold from feedback.
 	Controller = policy.Controller
