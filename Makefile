@@ -21,8 +21,16 @@ vet:
 # by cache-line contract, not minimal padding, so its suggestions inform
 # rather than gate; the layout tests are the binding check). Both binaries are optional: CI installs them, local
 # runs without them print a skip note instead of fetching anything.
+# Policies reach the pools as plans and spawned controllers, never by
+# probing a policy value's dynamic type, so the gate below fails on any
+# type assertion to a policy interface in the non-test code that
+# consumes them.
+POLICY_ASSERT = \.\((policy\.)?(StealAmount|VictimOrder|Placement|Controller|Control)\)
 lint: vet
 	@test -z "$$(gofmt -l .)" || { echo "lint: files not gofmt-clean:"; gofmt -l .; exit 1; }
+	@grep -rnE --include='*.go' --exclude='*_test.go' '$(POLICY_ASSERT)' \
+		internal/policy internal/engine internal/core internal/sim internal/keyed; \
+		test $$? -eq 1 || { echo "lint: policy values type-asserted outside tests (above)"; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -51,11 +51,6 @@ type Handle[T any] struct {
 // ID returns the handle's segment index.
 func (h *Handle[T]) ID() int { return h.id }
 
-// observe feeds one remove outcome to this handle's controller, if any.
-// Under a per-handle policy set each handle tunes from its own feedback
-// stream; under a pool-wide set every handle feeds the shared controller.
-func (h *Handle[T]) observe(fb policy.Feedback) { h.eng.Observe(fb) }
-
 // BatchSize returns the batch size this handle's controller recommends
 // for a workload configured at current, or current itself without a
 // controller. Batch drivers consult it before every PutAll/GetN cycle,
@@ -390,13 +385,13 @@ func (h *Handle[T]) Get() (T, bool) {
 				d := h.sample.since(start)
 				h.stats.RecordStealRemove(d, d, res.Examined, g.count())
 			}
-			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
+			h.eng.Observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
 			return v, true
 		}
 		if p.opts.CollectStats {
 			h.stats.RecordAbort(h.sample.since(start))
 		}
-		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
+		h.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return zero, false
 	}
 	v = h.sub.takeReserved()
@@ -404,7 +399,7 @@ func (h *Handle[T]) Get() (T, bool) {
 		d := h.sample.since(start)
 		h.stats.RecordStealRemove(d, d, res.Examined, res.Got)
 	}
-	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
+	h.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return v, true
 }
 
@@ -504,13 +499,13 @@ func (h *Handle[T]) GetN(max int) []T {
 				d := h.sample.since(start)
 				h.stats.RecordBatchStealRemove(d, d, res.Examined, g.count(), len(out))
 			}
-			h.observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
+			h.eng.Observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
 			return out
 		}
 		if p.opts.CollectStats {
 			h.stats.RecordAbort(h.sample.since(start))
 		}
-		h.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
+		h.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return nil
 	}
 	// The steal moved res.Got elements into the local segment and reserved
@@ -524,7 +519,7 @@ func (h *Handle[T]) GetN(max int) []T {
 		d := h.sample.since(start)
 		h.stats.RecordBatchStealRemove(d, d, res.Examined, res.Got, len(out))
 	}
-	h.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
+	h.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return out
 }
 

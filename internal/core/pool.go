@@ -208,7 +208,7 @@ func New[T any](opts Options) (*Pool[T], error) {
 			return nil, fmt.Errorf("%w: order %s plans no search", ErrBadOptions, pol.Order.Name())
 		}
 		if plan.Tree && p.nodes == nil {
-			p.nodes = make([]treeNode, 2*p.leaves)
+			p.nodes = make([]treeNode, search.NumTreeNodes(opts.Segments))
 		}
 		// Mailboxes exist only under a placement that can actually gift,
 		// so a non-gifting one gets the zero-overhead pool of the
@@ -259,18 +259,6 @@ func (h *Handle[T]) sizeProbe() func(s int) int {
 		h.eng.NoteProbe(s)
 		return p.segs[s].dq.Len()
 	}
-}
-
-// BatchSize returns the batch size the pool-wide controller recommends
-// for a workload configured at current, or current itself without one.
-// Per-handle controllers (policy.PerHandle) recommend through
-// Handle.BatchSize instead, which batch drivers should prefer; this
-// pool-level view exists for observability and pool-wide sets.
-func (p *Pool[T]) BatchSize(current int) int {
-	if p.pol.Control == nil {
-		return current
-	}
-	return p.pol.Control.BatchSize(current)
 }
 
 // Segments returns the number of segments.

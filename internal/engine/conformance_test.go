@@ -531,12 +531,13 @@ func placementScript(t *testing.T, r confRow) {
 	r.run(t, "emptiest", confCase{segs: 4, pol: policy.Set{Place: policy.GiftToEmptiest{}}}, func(t *testing.T, p confPool) {
 		p.putAll(0, make([]int, 5)) // all segments empty: the tie keeps the batch local
 		p.put(0, 1)                 // segment 1 is now the nearest emptiest
-		if placed := recorded(p, 0, trace.DirectPlace); !maps.Equal(placed, map[int]int{1: 1}) {
-			t.Errorf("placed %v away from segment 0, want {1: 1}", placed)
+		p.putAll(0, make([]int, 3)) // 2 and 3 empty: the whole batch lands on 2, the nearer
+		if placed := recorded(p, 0, trace.DirectPlace); !maps.Equal(placed, map[int]int{1: 1, 2: 3}) {
+			t.Errorf("placed %v away from segment 0, want {1: 1, 2: 3}", placed)
 		}
-		checkSegLens(t, p, map[int]int{0: 5, 1: 1})
-		if n := p.length(); n != 6 {
-			t.Errorf("Len = %d, want 6", n)
+		checkSegLens(t, p, map[int]int{0: 5, 1: 1, 2: 3, 3: 0})
+		if n := p.length(); n != 9 {
+			t.Errorf("Len = %d, want 9", n)
 		}
 	})
 
@@ -694,7 +695,7 @@ func controllersScript(t *testing.T, r confRow) {
 				return
 			}
 		}
-		if f := adaptive.Control.StealFraction(); f <= 0.5 {
+		if f := adaptive.Control.Spawn(0).StealFraction(); f <= 0.5 {
 			t.Errorf("controller fraction = %v after sustained steal pressure, want > 0.5", f)
 		}
 	})

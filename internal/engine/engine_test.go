@@ -356,10 +356,8 @@ func TestDirectTarget(t *testing.T) {
 // spawned controllers, and a hierarchical order plans its escalating
 // searcher and its cluster-first rank.
 func TestControlAwareWiring(t *testing.T) {
-	ph := policy.NewPerHandle()
 	pol := policy.Set{
-		Steal:   ph,
-		Control: ph,
+		Control: policy.NewPerHandle(),
 		Order:   policy.HierarchicalOrder{Topo: numa.Clusters{Size: 2}},
 	}.WithDefaults()
 	mk := func(self int) *Engine {
@@ -370,7 +368,7 @@ func TestControlAwareWiring(t *testing.T) {
 	if e0.Controller() == nil || e0.Controller() == e1.Controller() {
 		t.Fatal("per-handle set must spawn a distinct controller per engine")
 	}
-	if e0.StealAmount() == nil || policy.StealAmount(ph) == e0.StealAmount() {
+	if e0.StealAmount() == nil || e0.StealAmount() != policy.StealAmount(e0.Controller()) {
 		t.Fatal("spawned controller must also become the handle's steal amount")
 	}
 	if plan := e0.Plan(); plan.Searcher.Kind() != search.Hierarchical || plan.Rank == nil || plan.Tree {

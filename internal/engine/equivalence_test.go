@@ -54,10 +54,8 @@ func corePolicies(name string) policy.Set {
 			Place: policy.GiftToEmptiest{},
 		}
 	case "per-handle-locality":
-		p := policy.NewPerHandle()
 		return policy.Set{
-			Steal:   p,
-			Control: p,
+			Control: policy.NewPerHandle(),
 			Order:   policy.LocalityOrder{Model: numa.ButterflyCosts().WithTopology(topo)},
 		}
 	}
@@ -126,8 +124,7 @@ func simFingerprint(name string, seed uint64) string {
 	case "hier":
 		cfg.Policies = policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}
 	case "hier-adaptive":
-		p := policy.NewPerHandle()
-		cfg.Policies = policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Steal: p, Control: p}
+		cfg.Policies = policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Control: policy.NewPerHandle()}
 	case "burst-emptiest":
 		w.Model = workload.Burst
 		w.BatchSize = 8
@@ -151,8 +148,7 @@ func keyedPolicies(name string) (policy.Set, numa.Topology) {
 	case "hier":
 		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}}, topo
 	case "per-handle-emptiest":
-		p := policy.NewPerHandle()
-		return policy.Set{Steal: p, Control: p, Place: policy.GiftToEmptiest{}}, topo
+		return policy.Set{Control: policy.NewPerHandle(), Place: policy.GiftToEmptiest{}}, topo
 	}
 	panic(name)
 }

@@ -45,8 +45,7 @@ func FuzzEngineSearch(f *testing.F) {
 		case 1:
 			pol = policy.Set{Order: search.Random}
 		case 2:
-			ph := policy.NewPerHandle()
-			pol = policy.Set{Steal: ph, Control: ph, Order: search.Linear}
+			pol = policy.Set{Control: policy.NewPerHandle(), Order: search.Linear}
 		}
 		budget := n * (int(mode/3)%3 + 1)
 		e := New(Config{

@@ -57,8 +57,7 @@ func orderSet(name string, costs numa.CostModel, topo numa.Topology) policy.Set 
 	case "hier-adaptive":
 		// Fresh per trial: each handle's spawned controller is both its
 		// steal amount and its escalation tuner (EscalationThreshold).
-		p := policy.NewPerHandle()
-		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Steal: p, Control: p}
+		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Control: policy.NewPerHandle()}
 	case "hier-place":
 		return policy.Set{
 			Order: policy.HierarchicalOrder{Topo: topo},

@@ -323,11 +323,6 @@ func (p *Pool[K, V]) ProbeStats() (remote, cross int64) {
 // ID returns the handle's segment index.
 func (h *Handle[K, V]) ID() int { return h.id }
 
-// observe feeds one remove outcome to this handle's controller, if any —
-// the same feedback stream core.Handle reports, so adaptive and
-// per-handle policies tune identically on the keyed pool.
-func (h *Handle[K, V]) observe(fb policy.Feedback) { h.eng.Observe(fb) }
-
 // sizeProbe builds the placement size-probe closure once per handle, so
 // the add hot path under a size-aware placement does not allocate a
 // closure per Put.
@@ -401,7 +396,7 @@ func (h *Handle[K, V]) GetN(k K, max int) []V {
 		}
 		return len(out)
 	})
-	h.observe(policy.Feedback{Stole: stole, Aborted: res.Got == 0, Examined: res.Examined, Got: len(out)})
+	h.eng.Observe(policy.Feedback{Stole: stole, Aborted: res.Got == 0, Examined: res.Examined, Got: len(out)})
 	return out
 }
 
@@ -437,7 +432,7 @@ func (h *Handle[K, V]) Get(k K) (V, bool) {
 	if found {
 		got = 1
 	}
-	h.observe(policy.Feedback{Stole: stole, Aborted: !found, Examined: res.Examined, Got: got})
+	h.eng.Observe(policy.Feedback{Stole: stole, Aborted: !found, Examined: res.Examined, Got: got})
 	return out, found
 }
 
@@ -469,7 +464,7 @@ func (h *Handle[K, V]) GetAny() (K, V, bool) {
 	if found {
 		got = 1
 	}
-	h.observe(policy.Feedback{Stole: stole, Aborted: !found, Examined: res.Examined, Got: got})
+	h.eng.Observe(policy.Feedback{Stole: stole, Aborted: !found, Examined: res.Examined, Got: got})
 	return outK, outV, found
 }
 

@@ -18,10 +18,10 @@ const (
 	batchCap    = 64            // and never exceeds the largest swept batch
 )
 
-// Adaptive is both a StealAmount and a Controller: it steals an online-
-// tuned fraction of the victim (never less than the requester's appetite)
-// and adjusts that fraction — plus a recommended batch size — from the
-// per-remove feedback stream.
+// Adaptive is a Controller, and the pool-wide Control that shares it with
+// every handle: it steals an online-tuned fraction of the victim (never
+// less than the requester's appetite) and adjusts that fraction — plus a
+// recommended batch size — from the per-remove feedback stream.
 //
 // Control law, evaluated every adaptWindow removes:
 //
@@ -64,8 +64,8 @@ type Adaptive struct {
 }
 
 var (
-	_ StealAmount = (*Adaptive)(nil)
-	_ Controller  = (*Adaptive)(nil)
+	_ Controller = (*Adaptive)(nil)
+	_ Control    = (*Adaptive)(nil)
 )
 
 // NewAdaptive returns an adaptive policy starting at the paper's
@@ -165,9 +165,9 @@ func (a *Adaptive) EscalationThreshold(base int) int {
 	return max(base>>uint(a.shift.Load()), 1)
 }
 
-// Spawn implements Controller: an Adaptive is pool-wide, so every handle
+// Spawn implements Control: an Adaptive is pool-wide, so every handle
 // consults it.
 func (a *Adaptive) Spawn(int) Controller { return a }
 
-// Name implements StealAmount and Controller.
+// Name implements StealAmount and Control.
 func (a *Adaptive) Name() string { return "adaptive" }

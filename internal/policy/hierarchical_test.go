@@ -187,13 +187,6 @@ func TestAdaptiveEscalationThreshold(t *testing.T) {
 	if got := a.EscalationThreshold(1); got != 1 {
 		t.Fatalf("threshold floor = %d, want 1", got)
 	}
-	p := NewPerHandle()
-	if got := p.EscalationThreshold(3); got != 3 {
-		t.Fatalf("aggregate per-handle threshold = %d, want base", got)
-	}
-	if got := p.EscalationThreshold(0); got != 1 {
-		t.Fatalf("aggregate per-handle threshold floor = %d, want 1", got)
-	}
 }
 
 func TestNearestEmptiestZeroModelActsLikeEmptiest(t *testing.T) {

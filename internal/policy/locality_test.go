@@ -107,79 +107,62 @@ func TestPerHandleIndependence(t *testing.T) {
 	if lf >= 0.5 {
 		t.Fatalf("never-stealing handle fraction = %v, want decayed below 0.5", lf)
 	}
-	// The aggregate reports the mean; the thief's steal amount uses its
-	// own fraction, not the pool mean.
-	if mean := ph.StealFraction(); mean <= lf || mean >= tf {
-		t.Fatalf("aggregate fraction %v outside (%v, %v)", mean, lf, tf)
-	}
-	if amt, ok := thief.(StealAmount); !ok || amt.Amount(10, 1) != 10 {
-		t.Fatal("thief's spawned controller is not a full-fraction StealAmount")
+	// The thief's steal amount uses its own fraction.
+	if got := thief.Amount(10, 1); got != 10 {
+		t.Fatalf("thief Amount(10, 1) = %d, want the full victim", got)
 	}
 }
 
-// TestPerHandleAggregate checks the pool-level Controller/StealAmount
-// view: fresh aggregates behave like steal-half, Observe is discarded,
-// and BatchSize passes through.
+// TestPerHandleAggregate checks the pool-level view a PerHandle keeps:
+// its name, and per-handle read-back of the spawned controllers.
 func TestPerHandleAggregate(t *testing.T) {
 	ph := NewPerHandle()
-	if f := ph.StealFraction(); f != 0.5 {
-		t.Fatalf("fresh aggregate fraction = %v, want 0.5", f)
-	}
-	if got := ph.Amount(9, 1); got != 5 {
-		t.Fatalf("fresh aggregate Amount(9,1) = %d, want ceil(9/2) = 5", got)
-	}
-	if got := ph.Amount(4, 6); got != 4 {
-		t.Fatalf("Amount(4,6) = %d, want clamped to 4", got)
-	}
-	for i := 0; i < 10*adaptWindow; i++ {
-		ph.Observe(Feedback{Stole: true}) // discarded by design
-	}
-	if f := ph.StealFraction(); f != 0.5 {
-		t.Fatalf("aggregate Observe moved the fraction to %v", f)
-	}
-	if got := ph.BatchSize(16); got != 16 {
-		t.Fatalf("aggregate BatchSize(16) = %d, want 16", got)
-	}
-	if got := ph.BatchSize(0); got != 1 {
-		t.Fatalf("aggregate BatchSize(0) = %d, want 1", got)
-	}
 	if ph.Name() != "per-handle" {
 		t.Fatalf("Name = %q", ph.Name())
 	}
 	if ph.Handle(3) != nil {
 		t.Fatal("Handle(3) non-nil before any Spawn")
 	}
-	ph.Spawn(3)
-	if ph.Handle(3) == nil {
-		t.Fatal("Handle(3) nil after Spawn")
+	c := ph.Spawn(3)
+	if ph.Handle(3) != c {
+		t.Fatal("Handle(3) is not the controller Spawn(3) returned")
 	}
 }
 
-// TestForHandle checks the resolution rule: per-handle sets hand each
-// handle its own spawned controller as both controller and steal amount;
-// pool-wide sets pass through; a custom steal amount is never overridden
-// by a spawned controller.
+// TestForHandle checks the resolution rule on defaulted sets, as pools
+// see them: a handle's controller is what the set's Control spawns for
+// it, and its steal amount is the set's Steal, or that controller when
+// the set names none.
 func TestForHandle(t *testing.T) {
-	set, err := Named("per-handle")
-	if err != nil {
-		t.Fatal(err)
+	// Pool-wide adaptive: one shared controller, also the steal amount.
+	ad, _ := Named("adaptive")
+	ad = ad.WithDefaults()
+	if ad.Steal != nil {
+		t.Fatalf("WithDefaults filled Steal = %s under a Control", ad.Steal.Name())
 	}
+	ca, sa := ad.ForHandle(0)
+	cb, sb := ad.ForHandle(1)
+	if ca == nil || ca != cb || any(ca) != any(ad.Control) || any(sa) != any(ca) || any(sb) != any(ca) {
+		t.Fatal("adaptive must resolve to the shared instance, as controller and steal amount, for every handle")
+	}
+	// Per-handle: distinct spawned controllers, each its handle's steal
+	// amount.
+	set, _ := Named("per-handle")
+	set = set.WithDefaults()
 	c0, s0 := set.ForHandle(0)
 	c1, s1 := set.ForHandle(1)
 	if c0 == c1 {
 		t.Fatal("two handles resolved to the same controller under per-handle")
 	}
+	ph := set.Control.(*PerHandle)
+	if c0 != ph.Handle(0) || c1 != ph.Handle(1) {
+		t.Fatal("resolved controllers are not the spawned instances")
+	}
 	if any(c0) != any(s0) || any(c1) != any(s1) {
 		t.Fatal("handle's steal amount is not its spawned controller")
 	}
-	ad, _ := Named("adaptive")
-	ca, sa := ad.ForHandle(0)
-	cb, _ := ad.ForHandle(1)
-	if ca != cb || any(ca) != any(sa) {
-		t.Fatal("pool-wide adaptive must resolve to the shared instance for every handle")
-	}
-	// Custom steal + spawning controller: the steal amount stays.
-	mixed := Set{Steal: One{}, Control: NewPerHandle()}
+	// An explicit steal amount is kept beside a spawned controller.
+	mixed := Set{Steal: One{}, Control: NewPerHandle()}.WithDefaults()
 	cm, sm := mixed.ForHandle(0)
 	if _, ok := sm.(One); !ok {
 		t.Fatalf("explicit steal amount overridden: %T", sm)
@@ -187,11 +170,10 @@ func TestForHandle(t *testing.T) {
 	if cm == nil {
 		t.Fatal("spawning controller not resolved")
 	}
-	// No controller at all: everything passes through.
-	plain := Set{Steal: Half{}}
-	cp, sp := plain.ForHandle(0)
-	if cp != nil || sp.Name() != "steal-half" {
-		t.Fatal("plain set mangled by ForHandle")
+	// No controller: steal-half.
+	cp, sp := Set{}.WithDefaults().ForHandle(0)
+	if cp != nil || sp == nil || sp.Name() != "steal-half" {
+		t.Fatal("a set without a controller must resolve to steal-half and no controller")
 	}
 }
 

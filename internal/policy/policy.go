@@ -29,9 +29,11 @@
 //   - Controller: an online tuner fed per-remove feedback (steal rate,
 //     search length, haul size, operation time) that adjusts the steal
 //     fraction, the recommended batch size and the hierarchical
-//     searchers' escalation threshold while a run executes; PerHandle
-//     spawns one instance per handle so heterogeneous processes tune
-//     independently.
+//     searchers' escalation threshold while a run executes. A Set's
+//     Control hands each handle its controller: Adaptive shares one
+//     across the pool, PerHandle spawns one per handle so heterogeneous
+//     processes tune independently. A handle's controller is also its
+//     steal amount unless the set names one.
 //
 // A Set bundles one choice per decision point. Both execution substrates
 // — the real pool (internal/core) and the virtual-time Butterfly
@@ -104,12 +106,15 @@ type Feedback struct {
 	Got      int  // elements obtained (haul size; 0 on abort)
 }
 
-// Controller tunes pool parameters online from per-remove feedback.
-// Implementations must tolerate concurrent Observe calls (the real pool
-// feeds one controller from many goroutines); under the single-threaded
-// simulator the observation order is deterministic and so must be the
-// resulting parameter trajectory.
+// Controller tunes one handle's pool parameters online from per-remove
+// feedback. It is a StealAmount too: a handle whose set names no steal
+// amount steals by its controller's tuned fraction. Implementations must
+// tolerate concurrent Observe calls (the real pool feeds a pool-wide
+// controller from many goroutines); under the single-threaded simulator
+// the observation order is deterministic and so must be the resulting
+// parameter trajectory.
 type Controller interface {
+	StealAmount
 	// Observe folds one remove outcome into the controller's state.
 	Observe(Feedback)
 	// BatchSize recommends the batch size for the next batched operation,
@@ -125,12 +130,18 @@ type Controller interface {
 	// invests at least one probe per frontier, or escalation degenerates
 	// into a flat search.
 	EscalationThreshold(base int) int
+}
+
+// Control is a Set's online-tuning slot: it hands every pool handle the
+// Controller that handle consults.
+type Control interface {
 	// Spawn returns the controller the handle owning segment handle
 	// consults, so that every handle can tune from its own feedback
-	// stream. Pool-wide controllers return themselves; PerHandle returns
-	// the handle's own instance, the same one on every call.
+	// stream. Pool-wide controls (Adaptive) return one shared controller;
+	// PerHandle returns the handle's own instance, the same one on every
+	// call. Pools call Spawn once per handle, when they are built.
 	Spawn(handle int) Controller
-	// Name identifies the controller in tables and CSV output.
+	// Name identifies the control in tables and CSV output.
 	Name() string
 }
 
@@ -140,18 +151,20 @@ var _ VictimOrder = search.Linear
 // defaults": steal-half, linear search, local placement, and no online
 // control.
 type Set struct {
-	Steal   StealAmount // nil → Half
+	Steal   StealAmount // nil → each handle's controller, or Half without a Control
 	Order   VictimOrder // nil → search.Linear; any search.Kind is an order
 	Place   Placement   // nil → Local; GiftAll is the paper's Section 5 directed adds
-	Control Controller  // nil → no online tuning
+	Control Control     // nil → no online tuning
 }
 
-// Name renders the set compactly: the steal policy's name, with non-default
-// components appended.
+// Name renders the set compactly: the steal policy's name (the control's
+// when the controllers steal), with non-default components appended.
 func (s Set) Name() string {
 	parts := []string{}
 	if s.Steal != nil {
 		parts = append(parts, s.Steal.Name())
+	} else if s.Control != nil {
+		parts = append(parts, s.Control.Name())
 	}
 	if s.Order != nil {
 		parts = append(parts, "order="+s.Order.Name())
@@ -159,7 +172,7 @@ func (s Set) Name() string {
 	if s.Place != nil {
 		parts = append(parts, "place="+s.Place.Name())
 	}
-	if s.Control != nil && (s.Steal == nil || s.Control.Name() != s.Steal.Name()) {
+	if s.Steal != nil && s.Control != nil {
 		parts = append(parts, "ctl="+s.Control.Name())
 	}
 	if len(parts) == 0 {
@@ -168,10 +181,10 @@ func (s Set) Name() string {
 	return strings.Join(parts, ",")
 }
 
-// WithDefaults returns s with nil slots filled: steal-half, linear
-// search, and local placement.
+// WithDefaults returns s with nil slots filled: linear search, local
+// placement, and steal-half when no Control's controllers steal instead.
 func (s Set) WithDefaults() Set {
-	if s.Steal == nil {
+	if s.Steal == nil && s.Control == nil {
 		s.Steal = Half{}
 	}
 	if s.Order == nil {
@@ -199,35 +212,31 @@ func Named(name string) (Set, error) {
 	case "proportional", "prop":
 		return Set{Steal: Proportional{}}, nil
 	case "adaptive":
-		a := NewAdaptive()
-		return Set{Steal: a, Control: a}, nil
+		return Set{Control: NewAdaptive()}, nil
 	case "per-handle", "adaptive-per-handle":
-		p := NewPerHandle()
-		return Set{Steal: p, Control: p}, nil
+		return Set{Control: NewPerHandle()}, nil
 	default:
 		return Set{}, fmt.Errorf("policy: unknown steal policy %q (have %v)", name, Names())
 	}
 }
 
 // ForHandle resolves the controller and steal amount one handle should
-// consult: the controller the set's Controller spawns for the handle —
-// and when the set's steal amount is that same controller object, the
-// spawned instance also becomes the handle's steal amount, so under
-// PerHandle each handle steals by its own tuned fraction. Pool-wide
-// controllers and static steal amounts pass through unchanged. Both
-// substrates (internal/core and internal/sim) and the keyed pool call
-// this once per handle at construction, which is what makes a policy
-// measured in simulation exactly the policy the library executes.
+// consult: the controller the set's Control spawns for the handle (nil
+// without a Control), and the set's Steal, or that controller when the
+// set names no steal amount — so under PerHandle each handle steals by
+// its own tuned fraction. Both substrates (internal/core and
+// internal/sim) and the keyed pool call this once per handle at
+// construction, which is what makes a policy measured in simulation
+// exactly the policy the library executes.
 func (s Set) ForHandle(handle int) (Controller, StealAmount) {
-	ctl, steal := s.Control, s.Steal
-	if ctl != nil {
-		sub := ctl.Spawn(handle)
-		if sa, ok := sub.(StealAmount); ok && any(steal) == any(ctl) {
-			steal = sa
-		}
-		ctl = sub
+	if s.Control == nil {
+		return nil, s.Steal
 	}
-	return ctl, steal
+	ctl := s.Control.Spawn(handle)
+	if s.Steal != nil {
+		return ctl, s.Steal
+	}
+	return ctl, ctl
 }
 
 // clamp bounds a steal amount to [1, n] (n >= 1).

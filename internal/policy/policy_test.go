@@ -190,10 +190,11 @@ func TestNamed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Named(%q): %v", name, err)
 		}
-		if set.Steal == nil {
-			t.Fatalf("Named(%q) has no StealAmount", name)
+		_, steal := set.WithDefaults().ForHandle(0)
+		if steal == nil {
+			t.Fatalf("Named(%q) resolves no StealAmount", name)
 		}
-		if set.Steal.Name() == "" {
+		if steal.Name() == "" {
 			t.Fatalf("Named(%q) steal policy has empty name", name)
 		}
 	}
@@ -209,10 +210,10 @@ func TestNamed(t *testing.T) {
 		t.Fatal("adaptive sets share a controller; trials would contaminate each other")
 	}
 	for i := 0; i < 10*adaptWindow; i++ {
-		a1.Control.Observe(Feedback{Stole: true, Examined: 4})
+		a1.Control.Spawn(0).Observe(Feedback{Stole: true, Examined: 4})
 	}
-	if a2.Control.StealFraction() != 0.5 {
-		t.Fatalf("observing one adaptive set moved another's fraction to %v", a2.Control.StealFraction())
+	if f := a2.Control.Spawn(0).StealFraction(); f != 0.5 {
+		t.Fatalf("observing one adaptive set moved another's fraction to %v", f)
 	}
 }
 
@@ -233,6 +234,12 @@ func TestSetDefaultsAndName(t *testing.T) {
 	ad, _ := Named("adaptive")
 	if got := ad.Name(); got != "adaptive" {
 		t.Fatalf("adaptive Set.Name() = %q", got)
+	}
+	if got := (Set{Control: NewPerHandle(), Order: search.Tree}).Name(); got != "per-handle,order=tree" {
+		t.Fatalf("per-handle Set.Name() = %q", got)
+	}
+	if got := (Set{Steal: One{}, Control: NewPerHandle()}).Name(); got != "steal-one,ctl=per-handle" {
+		t.Fatalf("steal-one with per-handle control Set.Name() = %q", got)
 	}
 	if w := search.Random.Plan(2, 8, 42, nil).Searcher; w.Kind() != search.Random {
 		t.Fatalf("Kind.Plan searcher kind = %v", w.Kind())

@@ -32,8 +32,7 @@ func TestSimHierarchicalDeterministic(t *testing.T) {
 	topo := numa.Clusters{Size: 4}
 	costs := numa.ButterflyCosts().WithTopology(topo).WithExtraDelay(100)
 	mk := func() policy.Set {
-		p := policy.NewPerHandle()
-		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Steal: p, Control: p}
+		return policy.Set{Order: policy.HierarchicalOrder{Topo: topo}, Control: policy.NewPerHandle()}
 	}
 	a := hierRun(t, mk(), costs, 42)
 	b := hierRun(t, mk(), costs, 42)

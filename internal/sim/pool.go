@@ -248,8 +248,9 @@ func (p *Pool[T]) Proc(env *Env) *Proc[T] {
 		panic(fmt.Sprintf("sim: order %s plans no search", p.pol.Order.Name()))
 	}
 	if plan.Tree && p.rounds == nil {
-		p.rounds = make([]uint64, 2*p.leaves)
-		p.nodeRes = make([]Resource, 2*p.leaves)
+		n := search.NumTreeNodes(p.cfg.Procs)
+		p.rounds = make([]uint64, n)
+		p.nodeRes = make([]Resource, n)
 	}
 	pr.steal = pr.eng.StealAmount()
 	return pr
@@ -269,11 +270,6 @@ func (pr *Proc[T]) sizeProbe() func(s int) int {
 
 // Stats returns the processor's operation statistics collector.
 func (pr *Proc[T]) Stats() *metrics.PoolStats { return &pr.stats }
-
-// observe feeds one remove outcome to this processor's controller, if
-// any (its own instance under a per-handle set, the shared one
-// otherwise) — mirroring core.Handle.observe exactly.
-func (pr *Proc[T]) observe(fb policy.Feedback) { pr.eng.Observe(fb) }
 
 // BatchSize returns the batch size this processor's controller recommends
 // for a workload configured at current, or current itself without a
@@ -353,7 +349,7 @@ func (pr *Proc[T]) GetN(max int) []T {
 	if out := p.segs[pr.id].RemoveN(max); len(out) > 0 {
 		p.recordTrace(pr.env, pr.id)
 		pr.stats.RecordBatchLocalRemove(pr.since(start), len(out))
-		pr.observe(policy.Feedback{Got: len(out)})
+		pr.eng.ObserveLocal(len(out))
 		return out
 	}
 
@@ -361,7 +357,7 @@ func (pr *Proc[T]) GetN(max int) []T {
 	res := pr.eng.Search(max)
 	if res.Got == 0 {
 		pr.stats.RecordAbort(pr.since(start))
-		pr.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
+		pr.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return nil
 	}
 	out := make([]T, 1, max)
@@ -371,7 +367,7 @@ func (pr *Proc[T]) GetN(max int) []T {
 		p.recordTrace(pr.env, pr.id)
 	}
 	pr.stats.RecordBatchStealRemove(pr.since(start), pr.since(searchStart), res.Examined, res.Got, len(out))
-	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
+	pr.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return out
 }
 
@@ -386,7 +382,7 @@ func (pr *Proc[T]) Get() (T, bool) {
 	if v, ok := p.segs[pr.id].Remove(); ok {
 		p.recordTrace(pr.env, pr.id)
 		pr.stats.RecordLocalRemove(pr.since(start))
-		pr.observe(policy.Feedback{Got: 1})
+		pr.eng.ObserveLocal(1)
 		return v, true
 	}
 
@@ -394,12 +390,12 @@ func (pr *Proc[T]) Get() (T, bool) {
 	res := pr.eng.Search(1)
 	if res.Got == 0 {
 		pr.stats.RecordAbort(pr.since(start))
-		pr.observe(policy.Feedback{Aborted: true, Examined: res.Examined})
+		pr.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
 		return zero, false
 	}
 	v := pr.sub.takeReserved()
 	pr.stats.RecordStealRemove(pr.since(start), pr.since(searchStart), res.Examined, res.Got)
-	pr.observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
+	pr.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
 	return v, true
 }
 

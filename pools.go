@@ -49,8 +49,8 @@
 // fraction), which victims a search visits (VictimOrder, layered over the
 // three search algorithms), where adds land (Placement — local, or gifted
 // whole or split to hungry searchers through the directed-add mailboxes),
-// and an optional Controller that retunes the steal fraction and batch
-// size from live feedback:
+// and an optional Control that gives each handle a Controller retuning
+// the steal fraction and batch size from live feedback:
 //
 //	set, _ := pools.PolicyByName("adaptive")
 //	p, _ := pools.New[Task](pools.Options{Segments: 8, Policies: set})
@@ -148,9 +148,15 @@ type (
 	Placement = policy.Placement
 	// PlacePlan is one handle's placement, as Placement.Plan returns it.
 	PlacePlan = policy.PlacePlan
-	// Controller retunes steal fraction, batch size and escalation
-	// threshold from feedback.
+	// Controller retunes one handle's steal fraction, batch size and
+	// escalation threshold from feedback. It is a StealAmount too: the
+	// handle steals by it when the set names no Steal.
 	Controller = policy.Controller
+	// Control is PolicySet.Control: it spawns each handle's Controller.
+	// It replaced Controller as that field's type, so a custom controller
+	// set there needs a Spawn(handle) method and no longer a pool-level
+	// Observe or BatchSize.
+	Control = policy.Control
 )
 
 // Built-in steal amounts and placements, re-exported for configuration
@@ -187,7 +193,10 @@ type (
 	// escalating to the next hop ring of its Topology.
 	HierarchicalVictimOrder = policy.HierarchicalOrder
 	// PerHandleControl hands every pool handle its own independent
-	// adaptive controller; see NewPerHandlePolicy.
+	// adaptive controller, which is also that handle's steal amount;
+	// see NewPerHandlePolicy. Set it as PolicySet.Control alone: it is
+	// no StealAmount, so code that also passes it as Steal no longer
+	// compiles.
 	PerHandleControl = policy.PerHandle
 	// TenantMap assigns each segment to a tenant; see EvenTenants.
 	TenantMap = policy.TenantMap
@@ -231,13 +240,19 @@ type ClusterTopology = numa.Clusters
 // about 4x local).
 func ButterflyCosts() CostModel { return numa.ButterflyCosts() }
 
-// NewAdaptivePolicy returns a fresh adaptive steal policy/controller pair
-// (one per pool; adaptive state must not be shared between pools).
+// NewAdaptivePolicy returns a fresh pool-wide adaptive controller (one
+// per pool; adaptive state must not be shared between pools). Set
+// Control alone — PolicySet{Control: NewAdaptivePolicy()} — and every
+// handle steals by its tuned fraction; a Steal set beside it takes
+// precedence.
 func NewAdaptivePolicy() *AdaptiveSteal { return policy.NewAdaptive() }
 
 // NewPerHandlePolicy returns a fresh per-handle adaptive policy: each
-// pool handle spawns its own controller from it (one per pool, like
-// NewAdaptivePolicy).
+// pool handle spawns its own controller from it and steals by that
+// controller's fraction (one per pool, like NewAdaptivePolicy). Set
+// Control alone: PolicySet{Control: NewPerHandlePolicy()}. A
+// PerHandleControl is no StealAmount, so passing it as Steal no longer
+// compiles.
 func NewPerHandlePolicy() *PerHandleControl { return policy.NewPerHandle() }
 
 // PolicyByName returns a fresh PolicySet for a steal-policy name: "half",
