@@ -11,7 +11,9 @@ import (
 )
 
 // Failure injection: closing the pool while consumers are deep in searches
-// must release every one of them promptly.
+// must release every one of them promptly. Close waits until every
+// consumer's first Get has returned, so each is already looping through
+// searches when the pool closes.
 func TestCloseReleasesStuckSearchers(t *testing.T) {
 	for _, kind := range search.Kinds() {
 		kind := kind
@@ -21,29 +23,38 @@ func TestCloseReleasesStuckSearchers(t *testing.T) {
 			for i := 0; i <= consumers; i++ {
 				p.Handle(i).Register() // a registered producer keeps searches alive
 			}
-			var wg sync.WaitGroup
+			var wg, searched sync.WaitGroup
 			for i := 0; i < consumers; i++ {
 				wg.Add(1)
+				searched.Add(1)
 				go func(id int) {
 					defer wg.Done()
 					// Empty pool + registered non-searching producer:
 					// searches run until the staleness rule or Close fires.
-					for {
-						if _, ok := p.Handle(id).Get(); !ok && p.Closed() {
+					for first := true; ; first = false {
+						_, ok := p.Handle(id).Get()
+						if first {
+							searched.Done()
+						}
+						if !ok && p.Closed() {
 							return
 						}
 					}
 				}(i)
 			}
-			time.Sleep(10 * time.Millisecond)
-			p.Close()
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Close did not release searchers")
+			wait := func(wg *sync.WaitGroup, failure string) {
+				t.Helper()
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal(failure)
+				}
 			}
+			wait(&searched, "a consumer's first Get never returned")
+			p.Close()
+			wait(&wg, "Close did not release searchers")
 		})
 	}
 }

@@ -34,8 +34,7 @@ import (
 // The methods that must inline, as the compiler's -m output names them.
 // The stats Record methods hold their counters and the d >= 0 test in
 // front of the timing fold, so an inlined one costs an untimed operation
-// no call. RecordBatchLocalRemove is absent: its four counters put it
-// past the budget, so GetN's local hit keeps one call.
+// no call.
 const (
 	delay       = "numa.(*Delayer).Delay"
 	direct      = "engine.(*Engine).DirectTarget"
@@ -46,6 +45,7 @@ const (
 	add         = "metrics.(*PoolStats).RecordAdd"
 	batchAdd    = "metrics.(*PoolStats).RecordBatchAdd"
 	localRemove = "metrics.(*PoolStats).RecordLocalRemove"
+	batchRemove = "metrics.(*PoolStats).RecordBatchLocalRemove"
 )
 
 // rule names one function and the calls that must inline inside it.
@@ -62,7 +62,7 @@ var rules = []rule{
 	{"internal/core/handle.go", "Handle.TryPut", []string{begin, delay, add}},
 	{"internal/core/handle.go", "Handle.TryGetLocal", []string{begin, delay, localRemove}},
 	{"internal/core/handle.go", "Handle.Get", []string{begin, delay, localRemove, local, observe}},
-	{"internal/core/handle.go", "Handle.GetN", []string{begin, delay, local, observe}},
+	{"internal/core/handle.go", "Handle.GetN", []string{begin, delay, batchRemove, local, observe}},
 	{"internal/core/handle.go", "Handle.parkLocal", []string{place}},
 	{"internal/core/handle.go", "substrate.Probe", []string{delay, place}},
 	{"internal/keyed/keyed.go", "Handle.Put", []string{direct, place}},

@@ -104,7 +104,7 @@ func TestRulesCoverOwnerPathStats(t *testing.T) {
 		"internal/core/handle.go Handle.TryPut":      {add},
 		"internal/core/handle.go Handle.TryGetLocal": {localRemove},
 		"internal/core/handle.go Handle.Get":         {localRemove, local},
-		"internal/core/handle.go Handle.GetN":        {local},
+		"internal/core/handle.go Handle.GetN":        {batchRemove, local},
 		"internal/keyed/keyed.go Handle.Get":         {local},
 		"internal/keyed/keyed.go Handle.GetN":        {local},
 	}

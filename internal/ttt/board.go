@@ -6,11 +6,13 @@
 // board positions" (64 * 63 * 62).
 //
 // Board.Eval and Board.Winner score a position by scanning all 76 lines.
-// The parallel Engine scans only the root that way: a move changes just
-// the 4 or 7 lines through its cell, so each generated position's score
-// and winner are derived from its parent's over those lines. The full
-// scans, and the sequential Minimax built on them, are the reference the
-// engine is tested against.
+// The parallel Engine runs those scans on the root alone. A move changes
+// just the 4 or 7 lines through its cell, so an expansion first scores
+// the parent's 76 lines once for the side to move: a move table holding
+// what a stone of that side adds to each line's Eval term, and the cells
+// where it completes a line. Each child's score and winner are then its
+// parent's plus its cell's entries. The full scans, and the sequential
+// Minimax built on them, are the reference the engine is tested against.
 package ttt
 
 import (
@@ -62,7 +64,7 @@ func Coords(c int) (x, y, z int) {
 }
 
 // lineMasks holds one 64-bit occupancy mask per winning line.
-var lineMasks = buildLines()
+var lineMasks = [NumLines]uint64(buildLines())
 
 // buildLines enumerates all 76 winning lines as bitmasks.
 func buildLines() []uint64 {
@@ -186,16 +188,15 @@ const WinScore = 1 << 20
 func (b Board) Eval() int {
 	score := 0
 	for _, m := range lineMasks {
-		score += b.lineScore(m)
+		score += lineScore(bits.OnesCount64(b.XBits&m), bits.OnesCount64(b.OBits&m))
 	}
 	return score
 }
 
-// lineScore is line m's term in Eval: the weight of the stones on it if
-// only one player has any, signed for that player, and 0 otherwise.
-func (b Board) lineScore(m uint64) int {
-	nx := bits.OnesCount64(b.XBits & m)
-	no := bits.OnesCount64(b.OBits & m)
+// lineScore is the Eval term of a line holding nx X and no O stones: the
+// weight of the stones on it if only one player has any, signed for that
+// player, and 0 otherwise.
+func lineScore(nx, no int) int {
 	switch {
 	case no == 0 && nx > 0:
 		return evalWeights[nx]
@@ -205,37 +206,92 @@ func (b Board) lineScore(m uint64) int {
 	return 0
 }
 
-// cellLines lists, for each cell, the masks of the 4 or 7 lines through
-// it: the only lines whose score or completion a move there can change.
+// lineMove is what one stone does to a line: the change in the line's
+// Eval term, and whether the stone completes the line.
+type lineMove struct {
+	delta int32
+	wins  bool
+}
+
+// lineMoves[s][nx][no] is the lineMove of a stone of X (s = 0) or O
+// (s = 1) on a line holding nx X and no O stones. A line with a free
+// cell holds at most Size-1 stones, so both counts index below Size.
+var lineMoves = buildLineMoves()
+
+func buildLineMoves() (out [2][Size][Size]lineMove) {
+	for nx := 0; nx < Size; nx++ {
+		for no := 0; nx+no < Size; no++ {
+			before := lineScore(nx, no)
+			out[0][nx][no] = lineMove{int32(lineScore(nx+1, no) - before), nx == Size-1}
+			out[1][nx][no] = lineMove{int32(lineScore(nx, no+1) - before), no == Size-1}
+		}
+	}
+	return out
+}
+
+// cellLines lists, for each cell, the indices into lineMasks of the 4 or
+// 7 lines through it: the only lines whose score or completion a move
+// there can change.
 var cellLines = buildCellLines()
 
-func buildCellLines() (out [Cells][]uint64) {
-	for _, m := range lineMasks {
+func buildCellLines() (out [Cells][]uint8) {
+	for l, m := range lineMasks {
 		for c := 0; c < Cells; c++ {
 			if m&(1<<uint(c)) != 0 {
-				out[c] = append(out[c], m)
+				out[c] = append(out[c], uint8(l))
 			}
 		}
 	}
 	return out
 }
 
-// playScored returns the position after p claims cell c, with its Eval
-// and Winner derived from b's (eval and 0, since only a position nobody
-// has won is played on) over the lines through c alone.
-func (b Board) playScored(c int, p Player, eval int) (child Board, childEval int, winner Player) {
-	child = b.Play(c, p)
-	own := child.XBits
+// moveTable scores every move of one side on one position: per line, the
+// change a stone of that side makes to Eval, and the free cells where
+// such a stone completes a line. An expansion builds it once and then
+// scores each child from the entries of the lines through its cell.
+type moveTable struct {
+	delta [NumLines]int32
+	wins  uint64 // free cells where side's stone completes a line
+	side  Player
+}
+
+// moveTable builds p's move table on b. No line of b may be complete:
+// only a position nobody has won is played on, so each line's counts
+// stay below Size.
+func (b Board) moveTable(p Player) (t moveTable) {
+	moves := &lineMoves[0]
 	if p == O {
-		own = child.OBits
+		moves = &lineMoves[1]
 	}
-	for _, m := range cellLines[c] {
-		eval += child.lineScore(m) - b.lineScore(m)
-		if own&m == m {
-			winner = p
+	free := ^b.Occupied()
+	for l, m := range lineMasks {
+		e := moves[bits.OnesCount64(b.XBits&m)&(Size-1)][bits.OnesCount64(b.OBits&m)&(Size-1)]
+		t.delta[l] = e.delta
+		if e.wins {
+			t.wins |= m & free
 		}
 	}
-	return child, eval, winner
+	t.side = p
+	return t
+}
+
+// play returns the position after the table's side claims cell c of b,
+// the board the table was built on, with its Eval and Winner derived
+// from b's Eval, eval. Cell c must be free.
+func (t *moveTable) play(b Board, c int, eval int32) (child Board, childEval int32, winner Player) {
+	bit := uint64(1) << uint(c)
+	if t.side == X {
+		b.XBits |= bit
+	} else {
+		b.OBits |= bit
+	}
+	for _, l := range cellLines[c] {
+		eval += t.delta[l]
+	}
+	if t.wins&bit != 0 {
+		winner = t.side
+	}
+	return b, eval, winner
 }
 
 // String renders the board layer by layer (z slices).
@@ -264,6 +320,6 @@ func (b Board) String() string {
 // LineMasks exposes a copy of the winning-line masks for tests and tools.
 func LineMasks() []uint64 {
 	out := make([]uint64, len(lineMasks))
-	copy(out, lineMasks)
+	copy(out, lineMasks[:])
 	return out
 }

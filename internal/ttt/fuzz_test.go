@@ -4,19 +4,21 @@ import "testing"
 
 // FuzzBoardScript plays an arbitrary byte script as alternating moves and
 // checks structural invariants: stone counts, winner stability, and
-// move-list consistency. Every stone is placed with playScored, whose
-// incremental Eval and Winner must equal the full scans of the new board.
+// move-list consistency. Before each stone, every child of the board is
+// scored from the mover's move table and must match the full scans of
+// its board; the stone is then placed through the same table.
 func FuzzBoardScript(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0, 16, 32, 48})
 	f.Add([]byte{})
-	f.Add([]byte{0, 16, 1, 17, 2, 18, 3})     // X completes an axis row
-	f.Add([]byte{0, 16, 5, 17, 10, 18, 15})   // X completes a face diagonal
-	f.Add([]byte{1, 0, 2, 21, 4, 42, 8, 63})  // O completes a space diagonal
-	f.Add([]byte{3, 48, 6, 33, 9, 18, 12, 2}) // X completes an anti-diagonal
+	f.Add([]byte{0, 16, 1, 17, 2, 18, 3})       // X completes an axis row
+	f.Add([]byte{0, 16, 5, 17, 10, 18, 15})     // X completes a face diagonal
+	f.Add([]byte{1, 0, 2, 21, 4, 42, 8, 63})    // O completes a space diagonal
+	f.Add([]byte{3, 48, 6, 33, 9, 18, 12, 2})   // X completes an anti-diagonal
+	f.Add([]byte{0, 1, 16, 32, 17, 33, 18, 34}) // row 0 mixed, open threes for both sides
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var b Board
-		eval := 0
+		var eval int32
 		player := X
 		placed := 0
 		for _, raw := range script {
@@ -27,16 +29,17 @@ func FuzzBoardScript(f *testing.F) {
 			if b.Winner() != 0 {
 				break
 			}
-			next, nextEval, w := b.playScored(c, player, eval)
-			if want := next.Eval(); nextEval != want {
-				t.Fatalf("incremental eval %d != Eval %d after %v at %d", nextEval, want, player, c)
+			checkChildren(t, b, player)
+			mt := b.moveTable(player)
+			b, eval, _ = mt.play(b, c, eval)
+			if int(eval) != b.Eval() {
+				t.Fatalf("eval carried through %d moves is %d, Eval %d", placed+1, eval, b.Eval())
 			}
-			if want := next.Winner(); w != want {
-				t.Fatalf("incremental winner %v != Winner %v after %v at %d", w, want, player, c)
-			}
-			b, eval = next, nextEval
 			placed++
 			player = player.Opponent()
+		}
+		if b.Winner() == 0 {
+			checkChildren(t, b, player)
 		}
 		if b.MoveCount() != placed {
 			t.Fatalf("MoveCount %d != placed %d", b.MoveCount(), placed)

@@ -2,6 +2,7 @@ package ttt
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 )
@@ -12,16 +13,18 @@ import (
 // from the pool and possibly generate new positions to put in the pool."
 //
 // A node carries its position's Board.Eval and Board.Winner. A child's
-// are derived from its parent's when the child is generated, over only
-// the lines through the cell just played; the root's are computed in
-// full when it is expanded. Values are int32, which holds every one since
-// |Eval| <= NumLines*WinScore < 2^31, and the small fields fill the
-// padding, so the node is 48 bytes (TestNodeLayout).
+// are derived from its parent's when the child is generated, from the
+// parent's move table entries for the lines through the cell just
+// played; the root's are computed in full when it is expanded. Values
+// are int32, which holds every one since |Eval| <= NumLines*WinScore <
+// 2^31, and the small fields fill the padding, so the node is 48 bytes
+// (TestNodeLayout).
 //
 // Only the root is allocated alone. An expansion allocates all its
 // children as one slab, a []Node of up to Cells elements (about 3 KB).
 // A slab lives until its last child, or a descendant's parent pointer,
-// dies.
+// dies. A zeroed node's value reads as startValue(ToMove), so the slab's
+// fresh memory needs no store per child.
 type Node struct {
 	Board  Board
 	ToMove Player
@@ -36,7 +39,9 @@ type Node struct {
 	// leafResolved, an internal child with Add(-1); the resolve that
 	// zeroes the low bits hands the leaf count on to Engine.evaluated.
 	pending atomic.Int32
-	value   atomic.Int32 // running max (X to move) or min (O to move)
+	// value is the running max (X to move) or min (O to move), XORed
+	// with startValue(ToMove) so that zero means no child yet.
+	value atomic.Int32
 }
 
 // The layout of Node.pending. The low bits must hold Cells, the most
@@ -64,18 +69,22 @@ const yieldEvery = 64
 
 // Value returns the node's current minimax value. Only meaningful once the
 // node has resolved.
-func (n *Node) Value() int { return int(n.value.Load()) }
+func (n *Node) Value() int { return int(n.current()) }
+
+// current decodes the running value.
+func (n *Node) current() int32 { return n.value.Load() ^ startValue(n.ToMove) }
 
 // applyChild folds a resolved child's value into this node's running
 // max/min using a CAS loop (workers resolve children concurrently).
 func (n *Node) applyChild(v int32) {
 	max := n.ToMove == X
+	start := startValue(n.ToMove)
 	for {
-		cur := n.value.Load()
-		if max && v <= cur || !max && v >= cur {
+		old := n.value.Load()
+		if cur := old ^ start; max && v <= cur || !max && v >= cur {
 			return
 		}
-		if n.value.CompareAndSwap(cur, v) {
+		if n.value.CompareAndSwap(old, v^start) {
 			return
 		}
 	}
@@ -112,9 +121,7 @@ func NewEngine(board Board, toMove Player, depth int, seed Source) *Engine {
 
 // newNode allocates a root; Expand allocates every other node in a slab.
 func newNode(b Board, toMove Player, depth int) *Node {
-	n := &Node{Board: b, ToMove: toMove, Depth: depth}
-	n.value.Store(startValue(toMove))
-	return n
+	return &Node{Board: b, ToMove: toMove, Depth: depth}
 }
 
 // startValue is the running value a node with toMove to move starts from:
@@ -161,9 +168,10 @@ func (e *Engine) Step(src Source) bool {
 //
 // A won, depth-0 or full position is a leaf, valued from the node's
 // carried Winner and Eval. Any other position puts one child per free
-// cell, each scored incrementally from n (Board.playScored), so no
-// position but the root is ever scanned over all 76 lines. The children
-// are allocated together, as one slab.
+// cell, in ascending cell order. Each child is scored from n's move
+// table, built once per expansion from n's 76 lines, so a child costs
+// only the 4 or 7 table entries of its cell. The children are allocated
+// together, as one slab.
 func (e *Engine) Expand(n *Node, src Source) {
 	if n.parent == nil {
 		n.eval, n.winner = int32(n.Board.Eval()), n.Board.Winner()
@@ -176,24 +184,24 @@ func (e *Engine) Expand(n *Node, src Source) {
 		e.resolve(n, v, leafResolved)
 		return
 	}
-	moves := n.Board.Moves(make([]int, 0, Cells))
-	if len(moves) == 0 {
+	free := ^n.Board.Occupied()
+	if free == 0 {
 		e.resolve(n, n.eval, leafResolved)
 		return
 	}
 	if e.expanded.Add(1)%yieldEvery == 0 {
 		runtime.Gosched()
 	}
-	n.pending.Store(int32(len(moves)))
-	kids := make([]Node, len(moves))
+	kids := make([]Node, bits.OnesCount64(free))
+	n.pending.Store(int32(len(kids)))
+	t := n.Board.moveTable(n.ToMove)
 	toMove := n.ToMove.Opponent()
-	start := startValue(toMove)
-	for i, m := range moves {
-		b, eval, w := n.Board.playScored(m, n.ToMove, int(n.eval))
+	for i := range kids {
+		c := bits.TrailingZeros64(free)
+		free &= free - 1
 		child := &kids[i]
-		child.Board, child.ToMove, child.Depth, child.parent = b, toMove, n.Depth-1, n
-		child.eval, child.winner = int32(eval), w
-		child.value.Store(start)
+		child.Board, child.eval, child.winner = t.play(n.Board, c, n.eval)
+		child.ToMove, child.Depth, child.parent = toMove, n.Depth-1, n
 		src.Put(child)
 	}
 }
@@ -215,7 +223,7 @@ func (e *Engine) resolve(n *Node, v, delta int32) {
 		if leaves := r >> pendingBits; leaves != 0 {
 			e.evaluated.Add(int64(leaves))
 		}
-		n, v, delta = p, p.value.Load(), -1
+		n, v, delta = p, p.current(), -1
 	}
 	if delta == leafResolved {
 		e.evaluated.Add(1) // a leaf root

@@ -135,24 +135,60 @@ func TestEvalSymmetric(t *testing.T) {
 	}
 }
 
-// TestPlayScoredMatchesFullScan checks the incremental scoring against
-// Eval and Winner on every two-stone board, and on every line completed
-// at each of its cells.
-func TestPlayScoredMatchesFullScan(t *testing.T) {
-	check := func(b Board, c int, p Player, eval int) (Board, int) {
-		t.Helper()
-		next, nextEval, w := b.playScored(c, p, eval)
-		if nextEval != next.Eval() || w != next.Winner() {
-			t.Fatalf("%v at %d: incremental (%d, %v), full (%d, %v)", p, c, nextEval, w, next.Eval(), next.Winner())
+// checkChildren scores every child of b, with p to move, from p's move
+// table, and fails unless each child's Eval and Winner match the full
+// scans of the child's board.
+func checkChildren(t testing.TB, b Board, p Player) {
+	t.Helper()
+	mt := b.moveTable(p)
+	eval := int32(b.Eval())
+	for free := ^b.Occupied(); free != 0; free &= free - 1 {
+		c := bits.TrailingZeros64(free)
+		child, childEval, w := mt.play(b, c, eval)
+		if want := b.Play(c, p); child != want {
+			t.Fatalf("%v at %d: board %+v, want %+v", p, c, child, want)
 		}
-		return next, nextEval
+		if int(childEval) != child.Eval() || w != child.Winner() {
+			t.Fatalf("%v at %d on\n%s: table (%d, %v), full scan (%d, %v)",
+				p, c, b, childEval, w, child.Eval(), child.Winner())
+		}
+	}
+}
+
+// TestPlayScoredMatchesFullScan checks the move table against Eval and
+// Winner on every child of: every board of up to two stones; boards with
+// mixed-colour lines and an open three for each side; and every line
+// one stone short of complete, for its owner and for the opponent.
+func TestPlayScoredMatchesFullScan(t *testing.T) {
+	sides := []Player{X, O}
+	for _, p := range sides {
+		checkChildren(t, Board{}, p)
 	}
 	for c1 := 0; c1 < Cells; c1++ {
-		b1, e1 := check(Board{}, c1, X, 0)
+		b1 := Board{}.Play(c1, X)
+		for _, p := range sides {
+			checkChildren(t, b1, p)
+		}
 		for c2 := 0; c2 < Cells; c2++ {
 			if c2 != c1 {
-				check(b1, c2, O, e1)
+				checkChildren(t, b1.Play(c2, O), X)
 			}
+		}
+	}
+	// Row 0 mixed (X X O .), with an open X three on row 1 and an open
+	// O three on row 2; and the midgame boards, four of them with a win
+	// in one open for each side.
+	scripted := Board{
+		XBits: 1<<Cell(0, 0, 0) | 1<<Cell(1, 0, 0) | 1<<Cell(0, 1, 0) | 1<<Cell(1, 1, 0) | 1<<Cell(2, 1, 0),
+		OBits: 1<<Cell(2, 0, 0) | 1<<Cell(0, 2, 0) | 1<<Cell(1, 2, 0) | 1<<Cell(2, 2, 0),
+	}
+	boards := []Board{scripted}
+	for _, tc := range midgameCases {
+		boards = append(boards, midgameBoard(tc.seed, tc.stones, tc.threats))
+	}
+	for _, b := range boards {
+		for _, p := range sides {
+			checkChildren(t, b, p)
 		}
 	}
 	for _, line := range LineMasks() {
@@ -160,9 +196,16 @@ func TestPlayScoredMatchesFullScan(t *testing.T) {
 			if line&(1<<uint(last)) == 0 {
 				continue
 			}
-			b := Board{XBits: line &^ (1 << uint(last))}
-			if b, _ = check(b, last, X, b.Eval()); b.Winner() != X {
-				t.Fatalf("line %#x completed at %d: no winner", line, last)
+			for _, p := range sides {
+				b := Board{XBits: line &^ (1 << uint(last))}
+				if p == O {
+					b = Board{OBits: b.XBits}
+				}
+				checkChildren(t, b, p)
+				checkChildren(t, b, p.Opponent())
+				if mt := b.moveTable(p); mt.wins != 1<<uint(last) {
+					t.Fatalf("line %#x short at %d: %v's win cells %#x", line, last, p, mt.wins)
+				}
 			}
 		}
 	}
@@ -565,6 +608,44 @@ func TestExpandAllocatesOnce(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("Expand made %v allocations for %d children, want 1", allocs, len(src.items))
+	}
+}
+
+// TestSlabChildValue pins the zero-valued encoding of Node.value: a
+// fresh slab child reads its side's start value, for both sides, and
+// applyChild then holds the max (X to move) or min (O to move) through
+// the extreme values a child can report, ±WinScore and the largest
+// |Eval|, NumLines*WinScore.
+func TestSlabChildValue(t *testing.T) {
+	const maxEval = NumLines * WinScore
+	for _, root := range []Player{X, O} {
+		src := &sliceSource{}
+		e := NewEngine(Board{}, root, 2, src)
+		e.Step(src)
+		n := src.items[0]
+		p := root.Opponent()
+		if n.parent == nil || n.ToMove != p {
+			t.Fatalf("%v root: first item is not a child", root)
+		}
+		if got, want := n.Value(), int(startValue(p)); got != want {
+			t.Fatalf("fresh %v child: Value %d, want start value %d", p, got, want)
+		}
+		for _, step := range []struct{ v, max, min int }{
+			{-WinScore, -WinScore, -WinScore},
+			{WinScore, WinScore, -WinScore},
+			{-maxEval, WinScore, -maxEval},
+			{maxEval, maxEval, -maxEval},
+			{0, maxEval, -maxEval},
+		} {
+			n.applyChild(int32(step.v))
+			want := step.max
+			if p == O {
+				want = step.min
+			}
+			if got := n.Value(); got != want {
+				t.Fatalf("%v node after child %d: Value %d, want %d", p, step.v, got, want)
+			}
+		}
 	}
 }
 
