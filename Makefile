@@ -81,9 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMembership -fuzztime=10s ./internal/core
 
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x .
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/ttt
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/segment
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # End-to-end benchmark smoke: bench/ is its own module, which the root
 # `go test ./...` does not reach. Its short tests run every workload

@@ -155,6 +155,29 @@ func TestHotPathAllocFree(t *testing.T) {
 			t.Fatal("keyed Get missed")
 		}
 	})
+
+	// Keyed steals, class-specific and any-class: the bucket share is
+	// reserved into the handle's reusable buffer and the one element
+	// returned passes through its one-slot output, so a warm steal does
+	// not allocate. Each measured call steals a fresh element from the
+	// victim and leaves the thief's segment empty again.
+	kv, err := pools.NewKeyed[string, int](pools.KeyedOptions{Segments: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvictim, kthief := kv.Handle(1), kv.Handle(0)
+	requireZeroAllocs(t, "keyed steal Get", func() {
+		kvictim.Put("hot", 1)
+		if _, ok := kthief.Get("hot"); !ok {
+			t.Fatal("keyed steal Get missed")
+		}
+	})
+	requireZeroAllocs(t, "keyed steal GetAny", func() {
+		kvictim.Put("hot", 1)
+		if _, _, ok := kthief.GetAny(); !ok {
+			t.Fatal("keyed steal GetAny missed")
+		}
+	})
 }
 
 // stealFromHandle0 has handle 1 steal the only element of handle 0's

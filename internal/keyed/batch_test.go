@@ -1,6 +1,9 @@
 package keyed
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestKeyedPutAllGetNLocal checks batches stay inside their class: a
 // local GetN drains its own class's bucket and leaves the other's.
@@ -39,5 +42,34 @@ func TestKeyedGetNKeyMiss(t *testing.T) {
 	}
 	if out := consumer.GetN("present", 5); len(out) == 0 {
 		t.Fatal("GetN of present class found nothing")
+	}
+}
+
+// TestKeyedGetNOrder pins which elements a GetN returns, and in what
+// order: a local GetN pops the newest first; a stealing GetN returns the
+// newest of the victim's transferred share, newest first, and parks the
+// rest of that share locally.
+func TestKeyedGetNOrder(t *testing.T) {
+	p := newPool(t, 4)
+	h := p.Handle(0)
+	h.PutAll("a", []int{1, 2, 3, 4, 5})
+	if out := h.GetN("a", 3); !slices.Equal(out, []int{5, 4, 3}) {
+		t.Fatalf("local GetN(a,3) = %v, want [5 4 3]", out)
+	}
+	if out := h.GetN("a", 10); !slices.Equal(out, []int{2, 1}) {
+		t.Fatalf("local GetN(a,10) = %v, want [2 1]", out)
+	}
+
+	p.Handle(2).PutAll("a", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	// Steal-half moves the victim's five oldest: 4, 3, 2 are returned
+	// and 0, 1 park in the thief's segment.
+	if out := h.GetN("a", 3); !slices.Equal(out, []int{4, 3, 2}) {
+		t.Fatalf("stealing GetN(a,3) = %v, want [4 3 2]", out)
+	}
+	if p.SegmentLen(0) != 2 || p.SegmentLen(2) != 5 {
+		t.Fatalf("after the steal: thief holds %d, victim %d; want 2 and 5", p.SegmentLen(0), p.SegmentLen(2))
+	}
+	if out := h.GetN("a", 10); !slices.Equal(out, []int{1, 0}) {
+		t.Fatalf("local GetN of the parked share = %v, want [1 0]", out)
 	}
 }

@@ -30,6 +30,7 @@ package keyed
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -113,6 +114,24 @@ func (s *seg[K, V]) drop(k K, b *segment.Deque[V]) {
 	s.spare = b
 }
 
+// pick returns the class and bucket a remove takes from: class k's, or
+// with anyClass the first non-empty one in map order. The bucket is nil
+// when the segment has no element to give. Callers hold s.mu.
+func (s *seg[K, V]) pick(k K, anyClass bool) (K, *segment.Deque[V]) {
+	if anyClass {
+		for c, b := range s.buckets {
+			if !b.Empty() {
+				return c, b
+			}
+		}
+		return k, nil
+	}
+	if b := s.buckets[k]; b != nil && !b.Empty() {
+		return k, b
+	}
+	return k, nil
+}
+
 // New creates a keyed pool.
 func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 	if opts.Segments < 1 {
@@ -143,8 +162,7 @@ func New[K comparable, V any](opts Options) (*Pool[K, V], error) {
 	p.handles = make([]*Handle[K, V], opts.Segments)
 	for i := range p.handles {
 		h := &Handle[K, V]{pool: p, id: i}
-		h.sub.members = p.members
-		h.sub.id = i
+		h.sub.h = h
 		// The sweep is a search.Searcher like every other substrate's:
 		// the victim order's plan's rank when it has one, the ring from
 		// where elements were last found otherwise. The rank is nil
@@ -294,8 +312,9 @@ type Handle[K comparable, V any] struct {
 	id       int
 	eng      *engine.Engine
 	steal    policy.StealAmount // resolved steal amount, cached off the engine for the probe loop
-	sub      keyedSubstrate
+	sub      keyedSubstrate[K, V]
 	stealBuf []V             // reused bucket-steal buffer (reserve under the victim's lock, deposit outside)
+	one      [1]V            // Get's and GetAny's output slot, cleared after each read
 	tr       *trace.Recorder // flight recorder (nil unless Options.TraceBuf > 0)
 
 	// stats carries the remote-probe accounting under Options.Topology
@@ -361,16 +380,6 @@ func (h *Handle[K, V]) PutAll(k K, vs []V) {
 	s.mu.Unlock()
 }
 
-// search runs one engine-driven sweep with the given probe, returning the
-// search result. probe reports the number of elements it obtained from a
-// segment (0 = nothing of interest there).
-func (h *Handle[K, V]) search(want int, probe func(sIdx int) int) search.Result {
-	h.sub.probe = probe
-	res := h.eng.Search(want)
-	h.sub.probe = nil
-	return res
-}
-
 // GetN removes up to max elements of class k in one operation: it drains
 // the local bucket under one lock when possible, otherwise sweeps the
 // segments and surfaces the batch a policy-sized bucket steal transfers.
@@ -381,22 +390,7 @@ func (h *Handle[K, V]) GetN(k K, max int) []V {
 	if max <= 0 {
 		return nil
 	}
-	if out := h.takeLocalN(k, max); len(out) > 0 {
-		h.eng.ObserveLocal(len(out))
-		return out
-	}
-	var out []V
-	stole := false
-	res := h.search(max, func(sIdx int) int {
-		if sIdx == h.id {
-			out = h.takeLocalN(k, max)
-		} else {
-			out = h.stealNFrom(sIdx, k, max)
-			stole = len(out) > 0
-		}
-		return len(out)
-	})
-	h.eng.Observe(policy.Feedback{Stole: stole, Aborted: res.Got == 0, Examined: res.Examined, Got: len(out)})
+	_, out := h.remove(k, false, max, nil)
 	return out
 }
 
@@ -405,251 +399,156 @@ func (h *Handle[K, V]) GetN(k K, max int) []V {
 // non-empty k-bucket. It returns false after Options.Sweeps full sweeps
 // found no element of class k.
 func (h *Handle[K, V]) Get(k K) (V, bool) {
-	// Local fast path.
-	if v, ok := h.takeLocal(k); ok {
-		h.eng.ObserveLocal(1)
-		return v, true
-	}
-	// Search from where elements were last found (or in the victim
-	// order's ranked preference).
-	var out V
-	stole := false
-	res := h.search(1, func(sIdx int) int {
-		var ok bool
-		if sIdx == h.id {
-			out, ok = h.takeLocal(k)
-		} else {
-			out, ok = h.stealFrom(sIdx, k)
-			stole = ok
-		}
-		if ok {
-			return 1
-		}
-		return 0
-	})
-	found := res.Got > 0
-	got := 0
-	if found {
-		got = 1
-	}
-	h.eng.Observe(policy.Feedback{Stole: stole, Aborted: !found, Examined: res.Examined, Got: got})
-	return out, found
-}
-
-// GetAny removes an element of any class, preferring local ones. It
-// returns false when the pool appears empty after the configured sweeps.
-func (h *Handle[K, V]) GetAny() (K, V, bool) {
-	if k, v, ok := h.takeLocalAny(); ok {
-		h.eng.ObserveLocal(1)
-		return k, v, ok
-	}
-	var outK K
-	var outV V
-	stole := false
-	res := h.search(1, func(sIdx int) int {
-		var ok bool
-		if sIdx == h.id {
-			outK, outV, ok = h.takeLocalAny()
-		} else {
-			outK, outV, ok = h.stealAnyFrom(sIdx)
-			stole = ok
-		}
-		if ok {
-			return 1
-		}
-		return 0
-	})
-	found := res.Got > 0
-	got := 0
-	if found {
-		got = 1
-	}
-	h.eng.Observe(policy.Feedback{Stole: stole, Aborted: !found, Examined: res.Examined, Got: got})
-	return outK, outV, found
-}
-
-// takeLocal pops a class-k element from the local segment.
-func (h *Handle[K, V]) takeLocal(k K) (V, bool) {
+	// Local fast path: one bucket pop ahead of the shared remove, as
+	// core's Get keeps its owner pop; remove's general take costs a local
+	// hit more.
 	s := &h.pool.segs[h.id]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.buckets[k]
-	if b == nil {
-		var zero V
-		return zero, false
-	}
-	v, ok := b.Remove()
-	if ok {
-		s.total--
-		if b.Empty() {
-			s.drop(k, b)
-		}
-	}
-	return v, ok
-}
-
-// takeLocalN pops up to max class-k elements from the local segment.
-func (h *Handle[K, V]) takeLocalN(k K, max int) []V {
-	s := &h.pool.segs[h.id]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.buckets[k]
-	if b == nil {
-		return nil
-	}
-	out := b.RemoveN(max)
-	s.total -= len(out)
-	if b.Empty() {
-		s.drop(k, b)
-	}
-	return out
-}
-
-// stealNFrom steals the policy-chosen share of segment sIdx's class-k
-// bucket (the StealAmount sees max as the requester's appetite) and
-// returns up to max of the transferred elements, parking the rest in the
-// local segment. The share is reserved into the handle's private buffer
-// under the victim's lock alone and deposited after unlocking, so a
-// bucket steal never holds two segment locks at once.
-func (h *Handle[K, V]) stealNFrom(sIdx int, k K, max int) []V {
-	p := h.pool
-	src := &p.segs[sIdx]
-	src.mu.Lock()
-	srcB := src.buckets[k]
-	if srcB == nil || srcB.Empty() {
-		src.mu.Unlock()
-		return nil
-	}
-	buf := srcB.TakeOut(h.stealBuf[:0], h.steal.Amount(srcB.Len(), max))
-	src.total -= len(buf)
-	if srcB.Empty() {
-		src.drop(k, srcB)
-	}
-	src.mu.Unlock()
-	if h.tr != nil {
-		h.tr.Record(trace.ReserveTransfer, int32(sIdx), int32(len(buf)))
-	}
-
-	moved := len(buf)
-	n := moved
-	if n > max {
-		n = max
-	}
-	// The caller receives the most recently transferred elements (the
-	// order a bucket pop would surface them); the surplus parks locally.
-	out := make([]V, n)
-	for i := 0; i < n; i++ {
-		out[i] = buf[moved-1-i]
-	}
-	if moved > n {
-		dst := &p.segs[p.members.Place(h.id)]
-		dst.mu.Lock()
-		dst.bucket(k).AddAll(buf[:moved-n])
-		dst.total += moved - n
-		dst.mu.Unlock()
-	}
-	clear(buf) // release element references for GC; the buffer itself is kept
-	h.stealBuf = buf[:0]
-	return out
-}
-
-// takeLocalAny pops an element of any class from the local segment.
-func (h *Handle[K, V]) takeLocalAny() (K, V, bool) {
-	s := &h.pool.segs[h.id]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, b := range s.buckets {
+	if b := s.buckets[k]; b != nil {
 		if v, ok := b.Remove(); ok {
 			s.total--
 			if b.Empty() {
 				s.drop(k, b)
 			}
-			return k, v, true
+			s.mu.Unlock()
+			h.eng.ObserveLocal(1)
+			return v, true
 		}
 	}
-	var zeroK K
-	var zeroV V
-	return zeroK, zeroV, false
+	s.mu.Unlock()
+	_, out := h.remove(k, false, 1, h.one[:0])
+	return h.first(), len(out) > 0
 }
 
-// stealFrom steals the policy-chosen share of segment sIdx's class-k
-// bucket into the local segment and returns one element.
-func (h *Handle[K, V]) stealFrom(sIdx int, k K) (V, bool) {
-	out := h.stealNFrom(sIdx, k, 1)
-	if len(out) == 0 {
-		var zero V
-		return zero, false
+// GetAny removes an element of any class, preferring local ones. It
+// returns false when the pool appears empty after the configured sweeps.
+func (h *Handle[K, V]) GetAny() (K, V, bool) {
+	var k K
+	k, out := h.remove(k, true, 1, h.one[:0])
+	return k, h.first(), len(out) > 0
+}
+
+// first reads a one-element remove's result out of the handle's one-slot
+// output and clears the slot, so the handle keeps no element reference. A
+// remove that found nothing left the slot zero.
+func (h *Handle[K, V]) first() V {
+	v := h.one[0]
+	clear(h.one[:])
+	return v
+}
+
+// remove is the one path of Get, GetN and GetAny. It takes up to max
+// elements of class k (of any class, with anyClass) from the local
+// segment, else runs an engine sweep whose probes take from each segment
+// in the sweep order, and feeds the outcome to the controller. It appends
+// what it took to dst, which must be empty, and returns the class taken
+// (k when nothing was) and the extended dst.
+func (h *Handle[K, V]) remove(k K, anyClass bool, max int, dst []V) (K, []V) {
+	if c, out := h.take(h.id, k, anyClass, max, dst); len(out) > 0 {
+		h.eng.ObserveLocal(len(out))
+		return c, out
 	}
-	return out[0], true
+	r := &h.sub
+	r.key, r.anyClass, r.stole, r.out = k, anyClass, false, dst
+	res := h.eng.Search(max)
+	c, out := r.key, r.out
+	r.out = nil // the substrate keeps no reference to the caller's output
+	h.eng.Observe(policy.Feedback{Stole: r.stole, Aborted: res.Got == 0, Examined: res.Examined, Got: len(out)})
+	return c, out
 }
 
-// stealAnyFrom steals the policy-chosen share of some non-empty bucket of
-// segment sIdx, returning one element and parking the rest locally.
-func (h *Handle[K, V]) stealAnyFrom(sIdx int) (K, V, bool) {
+// take moves up to max elements of segment sIdx's picked bucket (see
+// seg.pick) onto dst, returning the bucket's class and the extended dst.
+// The handle's own segment gives its newest elements, as a bucket pop
+// does. A victim gives the policy-chosen share (the StealAmount sees max
+// as the requester's appetite): the share is reserved into the handle's
+// steal buffer under the victim's lock alone, its newest max elements go
+// to dst, and the surplus parks under the same class in the segment the
+// placement picks after unlocking, so a take never holds two segment
+// locks at once.
+func (h *Handle[K, V]) take(sIdx int, k K, anyClass bool, max int, dst []V) (K, []V) {
 	p := h.pool
-	src := &p.segs[sIdx]
-	src.mu.Lock()
-	var key K
-	var srcB *segment.Deque[V]
-	for k, b := range src.buckets {
-		if !b.Empty() {
-			key, srcB = k, b
-			break
+	s := &p.segs[sIdx]
+	s.mu.Lock()
+	k, b := s.pick(k, anyClass)
+	if b == nil {
+		s.mu.Unlock()
+		return k, dst
+	}
+	if sIdx == h.id {
+		n := min(max, b.Len())
+		dst = slices.Grow(dst, n)
+		for range n {
+			v, _ := b.Remove()
+			dst = append(dst, v)
 		}
+		s.total -= n
+		if b.Empty() {
+			s.drop(k, b)
+		}
+		s.mu.Unlock()
+		return k, dst
 	}
-	if srcB == nil {
-		src.mu.Unlock()
-		var zeroK K
-		var zeroV V
-		return zeroK, zeroV, false
+	buf := b.TakeOut(h.stealBuf[:0], h.steal.Amount(b.Len(), max))
+	s.total -= len(buf)
+	if b.Empty() {
+		s.drop(k, b)
 	}
-	buf := srcB.TakeOut(h.stealBuf[:0], h.steal.Amount(srcB.Len(), 1))
-	src.total -= len(buf)
-	if srcB.Empty() {
-		src.drop(key, srcB)
-	}
-	src.mu.Unlock()
+	s.mu.Unlock()
 	if h.tr != nil {
 		h.tr.Record(trace.ReserveTransfer, int32(sIdx), int32(len(buf)))
 	}
 
+	// The caller receives the most recently transferred elements, newest
+	// first (the order a bucket pop would surface them); the surplus parks.
 	moved := len(buf)
-	v := buf[moved-1]
-	if moved > 1 {
-		dst := &p.segs[p.members.Place(h.id)]
-		dst.mu.Lock()
-		dst.bucket(key).AddAll(buf[:moved-1])
-		dst.total += moved - 1
-		dst.mu.Unlock()
+	n := min(moved, max)
+	dst = append(dst, buf[moved-n:]...)
+	slices.Reverse(dst[len(dst)-n:])
+	if moved > n {
+		d := &p.segs[p.members.Place(h.id)]
+		d.mu.Lock()
+		d.bucket(k).AddAll(buf[:moved-n])
+		d.total += moved - n
+		d.mu.Unlock()
 	}
-	clear(buf)
+	clear(buf) // release element references for GC; the buffer itself is kept
 	h.stealBuf = buf[:0]
-	return key, v, true
+	return k, dst
 }
 
-// keyedSubstrate adapts a keyed handle to engine.Substrate: each remove
-// operation installs its bucket probe (class-specific or any-class), and
-// the engine drives it in the sweep order. The keyed pool needs no
-// Enter/Exit bookkeeping — emptiness is decidable per class, so there is
-// no lookers count to maintain — and no hard stops.
-type keyedSubstrate struct {
-	probe   func(sIdx int) int
-	members *engine.Membership
-	id      int
+// keyedSubstrate adapts a keyed handle to engine.Substrate. It holds the
+// in-flight remove's request: the class (or the any-class flag) and the
+// output its probes append to. Each Probe runs the handle's take on one
+// segment, and the engine drives the probes in the sweep order, so a
+// sweep allocates nothing. The keyed pool needs no Enter/Exit bookkeeping:
+// emptiness is decidable per class, so there is no lookers count to
+// maintain.
+type keyedSubstrate[K comparable, V any] struct {
+	h        *Handle[K, V]
+	key      K    // the requested class; under anyClass, the class taken
+	anyClass bool // take from any class's bucket
+	stole    bool // the probe that found elements took them from a victim
+	out      []V  // the remove's output
 }
 
-var _ engine.Substrate = (*keyedSubstrate)(nil)
+var _ engine.Substrate = (*keyedSubstrate[int, int])(nil)
 
-// Probe implements engine.Substrate.
-func (s *keyedSubstrate) Probe(sIdx, _ int) int { return s.probe(sIdx) }
+// Probe implements engine.Substrate: it takes up to want elements of the
+// requested class from segment sIdx.
+func (s *keyedSubstrate[K, V]) Probe(sIdx, want int) int {
+	s.key, s.out = s.h.take(sIdx, s.key, s.anyClass, want, s.out)
+	s.stole = len(s.out) > 0 && sIdx != s.h.id
+	return len(s.out)
+}
 
 // Stopped implements engine.Substrate. A killed handle's in-flight
 // sweep aborts at the next stop check instead of walking the ring on a
 // dead member's behalf.
-func (s *keyedSubstrate) Stopped() bool { return !s.members.Alive(s.id) }
+func (s *keyedSubstrate[K, V]) Stopped() bool { return !s.h.pool.members.Alive(s.h.id) }
 
 // Enter implements engine.Substrate.
-func (s *keyedSubstrate) Enter(int) {}
+func (s *keyedSubstrate[K, V]) Enter(int) {}
 
 // Exit implements engine.Substrate.
-func (s *keyedSubstrate) Exit() {}
+func (s *keyedSubstrate[K, V]) Exit() {}

@@ -104,6 +104,39 @@ func TestGetAnySteals(t *testing.T) {
 	}
 }
 
+func TestGetAnyParksSurplus(t *testing.T) {
+	p := newPool(t, 4)
+	victim := p.Handle(2)
+	for i := 0; i < 10; i++ {
+		victim.Put("blue", i)
+	}
+	// Steal-half moves the victim's five oldest elements: the newest of
+	// them is returned, the other four park in the thief's segment under
+	// their class.
+	k, v, ok := p.Handle(0).GetAny()
+	if !ok || k != "blue" || v != 4 {
+		t.Fatalf("GetAny = (%s,%d,%v), want (blue,4,true)", k, v, ok)
+	}
+	if got := p.SegmentLen(0); got != 4 {
+		t.Fatalf("thief's segment holds %d, want 4 parked", got)
+	}
+	if got := p.SegmentLen(2); got != 5 {
+		t.Fatalf("victim's segment holds %d, want 5", got)
+	}
+	if got := p.LenKey("blue"); got != 9 {
+		t.Fatalf("blue class holds %d, want 9", got)
+	}
+	// The parked four are the thief's local elements now, newest first.
+	for want := 3; want >= 0; want-- {
+		if k, v, ok := p.Handle(0).GetAny(); !ok || k != "blue" || v != want {
+			t.Fatalf("local GetAny = (%s,%d,%v), want (blue,%d,true)", k, v, ok, want)
+		}
+	}
+	if got := p.SegmentLen(2); got != 5 {
+		t.Fatalf("local GetAny reached the victim: it holds %d, want 5", got)
+	}
+}
+
 func TestLastFoundLocality(t *testing.T) {
 	p := newPool(t, 16)
 	producer := p.Handle(9)

@@ -67,8 +67,8 @@ var rules = []rule{
 	{"internal/core/handle.go", "substrate.Probe", []string{delay, place}},
 	{"internal/keyed/keyed.go", "Handle.Put", []string{direct, place}},
 	{"internal/keyed/keyed.go", "Handle.PutAll", []string{direct, place}},
-	{"internal/keyed/keyed.go", "Handle.Get", []string{local, observe}},
-	{"internal/keyed/keyed.go", "Handle.GetN", []string{local, observe}},
+	{"internal/keyed/keyed.go", "Handle.Get", []string{local}},
+	{"internal/keyed/keyed.go", "Handle.remove", []string{local, observe}},
 }
 
 // inlined is one "inlining call to" diagnostic.

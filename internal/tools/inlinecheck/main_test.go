@@ -95,8 +95,9 @@ func TestRulesNameRealFunctions(t *testing.T) {
 
 // TestRulesCoverOwnerPathStats pins the rows that keep stats and local
 // feedback off the call path: every core add and local remove inlines
-// its stats Record method, and every core and keyed Get/GetN inlines
-// ObserveLocal for its local hit.
+// its stats Record method, and every core Get/GetN, keyed Get and the
+// keyed remove path behind Get, GetN and GetAny inlines ObserveLocal for
+// its local hit.
 func TestRulesCoverOwnerPathStats(t *testing.T) {
 	want := map[string][]string{
 		"internal/core/handle.go Handle.Put":         {add},
@@ -106,7 +107,7 @@ func TestRulesCoverOwnerPathStats(t *testing.T) {
 		"internal/core/handle.go Handle.Get":         {localRemove, local},
 		"internal/core/handle.go Handle.GetN":        {batchRemove, local},
 		"internal/keyed/keyed.go Handle.Get":         {local},
-		"internal/keyed/keyed.go Handle.GetN":        {local},
+		"internal/keyed/keyed.go Handle.remove":      {local},
 	}
 	for _, r := range rules {
 		for _, c := range want[r.file+" "+r.fn] {
