@@ -57,12 +57,13 @@ race:
 # Deque/steal stress: the raced concurrency suites (owner-path deque,
 # steal, churn, kill/revive, conservation, and the substrate
 # conformance table over core, keyed and sim, whose raced rows and churn
-# script run here, and RealRun under churn,
-# burst batches included) repeated STRESS_COUNT times at several
-# GOMAXPROCS shapes. The shape sweep matters more than the
-# core count of the machine running it: GOMAXPROCS above the physical
-# cores forces preemption inside the lock-free owner/thief windows that
-# a matched count rarely interleaves.
+# script run here, RealRun under churn, burst batches included, and the
+# tic-tac-toe engine's parallel and duplicate-delivery searches, whose
+# child slabs pass between workers through a sync.Pool) repeated
+# STRESS_COUNT times at several GOMAXPROCS shapes. The shape sweep
+# matters more than the core count of the machine running it:
+# GOMAXPROCS above the physical cores forces preemption inside the
+# lock-free owner/thief windows that a matched count rarely interleaves.
 STRESS_COUNT ?= 20
 STRESS_PROCS ?= 1 2 8 32
 STRESS_RUN ?= Steal|Churn|Concurrent|Kill|Revive|Owner|Fallback|Conformance
@@ -72,6 +73,7 @@ stress:
 		echo "== stress: GOMAXPROCS=$$procs -race -count=$(STRESS_COUNT) =="; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run '$(STRESS_RUN)' ./internal/segment ./internal/core ./internal/keyed ./internal/engine || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run 'RealRunChurn' ./internal/harness || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=$(STRESS_COUNT) -run 'EngineParallel|Duplicate' ./internal/ttt || exit 1; \
 	done
 
 fuzz-smoke:

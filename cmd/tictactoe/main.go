@@ -43,6 +43,10 @@ func run(args []string) error {
 		return err
 	}
 
+	if *depth < 1 && *mode != "play" {
+		return fmt.Errorf("-depth %d: the parallel engine needs depth >= 1", *depth)
+	}
+
 	var board ttt.Board
 	switch *mode {
 	case "play":

@@ -1,9 +1,11 @@
 package ttt
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -20,19 +22,29 @@ import (
 // 2^31, and the small fields fill the padding, so the node is 48 bytes
 // (TestNodeLayout).
 //
-// Only the root is allocated alone. An expansion allocates all its
-// children as one slab, a []Node of up to Cells elements (about 3 KB).
-// A slab lives until its last child, or a descendant's parent pointer,
-// dies. A zeroed node's value reads as startValue(ToMove), so the slab's
-// fresh memory needs no store per child.
+// Only the root is allocated alone. An expansion takes a slab, a
+// [Cells]Node array of about 3 KB, from a package-wide sync.Pool,
+// zeroes its first k nodes, records it in kids and builds its k children
+// there. The slab goes back to the pool, and kids to nil, in the resolve
+// whose pending Add completes the node: with exactly-once delivery every
+// child in the slab has resolved by then, each child's accesses precede
+// its own Add, and the completing Add follows every sibling's. So a warm
+// search allocates nothing. A zeroed node's value reads as
+// startValue(ToMove), so the cleared slab needs no store per child for it.
+//
+// A duplicate delivery, which only a broken Source makes, can hand out a
+// child after its parent completed, when its slab may already hold
+// another expansion's children. What such a delivery then resolves into
+// is not defined; see Evaluated.
 type Node struct {
 	Board  Board
 	ToMove Player
 	winner Player // Board.Winner()
+	Depth  int8   // remaining expansion depth; 0 = evaluate statically
 	eval   int32  // Board.Eval()
-	Depth  int    // remaining expansion depth; 0 = evaluate statically
 
 	parent *Node
+	kids   *[Cells]Node // this node's child slab while its children are pending
 	// pending holds, in its low pendingBits bits, the number of children
 	// not yet resolved and, in the bits above, the number of leaf
 	// children resolved so far. A leaf child resolves with one Add of
@@ -60,12 +72,20 @@ const _ uint = pendingMask - 1 - Cells
 
 // yieldEvery is how many expansions, over all workers, pass between
 // yields of the processor. A worker that never blocks enters the
-// scheduler only when it is preempted, about every 10 ms, and until then
-// the collector's background mark worker can wait for a processor.
-// Everything allocated while a mark phase waits survives the cycle, so
-// the wait sets the peak heap. Yielding about every 4000 positions bounds
-// it.
+// scheduler only when it is preempted, about every 10 ms. The yield once
+// let the collector's mark worker in while the search allocated a slab
+// per expansion; with slabs recycled the search barely allocates, and
+// the yield stays because dropping it still raised tasktree's max RSS
+// by one 128 KB step: in 6 alternating 10 s pairs (seed 42, 2 vCPUs)
+// 3.11-3.23 MB with it against 3.23-3.36 MB without, higher in 5 pairs
+// and equal in 1, while ops/s (31.5-39.0 M with, median 33.1 M;
+// 32.9-36.9 M without, median 34.3 M) did not tell them apart.
 const yieldEvery = 64
+
+// slabs holds the free child slabs. sync.Pool keeps a free list per
+// processor, so taking or returning a slab takes no lock, and a slab
+// tends to stay with the processor that last used it.
+var slabs = sync.Pool{New: func() any { return new([Cells]Node) }}
 
 // Value returns the node's current minimax value. Only meaningful once the
 // node has resolved.
@@ -102,25 +122,30 @@ type Source interface {
 // Engine drives a parallel depth-limited minimax expansion. Workers share
 // one Engine and each call Step with their own Source until Done.
 type Engine struct {
-	root *Node
-
+	// done is polled on every Step by every worker, so it has a cache
+	// line to itself, apart from the counters the workers Add to
+	// (TestEngineLayout).
 	done      atomic.Bool
+	_         [63]byte
 	expanded  atomic.Int64 // internal nodes expanded
 	evaluated atomic.Int64 // leaf positions evaluated, added as each parent completes
 	rootValue atomic.Int32
 }
 
 // NewEngine prepares the expansion of (board, toMove) to the given depth
-// and places the root in seed. Depth must be >= 1.
+// and places the root in seed. Depth must be >= 1; a depth above Cells
+// searches as Cells, which changes no result, since a full board is a
+// leaf.
 func NewEngine(board Board, toMove Player, depth int, seed Source) *Engine {
-	e := &Engine{}
-	e.root = newNode(board, toMove, depth)
-	seed.Put(e.root)
-	return e
+	if depth < 1 {
+		panic(fmt.Sprintf("ttt: NewEngine depth %d, want >= 1", depth))
+	}
+	seed.Put(newNode(board, toMove, int8(min(depth, Cells))))
+	return &Engine{}
 }
 
-// newNode allocates a root; Expand allocates every other node in a slab.
-func newNode(b Board, toMove Player, depth int) *Node {
+// newNode allocates a root; every other node lives in a slab.
+func newNode(b Board, toMove Player, depth int8) *Node {
 	return &Node{Board: b, ToMove: toMove, Depth: depth}
 }
 
@@ -143,7 +168,12 @@ func (e *Engine) RootValue() int { return int(e.rootValue.Load()) }
 // "board positions examined". A leaf is counted when its parent
 // completes, so the count is exact once every delivered node has been
 // processed (in particular once Done); mid-search it lags by the leaves
-// whose parent is unresolved.
+// whose parent is unresolved. A duplicate delivery, which only a broken
+// Source makes, leaves the count other than the tree's, but by no fixed
+// amount: a duplicate that arrives after its parent completed resolves
+// whatever node its slab slot holds by then, which may be one leaf or a
+// whole expansion, so a duplicated leaf or depth-1 node counts as 1 leaf
+// or as that expansion's leaves depending on timing.
 func (e *Engine) Evaluated() int64 { return e.evaluated.Load() }
 
 // Positions returns all positions handled (internal + leaves); like
@@ -170,8 +200,8 @@ func (e *Engine) Step(src Source) bool {
 // carried Winner and Eval. Any other position puts one child per free
 // cell, in ascending cell order. Each child is scored from n's move
 // table, built once per expansion from n's 76 lines, so a child costs
-// only the 4 or 7 table entries of its cell. The children are allocated
-// together, as one slab.
+// only the 4 or 7 table entries of its cell. The children share one
+// slab from the pool, which resolve returns once n completes.
 func (e *Engine) Expand(n *Node, src Source) {
 	if n.parent == nil {
 		n.eval, n.winner = int32(n.Board.Eval()), n.Board.Winner()
@@ -192,16 +222,25 @@ func (e *Engine) Expand(n *Node, src Source) {
 	if e.expanded.Add(1)%yieldEvery == 0 {
 		runtime.Gosched()
 	}
-	kids := make([]Node, bits.OnesCount64(free))
-	n.pending.Store(int32(len(kids)))
-	t := n.Board.moveTable(n.ToMove)
+	// n's fields are read before the slab is taken. A duplicate delivery
+	// can hand out an n that lies in a free slab, even the one taken
+	// here, and then n is cleared and overwritten by its own children;
+	// the locals still give each child n's depth less one, so even that
+	// search ends. They also spare the loop a reload of n per child.
+	b, eval, depth := n.Board, n.eval, n.Depth-1
+	t := b.moveTable(n.ToMove)
 	toMove := n.ToMove.Opponent()
+	slab := slabs.Get().(*[Cells]Node)
+	kids := slab[:bits.OnesCount64(free)]
+	clear(kids)
+	n.kids = slab
+	n.pending.Store(int32(len(kids)))
 	for i := range kids {
 		c := bits.TrailingZeros64(free)
 		free &= free - 1
 		child := &kids[i]
-		child.Board, child.eval, child.winner = t.play(n.Board, c, n.eval)
-		child.ToMove, child.Depth, child.parent = toMove, n.Depth-1, n
+		child.Board, child.eval, child.winner = t.play(b, c, eval)
+		child.ToMove, child.Depth, child.parent = toMove, depth, n
 		src.Put(child)
 	}
 }
@@ -223,6 +262,8 @@ func (e *Engine) resolve(n *Node, v, delta int32) {
 		if leaves := r >> pendingBits; leaves != 0 {
 			e.evaluated.Add(int64(leaves))
 		}
+		slabs.Put(p.kids) // every child of p has resolved
+		p.kids = nil
 		n, v, delta = p, p.current(), -1
 	}
 	if delta == leafResolved {

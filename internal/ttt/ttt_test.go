@@ -3,6 +3,7 @@ package ttt
 import (
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -546,14 +547,18 @@ func TestEngineParallelWithConcurrentPool(t *testing.T) {
 	}
 }
 
-// dupSource hands the first depth-0 node it delivers out a second time:
-// at once, while that node's parent still has children pending, or, with
-// late set, only after every other node, when its parent has completed.
+// dupSource hands one node of the given depth out a second time, the
+// first after skip others of that depth: at once, while that node's
+// parent still has children pending, or, with late set, only after every
+// other node, when its parent has completed. The zero value duplicates
+// the first depth-0 node.
 type dupSource struct {
 	sliceSource
-	late bool
-	seen bool
-	held *Node
+	late  bool
+	depth int8
+	skip  int
+	seen  bool
+	held  *Node
 }
 
 func (s *dupSource) Get() (*Node, bool) {
@@ -562,7 +567,11 @@ func (s *dupSource) Get() (*Node, bool) {
 		n, s.held = s.held, nil
 		return n, n != nil
 	}
-	if n.Depth == 0 && !s.seen {
+	if n.Depth == s.depth && !s.seen {
+		if s.skip > 0 {
+			s.skip--
+			return n, true
+		}
 		s.seen = true
 		if s.late {
 			s.held = n
@@ -595,55 +604,176 @@ func TestEngineCountsDuplicateLeaf(t *testing.T) {
 	}
 }
 
-// TestExpandAllocatesOnce pins the slab: expanding an internal node
-// allocates all its children at once.
-func TestExpandAllocatesOnce(t *testing.T) {
-	src := &sliceSource{items: make([]*Node, 0, Cells)}
-	e := NewEngine(Board{}, X, 3, src)
-	e.Step(src)
-	n := src.items[0] // a depth-2 child of the root, so its children are internal
+// TestEngineDuplicateDepth3 duplicates a leaf or a depth-1 node of the
+// paper's depth-3 search, early or late, at several positions. A late
+// duplicate can land in a slab that another expansion has reused, so the
+// count it adds is not fixed, but it must not go unseen: Evaluated must
+// differ from the tree's leaf count. A late duplicate arrives after its
+// parent completed and must leave the root value alone. make stress
+// repeats the test under the race detector, whose sync.Pool drops a
+// random quarter of the slabs put back and so varies which slab each
+// expansion reuses; there one position per case keeps a run near 1.5 s.
+func TestEngineDuplicateDepth3(t *testing.T) {
+	const depth = 3
+	want, leaves := Minimax(Board{}, X, depth)
+	skips := []int{0, 1, 61, 62, 2000}
+	if raceEnabled {
+		skips = []int{2000}
+	}
+	for _, dupDepth := range []int8{0, 1} {
+		for _, skip := range skips {
+			for _, late := range []bool{false, true} {
+				src := &dupSource{late: late, depth: dupDepth, skip: skip}
+				e := NewEngine(Board{}, X, depth, src)
+				for e.Step(src) {
+				}
+				if !src.seen || src.held != nil || !e.Done() {
+					t.Fatalf("depth-%d node %d, late=%v: duplicate not delivered", dupDepth, skip, late)
+				}
+				if e.Evaluated() == leaves {
+					t.Errorf("depth-%d node %d, late=%v: evaluated %d, the count without a duplicate",
+						dupDepth, skip, late, e.Evaluated())
+				}
+				if late && e.RootValue() != want {
+					t.Errorf("depth-%d node %d: late duplicate changed the root value: %d, want %d",
+						dupDepth, skip, e.RootValue(), want)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+// Under it, sync.Pool drops a random quarter of the slabs put back, so
+// a test cannot count on getting a given slab again.
+var raceEnabled bool
+
+// TestExpandRecyclesSlab pins the slab's life: a completed parent's kids
+// is nil, the next expansion takes that slab, and a warm Expand, its
+// children resolved, allocates nothing. sync.Pool keeps a free list per
+// processor, so the test runs on one.
+func TestExpandRecyclesSlab(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	src := &sliceSource{}
+	e := NewEngine(Board{}, X, 2, src)
+	e.Step(src) // the root: 64 depth-1 children
+	kids := &sliceSource{items: make([]*Node, 0, Cells)}
+	n, m := src.items[0], src.items[1]
+	e.Expand(n, kids)
+	slab := n.kids
+	if slab == nil || len(kids.items) != Cells-1 {
+		t.Fatalf("expansion recorded slab %p for %d children", slab, len(kids.items))
+	}
+	for e.Step(kids) {
+	}
+	if n.kids != nil {
+		t.Fatal("completed node still holds its slab")
+	}
+	e.Expand(m, kids)
+	if m.kids != slab && !raceEnabled {
+		t.Errorf("next expansion took slab %p, not the completed parent's %p", m.kids, slab)
+	}
+	for e.Step(kids) {
+	}
+	if raceEnabled {
+		return
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		src.items = src.items[:0]
-		e.Expand(n, src)
+		e.Expand(m, kids)
+		for e.Step(kids) {
+		}
 	})
-	if allocs != 1 {
-		t.Errorf("Expand made %v allocations for %d children, want 1", allocs, len(src.items))
+	if allocs != 0 {
+		t.Errorf("warm Expand made %v allocations, want 0", allocs)
+	}
+}
+
+// TestExpandIntoOwnSlab expands a node that lies in a free slab, the one
+// the pool hands out next, as a late duplicate delivery can: the
+// expansion clears the node and builds its own children over it. Every
+// child must still be a leaf one level below the node, so the search
+// ends after the node's 64 children.
+func TestExpandIntoOwnSlab(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	slab := slabs.Get().(*[Cells]Node)
+	n := &slab[0]
+	*n = Node{ToMove: X, Depth: 1, parent: newNode(Board{}, O, 2)}
+	slabs.Put(slab)
+	var e Engine
+	src := &sliceSource{}
+	e.Expand(n, src)
+	steps := 0
+	for ; steps <= Cells && e.Step(src); steps++ {
+	}
+	if steps != Cells || len(src.items) != 0 {
+		t.Fatalf("search of the node's children took %d steps, %d left; want %d, 0", steps, len(src.items), Cells)
+	}
+	if e.Evaluated() != Cells {
+		t.Errorf("evaluated %d, want %d", e.Evaluated(), Cells)
 	}
 }
 
 // TestSlabChildValue pins the zero-valued encoding of Node.value: a
-// fresh slab child reads its side's start value, for both sides, and
+// child reads its side's start value, for both sides, whether its slab
+// is fresh or reused with every field of every node dirty, and
 // applyChild then holds the max (X to move) or min (O to move) through
 // the extreme values a child can report, ±WinScore and the largest
 // |Eval|, NumLines*WinScore.
 func TestSlabChildValue(t *testing.T) {
 	const maxEval = NumLines * WinScore
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, root := range []Player{X, O} {
-		src := &sliceSource{}
-		e := NewEngine(Board{}, root, 2, src)
-		e.Step(src)
-		n := src.items[0]
-		p := root.Opponent()
-		if n.parent == nil || n.ToMove != p {
-			t.Fatalf("%v root: first item is not a child", root)
-		}
-		if got, want := n.Value(), int(startValue(p)); got != want {
-			t.Fatalf("fresh %v child: Value %d, want start value %d", p, got, want)
-		}
-		for _, step := range []struct{ v, max, min int }{
-			{-WinScore, -WinScore, -WinScore},
-			{WinScore, WinScore, -WinScore},
-			{-maxEval, WinScore, -maxEval},
-			{maxEval, maxEval, -maxEval},
-			{0, maxEval, -maxEval},
-		} {
-			n.applyChild(int32(step.v))
-			want := step.max
-			if p == O {
-				want = step.min
+		for _, dirty := range []bool{false, true} {
+			var slab *[Cells]Node
+			if dirty {
+				// Take a slab and put it back dirty: with one processor,
+				// it is the next one the pool hands out.
+				slab = slabs.Get().(*[Cells]Node)
+				for i := range slab {
+					d := &slab[i]
+					d.Board, d.ToMove, d.winner = Board{XBits: 1, OBits: 2}, X, O
+					d.Depth, d.eval, d.parent, d.kids = 5, 77, d, slab
+					d.pending.Store(-1)
+					d.value.Store(-1)
+				}
+				slabs.Put(slab)
 			}
-			if got := n.Value(); got != want {
-				t.Fatalf("%v node after child %d: Value %d, want %d", p, step.v, got, want)
+			src := &sliceSource{}
+			e := NewEngine(Board{}, root, 2, src)
+			e.Step(src)
+			n := src.items[0]
+			p := root.Opponent()
+			if n.parent == nil || n.ToMove != p {
+				t.Fatalf("%v root: first item is not a child", root)
+			}
+			if dirty && n.parent.kids != slab {
+				if raceEnabled {
+					continue
+				}
+				t.Fatalf("%v root: expansion did not reuse the dirty slab", root)
+			}
+			if got, want := n.Value(), int(startValue(p)); got != want {
+				t.Fatalf("%v child (dirty slab %v): Value %d, want start value %d", p, dirty, got, want)
+			}
+			if n.kids != nil || n.pending.Load() != 0 || n.Depth != 1 || n.Board.Occupied()&^n.parent.Board.Occupied() == 0 {
+				t.Fatalf("%v child (dirty slab %v) not rebuilt: kids %p, pending %d, depth %d",
+					p, dirty, n.kids, n.pending.Load(), n.Depth)
+			}
+			for _, step := range []struct{ v, max, min int }{
+				{-WinScore, -WinScore, -WinScore},
+				{WinScore, WinScore, -WinScore},
+				{-maxEval, WinScore, -maxEval},
+				{maxEval, maxEval, -maxEval},
+				{0, maxEval, -maxEval},
+			} {
+				n.applyChild(int32(step.v))
+				want := step.max
+				if p == O {
+					want = step.min
+				}
+				if got := n.Value(); got != want {
+					t.Fatalf("%v node after child %d: Value %d, want %d", p, step.v, got, want)
+				}
 			}
 		}
 	}
