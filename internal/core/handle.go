@@ -9,7 +9,6 @@ import (
 	"pools/internal/metrics"
 	"pools/internal/numa"
 	"pools/internal/policy"
-	"pools/internal/search"
 	"pools/internal/trace"
 )
 
@@ -330,15 +329,19 @@ func (h *Handle[T]) TryPut(v T) bool {
 }
 
 // TryGetLocal removes an element from the local segment only, without
-// searching. It returns false if the local segment is empty.
+// searching, and feeds the hit to the controller as Get's fast path does.
+// It returns false if the local segment is empty.
 func (h *Handle[T]) TryGetLocal() (T, bool) {
 	h.Register()
 	p := h.pool
 	start := h.sample.begin()
 	p.opts.Delay.Delay(numa.AccessRemove, h.id, h.id)
 	v, ok := p.segs[h.id].dq.PopBottom()
-	if ok && p.opts.CollectStats {
-		h.stats.RecordLocalRemove(h.sample.since(start))
+	if ok {
+		if p.opts.CollectStats {
+			h.stats.RecordLocalRemove(h.sample.since(start))
+		}
+		h.eng.ObserveLocal(1)
 	}
 	return v, ok
 }
@@ -374,33 +377,9 @@ func (h *Handle[T]) Get() (T, bool) {
 	// Slow path: the engine's search-steal protocol, then the gift races.
 	// A timed remove is timed whole, so on the real pool StealTime also
 	// covers the failed local pop (a few ns) ahead of the search.
-	res := h.eng.Search(1)
-	g, gotGift, stole := h.resolveSearch(res)
-	if !stole {
-		if gotGift {
-			v = g.first()
-			h.parkLocal(g.rest())
-			if p.opts.CollectStats {
-				h.stats.DirectedReceives += int64(g.count())
-				d := h.sample.since(start)
-				h.stats.RecordStealRemove(d, d, res.Examined, g.count())
-			}
-			h.eng.Observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
-			return v, true
-		}
-		if p.opts.CollectStats {
-			h.stats.RecordAbort(h.sample.since(start))
-		}
-		h.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
-		return zero, false
-	}
-	v = h.sub.takeReserved()
-	if p.opts.CollectStats {
-		d := h.sample.since(start)
-		h.stats.RecordStealRemove(d, d, res.Examined, res.Got)
-	}
-	h.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
-	return v, true
+	var one [1]T
+	out := h.remove(start, 1, one[:0], false)
+	return one[0], out != nil
 }
 
 // parkLocal adds elements to the local segment, where subsequent removes
@@ -421,32 +400,69 @@ func (h *Handle[T]) parkLocal(items []T) {
 	p.noteAdd()
 }
 
-// resolveSearch settles the gift races after one engine search. A
-// successful search (res.Got > 0) already moved the stolen elements into
-// the local segment with one reserved in the substrate; any gift that
-// raced with it is parked in the local segment, where it stays visible to
-// every searcher instead of stranded in the mailbox until this handle's
-// next slow path. On stole=false, gotGift reports that a directed add
-// landed in the mailbox instead (a gift may race with a genuine abort);
-// otherwise the operation aborted empty-handed.
-func (h *Handle[T]) resolveSearch(res search.Result) (g gift[T], gotGift, stole bool) {
+// remove is the one slow path of Get and GetN: one engine search for up
+// to max elements, then the mailbox. It appends what it took to dst, which
+// must be empty (nil makes a new slice), and returns nil on an abort;
+// batch marks a GetN in the stats. A steal already moved its batch into
+// the local segment with one element reserved: a gift that raced with it
+// is parked there first, where every searcher can reach it, then the
+// reserved element and up to max-1 more from the local bottom make the
+// result. Without a steal, a gift (which may race with a genuine abort)
+// gives up to max elements and the rest is parked.
+func (h *Handle[T]) remove(start int64, max int, dst []T, batch bool) []T {
 	p := h.pool
+	res := h.eng.Search(max)
+	var g gift[T]
+	gotGift := false
 	if p.boxes != nil {
 		g, gotGift = p.boxes[h.id].tryTake()
 	}
-	if h.tr != nil && gotGift {
-		h.tr.Record(trace.GiftRecv, -1, int32(g.count()))
+	if gotGift {
+		if p.opts.CollectStats {
+			h.stats.DirectedReceives += int64(g.count())
+		}
+		if h.tr != nil {
+			h.tr.Record(trace.GiftRecv, -1, int32(g.count()))
+		}
 	}
-	if res.Got > 0 {
+	var out []T
+	got := res.Got
+	switch {
+	case res.Got > 0:
 		if gotGift {
 			h.parkLocal(g.elements())
-			if p.opts.CollectStats {
-				h.stats.DirectedReceives += int64(g.count())
-			}
 		}
-		return gift[T]{}, false, true
+		if dst == nil {
+			dst = make([]T, 0, max)
+		}
+		out = append(dst, h.sub.reserved)
+		h.sub.reserved = *new(T) // the substrate keeps no element reference
+		if max > 1 {
+			out = append(out, p.segs[h.id].dq.PopBottomN(max-1)...)
+		}
+	case gotGift:
+		got = g.count()
+		if g.batch == nil {
+			out = append(dst, g.one)
+			break
+		}
+		if dst == nil {
+			dst = g.batch[:0] // a GetN's result may keep the gift's slice
+		}
+		n := min(max, len(g.batch))
+		out = append(dst, g.batch[:n]...)
+		h.parkLocal(g.batch[n:])
 	}
-	return g, gotGift, false
+	if p.opts.CollectStats {
+		d := h.sample.since(start)
+		if out == nil {
+			h.stats.RecordAbort(d)
+		} else {
+			h.stats.RecordStealRemove(d, d, res.Examined, got, len(out), batch)
+		}
+	}
+	h.eng.Observe(policy.Feedback{Stole: res.Got > 0, Aborted: out == nil, Examined: res.Examined, Got: got})
+	return out
 }
 
 // GetN removes up to max elements from the pool in one operation. The
@@ -482,45 +498,7 @@ func (h *Handle[T]) GetN(max int) []T {
 	}
 
 	// Slow path: search and steal, exactly as Get.
-	res := h.eng.Search(max)
-	g, gotGift, stole := h.resolveSearch(res)
-	if !stole {
-		if gotGift {
-			if g.batch == nil {
-				out = []T{g.one}
-			} else if len(g.batch) <= max {
-				out = g.batch
-			} else {
-				out = g.batch[:max]
-				h.parkLocal(g.batch[max:])
-			}
-			if p.opts.CollectStats {
-				h.stats.DirectedReceives += int64(g.count())
-				d := h.sample.since(start)
-				h.stats.RecordBatchStealRemove(d, d, res.Examined, g.count(), len(out))
-			}
-			h.eng.Observe(policy.Feedback{Examined: res.Examined, Got: g.count()})
-			return out
-		}
-		if p.opts.CollectStats {
-			h.stats.RecordAbort(h.sample.since(start))
-		}
-		h.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
-		return nil
-	}
-	// The steal moved res.Got elements into the local segment and reserved
-	// one; collect the reserved element plus up to max-1 more in one lock.
-	out = make([]T, 1, max)
-	out[0] = h.sub.takeReserved()
-	if max > 1 {
-		out = append(out, s.dq.PopBottomN(max-1)...)
-	}
-	if p.opts.CollectStats {
-		d := h.sample.since(start)
-		h.stats.RecordBatchStealRemove(d, d, res.Examined, res.Got, len(out))
-	}
-	h.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
-	return out
+	return h.remove(start, max, nil, true)
 }
 
 // substrate adapts a Handle to engine.Substrate / engine.TreeSubstrate:
@@ -534,13 +512,6 @@ type substrate[T any] struct {
 }
 
 var _ engine.TreeSubstrate = (*substrate[int])(nil)
-
-func (w *substrate[T]) takeReserved() T {
-	var zero T
-	v := w.reserved
-	w.reserved = zero
-	return v
-}
 
 // Enter implements engine.Substrate: join the lookers count (the livelock
 // rule's evidence) and raise the hungry flag for directed adds.

@@ -81,7 +81,7 @@ func TestGiftRankedByHopCost(t *testing.T) {
 		t.Fatalf("giftOut delivered %d, want 1", got)
 	}
 	g, ok := p.boxes[2].tryTake()
-	if !ok || g.first() != 42 {
+	if !ok || g.elements()[0] != 42 {
 		t.Fatalf("near mailbox got (%v, %v), want the single gift 42", g, ok)
 	}
 	if _, ok := p.boxes[4].tryTake(); ok {
@@ -100,7 +100,7 @@ func TestGiftRankedByHopCost(t *testing.T) {
 		t.Fatalf("near mailbox got %d elements, want the first chunk of 2", g.count())
 	}
 	g, ok = p.boxes[4].tryTake()
-	if !ok || g.count() != 1 || g.first() != 3 {
+	if !ok || g.count() != 1 || g.elements()[0] != 3 {
 		t.Fatalf("cross mailbox got (%v, %v), want the leftover element 3", g, ok)
 	}
 }

@@ -45,25 +45,8 @@ func (g gift[T]) count() int {
 	return 1
 }
 
-// first returns the gift's first element.
-func (g gift[T]) first() T {
-	if g.batch != nil {
-		return g.batch[0]
-	}
-	return g.one
-}
-
-// rest returns the elements after the first (nil for single-element
-// gifts).
-func (g gift[T]) rest() []T {
-	if g.batch != nil {
-		return g.batch[1:]
-	}
-	return nil
-}
-
 // elements returns every carried element as a slice (allocating for
-// single-element gifts — callers on hot paths use first/rest instead).
+// single-element gifts).
 func (g gift[T]) elements() []T {
 	if g.batch != nil {
 		return g.batch

@@ -190,3 +190,22 @@ func TestTreeNodesFollowOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestTryGetLocalFeedsController checks that TryGetLocal's hits reach the
+// controller as local hits, as Get's do: two adaptive windows (16 removes
+// each) of nothing but local hits must lower the steal fraction.
+func TestTryGetLocalFeedsController(t *testing.T) {
+	ctl := policy.NewAdaptive()
+	p := newTestPool(t, Options{Segments: 2, Policies: policy.Set{Control: ctl}})
+	h := p.Handle(0)
+	before := ctl.StealFraction()
+	for i := range 2 * 16 {
+		h.Put(i)
+		if _, ok := h.TryGetLocal(); !ok {
+			t.Fatalf("TryGetLocal %d missed its own Put", i)
+		}
+	}
+	if after := ctl.StealFraction(); after >= before {
+		t.Errorf("steal fraction %v after 32 local hits, want below %v", after, before)
+	}
+}

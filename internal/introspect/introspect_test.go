@@ -48,7 +48,7 @@ func (s *stubSource) Timeline(h int) trace.Timeline {
 func newStub() *stubSource {
 	s := &stubSource{}
 	s.st.RecordAdd(10)
-	s.st.RecordStealRemove(40, 25, 3, 2)
+	s.st.RecordStealRemove(40, 25, 3, 2, 1, false)
 	s.tls = []trace.Timeline{
 		{Handle: 0, Events: []trace.Event{
 			{TS: 1, Kind: trace.SearchBegin, Arg1: 1},

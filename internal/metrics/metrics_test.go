@@ -148,7 +148,7 @@ func TestPoolStatsAccounting(t *testing.T) {
 	s.RecordAdd(70)
 	s.RecordAdd(90)
 	s.RecordLocalRemove(110)
-	s.RecordStealRemove(500, 390, 3, 10)
+	s.RecordStealRemove(500, 390, 3, 10, 1, false)
 	s.RecordAbort(30)
 
 	if s.Adds != 2 || s.Removes != 2 || s.LocalRemoves != 1 || s.Steals != 1 || s.Aborts != 1 {
@@ -176,7 +176,7 @@ func TestPoolStatsMerge(t *testing.T) {
 	var a, b PoolStats
 	a.RecordAdd(10)
 	b.RecordLocalRemove(20)
-	b.RecordStealRemove(30, 15, 2, 4)
+	b.RecordStealRemove(30, 15, 2, 4, 1, false)
 	b.RecordAbort(10)
 	a.Merge(&b)
 	if a.Adds != 1 || a.Removes != 2 || a.Steals != 1 || a.Aborts != 1 {
@@ -196,8 +196,8 @@ func TestPoolStatsUntimedCountsOnly(t *testing.T) {
 	s.RecordAdd(Untimed)
 	s.RecordBatchAdd(Untimed, 4)
 	s.RecordLocalRemove(0.5)
-	s.RecordStealRemove(Untimed, Untimed, 2, 3)
-	s.RecordBatchStealRemove(1.5, 1.25, 1, 4, 2)
+	s.RecordStealRemove(Untimed, Untimed, 2, 3, 1, false)
+	s.RecordStealRemove(1.5, 1.25, 1, 4, 2, true)
 	s.RecordAbort(Untimed)
 
 	if s.Adds != 6 || s.AddCalls != 3 || s.Removes != 4 || s.RemoveCalls != 3 ||
@@ -253,7 +253,7 @@ func TestPoolStatsSummary(t *testing.T) {
 	var s PoolStats
 	s.RecordAdd(10)
 	s.RecordLocalRemove(20)
-	s.RecordStealRemove(30, 15, 2, 4)
+	s.RecordStealRemove(30, 15, 2, 4, 1, false)
 	s.RecordAbort(40)
 	s.RecordStealVictim(true)
 	s.RecordStealVictim(false)

@@ -163,25 +163,23 @@ func (s *PoolStats) RecordLocalRemove(d float64) {
 }
 
 // RecordStealRemove records a remove that needed a steal: total duration d,
-// steal portion sd (both µs, or Untimed), number of segments examined, and
-// elements obtained.
-func (s *PoolStats) RecordStealRemove(d, sd float64, examined, stolen int) {
-	s.Removes++
-	s.RemoveCalls++
-	s.recordSteal(sd, examined, stolen)
-	if d >= 0 {
-		s.timedRemove(d)
+// steal portion sd (both µs, or Untimed), number of segments examined,
+// elements obtained by the steal, and n elements returned to the caller;
+// batch marks a GetN.
+func (s *PoolStats) RecordStealRemove(d, sd float64, examined, stolen, n int, batch bool) {
+	if batch {
+		s.BatchRemoves++
 	}
-}
-
-// recordSteal counts one successful steal and, when timed, its search+steal
-// portion sd.
-func (s *PoolStats) recordSteal(sd float64, examined, stolen int) {
+	s.Removes += int64(n)
+	s.RemoveCalls++
 	s.Steals++
 	s.SegmentsExamined.Add(float64(examined))
 	s.ElementsStolen.Add(float64(stolen))
 	if sd >= 0 {
 		s.StealTime.Add(sd)
+	}
+	if d >= 0 {
+		s.timedRemove(d)
 	}
 }
 
@@ -202,19 +200,6 @@ func (s *PoolStats) RecordBatchLocalRemove(d float64, n int) {
 	s.Removes += int64(n)
 	s.LocalRemoves += int64(n)
 	s.RemoveCalls++
-	if d >= 0 {
-		s.timedRemove(d)
-	}
-}
-
-// RecordBatchStealRemove records one GetN that needed a steal: total
-// duration d, steal portion sd, segments examined, elements transferred by
-// the steal, and n elements returned to the caller.
-func (s *PoolStats) RecordBatchStealRemove(d, sd float64, examined, stolen, n int) {
-	s.BatchRemoves++
-	s.Removes += int64(n)
-	s.RemoveCalls++
-	s.recordSteal(sd, examined, stolen)
 	if d >= 0 {
 		s.timedRemove(d)
 	}

@@ -17,18 +17,6 @@ func (m TenantMap) TenantOf(seg int) int {
 	return m[seg]
 }
 
-// NumTenants returns the number of tenants the map names (max id + 1),
-// at least 1.
-func (m TenantMap) NumTenants() int {
-	n := 1
-	for _, t := range m {
-		if t+1 > n {
-			n = t + 1
-		}
-	}
-	return n
-}
-
 // EvenTenants builds the contiguous block partition: segments
 // [t*segments/tenants, (t+1)*segments/tenants) belong to tenant t. This
 // mirrors how the multi-tenant workload assigns processes to tenants, so

@@ -7,9 +7,6 @@ import (
 
 func TestEvenTenants(t *testing.T) {
 	m := EvenTenants(16, 4)
-	if m.NumTenants() != 4 {
-		t.Fatalf("NumTenants = %d, want 4", m.NumTenants())
-	}
 	for s := 0; s < 16; s++ {
 		if got, want := m.TenantOf(s), s/4; got != want {
 			t.Errorf("TenantOf(%d) = %d, want %d (contiguous blocks)", s, got, want)
@@ -17,8 +14,8 @@ func TestEvenTenants(t *testing.T) {
 	}
 	// Uneven division still partitions every segment, ids stay dense.
 	m = EvenTenants(10, 3)
-	if m.NumTenants() != 3 {
-		t.Errorf("NumTenants = %d, want 3", m.NumTenants())
+	if first, last := m.TenantOf(0), m.TenantOf(9); first != 0 || last != 2 {
+		t.Errorf("tenants run %d..%d, want 0..2", first, last)
 	}
 	for s := 1; s < 10; s++ {
 		if m.TenantOf(s) < m.TenantOf(s-1) {
@@ -26,14 +23,16 @@ func TestEvenTenants(t *testing.T) {
 		}
 	}
 	// Degenerate tenant counts clamp to one tenant.
-	if m := EvenTenants(4, 0); m.NumTenants() != 1 {
-		t.Errorf("EvenTenants(4,0).NumTenants = %d, want 1", m.NumTenants())
+	for s, id := range EvenTenants(4, 0) {
+		if id != 0 {
+			t.Errorf("EvenTenants(4,0) puts segment %d in tenant %d, want 0", s, id)
+		}
 	}
 }
 
 func TestTenantMapDegradesToSingleTenant(t *testing.T) {
 	var nilMap TenantMap
-	if nilMap.TenantOf(3) != 0 || nilMap.NumTenants() != 1 {
+	if nilMap.TenantOf(3) != 0 {
 		t.Error("nil map should mean a single tenant owning everything")
 	}
 	short := TenantMap{0, 1}

@@ -9,7 +9,7 @@ import (
 // Reference values for splitmix64 seeded with 1234567, from the public
 // reference implementation (Vigna).
 func TestSplitMix64KnownVector(t *testing.T) {
-	sm := NewSplitMix64(1234567)
+	sm := &SplitMix64{state: 1234567}
 	want := []uint64{
 		6457827717110365317,
 		3203168211198807973,
@@ -26,7 +26,7 @@ func TestSplitMix64KnownVector(t *testing.T) {
 
 func TestMixMatchesSplitMixStep(t *testing.T) {
 	f := func(seed uint64) bool {
-		sm := NewSplitMix64(seed)
+		sm := &SplitMix64{state: seed}
 		return sm.Next() == Mix(seed)
 	}
 	if err := quick.Check(f, nil); err != nil {

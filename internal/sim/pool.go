@@ -353,29 +353,13 @@ func (pr *Proc[T]) GetN(max int) []T {
 		return out
 	}
 
-	searchStart := pr.env.Now()
-	res := pr.eng.Search(max)
-	if res.Got == 0 {
-		pr.stats.RecordAbort(pr.since(start))
-		pr.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
-		return nil
-	}
-	out := make([]T, 1, max)
-	out[0] = pr.sub.takeReserved()
-	if max > 1 {
-		out = append(out, p.segs[pr.id].RemoveN(max-1)...)
-		p.recordTrace(pr.env, pr.id)
-	}
-	pr.stats.RecordBatchStealRemove(pr.since(start), pr.since(searchStart), res.Examined, res.Got, len(out))
-	pr.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
-	return out
+	return pr.remove(start, max, nil, true)
 }
 
 // Get removes an element: locally when possible, otherwise via the
 // configured search algorithm's steal protocol. ok=false reports an
 // aborted operation (the paper's livelock rule or AbortAll).
 func (pr *Proc[T]) Get() (T, bool) {
-	var zero T
 	p := pr.pool
 	start := pr.env.Now()
 	pr.env.Charge(&p.segRes[pr.id], p.cfg.Costs.Cost(numa.AccessRemove, pr.id, pr.id))
@@ -386,17 +370,37 @@ func (pr *Proc[T]) Get() (T, bool) {
 		return v, true
 	}
 
+	var one [1]T
+	out := pr.remove(start, 1, one[:0], false)
+	return one[0], out != nil
+}
+
+// remove is the one slow path of Get and GetN: one engine search for up
+// to max elements. A steal leaves its batch in the local segment with one
+// element reserved; remove appends that element and up to max-1 more from
+// the local segment to dst, which must be empty (nil makes a new slice).
+// It returns nil on an abort; batch marks a GetN in the stats.
+func (pr *Proc[T]) remove(start int64, max int, dst []T, batch bool) []T {
+	p := pr.pool
 	searchStart := pr.env.Now()
-	res := pr.eng.Search(1)
-	if res.Got == 0 {
+	res := pr.eng.Search(max)
+	var out []T
+	if res.Got > 0 {
+		if dst == nil {
+			dst = make([]T, 0, max)
+		}
+		out = append(dst, pr.sub.reserved)
+		pr.sub.reserved = *new(T) // the substrate keeps no element reference
+		if max > 1 {
+			out = append(out, p.segs[pr.id].RemoveN(max-1)...)
+			p.recordTrace(pr.env, pr.id)
+		}
+		pr.stats.RecordStealRemove(pr.since(start), pr.since(searchStart), res.Examined, res.Got, len(out), batch)
+	} else {
 		pr.stats.RecordAbort(pr.since(start))
-		pr.eng.Observe(policy.Feedback{Aborted: true, Examined: res.Examined})
-		return zero, false
 	}
-	v := pr.sub.takeReserved()
-	pr.stats.RecordStealRemove(pr.since(start), pr.since(searchStart), res.Examined, res.Got)
-	pr.eng.Observe(policy.Feedback{Stole: true, Examined: res.Examined, Got: res.Got})
-	return v, true
+	pr.eng.Observe(policy.Feedback{Stole: res.Got > 0, Aborted: out == nil, Examined: res.Examined, Got: res.Got})
+	return out
 }
 
 // simSubstrate adapts a Proc to engine.Substrate / engine.TreeSubstrate:
@@ -409,13 +413,6 @@ type simSubstrate[T any] struct {
 }
 
 var _ engine.TreeSubstrate = (*simSubstrate[Token])(nil)
-
-func (w *simSubstrate[T]) takeReserved() T {
-	var zero T
-	v := w.reserved
-	w.reserved = zero
-	return v
-}
 
 // Enter implements engine.Substrate: bump the shared lookers counter (a
 // remote shared object on the Butterfly), charging the access.

@@ -14,10 +14,12 @@
 // shared CI runners swings individual benchmarks far more than 15%, but a
 // uniform shift of the whole suite is a real regression. Per-benchmark
 // ratios are still printed (worst first) so a regression is attributable.
-// Benchmarks present only in the baseline or only in the current run are
-// reported and skipped; -update rewrites the baseline from the current
-// run (do this whenever a PR intentionally changes performance or adds
-// benchmarks, and commit the result).
+// A baseline benchmark missing from the current run fails the gate, so
+// a deleted or renamed benchmark cannot drop out of it unnoticed;
+// benchmarks only in the current run are reported and skipped. -update
+// rewrites the baseline from the current run (do this whenever a change
+// intentionally moves performance, adds or removes benchmarks, and commit
+// the result).
 package main
 
 import (
@@ -94,6 +96,10 @@ func run(args []string, out io.Writer) error {
 		// A gate that compares nothing must not pass: a suite rename (or a
 		// mis-parsed run) would otherwise disable the check silently.
 		return fmt.Errorf("no benchmarks in common with the baseline — re-record it with -update")
+	}
+	if len(rep.onlyBase) > 0 {
+		return fmt.Errorf("%d baseline benchmarks missing from this run (%s) — restore them or re-record the baseline with -update",
+			len(rep.onlyBase), strings.Join(rep.onlyBase, ", "))
 	}
 	if rep.geomeanRatio() > 1+*threshold/100 {
 		return fmt.Errorf("geomean regression %.1f%% exceeds the %.0f%% gate",
@@ -311,7 +317,7 @@ func (r report) render(threshold float64) string {
 		fmt.Fprintf(&b, "  below the noise floor, not gated: %s\n", strings.Join(r.tooSmall, ", "))
 	}
 	for _, name := range r.onlyBase {
-		fmt.Fprintf(&b, "  missing from this run (skipped): %s\n", name)
+		fmt.Fprintf(&b, "  missing from this run: %s\n", name)
 	}
 	for _, name := range r.onlyCurrent {
 		fmt.Fprintf(&b, "  new benchmark, not in baseline (skipped; -update to adopt): %s\n", name)

@@ -239,6 +239,26 @@ func TestRunNoCommonBenchmarksFails(t *testing.T) {
 	}
 }
 
+// TestRunMissingRowFails checks that a baseline row the run did not
+// produce fails the gate, although the common row is at its baseline.
+func TestRunMissingRowFails(t *testing.T) {
+	dir := t.TempDir()
+	baselinePath := filepath.Join(dir, "BENCH_BASELINE.json")
+	if err := os.WriteFile(baselinePath, []byte(
+		`{"benchmarks":{"BenchmarkFig2":250000000,"BenchmarkDeleted":1000}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	benchPath := filepath.Join(dir, "bench.out")
+	if err := os.WriteFile(benchPath, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{"-baseline", baselinePath, benchPath}, &out)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkDeleted") {
+		t.Fatalf("run without a baseline row: err = %v, want it named\n%s", err, out.String())
+	}
+}
+
 func TestRunEmptyInput(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.out")

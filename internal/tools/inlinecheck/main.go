@@ -60,9 +60,10 @@ var rules = []rule{
 	{"internal/core/handle.go", "Handle.Put", []string{begin, direct, place, delay, add}},
 	{"internal/core/handle.go", "Handle.PutAll", []string{begin, direct, place, delay, batchAdd}},
 	{"internal/core/handle.go", "Handle.TryPut", []string{begin, delay, add}},
-	{"internal/core/handle.go", "Handle.TryGetLocal", []string{begin, delay, localRemove}},
-	{"internal/core/handle.go", "Handle.Get", []string{begin, delay, localRemove, local, observe}},
-	{"internal/core/handle.go", "Handle.GetN", []string{begin, delay, batchRemove, local, observe}},
+	{"internal/core/handle.go", "Handle.TryGetLocal", []string{begin, delay, localRemove, local}},
+	{"internal/core/handle.go", "Handle.Get", []string{begin, delay, localRemove, local}},
+	{"internal/core/handle.go", "Handle.GetN", []string{begin, delay, batchRemove, local}},
+	{"internal/core/handle.go", "Handle.remove", []string{observe}},
 	{"internal/core/handle.go", "Handle.parkLocal", []string{place}},
 	{"internal/core/handle.go", "substrate.Probe", []string{delay, place}},
 	{"internal/keyed/keyed.go", "Handle.Put", []string{direct, place}},

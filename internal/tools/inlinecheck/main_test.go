@@ -93,21 +93,23 @@ func TestRulesNameRealFunctions(t *testing.T) {
 	}
 }
 
-// TestRulesCoverOwnerPathStats pins the rows that keep stats and local
-// feedback off the call path: every core add and local remove inlines
-// its stats Record method, and every core Get/GetN, keyed Get and the
-// keyed remove path behind Get, GetN and GetAny inlines ObserveLocal for
-// its local hit.
+// TestRulesCoverOwnerPathStats pins the rows that keep stats and
+// controller feedback off the call path: every core add and local remove
+// inlines its stats Record method; every core TryGetLocal/Get/GetN, keyed
+// Get and the keyed remove path behind Get, GetN and GetAny inlines
+// ObserveLocal for its local hit; and the core and keyed remove paths
+// inline Observe for their slow-path outcome.
 func TestRulesCoverOwnerPathStats(t *testing.T) {
 	want := map[string][]string{
 		"internal/core/handle.go Handle.Put":         {add},
 		"internal/core/handle.go Handle.PutAll":      {batchAdd},
 		"internal/core/handle.go Handle.TryPut":      {add},
-		"internal/core/handle.go Handle.TryGetLocal": {localRemove},
+		"internal/core/handle.go Handle.TryGetLocal": {localRemove, local},
 		"internal/core/handle.go Handle.Get":         {localRemove, local},
 		"internal/core/handle.go Handle.GetN":        {batchRemove, local},
 		"internal/keyed/keyed.go Handle.Get":         {local},
-		"internal/keyed/keyed.go Handle.remove":      {local},
+		"internal/core/handle.go Handle.remove":      {observe},
+		"internal/keyed/keyed.go Handle.remove":      {local, observe},
 	}
 	for _, r := range rules {
 		for _, c := range want[r.file+" "+r.fn] {
