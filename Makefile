@@ -175,9 +175,9 @@ docs-check:
 # inlined field test. The compiler's -m report must show each feature
 # check (NUMA delay, placement candidates, controller/recorder feedback,
 # membership redirect, stats sampler) inlined at every owner-path call
-# site in core and keyed; internal/tools/inlinecheck holds the list.
+# site in core, keyed and sim; internal/tools/inlinecheck holds the list.
 inline-check:
-	$(GO) build -gcflags=-m ./internal/core ./internal/keyed 2> inline.out || (cat inline.out; exit 1)
+	$(GO) build -gcflags=-m ./internal/core ./internal/keyed ./internal/sim 2> inline.out || (cat inline.out; exit 1)
 	$(GO) run ./internal/tools/inlinecheck inline.out
 	rm -f inline.out
 

@@ -464,8 +464,8 @@ func BenchmarkPoolContended(b *testing.B) {
 
 // BenchmarkTreeRounds measures a producer/consumer handoff under the
 // tree search, whose steals read and raise the pool's atomic round
-// counters (the real substrate's "Tree rounds" row in
-// docs/ARCHITECTURE.md).
+// counters (engine.Tree, charged through core's TreeSubstrate.ChargeNode
+// row in docs/ARCHITECTURE.md).
 func BenchmarkTreeRounds(b *testing.B) {
 	b.Run("atomic", func(b *testing.B) {
 		p, err := pools.New[int](pools.Options{

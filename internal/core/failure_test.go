@@ -171,12 +171,12 @@ func TestPoolTreeRoundsMonotone(t *testing.T) {
 	p := newTestPool(t, Options{Segments: 8, Policies: policy.Set{Order: search.Tree}})
 	producer := p.Handle(3)
 	consumer := p.Handle(6)
-	prev := make([]uint64, len(p.nodes))
+	prev := make([]uint64, p.tree.Len())
 	for round := 0; round < 50; round++ {
 		producer.Put(round)
 		consumer.Get()
-		for i := range p.nodes {
-			cur := p.nodes[i].round.Load()
+		for i := range prev {
+			cur := p.tree.Round(i)
 			if cur < prev[i] {
 				t.Fatalf("node %d round decreased %d -> %d", i, prev[i], cur)
 			}

@@ -461,7 +461,7 @@ func (h *Handle[T]) remove(start int64, max int, dst []T, batch bool) []T {
 			h.stats.RecordStealRemove(d, d, res.Examined, got, len(out), batch)
 		}
 	}
-	h.eng.Observe(policy.Feedback{Stole: res.Got > 0, Aborted: out == nil, Examined: res.Examined, Got: got})
+	h.eng.Finish(got)
 	return out
 }
 
@@ -504,8 +504,8 @@ func (h *Handle[T]) GetN(max int) []T {
 // substrate adapts a Handle to engine.Substrate / engine.TreeSubstrate:
 // the typed reserve/transfer half of the steal protocol, over the
 // segments' thief side (the segment lock) with wall-clock delay
-// injection. Coverage tracking, probe classification, and the abort rule
-// live in the engine.
+// injection. Coverage tracking, probe classification, the round counters
+// and the abort rule live in the engine.
 type substrate[T any] struct {
 	h        *Handle[T]
 	reserved T
@@ -623,21 +623,9 @@ func (w *substrate[T]) Probe(sIdx, want int) int {
 	return moved
 }
 
-// NumLeaves implements engine.TreeSubstrate.
-func (w *substrate[T]) NumLeaves() int { return w.h.pool.leaves }
-
-// RoundOf implements engine.TreeSubstrate.
-func (w *substrate[T]) RoundOf(n int) uint64 {
-	p := w.h.pool
-	p.opts.Delay.Delay(numa.AccessNode, w.h.id, -1)
-	return p.roundOf(n)
-}
-
-// MaxRound implements engine.TreeSubstrate.
-func (w *substrate[T]) MaxRound(n int, r uint64) {
-	p := w.h.pool
-	p.opts.Delay.Delay(numa.AccessNode, w.h.id, -1)
-	p.maxRound(n, r)
+// ChargeNode implements engine.TreeSubstrate: one node-access delay.
+func (w *substrate[T]) ChargeNode(int) {
+	w.h.pool.opts.Delay.Delay(numa.AccessNode, w.h.id, -1)
 }
 
 // coverageState exposes the pool-wide evidence engine.Coverage consults.

@@ -171,8 +171,8 @@ func TestTreeNodesFollowOrder(t *testing.T) {
 		if c.kind == search.Tree {
 			wantNodes = search.NumTreeNodes(segs)
 		}
-		if len(p.nodes) != wantNodes {
-			t.Errorf("%s: %d tree nodes, want %d", c.name, len(p.nodes), wantNodes)
+		if n := p.tree.Len(); n != wantNodes {
+			t.Errorf("%s: %d tree nodes, want %d", c.name, n, wantNodes)
 		}
 		if k := p.handles[0].eng.Plan().Searcher.Kind(); k != c.kind {
 			t.Errorf("%s: searcher kind = %v, want %v", c.name, k, c.kind)

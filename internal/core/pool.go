@@ -45,7 +45,6 @@ import (
 	"pools/internal/numa"
 	"pools/internal/policy"
 	"pools/internal/rng"
-	"pools/internal/search"
 	"pools/internal/segment"
 	"pools/internal/trace"
 )
@@ -109,13 +108,6 @@ type seg[T any] struct {
 	dq segment.OwnerDeque[T]
 }
 
-// treeNode is one tree round counter, padded so that no two counters
-// share a cache line.
-type treeNode struct {
-	round atomic.Uint64
-	_     pad
-}
-
 // Pool is a concurrent pool of T. Create with New; the zero value is not
 // usable.
 type Pool[T any] struct {
@@ -123,19 +115,22 @@ type Pool[T any] struct {
 	pol       policy.Set    // resolved policies (no nil slots)
 	topo      numa.Topology // resolved hop distances (nil = uniform)
 	segs      []seg[T]
-	nodes     []treeNode   // heap-indexed tree round counters (tree search only)
+	tree      engine.Tree  // the round counters (sized under a tree-search plan only)
 	boxes     []mailbox[T] // directed-add mailboxes (gifting placements only)
 	giftOrder [][]int      // per-giver mailbox delivery order (hop-cost ranked under a topology)
-	leaves    int
 	handles   []*Handle[T]
 	members   *engine.Membership // dynamic membership: alive/victim bits + the coverage epoch
 	base      time.Time          // monotonic time zero for op timing and the flight recorder
 
+	// The pool-wide words every search touches share one cache line, and
+	// the tail pad fills it: a 512-byte Pool sits in the 512-byte size
+	// class, whose objects start on a line boundary (TestPoolLayout).
 	lookers atomic.Int32  // registered handles currently inside a search
 	open    atomic.Int32  // handles registered and not yet closed
 	moving  atomic.Int32  // steals mid-transfer (victim unlocked, surplus not yet deposited)
 	version atomic.Uint64 // bumped for every mutation an in-flight search could miss (noteAdd)
 	closed  atomic.Bool
+	_       [36]byte
 }
 
 // New creates a pool with the given options.
@@ -165,7 +160,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 		pol:     pol,
 		topo:    topo,
 		segs:    make([]seg[T], opts.Segments),
-		leaves:  search.NumLeavesFor(opts.Segments),
 		members: engine.NewMembership(opts.Segments),
 		base:    time.Now(),
 	}
@@ -199,6 +193,7 @@ func New[T any](opts Options) (*Pool[T], error) {
 			Topology:  topo,
 			Stats:     stats,
 			SizeProbe: h.sizeProbe(),
+			Tree:      &p.tree,
 			Tracer:    h.tr,
 			Members:   p.members,
 		}, &h.sub, engine.NewCoverage(opts.Segments, coverageState[T]{p}))
@@ -206,9 +201,6 @@ func New[T any](opts Options) (*Pool[T], error) {
 		plan := h.eng.Plan()
 		if plan.Searcher == nil {
 			return nil, fmt.Errorf("%w: order %s plans no search", ErrBadOptions, pol.Order.Name())
-		}
-		if plan.Tree && p.nodes == nil {
-			p.nodes = make([]treeNode, search.NumTreeNodes(opts.Segments))
 		}
 		// Mailboxes exist only under a placement that can actually gift,
 		// so a non-gifting one gets the zero-overhead pool of the
@@ -249,14 +241,13 @@ func (p *Pool[T]) allocBoxes() {
 
 // sizeProbe builds the handle's placement size-probe closure once, so the
 // add hot path under a size-aware placement does not allocate a closure
-// per Put. Each call charges one probe delay and counts in the
-// cross-probe accounting — probing is not free, exactly as in the
-// simulator.
+// per Put. Each call charges one probe delay — probing is not free,
+// exactly as in the simulator — and the engine counts it in the
+// cross-probe accounting.
 func (h *Handle[T]) sizeProbe() func(s int) int {
 	return func(s int) int {
 		p := h.pool
 		p.opts.Delay.Delay(numa.AccessProbe, h.id, s)
-		h.eng.NoteProbe(s)
 		return p.segs[s].dq.Len()
 	}
 }
@@ -442,19 +433,4 @@ func (p *Pool[T]) Stats() metrics.PoolStats {
 		total.Merge(&h.stats)
 	}
 	return total
-}
-
-// roundOf reads tree node n's round counter.
-func (p *Pool[T]) roundOf(n int) uint64 { return p.nodes[n].round.Load() }
-
-// maxRound raises node n's counter to r if greater (an atomic max: the
-// paper locks each counter; a CAS loop gives the same monotone result).
-func (p *Pool[T]) maxRound(n int, r uint64) {
-	nd := &p.nodes[n]
-	for {
-		cur := nd.round.Load()
-		if cur >= r || nd.round.CompareAndSwap(cur, r) {
-			return
-		}
-	}
 }

@@ -273,12 +273,8 @@ func recorded(p confPool, h int, kind trace.Kind) map[int]int {
 	return sums
 }
 
-// checkSegLens compares segment lengths where the substrate exposes
-// them.
+// checkSegLens compares segment lengths.
 func checkSegLens(t *testing.T, p confPool, want map[int]int) {
-	if p.segLen == nil {
-		return
-	}
 	for s, n := range want {
 		if got := p.segLen(s); got != n {
 			t.Errorf("segment %d holds %d elements, want %d", s, got, n)
@@ -804,7 +800,7 @@ func churnDrain(t *testing.T, p confPool) {
 	if n := p.length(); n != confFill {
 		t.Errorf("drain kill lost elements: Len = %d, want %d", n, confFill)
 	}
-	if p.segLen != nil && p.segLen(0) != 0 {
+	if p.segLen(0) != 0 {
 		t.Errorf("drained segment 0 still holds %d elements", p.segLen(0))
 	}
 	if !takeAll(t, p, "after drain kill", confFill) {
@@ -825,7 +821,7 @@ func churnRedirect(t *testing.T, p confPool) {
 	}
 	p.put(0, 99)
 	p.putAll(0, []int{100, 101})
-	if p.segLen != nil && p.segLen(0) != 0 {
+	if p.segLen(0) != 0 {
 		t.Errorf("deposits landed in the departed segment: it holds %d", p.segLen(0))
 	}
 	takeAll(t, p, "redirected deposits", 3)
@@ -898,7 +894,7 @@ func churnStealOnly(t *testing.T, p confPool) {
 		t.Error("steal-only kill must clear alive and keep the victim bit")
 	}
 	checkEpochMoved(t, p, "steal-only kill", epoch, 1)
-	if p.segLen != nil && p.segLen(0) != confFill {
+	if p.segLen(0) != confFill {
 		t.Errorf("steal-only segment holds %d elements, want %d in place", p.segLen(0), confFill)
 	}
 	if !takeAll(t, p, "after steal-only kill", confFill) {

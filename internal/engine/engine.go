@@ -25,25 +25,28 @@
 //     values — Coverage (core's exact version-stamped rule), Laps (the
 //     simulator's consecutive-fruitless-lap rule), and Bounded (the keyed
 //     pool's fixed sweep budget);
-//   - probe classification: every remote probe is recorded near or
-//     cross-cluster against a numa.Topology, with the hop distances
-//     precomputed per handle so the inner probe loop performs an array
-//     load instead of an interface call;
+//   - the round-counter tree the tree search reads and raises (Tree);
+//   - probe classification: every remote probe, a placement's size probes
+//     too, is recorded near or cross-cluster against a numa.Topology,
+//     with the hop distances precomputed per handle so the inner probe
+//     loop performs an array load instead of an interface call;
 //   - placement: the handle's policy.PlacePlan from the Placement, whose
 //     candidates DirectTarget scores with a size-probe closure the
 //     substrate supplies once at construction, so the Put hot path does
 //     not allocate a closure per call, and whose tenant mask classifies
 //     steals as same- or cross-tenant;
-//   - feedback: Observe/BatchSize/Controller plumbing to the handle's
-//     controller.
+//   - feedback: Finish/ObserveLocal/BatchSize/Controller plumbing to the
+//     handle's controller.
 //
 // The Engine is deliberately not generic: elements never pass through it.
-// Reserving and transferring typed elements is the substrate's job
-// (behind Probe), which is what keeps each substrate's implementation to
-// roughly a hundred lines of locking or cost-charging glue.
+// Moving typed elements and charging access costs (Probe, ChargeNode) is
+// the substrate's job, which is what keeps each substrate's implementation
+// to roughly a hundred lines of locking or cost-charging glue.
 package engine
 
 import (
+	"sync/atomic"
+
 	"pools/internal/metrics"
 	"pools/internal/numa"
 	"pools/internal/policy"
@@ -77,17 +80,14 @@ type Substrate interface {
 	Exit()
 }
 
-// TreeSubstrate extends Substrate with the superimposed round-counter
-// tree required by the paper's tree search algorithm. Substrates that can
-// run search.Tree implement it; the keyed pool does not.
+// TreeSubstrate extends Substrate for the paper's tree search, whose
+// round counters the engine keeps (Tree). Substrates that can run
+// search.Tree implement it; the keyed pool does not.
 type TreeSubstrate interface {
 	Substrate
-	// NumLeaves returns the tree leaf count (search.NumLeavesFor).
-	NumLeaves() int
-	// RoundOf returns node n's round counter, charging a node access.
-	RoundOf(n int) uint64
-	// MaxRound raises node n's counter to r if greater.
-	MaxRound(n int, r uint64)
+	// ChargeNode charges one access to tree node n, before the engine
+	// reads or raises the node's round counter.
+	ChargeNode(n int)
 }
 
 // Config assembles one handle's engine.
@@ -112,10 +112,13 @@ type Config struct {
 	// nil and gets the Policies.Order plan's.
 	Searcher search.Searcher
 	// SizeProbe reports a segment's current size for the placement plan's
-	// candidates, charging one probe access. Supplied once at construction
-	// so the add hot path does not allocate a closure per call. Required
-	// only when the plan has candidates.
+	// candidates, charging one probe access (the engine classifies it).
+	// Supplied once at construction so the add hot path does not allocate
+	// a closure per call. Required only when the plan has candidates.
 	SizeProbe func(s int) int
+	// Tree is the pool's round-counter tree, shared by its handles.
+	// Required only when the plan is a tree search.
+	Tree *Tree
 	// Tracer, when non-nil, receives the handle's flight-recorder events:
 	// the engine emits the protocol edges (searches, probe classification,
 	// ring escalation, termination verdicts, directed placements,
@@ -146,18 +149,19 @@ type Engine struct {
 	stats    *metrics.PoolStats
 	tr       *trace.Recorder
 	members  *Membership
-	cross    []bool  // cross[s]: a probe of s leaves the cluster (nil = no topology)
-	hops     []int32 // hops[s]: topology hop distance self→s (nil = no topology)
-	foreign  []bool  // foreign[s]: segment s belongs to another tenant (nil = no partition)
+	cross    []bool        // cross[s]: a probe of s leaves the cluster (nil = no topology)
+	hops     []int32       // hops[s]: topology hop distance self→s (nil = no topology)
+	foreign  []bool        // foreign[s]: segment s belongs to another tenant (nil = no partition)
+	res      search.Result // the last Search's result, which Finish reports
 	w        world
 }
 
 // New builds a handle's engine: resolve the controller and steal amount
 // (per-handle sets spawn their instance here), plan the search with the
 // controller's escalation hook and the placement, precompute the
-// hop-distance classification, and bind the substrate and termination
-// rule. An order that plans no searcher leaves Plan().Searcher nil for
-// the pool to reject.
+// hop-distance classification, size the pool's tree under a tree-search
+// plan, and bind the substrate and termination rule. An order that plans
+// no searcher leaves Plan().Searcher nil for the pool to reject.
 func New(cfg Config, sub Substrate, term Termination) *Engine {
 	ctl, steal := cfg.Policies.ForHandle(cfg.Self)
 	plan := search.Plan{Searcher: cfg.Searcher}
@@ -184,7 +188,6 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 		plan:     plan,
 		gift:     place.Gift,
 		foreign:  place.Foreign,
-		sizeFn:   cfg.SizeProbe,
 		stats:    cfg.Stats,
 		tr:       cfg.Tracer,
 		members:  cfg.Members,
@@ -192,6 +195,12 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 	if ok {
 		direct := place // a copy, so only a kept plan moves to the heap
 		e.place = &direct
+		size := cfg.SizeProbe
+		e.sizeFn = func(s int) int {
+			n := size(s)
+			e.noteProbe(s, 0) // classified after the substrate's read
+			return n
+		}
 	}
 	if cfg.Topology != nil {
 		e.cross = make([]bool, cfg.Segments)
@@ -203,8 +212,11 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 		}
 	}
 	e.w = world{e: e, sub: sub, term: term}
-	if ts, ok := sub.(TreeSubstrate); ok {
-		e.w.tree = ts
+	if plan.Tree {
+		if cfg.Tree.nodes == nil { // the pool's first tree-search handle
+			cfg.Tree.nodes = make([]treeNode, search.NumTreeNodes(cfg.Segments))
+		}
+		e.w.tree, e.w.node = cfg.Tree, sub.(TreeSubstrate)
 	}
 	return e
 }
@@ -214,8 +226,8 @@ func New(cfg Config, sub Substrate, term Termination) *Engine {
 func (e *Engine) Controller() policy.Controller { return e.ctl }
 
 // Plan returns the handle's search plan. Pools read it once, when they are
-// built: a nil Searcher is an order they reject, and Tree asks them for
-// the round-counter tree.
+// built: a nil Searcher is an order they reject, and under Tree the
+// simulator sizes its per-node cost resources.
 func (e *Engine) Plan() search.Plan { return e.plan }
 
 // Gift returns the handle's placement's mailbox split law, nil when the
@@ -232,37 +244,37 @@ func (e *Engine) StealAmount() policy.StealAmount { return e.steal }
 // edges onto the same timeline as the engine's protocol events.
 func (e *Engine) Tracer() *trace.Recorder { return e.tr }
 
-// Observe feeds one remove outcome to the handle's controller, if any.
-// Outcomes a search produced (a steal, an abort, or any probe) are also
-// recorded on the flight recorder (got, or -1 on abort, plus the probe
-// count); local hits are not, so the owner path never touches the
-// recorder and its ring keeps the protocol history. With neither a
-// controller nor a recorder the call is one inlined test.
-func (e *Engine) Observe(fb policy.Feedback) {
+// Finish feeds a slow-path remove's outcome to the handle's controller,
+// if any. got is what the remove obtained, a gift included; the last
+// Search gives the rest: it stole when it got elements. An outcome that
+// stole, aborted or probed is also recorded on the flight recorder (got,
+// or -1 on abort, plus the probe count). With neither a controller nor a
+// recorder the call is one inlined test.
+func (e *Engine) Finish(got int) {
 	if e.tr == nil && e.ctl == nil {
 		return
 	}
-	e.observe(fb)
+	e.finish(got)
 }
 
 // ObserveLocal feeds a local hit of n elements to the handle's controller,
-// if any: Observe(policy.Feedback{Got: n}), which never records a local
-// hit, so the recorder needs no test. Without a controller the call is
-// one inlined test even on a traced pool.
+// if any. Local hits are never recorded, so the owner path never touches
+// the recorder: without a controller the call is one inlined test.
 func (e *Engine) ObserveLocal(n int) {
 	if e.ctl != nil {
 		e.ctl.Observe(policy.Feedback{Got: n})
 	}
 }
 
-// observe is Observe's out-of-line half.
-func (e *Engine) observe(fb policy.Feedback) {
+// finish is Finish's out-of-line half.
+func (e *Engine) finish(got int) {
+	fb := policy.Feedback{Stole: e.res.Got > 0, Aborted: got == 0, Examined: e.res.Examined, Got: got}
 	if e.tr != nil && (fb.Stole || fb.Aborted || fb.Examined > 0) {
-		got := int32(fb.Got)
+		arg := int32(got)
 		if fb.Aborted {
-			got = -1
+			arg = -1
 		}
-		e.tr.Record(trace.Feedback, got, int32(fb.Examined))
+		e.tr.Record(trace.Feedback, arg, int32(fb.Examined))
 	}
 	if e.ctl != nil {
 		e.ctl.Observe(fb)
@@ -278,15 +290,10 @@ func (e *Engine) BatchSize(current int) int {
 	return e.ctl.BatchSize(current)
 }
 
-// NoteProbe classifies one segment probe against the precomputed hop
+// noteProbe classifies one segment probe against the precomputed hop
 // distances: local probes are no-ops; remote probes count as near or
-// cross-cluster on the stats and the flight recorder. Substrates call
-// it for placement size probes; search probes are classified by the
-// engine itself.
-func (e *Engine) NoteProbe(s int) { e.noteProbe(s, 0) }
-
-// noteProbe is NoteProbe with the steal outcome attached, used by the
-// search loop so traced probes carry their haul.
+// cross-cluster on the stats and the flight recorder, a search probe
+// with its haul (got), a placement size probe with 0.
 func (e *Engine) noteProbe(s, got int) {
 	if s == e.self {
 		return
@@ -336,7 +343,8 @@ func (e *Engine) directTarget(n int) int {
 // bookkeeping. On success (Result.Got > 0) the substrate holds the
 // reserved element and has transferred the rest toward the handle; on
 // abort the termination rule certified emptiness (or the substrate
-// stopped the search). Search performs no per-call allocation.
+// stopped the search). The result is kept for the remove's Finish.
+// Search performs no per-call allocation.
 func (e *Engine) Search(want int) search.Result {
 	e.w.want = want
 	e.w.maxHop = 1
@@ -364,17 +372,19 @@ func (e *Engine) Search(want int) search.Result {
 		}
 		e.tr.Record(trace.SearchEnd, int32(res.Got), ring)
 	}
+	e.res = res
 	return res
 }
 
 // world adapts a Substrate and a Termination rule to search.World (and
-// search.TreeWorld when the substrate supports the round-counter tree),
-// so the search algorithms see exactly the interface they were written
-// against while the engine records probes and termination evidence.
+// search.TreeWorld under a tree-search plan), so the search algorithms
+// see exactly the interface they were written against while the engine
+// records probes and termination evidence.
 type world struct {
 	e      *Engine
 	sub    Substrate
-	tree   TreeSubstrate // non-nil iff sub implements TreeSubstrate
+	tree   *Tree         // tree-search plans only
+	node   TreeSubstrate // sub, under a tree-search plan
 	term   Termination
 	want   int
 	maxHop int32 // farthest topology ring probed by the current search
@@ -438,11 +448,42 @@ func (w *world) Aborted() bool {
 	return w.sub.Stopped() || w.term.Aborted()
 }
 
-// NumLeaves implements search.TreeWorld.
-func (w *world) NumLeaves() int { return w.tree.NumLeaves() }
+// NumLeaves implements search.TreeWorld (search.NumTreeNodes is twice it).
+func (w *world) NumLeaves() int { return w.tree.Len() / 2 }
 
 // RoundOf implements search.TreeWorld.
-func (w *world) RoundOf(n int) uint64 { return w.tree.RoundOf(n) }
+func (w *world) RoundOf(n int) uint64 {
+	w.node.ChargeNode(n)
+	return w.tree.Round(n)
+}
 
-// MaxRound implements search.TreeWorld.
-func (w *world) MaxRound(n int, r uint64) { w.tree.MaxRound(n, r) }
+// MaxRound implements search.TreeWorld: an atomic max (the paper locks
+// each counter; a CAS loop gives the same monotone result).
+func (w *world) MaxRound(n int, r uint64) {
+	w.node.ChargeNode(n)
+	nd := &w.tree.nodes[n].round
+	for {
+		cur := nd.Load()
+		if cur >= r || nd.CompareAndSwap(cur, r) {
+			return
+		}
+	}
+}
+
+// Tree is Manber's superimposed tree of round counters, heap-indexed from
+// the root at 1. A pool keeps one zero Tree for all its handles, and New
+// sizes it under a tree-search plan, so other orders allocate no counters.
+type Tree struct{ nodes []treeNode }
+
+// treeNode is one round counter, padded so that no two counters share a
+// cache line.
+type treeNode struct {
+	round atomic.Uint64
+	_     [64]byte
+}
+
+// Len returns the number of counters, 0 until a tree-search plan.
+func (t *Tree) Len() int { return len(t.nodes) }
+
+// Round reads node n's round counter.
+func (t *Tree) Round(n int) uint64 { return t.nodes[n].round.Load() }

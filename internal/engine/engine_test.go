@@ -279,24 +279,37 @@ func TestLapsRule(t *testing.T) {
 	}
 }
 
-// TestNoteProbeClassification checks the precomputed near/cross masks and
-// the stats gate.
+// TestNoteProbeClassification checks that the engine classifies each
+// placement size probe after the substrate's SizeProbe read the size,
+// against the precomputed near/cross masks, and the stats gate.
 func TestNoteProbeClassification(t *testing.T) {
 	var stats metrics.PoolStats
+	probe := func(s int) int {
+		if stats.RemoteProbes != int64(max(s-1, 0)) {
+			t.Errorf("probe of %d: %d probes classified before the size read", s, stats.RemoteProbes)
+		}
+		return 0
+	}
+	// 0 is self: not counted; 1 is in the same cluster: near; 2 and 3
+	// are across the boundary: cross.
+	place := policy.Set{Place: clampPlace{cand: []int{0, 1, 2, 3}}}
 	e, _ := newFakeEngine(t, make([]int, 4), 0, Config{
-		Topology: numa.Clusters{Size: 2},
-		Stats:    &stats,
+		Policies:  place,
+		Topology:  numa.Clusters{Size: 2},
+		Stats:     &stats,
+		SizeProbe: probe,
 	}, NewBounded(4))
-	e.NoteProbe(0) // self: not counted
-	e.NoteProbe(1) // same cluster: near
-	e.NoteProbe(2) // across the boundary: cross
-	e.NoteProbe(3)
+	e.DirectTarget(1) // probes every candidate once
 	if stats.RemoteProbes != 3 || stats.CrossProbes != 2 {
 		t.Fatalf("remote/cross = %d/%d, want 3/2", stats.RemoteProbes, stats.CrossProbes)
 	}
 	// Nil stats disables the accounting entirely (CollectStats=false).
-	e2, _ := newFakeEngine(t, make([]int, 4), 0, Config{Topology: numa.Clusters{Size: 2}}, NewBounded(4))
-	e2.NoteProbe(2) // must not panic or record
+	e2, _ := newFakeEngine(t, make([]int, 4), 0, Config{
+		Policies:  place,
+		Topology:  numa.Clusters{Size: 2},
+		SizeProbe: func(int) int { return 0 },
+	}, NewBounded(4))
+	e2.DirectTarget(1) // must not panic or record
 }
 
 // clampPlace is a placement whose plan scripts its candidates and costs.
@@ -351,10 +364,12 @@ func TestDirectTarget(t *testing.T) {
 	}
 }
 
-// TestControlAwareWiring checks the engine resolves per-handle
-// controllers before it plans the search: two handles get distinct
-// spawned controllers, and a hierarchical order plans its escalating
-// searcher and its cluster-first rank.
+// TestControlAwareWiring checks the wiring that replaced the deleted
+// ControlAware order interface: the engine resolves each handle's
+// controller before it plans the search, whose order is handed the
+// controller's EscalationThreshold. Two handles get distinct spawned
+// controllers, the first's is also its steal amount, and a hierarchical
+// order plans its escalating searcher and its cluster-first rank.
 func TestControlAwareWiring(t *testing.T) {
 	pol := policy.Set{
 		Control: policy.NewPerHandle(),
@@ -377,12 +392,13 @@ func TestControlAwareWiring(t *testing.T) {
 	}
 }
 
-// TestObserveTracesOnlySearchOutcomes checks that Observe records one
-// feedback event per stolen, aborted or probing outcome and none for a
-// local hit or a gift taken before any probe, while the controller still
-// folds in every outcome: one Adaptive window closes only because the
-// local hits count toward it, and it lands where a controller fed the
-// same stream directly lands.
+// TestObserveTracesOnlySearchOutcomes checks that Finish builds each
+// remove's feedback from the last search and the remove's haul, and
+// records one feedback event per stolen, aborted or probing outcome and
+// none for a gift taken before any probe, nor for a local hit fed through
+// ObserveLocal, while the controller still folds in every outcome: one
+// Adaptive window closes only because the local hits count toward it, and
+// it lands where a controller fed the same stream directly lands.
 func TestObserveTracesOnlySearchOutcomes(t *testing.T) {
 	ctl := policy.NewAdaptive()
 	tr := trace.NewRecorder(0, 64, nil)
@@ -402,7 +418,16 @@ func TestObserveTracesOnlySearchOutcomes(t *testing.T) {
 	)
 	ref := policy.NewAdaptive()
 	for _, fb := range stream {
-		e.Observe(fb)
+		if fb == (policy.Feedback{Got: 1}) {
+			e.ObserveLocal(1)
+		} else {
+			// The search's haul is the remove's unless a gift served it.
+			e.res = search.Result{Examined: fb.Examined}
+			if fb.Stole {
+				e.res.Got = fb.Got
+			}
+			e.Finish(fb.Got)
+		}
 		ref.Observe(fb)
 	}
 

@@ -347,7 +347,6 @@ func (h *Handle[K, V]) ID() int { return h.id }
 // closure per Put.
 func (h *Handle[K, V]) sizeProbe() func(s int) int {
 	return func(sIdx int) int {
-		h.eng.NoteProbe(sIdx)
 		s := &h.pool.segs[sIdx]
 		s.mu.Lock()
 		l := s.total
@@ -449,11 +448,11 @@ func (h *Handle[K, V]) remove(k K, anyClass bool, max int, dst []V) (K, []V) {
 		return c, out
 	}
 	r := &h.sub
-	r.key, r.anyClass, r.stole, r.out = k, anyClass, false, dst
-	res := h.eng.Search(max)
+	r.key, r.anyClass, r.out = k, anyClass, dst
+	h.eng.Search(max)
 	c, out := r.key, r.out
 	r.out = nil // the substrate keeps no reference to the caller's output
-	h.eng.Observe(policy.Feedback{Stole: r.stole, Aborted: res.Got == 0, Examined: res.Examined, Got: len(out)})
+	h.eng.Finish(len(out))
 	return c, out
 }
 
@@ -528,7 +527,6 @@ type keyedSubstrate[K comparable, V any] struct {
 	h        *Handle[K, V]
 	key      K    // the requested class; under anyClass, the class taken
 	anyClass bool // take from any class's bucket
-	stole    bool // the probe that found elements took them from a victim
 	out      []V  // the remove's output
 }
 
@@ -538,7 +536,6 @@ var _ engine.Substrate = (*keyedSubstrate[int, int])(nil)
 // requested class from segment sIdx.
 func (s *keyedSubstrate[K, V]) Probe(sIdx, want int) int {
 	s.key, s.out = s.h.take(sIdx, s.key, s.anyClass, want, s.out)
-	s.stole = len(s.out) > 0 && sIdx != s.h.id
 	return len(s.out)
 }
 

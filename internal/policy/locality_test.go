@@ -177,9 +177,9 @@ func TestForHandle(t *testing.T) {
 	}
 }
 
-// TestGiftToEmptiest checks the Director law: the emptiest probed segment
-// wins, ties keep the nearest, the probe budget is honored, and
-// the Gift law mirrors GiftAll.
+// TestGiftToEmptiest checks GiftToEmptiest's PlacePlan: Direct picks the
+// emptiest probed candidate, ties keep the nearest, the probe budget is
+// honored, and the plan's Gift law mirrors GiftAll's.
 func TestGiftToEmptiest(t *testing.T) {
 	sizes := []int{5, 3, 9, 0, 7, 2}
 	size := func(s int) int { return sizes[s] }

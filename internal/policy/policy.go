@@ -18,7 +18,7 @@
 //     HierarchicalOrder, which exhausts each hop ring before the next.
 //     An order answers one call, Plan, with one handle's search.Plan: its
 //     searcher, its victim rank for sweeping substrates, and whether the
-//     pool must allocate the tree's round counters;
+//     search needs the tree's round counters;
 //   - Placement: where added elements land — the local segment, gifted
 //     (whole or split) to hungry searchers via directed-add mailboxes
 //     (the paper's Section 5 hint extension, batch-aware), or directed

@@ -56,7 +56,7 @@ type Plan struct {
 	// nil when ranking adds nothing and the sweep keeps its ring order.
 	Rank []int
 	// Tree reports that Searcher descends the round-counter tree, which
-	// the pool must then allocate.
+	// the engine then allocates (engine.Tree).
 	Tree bool
 }
 

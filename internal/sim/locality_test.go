@@ -141,10 +141,10 @@ func TestControlTraceRecordsPerHandleTrajectories(t *testing.T) {
 	}
 }
 
-// TestEmptiestPlacementInSim checks the simulated pool honors a Director
-// placement and charges its probes: a directed run's adds spread across
-// segments, and the probe charges show up as a longer makespan than the
-// local-placement run.
+// TestEmptiestPlacementInSim checks the simulated pool honors a
+// placement plan with candidates (GiftToEmptiest) and charges its size
+// probes: a directed run's adds spread across segments, and the probe
+// charges show up as a longer makespan than the local-placement run.
 func TestEmptiestPlacementInSim(t *testing.T) {
 	w := workload.Config{
 		Procs: 8, Model: workload.ProducerConsumer, Producers: 2,

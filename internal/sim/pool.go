@@ -8,7 +8,6 @@ import (
 	"pools/internal/numa"
 	"pools/internal/policy"
 	"pools/internal/rng"
-	"pools/internal/search"
 	"pools/internal/segment"
 	"pools/internal/trace"
 )
@@ -50,15 +49,14 @@ type PoolConfig struct {
 // contention is modelled by Resources. The paper's measured configuration
 // (counter-only segments) corresponds to Pool[Token].
 type Pool[T any] struct {
-	cfg    PoolConfig
-	pol    policy.Set // resolved policies (no nil slots)
-	leaves int
+	cfg PoolConfig
+	pol policy.Set // resolved policies (no nil slots)
 
 	segs    []segment.Deque[T]
 	segRes  []Resource
-	rounds  []uint64
-	nodeRes []Resource
-	counter Resource // the shared "processes looking" counter
+	tree    engine.Tree // the round counters (sized under a tree-search plan only)
+	nodeRes []Resource  // the tree nodes' contention, charged per access
+	counter Resource    // the shared "processes looking" counter
 
 	lookers      int
 	participants int
@@ -81,11 +79,9 @@ func NewPool[T any](cfg PoolConfig) *Pool[T] {
 		panic(fmt.Sprintf("sim: pool with %d procs", cfg.Procs))
 	}
 	pol := cfg.Policies.WithDefaults()
-	leaves := search.NumLeavesFor(cfg.Procs)
 	p := &Pool[T]{
 		cfg:          cfg,
 		pol:          pol,
-		leaves:       leaves,
 		segs:         make([]segment.Deque[T], cfg.Procs),
 		segRes:       make([]Resource, cfg.Procs),
 		participants: cfg.Procs,
@@ -240,6 +236,7 @@ func (p *Pool[T]) Proc(env *Env) *Proc[T] {
 		Topology:  p.cfg.Costs.Topo,
 		Stats:     &pr.stats,
 		SizeProbe: pr.sizeProbe(),
+		Tree:      &p.tree,
 		Tracer:    rec,
 		Members:   p.members,
 	}, &pr.sub, term)
@@ -247,10 +244,8 @@ func (p *Pool[T]) Proc(env *Env) *Proc[T] {
 	if plan.Searcher == nil {
 		panic(fmt.Sprintf("sim: order %s plans no search", p.pol.Order.Name()))
 	}
-	if plan.Tree && p.rounds == nil {
-		n := search.NumTreeNodes(p.cfg.Procs)
-		p.rounds = make([]uint64, n)
-		p.nodeRes = make([]Resource, n)
+	if plan.Tree && p.nodeRes == nil {
+		p.nodeRes = make([]Resource, p.tree.Len())
 	}
 	pr.steal = pr.eng.StealAmount()
 	return pr
@@ -263,7 +258,6 @@ func (pr *Proc[T]) sizeProbe() func(s int) int {
 	return func(s int) int {
 		p := pr.pool
 		pr.env.Charge(&p.segRes[s], p.cfg.Costs.Cost(numa.AccessProbe, pr.id, s))
-		pr.eng.NoteProbe(s)
 		return p.segs[s].Len()
 	}
 }
@@ -399,14 +393,14 @@ func (pr *Proc[T]) remove(start int64, max int, dst []T, batch bool) []T {
 	} else {
 		pr.stats.RecordAbort(pr.since(start))
 	}
-	pr.eng.Observe(policy.Feedback{Stole: res.Got > 0, Aborted: out == nil, Examined: res.Examined, Got: res.Got})
+	pr.eng.Finish(res.Got)
 	return out
 }
 
 // simSubstrate adapts a Proc to engine.Substrate / engine.TreeSubstrate:
 // the typed reserve/transfer half of the steal protocol, charging virtual
 // time per access. The fruitless-lap accounting, probe classification,
-// and the livelock rule live in the engine (engine.Laps).
+// the round counters and the livelock rule live in the engine.
 type simSubstrate[T any] struct {
 	proc     *Proc[T]
 	reserved T
@@ -481,24 +475,11 @@ func (w *simSubstrate[T]) Probe(s, want int) int {
 	return moved
 }
 
-// NumLeaves implements engine.TreeSubstrate.
-func (w *simSubstrate[T]) NumLeaves() int { return w.proc.pool.leaves }
-
-// RoundOf implements engine.TreeSubstrate, charging a (remote) node
-// access.
-func (w *simSubstrate[T]) RoundOf(n int) uint64 {
+// ChargeNode implements engine.TreeSubstrate, charging a (remote) node
+// access on the node's resource.
+func (w *simSubstrate[T]) ChargeNode(n int) {
 	p := w.proc.pool
 	w.proc.env.Charge(&p.nodeRes[n], p.cfg.Costs.Cost(numa.AccessNode, w.proc.id, -1))
-	return p.rounds[n]
-}
-
-// MaxRound implements engine.TreeSubstrate.
-func (w *simSubstrate[T]) MaxRound(n int, r uint64) {
-	p := w.proc.pool
-	w.proc.env.Charge(&p.nodeRes[n], p.cfg.Costs.Cost(numa.AccessNode, w.proc.id, -1))
-	if p.rounds[n] < r {
-		p.rounds[n] = r
-	}
 }
 
 // lapsState exposes the shared evidence engine.Laps consults: the

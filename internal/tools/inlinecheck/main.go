@@ -12,7 +12,7 @@
 //
 // Usage, from the module root:
 //
-//	go build -gcflags=-m ./internal/core ./internal/keyed 2> inline.out
+//	go build -gcflags=-m ./internal/core ./internal/keyed ./internal/sim 2> inline.out
 //	inlinecheck inline.out
 //
 // Exits non-zero with one line per missing inlining decision.
@@ -38,7 +38,7 @@ import (
 const (
 	delay       = "numa.(*Delayer).Delay"
 	direct      = "engine.(*Engine).DirectTarget"
-	observe     = "engine.(*Engine).Observe"
+	finish      = "engine.(*Engine).Finish"
 	local       = "engine.(*Engine).ObserveLocal"
 	place       = "engine.(*Membership).Place"
 	begin       = "(*sampler).begin"
@@ -63,13 +63,16 @@ var rules = []rule{
 	{"internal/core/handle.go", "Handle.TryGetLocal", []string{begin, delay, localRemove, local}},
 	{"internal/core/handle.go", "Handle.Get", []string{begin, delay, localRemove, local}},
 	{"internal/core/handle.go", "Handle.GetN", []string{begin, delay, batchRemove, local}},
-	{"internal/core/handle.go", "Handle.remove", []string{observe}},
+	{"internal/core/handle.go", "Handle.remove", []string{finish}},
 	{"internal/core/handle.go", "Handle.parkLocal", []string{place}},
 	{"internal/core/handle.go", "substrate.Probe", []string{delay, place}},
 	{"internal/keyed/keyed.go", "Handle.Put", []string{direct, place}},
 	{"internal/keyed/keyed.go", "Handle.PutAll", []string{direct, place}},
 	{"internal/keyed/keyed.go", "Handle.Get", []string{local}},
-	{"internal/keyed/keyed.go", "Handle.remove", []string{local, observe}},
+	{"internal/keyed/keyed.go", "Handle.remove", []string{local, finish}},
+	{"internal/sim/pool.go", "Proc.Get", []string{localRemove, local}},
+	{"internal/sim/pool.go", "Proc.GetN", []string{batchRemove, local}},
+	{"internal/sim/pool.go", "Proc.remove", []string{finish}},
 }
 
 // inlined is one "inlining call to" diagnostic.

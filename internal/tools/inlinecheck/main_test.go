@@ -94,11 +94,11 @@ func TestRulesNameRealFunctions(t *testing.T) {
 }
 
 // TestRulesCoverOwnerPathStats pins the rows that keep stats and
-// controller feedback off the call path: every core add and local remove
-// inlines its stats Record method; every core TryGetLocal/Get/GetN, keyed
-// Get and the keyed remove path behind Get, GetN and GetAny inlines
-// ObserveLocal for its local hit; and the core and keyed remove paths
-// inline Observe for their slow-path outcome.
+// controller feedback off the call path: every core and sim add and local
+// remove inlines its stats Record method; every core TryGetLocal/Get/GetN,
+// sim Get/GetN, keyed Get and the keyed remove path behind Get, GetN and
+// GetAny inlines ObserveLocal for its local hit; and the core, keyed and
+// sim remove paths inline Finish for their slow-path outcome.
 func TestRulesCoverOwnerPathStats(t *testing.T) {
 	want := map[string][]string{
 		"internal/core/handle.go Handle.Put":         {add},
@@ -108,8 +108,11 @@ func TestRulesCoverOwnerPathStats(t *testing.T) {
 		"internal/core/handle.go Handle.Get":         {localRemove, local},
 		"internal/core/handle.go Handle.GetN":        {batchRemove, local},
 		"internal/keyed/keyed.go Handle.Get":         {local},
-		"internal/core/handle.go Handle.remove":      {observe},
-		"internal/keyed/keyed.go Handle.remove":      {local, observe},
+		"internal/core/handle.go Handle.remove":      {finish},
+		"internal/keyed/keyed.go Handle.remove":      {local, finish},
+		"internal/sim/pool.go Proc.Get":              {localRemove, local},
+		"internal/sim/pool.go Proc.GetN":             {batchRemove, local},
+		"internal/sim/pool.go Proc.remove":           {finish},
 	}
 	for _, r := range rules {
 		for _, c := range want[r.file+" "+r.fn] {
